@@ -408,9 +408,7 @@ def optimal_generator(params: ModelParams, dim: EnsembleDim, branch: int = 0) ->
     """
     settings = optimal_settings(params, branch=branch)
     if params.kind == "zz":
-        phi_opt = params.omega_p * settings.t1
-        gen = phase_generator(dim, math.pi / 2 - phi_opt)
-        return PhaseGenerator(kind="opt_zz", matrix=gen.matrix, phi=gen.phi)
+        return phase_generator(dim, math.pi / 2 - params.omega_p * settings.t1)
     cx, cy, cz = bch_coefficients(params, settings.t1)
     jx, jy, _ = collective_ops(dim)
     return PhaseGenerator(kind="xz", matrix=cx * jx + cy * jy, coeffs=(cx, cy, cz))

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .circuit import ModelParams, PeriodNotFound
-from .experiments import SweepConfig, run_scenario, run_validation
+from .experiments import SCENARIOS, SweepConfig, resolve_grids, run_scenario, run_validation
 from .spin import ContractViolation
 
 __all__ = ["main"]
@@ -35,30 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-_COMMON_KEYS = {"out", "wp", "wa", "g", "interaction", "mode", "scenario"}
-_SCENARIO_KEYS = {
-    "trace_scan": {"n", "points", "gt_max"},
-    "qfi_theta0": {"n_values", "theta0_points"},
-    "qfi_t1": {"n_values", "gt1_points", "gt1_max"},
-    "qfi_heatmap": {"n", "theta0_points", "gt1_points", "gt1_max"},
-    "qfi_scaling": {"n_values", "beta"},
-    "cfi_map": {"n", "gt1_points", "gt2_points", "gt_max", "theta_eval"},
-    "xz_scaling": {"n_values", "ratios"},
-    "deviation_scan": {"n_values", "deltas"},
-    "dephasing_scan": {"n_values", "x_values"},
-}
-_INT_KEYS = {"n", "points", "theta0_points", "gt1_points", "gt2_points"}
-_FLOAT_KEYS = {"wp", "wa", "g", "gt_max", "gt1_max", "beta", "theta_eval"}
-_LIST_KEYS = {"n_values", "ratios", "deltas", "x_values"}
-
-_QFI_SCENARIOS = {
-    "theta0": "qfi_theta0",
-    "t1": "qfi_t1",
-    "heatmap": "qfi_heatmap",
-    "scaling": "qfi_scaling",
-}
-
-
 def load_config(path: str) -> dict:
     """Parse a flat key=value config file ('#' starts a comment)."""
     raw = {}
@@ -79,44 +55,15 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _coerce(key: str, value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _LIST_KEYS:
-            items = [item.strip() for item in value.split(",") if item.strip()]
-            if not items:
-                raise ValueError("empty list")
-            if key == "n_values":
-                return [int(item) for item in items]
-            return [float(item) for item in items]
-        return value
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
-
-
-def _validate_keys(options: dict, scenario: str) -> None:
-    allowed = _COMMON_KEYS | _SCENARIO_KEYS[scenario]
-    unknown = sorted(set(options) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) for {scenario}: {', '.join(unknown)}")
-
-
 def _build_config(scenario: str, args: argparse.Namespace, file_options: dict) -> SweepConfig:
     options = dict(file_options)
     for key in ("out", "wp", "wa", "g", "interaction", "mode"):
         flag = getattr(args, key, None)
         if flag is not None:
             options[key] = flag
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         # --n restricts multi-size scenarios to a single probe size.
-        if "n" in _SCENARIO_KEYS[scenario]:
-            options["n"] = args.n
-        else:
-            options["n_values"] = [args.n]
-    _validate_keys(options, scenario)
+        options["n" if "n" in SCENARIOS[scenario].defaults else "n_values"] = args.n
 
     interaction = options.pop("interaction", "xz" if scenario == "xz_scaling" else "zz")
     if interaction not in ("zz", "xz"):
@@ -137,8 +84,30 @@ def _build_config(scenario: str, args: argparse.Namespace, file_options: dict) -
         params=params,
         out_dir=out_dir,
         mode=mode_map[mode],
-        grids=options,
+        grids=resolve_grids(scenario, options),
     )
+
+
+def _command_scenarios(command: str) -> dict[str, str]:
+    """A subcommand's scenarios keyed by name less the command's prefix (``t1`` -> ``qfi_t1``)."""
+    prefix = command.split("-")[0] + "_"
+    names = [name for name, spec in SCENARIOS.items() if spec.command == command]
+    return {name.removeprefix(prefix): name for name in names}
+
+
+def _scenario_help(names) -> str:
+    """Each scenario's grid keys with their types and defaults."""
+    lines = ["grid keys (set in a --config file) with their defaults:"]
+    for name in names:
+        lines.append(f"  scenario = {name}")
+        for key, value in SCENARIOS[name].defaults.items():
+            items = value if isinstance(value, tuple) else (value,)
+            shown = [f"{item:.12g}" for item in items]
+            if len(shown) > 4:
+                shown = shown[:3] + ["..."] + shown[-1:]
+            kind = type(items[0]).__name__ + (" list" if isinstance(value, tuple) else "")
+            lines.append(f"    {key} = {','.join(shown)}  ({kind})")
+    return "\n".join(lines)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -157,29 +126,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="echometry", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("trace-scan", "qfi-sweep", "cfi-map", "xz-scaling", "deviation", "dephasing"):
-        p = sub.add_parser(command)
+    for command in dict.fromkeys(spec.command for spec in SCENARIOS.values()):
+        choices = _command_scenarios(command)
+        p = sub.add_parser(
+            command,
+            epilog=_scenario_help(choices.values()),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
         _add_common(p)
-        if command == "qfi-sweep":
+        if len(choices) > 1:
             p.add_argument(
                 "--scenario",
-                choices=tuple(_QFI_SCENARIOS) + ("all",),
+                choices=(*choices, "all"),
                 default="all",
-                help="which information sweep to run (default: all four)",
+                help="which sweep to run (default: all)",
             )
     validate = sub.add_parser("validate", help="randomized oracle-equivalence suite")
     validate.add_argument("--instances", type=int, default=200)
     validate.add_argument("--seed", type=int, default=7)
     return parser
-
-
-_COMMAND_SCENARIOS = {
-    "trace-scan": ["trace_scan"],
-    "cfi-map": ["cfi_map"],
-    "xz-scaling": ["xz_scaling"],
-    "deviation": ["deviation_scan"],
-    "dephasing": ["dephasing_scan"],
-}
 
 
 def main(argv=None) -> int:
@@ -196,36 +161,26 @@ def main(argv=None) -> int:
                 print(f"{key}={value}")
             return EXIT_OK if report["passed"] else EXIT_NUMERICAL
 
-        file_options: dict = {}
-        file_scenario = None
-        if args.config:
-            for key, value in load_config(args.config).items():
-                if key == "scenario":
-                    file_scenario = value
-                else:
-                    file_options[key] = _coerce(key, value)
-        if file_scenario is not None and file_scenario not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown scenario {file_scenario!r} in config file")
-
-        if args.command == "qfi-sweep":
-            names = (
-                list(_QFI_SCENARIOS.values())
-                if args.scenario == "all"
-                else [_QFI_SCENARIOS[args.scenario]]
-            )
-            if file_scenario is not None:
-                if file_scenario not in _QFI_SCENARIOS.values():
-                    raise ConfigError(f"config scenario {file_scenario!r} is not a qfi sweep")
-                names = [file_scenario]
-        else:
-            names = _COMMAND_SCENARIOS[args.command]
-            if file_scenario is not None and file_scenario != names[0]:
+        file_options = load_config(args.config) if args.config else {}
+        file_scenario = file_options.pop("scenario", None)
+        choices = _command_scenarios(args.command)
+        names = list(choices.values())
+        if file_scenario is not None:
+            if file_scenario not in names:
                 raise ConfigError(
-                    f"config file is for scenario {file_scenario!r}, command runs {names[0]!r}"
+                    f"config file is for scenario {file_scenario!r}, "
+                    f"{args.command} runs {', '.join(names)}"
                 )
-        for name in names:
-            summary = run_scenario(_build_config(name, args, file_options))
-            print(f"{name}: {summary['rows']} rows -> {summary['csv']}")
+            names = [file_scenario]
+        elif getattr(args, "scenario", "all") != "all":
+            names = [choices[args.scenario]]
+        try:
+            configs = [_build_config(name, args, file_options) for name in names]
+        except ValueError as exc:  # a bad model or grid value, ContractViolation included
+            raise ConfigError(str(exc)) from exc
+        for cfg in configs:
+            summary = run_scenario(cfg)
+            print(f"{cfg.scenario}: {summary['rows']} rows -> {summary['csv']}")
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

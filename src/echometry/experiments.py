@@ -1,19 +1,20 @@
 """Scenario runner: deterministic CSV sweeps over the protocol's figures.
 
 Each scenario evaluates a fixed grid and writes one CSV plus a key=value
-summary file.  Grids default to the parameter ranges behind the reference
-curves (trace scans, information versus ancilla angle / step time / probe
-size, the readout map, XZ scaling, control deviations, and dephasing) and
-are fully overridable.  Runs are pure and reseeded, so identical configs
-produce byte-identical files.
+summary file.  :data:`SCENARIOS` holds each scenario's grid keys, whose
+defaults are the parameter ranges behind the reference curves (trace scans,
+information versus ancilla angle / step time / probe size, the readout map,
+XZ scaling, control deviations, and dephasing) and are fully overridable.
+Runs are pure and reseeded, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +44,10 @@ from .states import SpectralProbe, ancilla_state, polarized_probe, thermal_probe
 __all__ = [
     "SweepConfig",
     "FitResult",
+    "Scenario",
     "SCENARIOS",
     "fit_quadratic",
+    "resolve_grids",
     "run_scenario",
     "run_validation",
 ]
@@ -52,16 +55,17 @@ __all__ = [
 
 @dataclass
 class SweepConfig:
-    """One scenario run: name, model parameters, grids, and output directory."""
+    """One scenario run: name, model parameters, grids, and output directory.
+
+    ``grids`` sets any of the scenario's grid keys (see :data:`SCENARIOS`);
+    the rest keep their defaults.
+    """
 
     scenario: str
     params: ModelParams
     out_dir: str = "results"
     mode: str = "exact_conjugate"
     grids: dict = field(default_factory=dict)
-
-    def grid(self, key: str, default):
-        return self.grids.get(key, default)
 
 
 @dataclass(frozen=True)
@@ -133,18 +137,13 @@ def _qfi_at(params, dim, probe, theta0, t1, mode) -> float:
 
 
 def _run_trace_scan(cfg: SweepConfig):
-    n = int(cfg.grid("n", 4))
-    points = int(cfg.grid("points", 2048))
-    gt_max = float(cfg.grid("gt_max", 4 * math.pi))
-    if points < 1:
-        raise ContractViolation("trace scan needs a nonempty grid")
+    n, points, gt_max = cfg.grids["n"], cfg.grids["points"], cfg.grids["gt_max"]
     dim = EnsembleDim(n)
     gts = gt_max * np.arange(1, points + 1) / points
     f = normalized_trace(cfg.params, dim, gts / cfg.params.g)
     rows = list(zip(gts, f))
     unit = gts[f >= 1.0 - 1e-9]
     summary = {
-        "scenario": cfg.scenario,
         "n": n,
         "points": points,
         "gt_max": gt_max,
@@ -155,8 +154,8 @@ def _run_trace_scan(cfg: SweepConfig):
 
 
 def _run_qfi_theta0(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", range(2, 21))]
-    theta0s = np.linspace(0.0, math.pi, int(cfg.grid("theta0_points", 81)))
+    n_values = cfg.grids["n_values"]
+    theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
@@ -165,7 +164,6 @@ def _run_qfi_theta0(cfg: SweepConfig):
         for theta0 in theta0s:
             rows.append((n, theta0, _qfi_at(cfg.params, dim, probe, theta0, t1, cfg.mode)))
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "theta0_points": theta0s.size,
         "max_FQ": max(r[2] for r in rows),
@@ -174,9 +172,8 @@ def _run_qfi_theta0(cfg: SweepConfig):
 
 
 def _run_qfi_t1(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", range(2, 21))]
-    gt1_max = float(cfg.grid("gt1_max", math.pi))
-    gt1s = np.linspace(0.0, gt1_max, int(cfg.grid("gt1_points", 81)))
+    n_values = cfg.grids["n_values"]
+    gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
@@ -186,7 +183,6 @@ def _run_qfi_t1(cfg: SweepConfig):
                 (n, gt1, _qfi_at(cfg.params, dim, probe, math.pi / 2, gt1 / cfg.params.g, cfg.mode))
             )
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "gt1_points": gt1s.size,
         "max_FQ": max(r[2] for r in rows),
@@ -195,10 +191,10 @@ def _run_qfi_t1(cfg: SweepConfig):
 
 
 def _run_qfi_heatmap(cfg: SweepConfig):
-    n = int(cfg.grid("n", 4))
+    n = cfg.grids["n"]
     dim = EnsembleDim(n)
-    theta0s = np.linspace(0.0, math.pi, int(cfg.grid("theta0_points", 65)))
-    gt1s = np.linspace(0.0, float(cfg.grid("gt1_max", math.pi)), int(cfg.grid("gt1_points", 65)))
+    theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
+    gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
     probe = _optimal_probe(cfg.params, dim)
     rows = []
     for theta0 in theta0s:
@@ -207,7 +203,6 @@ def _run_qfi_heatmap(cfg: SweepConfig):
             rows.append((theta0, gt1, value / n**2))
     best = max(rows, key=lambda r: r[2])
     summary = {
-        "scenario": cfg.scenario,
         "n": n,
         "theta0_points": theta0s.size,
         "gt1_points": gt1s.size,
@@ -229,8 +224,7 @@ _SCALING_POINTS = (
 
 
 def _run_qfi_scaling(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", range(2, 21))]
-    beta = float(cfg.grid("beta", 1.0))
+    n_values, beta = cfg.grids["n_values"], cfg.grids["beta"]
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
@@ -247,7 +241,6 @@ def _run_qfi_scaling(cfg: SweepConfig):
         rows.append((n, "D_largeN", large_n.value))
     point_a = [(n, f) for n, label, f in rows if label == "A"]
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "beta": beta,
         "labels": ";".join(["A", "B", "C", "D", "D_exact", "D_largeN"]),
@@ -257,12 +250,10 @@ def _run_qfi_scaling(cfg: SweepConfig):
 
 
 def _run_cfi_map(cfg: SweepConfig):
-    n = int(cfg.grid("n", 5))
+    n, gt_max, theta_eval = cfg.grids["n"], cfg.grids["gt_max"], cfg.grids["theta_eval"]
     dim = EnsembleDim(n)
-    gt_max = float(cfg.grid("gt_max", 2 * math.pi))
-    gt1s = np.linspace(0.0, gt_max, int(cfg.grid("gt1_points", 65)))
-    gt2s = np.linspace(0.0, gt_max, int(cfg.grid("gt2_points", 65)))
-    theta_eval = float(cfg.grid("theta_eval", 0.2))
+    gt1s = np.linspace(0.0, gt_max, cfg.grids["gt1_points"])
+    gt2s = np.linspace(0.0, gt_max, cfg.grids["gt2_points"])
     gen = optimal_generator(cfg.params, dim)
     probe = polarized_probe(dim, gen)
     anc = ancilla_state(math.pi / 2)
@@ -274,7 +265,6 @@ def _run_cfi_map(cfg: SweepConfig):
             rows.append((gt1, gt2, value / n**2))
     best = max(rows, key=lambda r: r[2])
     summary = {
-        "scenario": cfg.scenario,
         "n": n,
         "gt1_points": gt1s.size,
         "gt2_points": gt2s.size,
@@ -287,8 +277,7 @@ def _run_cfi_map(cfg: SweepConfig):
 
 
 def _run_xz_scaling(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", range(2, 101))]
-    ratios = [float(r) for r in cfg.grid("ratios", (1.0, 0.3, 0.1))]
+    n_values, ratios = cfg.grids["n_values"], cfg.grids["ratios"]
     anc = ancilla_state(math.pi / 2)
     rows = []
     fits = {}
@@ -305,7 +294,6 @@ def _run_xz_scaling(cfg: SweepConfig):
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "ratios": ";".join(_fmt(r) for r in ratios),
     }
@@ -323,8 +311,7 @@ _DEVIATION_PATTERNS = ((1.0, 0.0), (0.0, 1.0), (1.0 / math.sqrt(2.0), 1.0 / math
 
 
 def _run_deviation_scan(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", (4, 20))]
-    deltas = [float(v) for v in cfg.grid("deltas", (0.005, 0.01, 0.02))]
+    n_values, deltas = cfg.grids["n_values"], cfg.grids["deltas"]
     anc = ancilla_state(math.pi / 2)
     rows = []
     worst = 0.0
@@ -351,7 +338,6 @@ def _run_deviation_scan(cfg: SweepConfig):
                 worst = max(worst, abs(numeric - formula))
                 rows.append((n, dg_t1, dwp_t1, formula, numeric))
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "deltas": ";".join(_fmt(d) for d in deltas),
         "patterns": len(_DEVIATION_PATTERNS),
@@ -361,8 +347,7 @@ def _run_deviation_scan(cfg: SweepConfig):
 
 
 def _run_dephasing_scan(cfg: SweepConfig):
-    n_values = [int(v) for v in cfg.grid("n_values", (4, 20))]
-    x_values = [float(v) for v in cfg.grid("x_values", np.round(np.arange(0.0, 1.01, 0.1), 10))]
+    n_values, x_values = cfg.grids["n_values"], cfg.grids["x_values"]
     rows = []
     worst = 0.0
     for n in n_values:
@@ -374,7 +359,6 @@ def _run_dephasing_scan(cfg: SweepConfig):
             worst = max(worst, abs(value - (1.0 - x) ** 2 * n**2))
             rows.append((n, x, value))
     summary = {
-        "scenario": cfg.scenario,
         "n_values": ";".join(str(n) for n in n_values),
         "x_values": ";".join(_fmt(x) for x in x_values),
         "max_abs_gap_to_law": worst,
@@ -382,29 +366,103 @@ def _run_dephasing_scan(cfg: SweepConfig):
     return ["N", "x", "FQ"], rows, summary
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A sweep: its runner, the CLI subcommand that runs it, and its grid keys.
+
+    The type of a key's default (int, float, or a tuple of either) is the
+    key's type; see :func:`resolve_grids`.
+    """
+
+    runner: Callable[[SweepConfig], tuple]
+    command: str
+    defaults: dict
+
+
+_FIGURE_SIZES = tuple(range(2, 21))
+
 SCENARIOS = {
-    "trace_scan": _run_trace_scan,
-    "qfi_theta0": _run_qfi_theta0,
-    "qfi_t1": _run_qfi_t1,
-    "qfi_heatmap": _run_qfi_heatmap,
-    "qfi_scaling": _run_qfi_scaling,
-    "cfi_map": _run_cfi_map,
-    "xz_scaling": _run_xz_scaling,
-    "deviation_scan": _run_deviation_scan,
-    "dephasing_scan": _run_dephasing_scan,
+    "trace_scan": Scenario(
+        _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi)
+    ),
+    "qfi_theta0": Scenario(
+        _run_qfi_theta0, "qfi-sweep", dict(n_values=_FIGURE_SIZES, theta0_points=81)
+    ),
+    "qfi_t1": Scenario(
+        _run_qfi_t1, "qfi-sweep", dict(n_values=_FIGURE_SIZES, gt1_points=81, gt1_max=math.pi)
+    ),
+    "qfi_heatmap": Scenario(
+        _run_qfi_heatmap, "qfi-sweep", dict(n=4, theta0_points=65, gt1_points=65, gt1_max=math.pi)
+    ),
+    "qfi_scaling": Scenario(_run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0)),
+    "cfi_map": Scenario(
+        _run_cfi_map,
+        "cfi-map",
+        dict(n=5, gt1_points=65, gt2_points=65, gt_max=2 * math.pi, theta_eval=0.2),
+    ),
+    "xz_scaling": Scenario(
+        _run_xz_scaling, "xz-scaling", dict(n_values=tuple(range(2, 101)), ratios=(1.0, 0.3, 0.1))
+    ),
+    "deviation_scan": Scenario(
+        _run_deviation_scan, "deviation", dict(n_values=(4, 20), deltas=(0.005, 0.01, 0.02))
+    ),
+    "dephasing_scan": Scenario(
+        _run_dephasing_scan,
+        "dephasing",
+        dict(n_values=(4, 20), x_values=tuple(k / 10 for k in range(11))),
+    ),
 }
+
+
+def _coerce(key: str, default, value):
+    if isinstance(default, tuple):
+        if isinstance(value, str):
+            value = [item for item in value.split(",") if item.strip()]
+        if not np.iterable(value):
+            value = (value,)
+        items = tuple(_coerce(key, default[0], item) for item in value)
+        if not items:
+            raise ContractViolation(f"{key!r} needs a nonempty list of values, got {value!r}")
+        return items
+    try:
+        number = type(default)(value)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"bad value for {key!r}: {value!r} ({exc})") from exc
+    if not math.isfinite(number) or (isinstance(number, int) and number < 1):
+        rule = "at least 1" if isinstance(number, int) else "finite"
+        raise ContractViolation(f"{key!r} must be {rule}, got {value!r}")
+    return number
+
+
+def resolve_grids(scenario: str, grids: dict) -> dict:
+    """A scenario's full grid: ``grids`` merged over its defaults and coerced.
+
+    Each value takes its default's type: an int at least 1, a finite float, or
+    a nonempty tuple of either (from text, comma-separated; a scalar is a
+    one-element tuple).  Raises :class:`ContractViolation` for an unknown
+    scenario, a key the scenario does not read, or a bad value.
+    """
+    if scenario not in SCENARIOS:
+        raise ContractViolation(f"unknown scenario {scenario!r}")
+    defaults = SCENARIOS[scenario].defaults
+    unknown = sorted(set(grids) - set(defaults))
+    if unknown:
+        raise ContractViolation(f"unknown config key(s) for {scenario}: {', '.join(unknown)}")
+    return {
+        key: _coerce(key, default, grids.get(key, default)) for key, default in defaults.items()
+    }
 
 
 def run_scenario(cfg: SweepConfig) -> dict:
     """Run one scenario, write its CSV and summary, and return the summary."""
-    if cfg.scenario not in SCENARIOS:
-        raise ContractViolation(f"unknown scenario {cfg.scenario!r}")
-    header, rows, summary = SCENARIOS[cfg.scenario](cfg)
+    cfg = replace(cfg, grids=resolve_grids(cfg.scenario, cfg.grids))
+    header, rows, summary = SCENARIOS[cfg.scenario].runner(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.scenario}.csv"
     _write_csv(csv_path, header, rows)
     summary = {
+        "scenario": cfg.scenario,
         **summary,
         "rows": len(rows),
         "wp": cfg.params.omega_p,

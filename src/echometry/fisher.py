@@ -309,26 +309,42 @@ def qfi_dephased(
     return FisherResult(value=mean_sq - second, method="dephased")
 
 
-def _plus_minus_kets() -> tuple[np.ndarray, np.ndarray]:
-    return (KET_E + KET_G) / np.sqrt(2.0), (KET_E - KET_G) / np.sqrt(2.0)
+# The ancilla readout kets |+> and |-> as columns.
+_PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
 def _full_system_projectors(generator) -> tuple[np.ndarray, list[tuple[float, str]]]:
     """Columns |m>_gen (x) |+/-> and the (m, branch) labels, m ascending."""
     vals, vecs = eigenbasis(_generator_matrix(generator))
-    plus, minus = _plus_minus_kets()
-    columns = []
-    labels = []
-    for k in range(vals.size):
-        for branch, ket in (("+", plus), ("-", minus)):
-            columns.append(np.kron(vecs[:, k], ket))
-            labels.append((float(vals[k]), branch))
-    return np.stack(columns, axis=1), labels
+    labels = [(float(m), branch) for m in vals for branch in ("+", "-")]
+    return np.kron(vecs, _PLUS_MINUS), labels
 
 
 def _ancilla_reduced(rho: np.ndarray) -> np.ndarray:
     d = rho.shape[0] // 2
     return np.einsum("iaib->ab", rho.reshape(d, 2, d, 2))
+
+
+def _readout_basis(basis: str, generator) -> tuple[np.ndarray | None, list]:
+    """Projector columns and (m, branch) labels of a readout basis.
+
+    Columns are None for the ancilla-only readout, whose projectors
+    I (x) |+/-><+/-| have rank N+1.
+    """
+    if basis == "full_system":
+        if generator is None:
+            raise ContractViolation("full-system readout needs a probe generator")
+        return _full_system_projectors(generator)
+    if basis == "ancilla_only":
+        return None, [(None, "+"), (None, "-")]
+    raise ContractViolation(f"unknown measurement basis {basis!r}")
+
+
+def _readout_diagonal(op: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
+    """Expectation of a joint operator in each readout projector."""
+    if columns is None:
+        op, columns = _ancilla_reduced(op), _PLUS_MINUS
+    return np.einsum("ik,ij,jk->k", columns.conj(), op, columns).real
 
 
 def measurement_probs(
@@ -340,27 +356,10 @@ def measurement_probs(
     generator's eigenbasis; ``basis="ancilla_only"`` traces out the probe and
     projects the qubit on |+/->.
     """
-    rho = np.asarray(rho_theta, dtype=complex)
-    if basis == "full_system":
-        if generator is None:
-            raise ContractViolation("full-system readout needs a probe generator")
-        columns, labels = _full_system_projectors(generator)
-        probs = np.einsum("ik,ij,jk->k", columns.conj(), rho, columns).real
-        rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
-    elif basis == "ancilla_only":
-        reduced = _ancilla_reduced(rho)
-        plus, minus = _plus_minus_kets()
-        rows = tuple(
-            (None, branch, float((ket.conj() @ reduced @ ket).real))
-            for branch, ket in (("+", plus), ("-", minus))
-        )
-    else:
-        raise ContractViolation(f"unknown measurement basis {basis!r}")
+    columns, labels = _readout_basis(basis, generator)
+    probs = _readout_diagonal(np.asarray(rho_theta, dtype=complex), columns)
+    rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
     return ProbabilityTable(rows=rows)
-
-
-def _projected_diagonal(op: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    return np.einsum("ik,ij,jk->k", columns.conj(), op, columns).real
 
 
 def cfi(
@@ -390,31 +389,20 @@ def cfi(
         raise ContractViolation("finite-difference step must be positive")
     sched_eval = replace(sched, theta=theta_eval)
 
-    if basis == "full_system":
-        columns, _ = _full_system_projectors(generator)
-    elif basis == "ancilla_only":
-        # Ancilla-only readout: rank-(N+1) projectors I (x) |+/-><+/-|.
-        plus, minus = _plus_minus_kets()
-        columns = None
-    else:
-        raise ContractViolation(f"unknown measurement basis {basis!r}")
+    columns, _ = _readout_basis(basis, generator)
 
-    def probs_of(rho: np.ndarray) -> np.ndarray:
-        if columns is not None:
-            return _projected_diagonal(rho, columns)
-        reduced = _ancilla_reduced(rho)
-        return np.array(
-            [(plus.conj() @ reduced @ plus).real, (minus.conj() @ reduced @ minus).real]
-        )
+    def probs_of(theta: float) -> np.ndarray:
+        rho = output_state(probe, ancilla, params, replace(sched, theta=theta))
+        return _readout_diagonal(rho, columns)
 
     if mode == "analytic":
         rho, drho = output_state_derivative(probe, ancilla, params, sched_eval)
-        p = probs_of(rho)
-        dp = probs_of(drho)
+        p = _readout_diagonal(rho, columns)
+        dp = _readout_diagonal(drho, columns)
     else:
-        p = probs_of(output_state(probe, ancilla, params, sched_eval))
-        p_hi = probs_of(output_state(probe, ancilla, params, replace(sched, theta=theta_eval + h)))
-        p_lo = probs_of(output_state(probe, ancilla, params, replace(sched, theta=theta_eval - h)))
+        p = probs_of(theta_eval)
+        p_hi = probs_of(theta_eval + h)
+        p_lo = probs_of(theta_eval - h)
         dp = (p_hi - p_lo) / (2.0 * h)
 
     p = np.clip(p, 0.0, None)

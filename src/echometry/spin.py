@@ -95,7 +95,6 @@ class PhaseGenerator:
     ``kind`` is one of:
 
     * ``"planar"``  -- cos(phi) J_x + sin(phi) J_y,
-    * ``"opt_zz"``  -- the planar generator at the ZZ-optimal angle,
     * ``"xz"``      -- c_x J_x + c_y J_y from the XZ closed form, with the
       full coefficient triple (c_x, c_y, c_z) stored in ``coeffs``.
     """
@@ -106,7 +105,7 @@ class PhaseGenerator:
     coeffs: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("planar", "opt_zz", "xz"):
+        if self.kind not in ("planar", "xz"):
             raise ContractViolation(f"unknown generator kind {self.kind!r}")
         if self.kind == "xz":
             if self.coeffs is None:

@@ -77,16 +77,18 @@ class AncillaState:
         """State vector cos(theta0/2)|e> + e^{-i phi0} sin(theta0/2)|g>; pure states only."""
         if not self.is_pure:
             raise ContractViolation("dephased ancilla has no state vector")
-        return np.cos(self.theta0 / 2.0) * KET_E + np.exp(-1j * self.phi0) * np.sin(
-            self.theta0 / 2.0
-        ) * KET_G
+        return _pure_ket(self.theta0, self.phi0)
+
+
+def _pure_ket(theta0: float, phi0: float) -> np.ndarray:
+    return np.cos(theta0 / 2.0) * KET_E + np.exp(-1j * phi0) * np.sin(theta0 / 2.0) * KET_G
 
 
 def ancilla_state(theta0: float, phi0: float = 0.0) -> AncillaState:
     """Pure ancilla state from the population-imbalance and phase angles."""
     if not (np.isfinite(theta0) and np.isfinite(phi0)):
         raise ContractViolation("ancilla angles must be finite")
-    ket = np.cos(theta0 / 2.0) * KET_E + np.exp(-1j * phi0) * np.sin(theta0 / 2.0) * KET_G
+    ket = _pure_ket(theta0, phi0)
     return AncillaState(theta0=float(theta0), phi0=float(phi0), x=0.0, rho=np.outer(ket, ket.conj()))
 
 
@@ -171,11 +173,6 @@ class SpectralProbe:
     @property
     def n_terms(self) -> int:
         return self.weights.size
-
-    def terms(self):
-        """Iterate over (weight, eigenvector) pairs."""
-        for k in range(self.n_terms):
-            yield self.weights[k], self.vectors[:, k]
 
     def density(self) -> np.ndarray:
         """Reconstruct the density matrix sum_i p_i |psi_i><psi_i|."""

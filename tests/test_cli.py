@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from echometry.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from echometry.experiments import SCENARIOS
 
 
 def test_trace_scan_command(tmp_path, capsys):
@@ -86,3 +88,63 @@ def test_dephasing_command_defaults(tmp_path):
     assert code == EXIT_OK
     rows = (tmp_path / "dephasing_scan.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 11
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["qfi-sweep", "--scenario", "theta0"], "theta0_points = 0"),
+        (["qfi-sweep", "--scenario", "t1"], "gt1_points = 0"),
+        (["trace-scan"], "gt_max = nan"),
+        (["trace-scan", "--n", "0"], ""),
+        (["trace-scan"], "points = 2.5"),
+        (["dephasing"], "n_values = 4, 0"),
+        (["dephasing"], "x_values = ,"),
+        (["deviation"], "deltas = 0.01, inf"),
+        (["trace-scan"], "wp = fast"),
+    ],
+)
+def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config + "\n")
+    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _tiny_grid(key, default, size):
+    """Config text for a grid with `size` points on each axis; n stays a probe size of 2."""
+    if isinstance(default, tuple):
+        items = range(2, 2 + size) if isinstance(default[0], int) else default[:size]
+        return ", ".join(str(item) for item in items)
+    if isinstance(default, int):
+        return "2" if key == "n" else str(size)
+    return str(default)
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_scenario_runs_and_is_documented(tmp_path, capsys, name):
+    # Every tuple key lists the values along one axis of the sweep, and every
+    # int key but the probe size n counts the points along one, so doubling
+    # each axis multiplies the rows by 2**axes.
+    spec = SCENARIOS[name]
+    axes = sum(
+        isinstance(default, tuple) or (isinstance(default, int) and key != "n")
+        for key, default in spec.defaults.items()
+    )
+    rows = []
+    for size in (1, 2):
+        cfg = tmp_path / f"{size}.cfg"
+        lines = [f"scenario = {name}"]
+        lines += [f"{key} = {_tiny_grid(key, d, size)}" for key, d in spec.defaults.items()]
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / str(size)
+        assert main([spec.command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        rows.append(len((out / f"{name}.csv").read_text().splitlines()) - 1)
+        assert f"{name}: {rows[-1]} rows" in capsys.readouterr().out
+    assert rows[0] >= 1
+    assert rows[1] == rows[0] * 2**axes
+    assert main([spec.command, "--help"]) == EXIT_OK
+    help_text = capsys.readouterr().out
+    assert f"scenario = {name}" in help_text
+    assert all(f"    {key} = " in help_text for key in spec.defaults)

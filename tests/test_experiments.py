@@ -188,6 +188,21 @@ def test_unknown_scenario_rejected(tmp_path):
         run_scenario(make_config("qfi_everything", tmp_path))
 
 
+@pytest.mark.parametrize(
+    "grids, key",
+    [
+        ({"n_values": [3], "theta0_point": 5}, "theta0_point"),
+        ({"n_values": [3], "theta0_points": 0}, "theta0_points"),
+        ({"n_values": [3, 0]}, "n_values"),
+        ({"n_values": []}, "n_values"),
+    ],
+)
+def test_bad_grid_rejected(tmp_path, grids, key):
+    with pytest.raises(ContractViolation, match=key):
+        run_scenario(make_config("qfi_theta0", tmp_path, grids))
+    assert not (tmp_path / "qfi_theta0.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # randomized validation
 
