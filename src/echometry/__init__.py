@@ -57,7 +57,6 @@ from .fisher import (
     measurement_probs,
     output_state,
     output_state_derivative,
-    qfi_dephased,
     qfi_deviation,
     qfi_general,
     qfi_simplified,
@@ -111,7 +110,6 @@ __all__ = [
     "measurement_probs",
     "output_state",
     "output_state_derivative",
-    "qfi_dephased",
     "qfi_deviation",
     "qfi_general",
     "qfi_simplified",

@@ -165,15 +165,15 @@ def main(argv=None) -> int:
         file_scenario = file_options.pop("scenario", None)
         choices = _command_scenarios(args.command)
         names = list(choices.values())
+        if getattr(args, "scenario", "all") != "all":
+            names = [choices[args.scenario]]
         if file_scenario is not None:
             if file_scenario not in names:
                 raise ConfigError(
                     f"config file is for scenario {file_scenario!r}, "
-                    f"{args.command} runs {', '.join(names)}"
+                    f"this run is for {', '.join(names)}"
                 )
             names = [file_scenario]
-        elif getattr(args, "scenario", "all") != "all":
-            names = [choices[args.scenario]]
         try:
             configs = [_build_config(name, args, file_options) for name in names]
         except ValueError as exc:  # a bad model or grid value, ContractViolation included

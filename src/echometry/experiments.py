@@ -32,14 +32,13 @@ from .fisher import (
     DeviationSpec,
     cfi,
     output_state_derivative,
-    qfi_dephased,
     qfi_deviation,
     qfi_general,
     qfi_sld_oracle,
     qfi_thermal,
 )
 from .spin import ContractViolation, EnsembleDim
-from .states import SpectralProbe, ancilla_state, polarized_probe, thermal_probe
+from .states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 
 __all__ = [
     "SweepConfig",
@@ -348,14 +347,15 @@ def _run_deviation_scan(cfg: SweepConfig):
 
 def _run_dephasing_scan(cfg: SweepConfig):
     n_values, x_values = cfg.grids["n_values"], cfg.grids["x_values"]
+    anc = ancilla_state(math.pi / 2)
+    sched = conjugate_schedule(optimal_settings(cfg.params).t1, 0.0)
     rows = []
     worst = 0.0
     for n in n_values:
         dim = EnsembleDim(n)
-        gen = optimal_generator(cfg.params, dim)
-        probe = polarized_probe(dim, gen)
+        probe = _optimal_probe(cfg.params, dim)
         for x in x_values:
-            value = qfi_dephased(probe, math.pi / 2, x, gen).value
+            value = qfi_general(probe, dephase_ancilla(anc, x), cfg.params, sched).value
             worst = max(worst, abs(value - (1.0 - x) ** 2 * n**2))
             rows.append((n, x, value))
     summary = {
@@ -414,6 +414,14 @@ SCENARIOS = {
 }
 
 
+# Grid keys whose values must lie in a narrower range than their type allows.
+_DOMAINS = {
+    "ratios": (lambda v: v > 0.0, "positive"),
+    "beta": (lambda v: v > 0.0, "positive"),
+    "x_values": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+}
+
+
 def _coerce(key: str, default, value):
     if isinstance(default, tuple):
         if isinstance(value, str):
@@ -431,6 +439,8 @@ def _coerce(key: str, default, value):
     if not math.isfinite(number) or (isinstance(number, int) and number < 1):
         rule = "at least 1" if isinstance(number, int) else "finite"
         raise ContractViolation(f"{key!r} must be {rule}, got {value!r}")
+    if key in _DOMAINS and not _DOMAINS[key][0](number):
+        raise ContractViolation(f"{key!r} values must be {_DOMAINS[key][1]}, got {value!r}")
     return number
 
 
@@ -439,7 +449,8 @@ def resolve_grids(scenario: str, grids: dict) -> dict:
 
     Each value takes its default's type: an int at least 1, a finite float, or
     a nonempty tuple of either (from text, comma-separated; a scalar is a
-    one-element tuple).  Raises :class:`ContractViolation` for an unknown
+    one-element tuple).  ``ratios`` and ``beta`` must be positive and
+    ``x_values`` in [0, 1].  Raises :class:`ContractViolation` for an unknown
     scenario, a key the scenario does not read, or a bad value.
     """
     if scenario not in SCENARIOS:

@@ -11,7 +11,8 @@ information reduces to the two-term spectral sum
 
     F_Q = 4 sum_i p_i <H_eff^2>_i - sum_ij 8 p_i p_j / (p_i + p_j) |<i|H_eff|j>|^2
 
-over the support of the input state.  An independent cross-check,
+over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
+dephased ancilla alike.  An independent cross-check,
 :func:`qfi_sld_oracle`, computes the same quantity from the symmetric
 logarithmic derivative of the output density matrix and an analytically
 supplied d rho / d theta, never reusing the two-term path.
@@ -42,17 +43,10 @@ from .spin import (
     KET_G,
     assert_hermitian,
     eigenbasis,
+    generator_matrix,
     joint_embed,
-    PAULI_Z,
 )
-from .states import (
-    EPS_SPECTRUM,
-    AncillaState,
-    SpectralProbe,
-    _generator_matrix,
-    ancilla_state,
-    dephase_ancilla,
-)
+from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec
 
 __all__ = [
     "EPS_PROB",
@@ -66,7 +60,6 @@ __all__ = [
     "qfi_sld_oracle",
     "qfi_thermal",
     "qfi_deviation",
-    "qfi_dephased",
     "measurement_probs",
     "cfi",
 ]
@@ -156,45 +149,44 @@ def output_state_derivative(
     return rho, half + half.conj().T
 
 
-def _ancilla_sector(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """(I (x) <ket|) op (I (x) |ket>) for a joint probe-ancilla operator."""
-    d = op.shape[0] // 2
-    t = op.reshape(d, 2, d, 2)
-    return np.einsum("a,iajb,b->ij", ket.conj(), t, ket)
+def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> float:
+    """The two-term spectral sum over input eigenpairs (w_k, psi_k), given H psi_k.
+
+    F_Q = 4 sum_k w_k ||H psi_k||^2 - sum_kl 8 w_k w_l / (w_k + w_l) |<psi_k|H|psi_l>|^2
+    for a Hermitian generator H (Liu et al., J. Phys. A 53, 023001, 2020).
+    """
+    term1 = 4.0 * float(np.sum(weights * np.einsum("ik,ik->k", h_columns.conj(), h_columns).real))
+    overlaps = columns.conj().T @ h_columns
+    coef = 8.0 * np.outer(weights, weights) / (weights[:, None] + weights[None, :])
+    return term1 - float(np.sum(coef * np.abs(overlaps) ** 2))
 
 
 def qfi_general(
     probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
 ) -> FisherResult:
-    """Quantum Fisher information of the output family, pure ancilla.
+    """Quantum Fisher information of the output family, for any ancilla.
 
-    Evaluates the two-term spectral sum over the probe support with the
-    ancilla folded in; the result is exactly independent of theta and of the
-    second circuit leg.  Dephased ancillas are rejected here; use
-    :func:`qfi_sld_oracle` or :func:`qfi_dephased` for those.
+    Evaluates the two-term spectral sum of H_eff = U(t1)^dagger G U(t1) over
+    the joint input spectrum: weights p_i q_a and columns v_i (x) a_a, where
+    a pure ancilla contributes its ket with weight 1 and a dephased one the
+    eigenpairs of its density matrix; joint weights at or below the spectral
+    cutoff are dropped.  The result is exactly independent of theta and of
+    the second circuit leg.
     """
-    if not ancilla.is_pure:
-        raise ContractViolation(
-            "general QFI path needs a pure ancilla; use the SLD oracle or the dephased form"
-        )
     dim = probe.dim
+    q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
+    w = np.outer(probe.weights, q).ravel()
+    psi = (probe.vectors[:, None, :, None] * a[None, :, None, :]).reshape(2 * dim.dim, w.size)
+    keep = w > EPS_SPECTRUM
+    w, psi = w[keep], psi[:, keep]
     u1 = propagator(params, dim, sched.t1)
-    h_eff = u1.conj().T @ encoding_generator(params, dim) @ u1
-    ket = ancilla.ket
-    sector_sq = _ancilla_sector(h_eff @ h_eff, ket)
-    sector = _ancilla_sector(h_eff, ket)
-    v = probe.vectors
-    p = probe.weights
-    term1 = 4.0 * float(np.einsum("k,ik,ij,jk->", p, v.conj(), sector_sq, v).real)
-    overlaps = v.conj().T @ sector @ v
-    coef = 8.0 * np.outer(p, p) / (p[:, None] + p[None, :])
-    term2 = float(np.sum(coef * np.abs(overlaps) ** 2))
-    return FisherResult(value=term1 - term2, method="general")
+    h_psi = u1.conj().T @ (encoding_generator(params, dim) @ (u1 @ psi))
+    return FisherResult(value=_two_term_sum(w, psi, h_psi), method="general")
 
 
 def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:
     """Mean square of the optimized phase generator: 4 sum_i p_i <G^2>_i."""
-    g = _generator_matrix(generator)
+    g = generator_matrix(generator)
     v = probe.vectors
     gv = g @ v
     value = 4.0 * float(np.sum(probe.weights * np.einsum("ik,ik->k", gv.conj(), gv).real))
@@ -229,16 +221,14 @@ def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResul
 def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResult]:
     """Thermal-probe information at the optimum: exact sum and large-N form.
 
-    Exact: 4 sum_m m^2 e^{-m beta} / sum_m e^{-m beta} with the maximum
-    exponent subtracted.  Large N: N^2 - 4N/(e^beta - 1)
+    Exact: 4 sum_m m^2 p_m over the Boltzmann weights of
+    :meth:`ThermalSpec.weights`.  Large N: N^2 - 4N/(e^beta - 1)
     + 4(e^beta + 1)/(e^beta - 1)^2, which requires beta > 0.
     """
     if beta <= 0.0:
         raise ContractViolation("the large-N thermal form diverges for beta <= 0")
     m = dim.m_values()
-    logw = -beta * m
-    w = np.exp(logw - logw.max())
-    exact = 4.0 * float(np.sum(m * m * w) / np.sum(w))
+    exact = 4.0 * float(np.sum(m * m * ThermalSpec(dim, beta).weights()))
     n = dim.n_spins
     eb = math.exp(beta)
     large_n = n * n - 4.0 * n / (eb - 1.0) + 4.0 * (eb + 1.0) / (eb - 1.0) ** 2
@@ -266,56 +256,13 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
     return FisherResult(value=value, method="deviation")
 
 
-def qfi_dephased(
-    probe: SpectralProbe, theta0: float, x: float, generator: PhaseGenerator
-) -> FisherResult:
-    """Fisher information with a dephased ancilla at the optimal settings.
-
-    Evaluates the two-term spectral sum over the joint eigenbasis of
-    rho_P (x) rho_A' with the circuit generator G sigma_z, for any
-    preparation angle theta0.  At theta0 = pi/2 this reduces to
-
-        4 sum_i p_i <G^2>_i
-        - sum_ij 8 x (2-x) p_i p_j / [(2-x) p_i + x p_j] |<i|G|j>|^2
-
-    and for a polarized probe to (1-x)^2 N^2.  Only the ZZ-type generator is
-    supported; whether the closed form carries over to the XZ interaction is
-    not established, so that combination is rejected.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ContractViolation(f"dephasing rate must lie in [0, 1], got {x!r}")
-    if isinstance(generator, PhaseGenerator) and generator.kind == "xz":
-        raise ContractViolation("dephased information is only supported for the ZZ interaction")
-    rho_a = dephase_ancilla(ancilla_state(theta0), x).rho
-    qvals, qvecs = np.linalg.eigh(rho_a)
-    g = _generator_matrix(generator)
-    v = probe.vectors
-    p = probe.weights
-
-    gv = g @ v
-    mean_sq = 4.0 * float(np.sum(p * np.einsum("ik,ik->k", gv.conj(), gv).real))
-
-    # Joint weights w_{i,alpha} = p_i q_alpha; matrix elements factorize as
-    # <i|G|j> <a_alpha| sigma_z |a_beta>.
-    overlaps = v.conj().T @ gv
-    sz = qvecs.conj().T @ PAULI_Z @ qvecs
-    w = np.outer(p, qvals).ravel()
-    gmat = np.abs(np.kron(overlaps, sz)) ** 2
-    keep = w > EPS_SPECTRUM
-    wk = w[keep]
-    denom = wk[:, None] + wk[None, :]
-    coef = 8.0 * np.outer(wk, wk) / denom
-    second = float(np.sum(coef * gmat[np.ix_(keep, keep)]))
-    return FisherResult(value=mean_sq - second, method="dephased")
-
-
 # The ancilla readout kets |+> and |-> as columns.
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
 def _full_system_projectors(generator) -> tuple[np.ndarray, list[tuple[float, str]]]:
     """Columns |m>_gen (x) |+/-> and the (m, branch) labels, m ascending."""
-    vals, vecs = eigenbasis(_generator_matrix(generator))
+    vals, vecs = eigenbasis(generator_matrix(generator))
     labels = [(float(m), branch) for m in vals for branch in ("+", "-")]
     return np.kron(vecs, _PLUS_MINUS), labels
 

@@ -38,6 +38,7 @@ __all__ = [
     "KET_G",
     "collective_ops",
     "phase_generator",
+    "generator_matrix",
     "eigenbasis",
     "unitary_of_hermitian",
     "joint_embed",
@@ -116,6 +117,13 @@ class PhaseGenerator:
         matrix = np.array(self.matrix, dtype=complex)
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+
+
+def generator_matrix(generator) -> np.ndarray:
+    """The matrix of a :class:`PhaseGenerator`, or a plain array as complex."""
+    if isinstance(generator, PhaseGenerator):
+        return generator.matrix
+    return np.asarray(generator, dtype=complex)
 
 
 def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,12 +15,12 @@ import numpy as np
 from .spin import (
     ContractViolation,
     EnsembleDim,
-    PhaseGenerator,
     SPIN_SPECTRUM_TOL,
     KET_E,
     KET_G,
     assert_hermitian,
     eigenbasis,
+    generator_matrix,
 )
 
 __all__ = [
@@ -179,12 +179,6 @@ class SpectralProbe:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def _generator_matrix(generator) -> np.ndarray:
-    if isinstance(generator, PhaseGenerator):
-        return generator.matrix
-    return np.asarray(generator, dtype=complex)
-
-
 def polarized_probe(dim: EnsembleDim, generator, sign: int = +1) -> SpectralProbe:
     """Pure probe polarized along the extremal eigenvector of a generator.
 
@@ -193,7 +187,7 @@ def polarized_probe(dim: EnsembleDim, generator, sign: int = +1) -> SpectralProb
     """
     if sign not in (+1, -1):
         raise ContractViolation("sign must be +1 or -1")
-    vals, vecs = eigenbasis(_generator_matrix(generator))
+    vals, vecs = eigenbasis(generator_matrix(generator))
     if dim.dim >= 2:
         gap = vals[-1] - vals[-2] if sign == +1 else vals[1] - vals[0]
         if gap <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
@@ -204,7 +198,7 @@ def polarized_probe(dim: EnsembleDim, generator, sign: int = +1) -> SpectralProb
 
 def ghz_probe(dim: EnsembleDim, generator) -> SpectralProbe:
     """Equal superposition of the two extremal eigenvectors of a generator."""
-    vals, vecs = eigenbasis(_generator_matrix(generator))
+    vals, vecs = eigenbasis(generator_matrix(generator))
     if vals[-1] - vals[-2] <= 1e-8 or vals[1] - vals[0] <= 1e-8:
         raise ContractViolation("extremal eigenvalue of the generator is degenerate")
     psi = (vecs[:, -1] + vecs[:, 0]) / np.sqrt(2.0)
@@ -221,7 +215,7 @@ def thermal_probe(dim: EnsembleDim, generator, beta: float) -> SpectralProbe:
     dropped and the remainder renormalized.
     """
     spec = ThermalSpec(dim=dim, beta=float(beta))
-    vals, vecs = eigenbasis(_generator_matrix(generator))
+    vals, vecs = eigenbasis(generator_matrix(generator))
     if np.max(np.abs(vals - dim.m_values())) > SPIN_SPECTRUM_TOL:
         raise ContractViolation("thermal probe needs a generator with spectrum -j..+j")
     weights = spec.weights()

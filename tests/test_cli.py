@@ -61,6 +61,17 @@ def test_scenario_mismatch_is_config_error(tmp_path):
     assert main(["trace-scan", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_config_scenario_must_agree_with_flag(tmp_path, capsys):
+    cfg = tmp_path / "theta0.cfg"
+    cfg.write_text("scenario = qfi_theta0\nn_values = 2\ntheta0_points = 2\n")
+    argv = ["qfi-sweep", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main([*argv, "--scenario", "t1"]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert main([*argv, "--scenario", "theta0"]) == EXIT_OK
+    assert [path.name for path in tmp_path.glob("*.csv")] == ["qfi_theta0.csv"]
+
+
 def test_bad_flag_exits_with_config_code(capsys):
     assert main(["trace-scan", "--interaction", "xy"]) == EXIT_CONFIG
     capsys.readouterr()
@@ -102,6 +113,12 @@ def test_dephasing_command_defaults(tmp_path):
         (["dephasing"], "x_values = ,"),
         (["deviation"], "deltas = 0.01, inf"),
         (["trace-scan"], "wp = fast"),
+        (["xz-scaling"], "ratios = 0"),
+        (["xz-scaling"], "ratios = 1, -0.3"),
+        (["qfi-sweep", "--scenario", "scaling"], "beta = 0"),
+        (["qfi-sweep", "--scenario", "scaling"], "beta = -1"),
+        (["dephasing"], "x_values = 2"),
+        (["dephasing"], "x_values = 0.5, -0.1"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echometry.circuit import (
     ModelParams,
@@ -18,7 +20,6 @@ from echometry.fisher import (
     measurement_probs,
     output_state,
     output_state_derivative,
-    qfi_dephased,
     qfi_deviation,
     qfi_general,
     qfi_sld_oracle,
@@ -128,10 +129,18 @@ def test_qfi_vanishes_for_pole_ancilla():
     assert value <= 1e-10
 
 
-def test_qfi_rejects_dephased_ancilla():
-    dim, gen, probe, anc, sched = optimal_setup(2)
-    with pytest.raises(ContractViolation):
-        qfi_general(probe, dephase_ancilla(anc, 0.3), ZZ, sched)
+def test_qfi_dephased_ancilla_matches_sld_oracle():
+    # off the optimum: random probe, tilted and phased ancilla, arbitrary t1
+    rng = np.random.default_rng(5)
+    for params in (ZZ, ModelParams(omega_p=2.0, omega_a=1.5, g=1.0, kind="xz")):
+        dim = EnsembleDim(3)
+        probe = random_probe(dim, rng)
+        anc = dephase_ancilla(ancilla_state(1.1, 0.7), 0.3)
+        sched = conjugate_schedule(0.9, theta=0.2)
+        value = qfi_general(probe, anc, params, sched).value
+        rho, drho = output_state_derivative(probe, anc, params, sched)
+        oracle = qfi_sld_oracle(rho, drho).value
+        assert abs(value - oracle) <= 1e-8 * max(1.0, oracle)
 
 
 def test_qfi_invariant_under_ancilla_phase_at_optimum():
@@ -287,13 +296,20 @@ def test_deviation_warns_outside_trust_region():
         qfi_deviation(EnsembleDim(4), DeviationSpec(delta_g=0.5), t1=1.0)
 
 
+def dephased_qfi(probe, x, params=ZZ):
+    """qfi_general with the pi/2 ancilla dephased at rate x, at the optimal conjugate schedule."""
+    anc = dephase_ancilla(ancilla_state(np.pi / 2), x)
+    sched = conjugate_schedule(optimal_settings(params).t1, theta=0.2)
+    return qfi_general(probe, anc, params, sched).value
+
+
 @pytest.mark.parametrize("x,expected_factor", [(0.0, 1.0), (0.5, 0.25), (1.0, 0.0)])
 def test_dephased_polarized_probe(x, expected_factor):
     n = 4
     dim = EnsembleDim(n)
     gen = optimal_generator(ZZ, dim)
     probe = polarized_probe(dim, gen)
-    value = qfi_dephased(probe, np.pi / 2, x, gen).value
+    value = dephased_qfi(probe, x)
     assert abs(value - expected_factor * n * n) <= 1e-10
 
 
@@ -301,7 +317,7 @@ def test_dephased_reduces_to_simplified_at_zero_rate():
     dim = EnsembleDim(6)
     gen = optimal_generator(ZZ, dim)
     probe = thermal_probe(dim, gen, 0.7)
-    dephased = qfi_dephased(probe, np.pi / 2, 0.0, gen).value
+    dephased = dephased_qfi(probe, 0.0)
     assert abs(dephased - qfi_simplified(probe, gen).value) <= 1e-10
 
 
@@ -314,7 +330,7 @@ def test_dephased_matches_sld_oracle():
     anc = dephase_ancilla(ancilla_state(np.pi / 2), x)
     rho, drho = output_state_derivative(probe, anc, ZZ, sched)
     oracle = qfi_sld_oracle(rho, drho).value
-    value = qfi_dephased(probe, np.pi / 2, x, gen).value
+    value = dephased_qfi(probe, x)
     assert abs(value - oracle) <= 1e-8 * max(1.0, oracle)
 
 
@@ -323,10 +339,37 @@ def test_dephased_input_contracts():
     gen = optimal_generator(ZZ, dim)
     probe = polarized_probe(dim, gen)
     with pytest.raises(ContractViolation):
-        qfi_dephased(probe, np.pi / 2, 1.2, gen)
-    xz_gen = optimal_generator(ModelParams(1.0, 1.0, 1.0, kind="xz"), dim)
-    with pytest.raises(ContractViolation):
-        qfi_dephased(probe, np.pi / 2, 0.1, xz_gen)
+        dephased_qfi(probe, 1.2)
+    # the XZ interaction follows the same (1-x)^2 N^2 law at its strong-coupling optimum
+    strong = ModelParams(1.0, 1.0, 1.0, kind="xz")
+    for n in (2, 7):
+        dim = EnsembleDim(n)
+        probe = polarized_probe(dim, optimal_generator(strong, dim))
+        for x in (0.0, 0.1, 0.5, 1.0):
+            assert abs(dephased_qfi(probe, x, strong) - (1.0 - x) ** 2 * n * n) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    kind=st.sampled_from(["zz", "xz"]),
+    seed=st.integers(0, 2**32 - 1),
+    theta0=st.floats(0.0, np.pi),
+    phi0=st.floats(0.0, 2 * np.pi),
+    x=st.floats(0.0, 1.0),
+    t1=st.floats(0.0, np.pi),
+)
+def test_dephased_general_path_matches_sld_oracle(n, kind, seed, theta0, phi0, x, t1):
+    params = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind=kind)
+    dim = EnsembleDim(n)
+    probe = random_probe(dim, np.random.default_rng(seed))
+    anc = dephase_ancilla(ancilla_state(theta0, phi0), x)
+    sched = conjugate_schedule(t1, theta=0.2)
+    value = qfi_general(probe, anc, params, sched).value
+    rho, drho = output_state_derivative(probe, anc, params, sched)
+    oracle = qfi_sld_oracle(rho, drho).value
+    assert abs(value - oracle) <= 1e-8 * max(1.0, oracle)
+    assert 0.0 <= value <= n * n * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
