@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .spin import (
@@ -158,11 +159,40 @@ def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     )
 
 
+def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Eigenvalues and eigenvectors of H in the ancilla sectors s = +1 (|e>), -1 (|g>).
+
+    H commutes with I (x) sigma_z, and in sector s it is the probe operator
+    omega_p J_z + s g C + s omega_a with C = J_z (ZZ) or J_x (XZ).  ZZ blocks
+    are diagonal in the J_z basis (vectors None); XZ blocks are real
+    symmetric tridiagonal.
+    """
+    m = dim.m_values()
+    spectra = []
+    for s in (1.0, -1.0):
+        if params.kind == "zz":
+            spectra.append(((params.omega_p + s * params.g) * m + s * params.omega_a, None))
+            continue
+        ladder = np.sqrt(dim.j * (dim.j + 1) - m[:-1] * (m[:-1] + 1))
+        vals, vecs = eigh_tridiagonal(params.omega_p * m, s * params.g * ladder / 2.0)
+        spectra.append((vals + s * params.omega_a, vecs))
+    return spectra
+
+
 def propagator(params: ModelParams, dim: EnsembleDim, t: float) -> np.ndarray:
-    """Joint evolution exp(-i H t)."""
+    """Joint evolution exp(-i H t), assembled from the two ancilla-sector blocks."""
     if not np.isfinite(t):
         raise ContractViolation("evolution time must be finite")
-    return unitary_of_hermitian(hamiltonian(params, dim), t)
+    u = np.zeros((2 * dim.dim, 2 * dim.dim), dtype=complex)
+    for a, (vals, vecs) in enumerate(_sector_spectra(params, dim)):
+        phase = vals * t
+        if vecs is None:
+            block = np.diag(np.exp(-1j * phase))
+        else:
+            # exp(-i B t) = V cos V^T - i V sin V^T for real V: two real products.
+            block = (vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T)
+        u[a::2, a::2] = block
+    return u
 
 
 def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
@@ -191,7 +221,7 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
 
 
 def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    return np.linalg.eigvalsh(hamiltonian(params, dim))
+    return np.sort(np.concatenate([vals for vals, _ in _sector_spectra(params, dim)]))
 
 
 def normalized_trace(params: ModelParams, dim: EnsembleDim, t):

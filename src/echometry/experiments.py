@@ -57,7 +57,7 @@ class SweepConfig:
     """One scenario run: name, model parameters, grids, and output directory.
 
     ``grids`` sets any of the scenario's grid keys (see :data:`SCENARIOS`);
-    the rest keep their defaults.
+    the rest keep their defaults.  ``mode`` must be one the scenario reads.
     """
 
     scenario: str
@@ -65,6 +65,14 @@ class SweepConfig:
     out_dir: str = "results"
     mode: str = "exact_conjugate"
     grids: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        spec = SCENARIOS.get(self.scenario)
+        if spec is not None and self.mode not in spec.modes:
+            accepted = " or ".join(repr(mode) for mode in spec.modes)
+            raise ContractViolation(
+                f"scenario {self.scenario} accepts mode {accepted}, got {self.mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -77,24 +85,44 @@ class FitResult:
 
 
 def fit_quadratic(points) -> FitResult:
-    """Fit F = a N^2 + b N to (N, F) pairs by least squares."""
+    """Fit F = a N^2 + b N to (N, F) pairs by least squares.
+
+    Solved by a two-column modified Gram-Schmidt QR in elementwise numpy, so
+    the result does not depend on the BLAS library or its thread count.
+    """
     pts = [(float(n), float(f)) for n, f in points]
     ns = np.array([p[0] for p in pts])
     fs = np.array([p[1] for p in pts])
     if np.unique(ns).size < 3:
         raise ContractViolation("quadratic fit needs at least three distinct sizes")
-    design = np.stack([ns * ns, ns], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(design, fs, rcond=None)
-    if rank < 2:
+    x1, x2 = ns * ns, ns
+    r11 = math.sqrt(np.sum(x1 * x1))
+    q1 = x1 / r11
+    r12 = np.sum(q1 * x2)
+    v = x2 - r12 * q1
+    r22 = math.sqrt(np.sum(v * v))
+    if r22 <= 1e-12 * r11:
         raise ContractViolation("quadratic fit design matrix is rank deficient")
-    resid = fs - design @ coef
-    return FitResult(a=float(coef[0]), b=float(coef[1]), residual_rms=float(np.sqrt(np.mean(resid**2))))
+    b = np.sum(v / r22 * fs) / r22
+    a = (np.sum(q1 * fs) - r12 * b) / r11
+    resid = fs - (a * x1 + b * x2)
+    return FitResult(a=float(a), b=float(b), residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
 def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{value:.12g}"
     return str(value)
+
+
+def _argmax_row(rows: list[tuple], col: int) -> tuple:
+    """First row in grid order whose value in ``col`` equals the maximum as written.
+
+    Ties are decided at the CSV's 12 significant digits, so values that
+    differ only by rounding noise cannot move the reported argmax.
+    """
+    best = _fmt(max(r[col] for r in rows))
+    return next(r for r in rows if _fmt(r[col]) == best)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -200,7 +228,7 @@ def _run_qfi_heatmap(cfg: SweepConfig):
         for gt1 in gt1s:
             value = _qfi_at(cfg.params, dim, probe, theta0, gt1 / cfg.params.g, cfg.mode)
             rows.append((theta0, gt1, value / n**2))
-    best = max(rows, key=lambda r: r[2])
+    best = _argmax_row(rows, 2)
     summary = {
         "n": n,
         "theta0_points": theta0s.size,
@@ -262,7 +290,7 @@ def _run_cfi_map(cfg: SweepConfig):
             sched = Schedule(t1=gt1 / cfg.params.g, t2=gt2 / cfg.params.g, theta=0.0, mode="period")
             value = cfi(probe, anc, cfg.params, sched, generator=gen, theta_eval=theta_eval).value
             rows.append((gt1, gt2, value / n**2))
-    best = max(rows, key=lambda r: r[2])
+    best = _argmax_row(rows, 2)
     summary = {
         "n": n,
         "gt1_points": gt1s.size,
@@ -289,7 +317,9 @@ def _run_xz_scaling(cfg: SweepConfig):
             probe = polarized_probe(dim, optimal_generator(params, dim))
             sched = conjugate_schedule(settings.t1, theta=0.0)
             rows.append((n, ratio, gt1, qfi_general(probe, anc, params, sched).value))
-        fit_pts = [(n, f) for n, r, _, f in rows if r == ratio and n >= 10]
+        # The fit reads the values as written: their last bits vary with the
+        # BLAS thread count, so the summary follows the CSV text instead.
+        fit_pts = [(n, float(_fmt(f))) for n, r, _, f in rows if r == ratio and n >= 10]
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
     summary = {
@@ -371,30 +401,43 @@ class Scenario:
     """A sweep: its runner, the CLI subcommand that runs it, and its grid keys.
 
     The type of a key's default (int, float, or a tuple of either) is the
-    key's type; see :func:`resolve_grids`.
+    key's type; see :func:`resolve_grids`.  ``modes`` lists the reversal
+    modes the runner reads from :attr:`SweepConfig.mode`; a runner that
+    builds its own schedules accepts only the default.
     """
 
     runner: Callable[[SweepConfig], tuple]
     command: str
     defaults: dict
+    modes: tuple[str, ...] = ("exact_conjugate",)
 
 
 _FIGURE_SIZES = tuple(range(2, 21))
+# The F_Q sweeps build their schedules with _schedule_for, which reads the mode.
+_BOTH_MODES = ("exact_conjugate", "period")
 
 SCENARIOS = {
     "trace_scan": Scenario(
         _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi)
     ),
     "qfi_theta0": Scenario(
-        _run_qfi_theta0, "qfi-sweep", dict(n_values=_FIGURE_SIZES, theta0_points=81)
+        _run_qfi_theta0, "qfi-sweep", dict(n_values=_FIGURE_SIZES, theta0_points=81), _BOTH_MODES
     ),
     "qfi_t1": Scenario(
-        _run_qfi_t1, "qfi-sweep", dict(n_values=_FIGURE_SIZES, gt1_points=81, gt1_max=math.pi)
+        _run_qfi_t1,
+        "qfi-sweep",
+        dict(n_values=_FIGURE_SIZES, gt1_points=81, gt1_max=math.pi),
+        _BOTH_MODES,
     ),
     "qfi_heatmap": Scenario(
-        _run_qfi_heatmap, "qfi-sweep", dict(n=4, theta0_points=65, gt1_points=65, gt1_max=math.pi)
+        _run_qfi_heatmap,
+        "qfi-sweep",
+        dict(n=4, theta0_points=65, gt1_points=65, gt1_max=math.pi),
+        _BOTH_MODES,
     ),
-    "qfi_scaling": Scenario(_run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0)),
+    "qfi_scaling": Scenario(
+        _run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0), _BOTH_MODES
+    ),
     "cfi_map": Scenario(
         _run_cfi_map,
         "cfi-map",

@@ -149,6 +149,20 @@ def output_state_derivative(
     return rho, half + half.conj().T
 
 
+def _input_spectrum(probe: SpectralProbe, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
+    """Joint input eigenpairs: weights p_i q_a and columns v_i (x) a_a.
+
+    A pure ancilla contributes its ket with weight 1, a dephased one the
+    eigenpairs of its density matrix; joint weights at or below the spectral
+    cutoff are dropped.
+    """
+    q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
+    w = np.outer(probe.weights, q).ravel()
+    psi = (probe.vectors[:, None, :, None] * a[None, :, None, :]).reshape(2 * probe.dim.dim, w.size)
+    keep = w > EPS_SPECTRUM
+    return w[keep], psi[:, keep]
+
+
 def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> float:
     """The two-term spectral sum over input eigenpairs (w_k, psi_k), given H psi_k.
 
@@ -167,18 +181,12 @@ def qfi_general(
     """Quantum Fisher information of the output family, for any ancilla.
 
     Evaluates the two-term spectral sum of H_eff = U(t1)^dagger G U(t1) over
-    the joint input spectrum: weights p_i q_a and columns v_i (x) a_a, where
-    a pure ancilla contributes its ket with weight 1 and a dephased one the
-    eigenpairs of its density matrix; joint weights at or below the spectral
-    cutoff are dropped.  The result is exactly independent of theta and of
-    the second circuit leg.
+    the joint input spectrum (see :func:`_input_spectrum`), so a pure and a
+    dephased ancilla take the same path.  The result is exactly independent
+    of theta and of the second circuit leg.
     """
     dim = probe.dim
-    q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
-    w = np.outer(probe.weights, q).ravel()
-    psi = (probe.vectors[:, None, :, None] * a[None, :, None, :]).reshape(2 * dim.dim, w.size)
-    keep = w > EPS_SPECTRUM
-    w, psi = w[keep], psi[:, keep]
+    w, psi = _input_spectrum(probe, ancilla)
     u1 = propagator(params, dim, sched.t1)
     h_psi = u1.conj().T @ (encoding_generator(params, dim) @ (u1 @ psi))
     return FisherResult(value=_two_term_sum(w, psi, h_psi), method="general")
@@ -291,7 +299,45 @@ def _readout_diagonal(op: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
     """Expectation of a joint operator in each readout projector."""
     if columns is None:
         op, columns = _ancilla_reduced(op), _PLUS_MINUS
-    return np.einsum("ik,ij,jk->k", columns.conj(), op, columns).real
+    return np.einsum("ik,ik->k", columns.conj(), op @ columns).real
+
+
+def _readout_amplitudes(states: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
+    """Amplitudes <i, c|x_k> of each readout outcome c for the state columns x_k.
+
+    Shape (rank, outcomes, k): a full-system projector has rank 1, an
+    ancilla-only projector I (x) |+/-><+/-| rank N+1 (one amplitude per
+    probe basis state i).
+    """
+    if columns is None:
+        return _PLUS_MINUS.conj().T @ states.reshape(-1, 2, states.shape[1])
+    return (columns.conj().T @ states)[None]
+
+
+def _readout_probs(
+    probe: SpectralProbe,
+    ancilla: AncillaState,
+    params: ModelParams,
+    sched: Schedule,
+    columns: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities p and their theta-derivatives dp, from output amplitudes.
+
+    Each input eigenpair (w_k, psi_k) is carried through the circuit as
+    chi_k = R(theta) U(t1) psi_k, phi_k = U(t2-leg) chi_k and
+    d phi_k = U(t2-leg) (-i G) chi_k; then p = sum_k w_k |<c|phi_k>|^2 and
+    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>).  No density matrix is formed.
+    """
+    dim = probe.dim
+    w, psi = _input_spectrum(probe, ancilla)
+    u1 = propagator(params, dim, sched.t1)
+    u2 = u1.conj().T if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
+    chi = encoder(params.kind, sched.theta, dim) @ (u1 @ psi)
+    amp = _readout_amplitudes(u2 @ chi, columns)
+    damp = _readout_amplitudes(u2 @ (-1j * (encoding_generator(params, dim) @ chi)), columns)
+    p = np.einsum("ick,k->c", np.abs(amp) ** 2, w)
+    dp = 2.0 * np.einsum("ick,k->c", (amp.conj() * damp).real, w)
+    return p, dp
 
 
 def measurement_probs(
@@ -325,8 +371,8 @@ def cfi(
     The readout basis is fixed by ``generator`` (default: the optimized
     generator for ``params``) and does not follow the schedule, so arbitrary
     (t1, t2) pairs can be scanned against the same measurement.  The analytic
-    path uses the exact d rho / d theta; ``mode="finite_diff"`` replaces the
-    derivative with central differences of step ``h``.
+    path differentiates the output amplitudes exactly; ``mode="finite_diff"``
+    replaces the derivative with central differences of step ``h``.
     """
     if generator is None:
         generator = optimal_generator(params, probe.dim)
@@ -334,25 +380,15 @@ def cfi(
         raise ContractViolation(f"unknown CFI mode {mode!r}")
     if mode == "finite_diff" and h <= 0.0:
         raise ContractViolation("finite-difference step must be positive")
-    sched_eval = replace(sched, theta=theta_eval)
-
     columns, _ = _readout_basis(basis, generator)
 
-    def probs_of(theta: float) -> np.ndarray:
-        rho = output_state(probe, ancilla, params, replace(sched, theta=theta))
-        return _readout_diagonal(rho, columns)
+    def probs_at(theta: float) -> tuple[np.ndarray, np.ndarray]:
+        return _readout_probs(probe, ancilla, params, replace(sched, theta=theta), columns)
 
-    if mode == "analytic":
-        rho, drho = output_state_derivative(probe, ancilla, params, sched_eval)
-        p = _readout_diagonal(rho, columns)
-        dp = _readout_diagonal(drho, columns)
-    else:
-        p = probs_of(theta_eval)
-        p_hi = probs_of(theta_eval + h)
-        p_lo = probs_of(theta_eval - h)
-        dp = (p_hi - p_lo) / (2.0 * h)
+    p, dp = probs_at(theta_eval)
+    if mode == "finite_diff":
+        dp = (probs_at(theta_eval + h)[0] - probs_at(theta_eval - h)[0]) / (2.0 * h)
 
-    p = np.clip(p, 0.0, None)
     keep = ~((p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB)))
     value = float(np.sum(dp[keep] ** 2 / p[keep]))
     method = "cfi_analytic" if mode == "analytic" else "cfi_finite_diff"

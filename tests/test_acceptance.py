@@ -250,3 +250,16 @@ def test_c10_bch_identity_and_fit_consistency():
     gap = abs(fit.a - cx_expected**2)
     ok = worst <= 1e-12 and gap <= 0.005
     report("C10 bch-identity", ok, f"norm dev {worst:.2e}, |a - cx^2| {gap:.2e}")
+
+
+def test_c11_large_probe_peak_and_saturation():
+    # F_Q = F_c = N^2 at N = 800, far beyond the SLD oracle's reach
+    n = 800
+    worst = 0.0
+    for params in (ZZ, ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")):
+        _, probe, anc, sched = optimal_probe_setup(n, params)
+        gen = optimal_generator(params, probe.dim)
+        quantum = qfi_general(probe, anc, params, sched).value
+        classical = cfi(probe, anc, params, sched, generator=gen, theta_eval=0.2).value
+        worst = max(worst, abs(quantum - n * n) / (n * n), abs(classical - n * n) / (n * n))
+    report("C11 large-probe peak", worst <= 1e-8, f"N={n}, max rel err {worst:.2e}")

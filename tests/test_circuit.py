@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echometry.circuit import (
     ModelParams,
@@ -20,7 +22,7 @@ from echometry.circuit import (
     propagator,
     reversal_period,
 )
-from echometry.spin import ContractViolation, EnsembleDim, PAULI_Z, joint_embed
+from echometry.spin import ContractViolation, EnsembleDim, PAULI_Z, joint_embed, unitary_of_hermitian
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 
@@ -84,6 +86,36 @@ def test_propagator_identity_and_inverse():
 def test_zz_propagator_is_diagonal():
     u = propagator(ZZ, EnsembleDim(2), 1.37)
     assert np.max(np.abs(u - np.diag(np.diag(u)))) <= 1e-14
+
+
+sector_cases = dict(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(-5.0, 5.0),
+    omega_a=st.floats(-5.0, 5.0),
+    g=st.floats(0.0, 3.0),
+    t=st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**sector_cases)
+def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g, t):
+    # the per-sector assembly against exp(-i H t) of the dense 2(N+1) Hamiltonian
+    params = ModelParams(omega_p, omega_a, g, kind=kind)
+    dim = EnsembleDim(n)
+    dense = unitary_of_hermitian(hamiltonian(params, dim), t)
+    assert np.max(np.abs(propagator(params, dim, t) - dense)) <= 1e-12 * max(1.0, n * abs(t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**sector_cases)
+def test_normalized_trace_matches_dense_spectrum(n, kind, omega_p, omega_a, g, t):
+    params = ModelParams(omega_p, omega_a, g, kind=kind)
+    dim = EnsembleDim(n)
+    vals = np.linalg.eigvalsh(hamiltonian(params, dim))
+    dense = abs(np.exp(-1j * vals * abs(t)).sum()) / (2 * dim.dim)
+    assert abs(normalized_trace(params, dim, abs(t)) - dense) <= 1e-12 * max(1.0, n * abs(t))
 
 
 def test_encoder_identity_and_rz():

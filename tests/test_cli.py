@@ -101,6 +101,13 @@ def test_dephasing_command_defaults(tmp_path):
     assert len(rows) == 11
 
 
+def test_explicit_default_mode_changes_nothing(tmp_path):
+    for name, extra in (("default", []), ("explicit", ["--mode", "conjugate"])):
+        assert main(["dephasing", "--n", "4", "--out", str(tmp_path / name), *extra]) == EXIT_OK
+    for path in (tmp_path / "default").iterdir():
+        assert (tmp_path / "explicit" / path.name).read_bytes() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -119,6 +126,12 @@ def test_dephasing_command_defaults(tmp_path):
         (["qfi-sweep", "--scenario", "scaling"], "beta = -1"),
         (["dephasing"], "x_values = 2"),
         (["dephasing"], "x_values = 0.5, -0.1"),
+        # only the F_Q sweeps read the reversal mode
+        (["dephasing", "--mode", "period"], ""),
+        (["deviation"], "mode = period"),
+        (["xz-scaling", "--mode", "period"], ""),
+        (["trace-scan", "--mode", "period"], ""),
+        (["cfi-map"], "mode = period"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):

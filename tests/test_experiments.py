@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import echometry
 from echometry.circuit import ModelParams
-from echometry.experiments import SweepConfig, fit_quadratic, run_scenario, run_validation
+from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
@@ -44,6 +49,30 @@ def test_fit_quadratic_linear_data():
 def test_fit_quadratic_needs_three_sizes():
     with pytest.raises(ContractViolation):
         fit_quadratic([(4, 16.0), (4, 16.0), (8, 64.0)])
+
+
+def test_argmax_row_ignores_rounding_noise():
+    # rows 2-4 agree to 12 significant digits; the first of them in grid order wins
+    rows = [(1, 0.99999999999), (2, 1.0 - 2e-16), (3, 1.0), (4, 1.0 + 1e-15), (5, 0.5)]
+    assert _argmax_row(rows, 1) == rows[1]
+    assert _argmax_row(rows[2:], 1) == rows[2]
+
+
+def test_xz_scaling_summary_independent_of_blas_threads(tmp_path):
+    cfg = tmp_path / "xz.cfg"
+    cfg.write_text("n_values = 10, 20, 30, 40, 50, 60, 70, 80, 90, 100\n")
+    src = str(Path(echometry.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "echometry.cli", "xz-scaling", "--config", str(cfg), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

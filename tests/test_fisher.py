@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from echometry.circuit import (
     propagator,
 )
 from echometry.fisher import (
+    EPS_PROB,
     DeviationSpec,
     ProbabilityTable,
     cfi,
@@ -25,6 +28,8 @@ from echometry.fisher import (
     qfi_sld_oracle,
     qfi_simplified,
     qfi_thermal,
+    _readout_basis,
+    _readout_diagonal,
 )
 from echometry.spin import ContractViolation, EnsembleDim, eigenbasis, phase_generator
 from echometry.states import (
@@ -490,3 +495,56 @@ def test_cfi_never_exceeds_quantum_bound():
         quantum = qfi_general(probe, anc, ZZ, sched).value
         classical = cfi(probe, anc, ZZ, sched, theta_eval=0.2).value
         assert classical <= quantum + 1e-8
+
+
+def density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis, h=1e-5):
+    """Readout information from the output density matrix and its derivative.
+
+    The reference for the amplitude route: readout diagonals of rho and
+    d rho / d theta (or of rho at theta +/- h), with cfi's row mask.
+    """
+    columns, _ = _readout_basis(basis, gen)
+
+    def rho_at(theta):
+        return output_state(probe, anc, params, replace(sched, theta=theta))
+
+    if mode == "analytic":
+        rho, drho = output_state_derivative(probe, anc, params, replace(sched, theta=theta_eval))
+        p, dp = _readout_diagonal(rho, columns), _readout_diagonal(drho, columns)
+    else:
+        p = _readout_diagonal(rho_at(theta_eval), columns)
+        hi, lo = (_readout_diagonal(rho_at(theta_eval + d), columns) for d in (h, -h))
+        dp = (hi - lo) / (2.0 * h)
+    p = np.clip(p, 0.0, None)
+    keep = ~((p < EPS_PROB) & (np.abs(dp) < np.sqrt(EPS_PROB)))
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(0.2, 5.0),
+    omega_a=st.floats(0.2, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+    theta0=st.floats(0.0, np.pi),
+    x=st.sampled_from([0.0, 0.4, 1.0]),
+    t1=st.floats(0.0, 2 * np.pi),
+    t2=st.floats(0.0, 2 * np.pi),
+    sched_mode=st.sampled_from(["exact_conjugate", "period"]),
+    theta_eval=st.floats(0.05, 3.0),
+    mode=st.sampled_from(["analytic", "finite_diff"]),
+    basis=st.sampled_from(["full_system", "ancilla_only"]),
+)
+def test_amplitude_cfi_matches_density_route(
+    n, kind, omega_p, omega_a, seed, theta0, x, t1, t2, sched_mode, theta_eval, mode, basis
+):
+    params = ModelParams(omega_p, omega_a, 1.0, kind=kind)
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = random_probe(dim, np.random.default_rng(seed), max_rank=min(3, dim.dim))
+    anc = dephase_ancilla(ancilla_state(theta0, 0.3), x)
+    sched = Schedule(t1=t1, t2=t1 if sched_mode == "exact_conjugate" else t2, theta=0.0, mode=sched_mode)
+    value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval, mode=mode, basis=basis).value
+    reference = density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis)
+    assert abs(value - reference) <= 1e-10 * max(1.0, reference)
