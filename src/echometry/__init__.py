@@ -1,11 +1,17 @@
 """Qubit-assisted time-reversal metrology on a collective spin ensemble.
 
-A small dense-matrix toolkit for the two-step echo protocol: a probe of N
-spins is jointly evolved with an ancilla qubit, a phase is encoded by a probe
-rotation, and the evolution is reversed before readout.  The package builds
-the circuit, finds reversal periods, and evaluates quantum and classical
-Fisher information under ideal, deviated, and dephased conditions, plus a CSV
-sweep harness and CLI (:mod:`echometry.experiments`, :mod:`echometry.cli`).
+Simulations of the two-step echo protocol: a probe of N spins is jointly
+evolved with an ancilla qubit, a phase is encoded by a probe rotation, and
+the evolution is reversed before readout.  The package builds the circuit,
+finds reversal periods, and evaluates quantum and classical Fisher
+information under ideal, deviated, and dephased conditions, plus a CSV sweep
+harness and CLI (:mod:`echometry.experiments`, :mod:`echometry.cli`).
+
+Both couplings are diagonal in the ancilla's sigma_z, so production code
+works on the two (N+1)-dimensional ancilla-sector blocks.  The dense
+2(N+1)-dimensional path (:func:`hamiltonian`, :func:`circuit_unitary`,
+:func:`output_state`, :func:`output_state_derivative`) is the independent
+reference of the ``validate`` oracle and the tests.
 """
 
 from .spin import (

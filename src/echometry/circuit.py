@@ -14,6 +14,12 @@ Two interactions are supported:
 * ``"xz"``:  H = omega_p J_z + omega_a sigma_z + g J_x sigma_z, phase encoded
   by R_z(theta).
 
+Both Hamiltonians commute with the ancilla's sigma_z, so :func:`propagator`
+returns the two (N+1)-dimensional ancilla-sector blocks and the probe
+rotation and generator stay (N+1)-dimensional.  The dense 2(N+1) joint
+operators, :func:`hamiltonian` and :func:`circuit_unitary`, are the
+independent reference that the oracle path and the tests check against.
+
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
 
@@ -180,44 +186,48 @@ def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndar
 
 
 def propagator(params: ModelParams, dim: EnsembleDim, t: float) -> np.ndarray:
-    """Joint evolution exp(-i H t), assembled from the two ancilla-sector blocks."""
+    """exp(-i H t) as its two ancilla-sector blocks, shape (2, N+1, N+1).
+
+    Block s acts on the probe in ancilla sector s = |e>, |g>; the adjoint is
+    ``u.conj().transpose(0, 2, 1)``.
+    """
     if not np.isfinite(t):
         raise ContractViolation("evolution time must be finite")
-    u = np.zeros((2 * dim.dim, 2 * dim.dim), dtype=complex)
-    for a, (vals, vecs) in enumerate(_sector_spectra(params, dim)):
+    blocks = []
+    for vals, vecs in _sector_spectra(params, dim):
         phase = vals * t
         if vecs is None:
-            block = np.diag(np.exp(-1j * phase))
+            blocks.append(np.diag(np.exp(-1j * phase)))
         else:
             # exp(-i B t) = V cos V^T - i V sin V^T for real V: two real products.
-            block = (vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T)
-        u[a::2, a::2] = block
-    return u
+            blocks.append((vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T))
+    return np.stack(blocks)
 
 
 def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
-    """Phase-encoding rotation on the probe, embedded on the joint space.
-
-    R_x(theta) for the ZZ interaction, R_z(theta) for XZ.
-    """
+    """Phase-encoding rotation on the probe: R_x(theta) for ZZ, R_z(theta) for XZ."""
     if not np.isfinite(theta):
         raise ContractViolation("encoded phase must be finite")
     jx, _, jz = collective_ops(dim)
-    gen = jx if kind == "zz" else jz
-    return joint_embed(unitary_of_hermitian(gen, theta), ID2)
+    return unitary_of_hermitian(jx if kind == "zz" else jz, theta)
 
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """The rotation generator behind the encoder, embedded on the joint space."""
+    """The probe rotation generator behind the encoder: J_x for ZZ, J_z for XZ."""
     jx, _, jz = collective_ops(dim)
-    return joint_embed(jx if params.kind == "zz" else jz, ID2)
+    return jx if params.kind == "zz" else jz
 
 
 def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
-    """Full circuit unitary U(t2-leg) R(theta) U(t1)."""
-    u1 = propagator(params, dim, sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
-    return u2 @ encoder(params.kind, sched.theta, dim) @ u1
+    """Full circuit unitary U(t2-leg) R(theta) U(t1) on the joint 2(N+1) space.
+
+    The dense reference: built from exp(-i H t) of :func:`hamiltonian`, never
+    from the sector blocks of :func:`propagator`.
+    """
+    h = hamiltonian(params, dim)
+    u1 = unitary_of_hermitian(h, sched.t1)
+    u2 = u1.conj().T if sched.mode == "exact_conjugate" else unitary_of_hermitian(h, sched.t2)
+    return u2 @ joint_embed(encoder(params.kind, sched.theta, dim), ID2) @ u1
 
 
 def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
@@ -410,33 +420,33 @@ def closed_form_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) 
     return unitary_of_hermitian(closed_form_generator(params, dim, sched.t1), sched.theta)
 
 
-def optimal_settings(params: ModelParams, branch: int = 0) -> OptimalSettings:
+def optimal_settings(params: ModelParams) -> OptimalSettings:
     """Ancilla angle and step-1 duration that cancel the information leakage.
 
-    ZZ always admits the optimum theta0 = pi/2, t1 = (n + 1/2) pi / g.  The
-    XZ optimum exists only in the strong-coupling regime g >= omega_p; below
-    it the returned time minimizes the residual term and is flagged
-    ``sub_optimal``.
+    ZZ always admits the optimum theta0 = pi/2, t1 = pi / (2 g), the first of
+    the times (n + 1/2) pi / g.  The XZ optimum exists only in the
+    strong-coupling regime g >= omega_p; below it the returned time minimizes
+    the residual term and is flagged ``sub_optimal``.
     """
     theta0 = math.pi / 2
     if params.kind == "zz":
         if params.g <= 0.0:
             raise ContractViolation("the ZZ optimum needs a positive coupling")
-        return OptimalSettings(theta0=theta0, t1=(branch + 0.5) * math.pi / params.g, status="optimal")
+        return OptimalSettings(theta0=theta0, t1=0.5 * math.pi / params.g, status="optimal")
     wt = params.omega_tilde
     if params.g >= params.omega_p:
-        t1 = (math.acos(-(params.omega_p**2) / params.g**2) + 2 * branch * math.pi) / wt
+        t1 = math.acos(-(params.omega_p**2) / params.g**2) / wt
         return OptimalSettings(theta0=theta0, t1=t1, status="optimal")
-    return OptimalSettings(theta0=theta0, t1=(2 * branch + 1) * math.pi / wt, status="sub_optimal")
+    return OptimalSettings(theta0=theta0, t1=math.pi / wt, status="sub_optimal")
 
 
-def optimal_generator(params: ModelParams, dim: EnsembleDim, branch: int = 0) -> PhaseGenerator:
+def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
     """Phase generator whose mean square sets the information at the optimum.
 
     ZZ: the planar generator J(pi/2 - omega_p t1_opt).  XZ: c_x J_x + c_y J_y
     with the closed-form coefficients at the (sub-)optimal time.
     """
-    settings = optimal_settings(params, branch=branch)
+    settings = optimal_settings(params)
     if params.kind == "zz":
         return phase_generator(dim, math.pi / 2 - params.omega_p * settings.t1)
     cx, cy, cz = bch_coefficients(params, settings.t1)

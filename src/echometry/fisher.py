@@ -12,10 +12,14 @@ information reduces to the two-term spectral sum
     F_Q = 4 sum_i p_i <H_eff^2>_i - sum_ij 8 p_i p_j / (p_i + p_j) |<i|H_eff|j>|^2
 
 over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
-dephased ancilla alike.  An independent cross-check,
-:func:`qfi_sld_oracle`, computes the same quantity from the symmetric
-logarithmic derivative of the output density matrix and an analytically
-supplied d rho / d theta, never reusing the two-term path.
+dephased ancilla alike.  The sum and the classical readout work on
+sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
+probe index; input column), so every operator is an (N+1)-dimensional
+probe block.  An independent cross-check, :func:`qfi_sld_oracle`, computes
+the same quantity from the symmetric logarithmic derivative of the output
+density matrix and an analytically supplied d rho / d theta
+(:func:`output_state_derivative`), built from the dense joint Hamiltonian and
+never reusing the two-term path or the sector blocks.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .circuit import (
     circuit_unitary,
     encoder,
     encoding_generator,
+    hamiltonian,
     optimal_generator,
     propagator,
 )
@@ -39,12 +44,14 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
+    ID2,
     KET_E,
     KET_G,
     assert_hermitian,
     eigenbasis,
     generator_matrix,
     joint_embed,
+    unitary_of_hermitian,
 )
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec
 
@@ -123,7 +130,7 @@ def _input_density(probe: SpectralProbe, ancilla: AncillaState) -> np.ndarray:
 def output_state(
     probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
 ) -> np.ndarray:
-    """Output density matrix U_theta (rho_P (x) rho_A) U_theta^dagger."""
+    """Output density matrix U_theta (rho_P (x) rho_A) U_theta^dagger (dense reference)."""
     u = circuit_unitary(params, probe.dim, sched)
     return u @ _input_density(probe, ancilla) @ u.conj().T
 
@@ -131,18 +138,17 @@ def output_state(
 def output_state_derivative(
     probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Output state together with its analytic theta-derivative.
+    """Output state together with its analytic theta-derivative (dense reference).
 
-    d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1) with G the encoding
-    generator; differencing of unitaries is never used.
+    d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1) = U_theta U(t1)^dagger
+    (-i G) U(t1), because the encoding generator G commutes with R(theta);
+    differencing of unitaries is never used.  U(t1) and U_theta come from the
+    dense joint Hamiltonian, not from the sector blocks of the production path.
     """
     dim = probe.dim
-    u1 = propagator(params, dim, sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
-    r = encoder(params.kind, sched.theta, dim)
-    g = encoding_generator(params, dim)
-    u = u2 @ r @ u1
-    du = u2 @ (-1j * g) @ r @ u1
+    u = circuit_unitary(params, dim, sched)
+    u1 = unitary_of_hermitian(hamiltonian(params, dim), sched.t1)
+    du = u @ u1.conj().T @ joint_embed(-1j * encoding_generator(params, dim), ID2) @ u1
     rho0 = _input_density(probe, ancilla)
     rho = u @ rho0 @ u.conj().T
     half = du @ rho0 @ u.conj().T
@@ -152,15 +158,15 @@ def output_state_derivative(
 def _input_spectrum(probe: SpectralProbe, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
     """Joint input eigenpairs: weights p_i q_a and columns v_i (x) a_a.
 
-    A pure ancilla contributes its ket with weight 1, a dephased one the
-    eigenpairs of its density matrix; joint weights at or below the spectral
-    cutoff are dropped.
+    The columns are sector-major, shape (2, N+1, k).  A pure ancilla
+    contributes its ket with weight 1, a dephased one the eigenpairs of its
+    density matrix; joint weights at or below the spectral cutoff are dropped.
     """
     q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
     w = np.outer(probe.weights, q).ravel()
-    psi = (probe.vectors[:, None, :, None] * a[None, :, None, :]).reshape(2 * probe.dim.dim, w.size)
+    psi = (a[:, None, None, :] * probe.vectors[None, :, :, None]).reshape(2, probe.dim.dim, w.size)
     keep = w > EPS_SPECTRUM
-    return w[keep], psi[:, keep]
+    return w[keep], psi[..., keep]
 
 
 def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> float:
@@ -168,11 +174,14 @@ def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarra
 
     F_Q = 4 sum_k w_k ||H psi_k||^2 - sum_kl 8 w_k w_l / (w_k + w_l) |<psi_k|H|psi_l>|^2
     for a Hermitian generator H (Liu et al., J. Phys. A 53, 023001, 2020).
+    A difference within 1e-12 of term 1 is rounding noise of the two sums
+    (it grows like ||H||^2 eps) and is returned as exactly 0.
     """
     term1 = 4.0 * float(np.sum(weights * np.einsum("ik,ik->k", h_columns.conj(), h_columns).real))
     overlaps = columns.conj().T @ h_columns
     coef = 8.0 * np.outer(weights, weights) / (weights[:, None] + weights[None, :])
-    return term1 - float(np.sum(coef * np.abs(overlaps) ** 2))
+    value = term1 - float(np.sum(coef * np.abs(overlaps) ** 2))
+    return 0.0 if abs(value) <= 1e-12 * term1 else value
 
 
 def qfi_general(
@@ -188,8 +197,9 @@ def qfi_general(
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
     u1 = propagator(params, dim, sched.t1)
-    h_psi = u1.conj().T @ (encoding_generator(params, dim) @ (u1 @ psi))
-    return FisherResult(value=_two_term_sum(w, psi, h_psi), method="general")
+    h_psi = u1.conj().transpose(0, 2, 1) @ (encoding_generator(params, dim) @ (u1 @ psi))
+    value = _two_term_sum(w, psi.reshape(-1, w.size), h_psi.reshape(-1, w.size))
+    return FisherResult(value=value, method="general")
 
 
 def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:
@@ -268,50 +278,33 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
-def _full_system_projectors(generator) -> tuple[np.ndarray, list[tuple[float, str]]]:
-    """Columns |m>_gen (x) |+/-> and the (m, branch) labels, m ascending."""
-    vals, vecs = eigenbasis(generator_matrix(generator))
-    labels = [(float(m), branch) for m in vals for branch in ("+", "-")]
-    return np.kron(vecs, _PLUS_MINUS), labels
-
-
-def _ancilla_reduced(rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0] // 2
-    return np.einsum("iaib->ab", rho.reshape(d, 2, d, 2))
-
-
 def _readout_basis(basis: str, generator) -> tuple[np.ndarray | None, list]:
-    """Projector columns and (m, branch) labels of a readout basis.
+    """Probe rotation and (m, branch) labels of a readout basis, m ascending.
 
-    Columns are None for the ancilla-only readout, whose projectors
-    I (x) |+/-><+/-| have rank N+1.
+    The rotation's columns are the generator eigenvectors |m>_gen of the
+    full-system projectors |m>_gen (x) |+/->; it is None for the ancilla-only
+    readout, whose projectors I (x) |+/-><+/-| have rank N+1.
     """
     if basis == "full_system":
         if generator is None:
             raise ContractViolation("full-system readout needs a probe generator")
-        return _full_system_projectors(generator)
+        vals, vecs = eigenbasis(generator_matrix(generator))
+        return vecs, [(float(m), branch) for m in vals for branch in ("+", "-")]
     if basis == "ancilla_only":
         return None, [(None, "+"), (None, "-")]
     raise ContractViolation(f"unknown measurement basis {basis!r}")
 
 
-def _readout_diagonal(op: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
-    """Expectation of a joint operator in each readout projector."""
-    if columns is None:
-        op, columns = _ancilla_reduced(op), _PLUS_MINUS
-    return np.einsum("ik,ik->k", columns.conj(), op @ columns).real
+def _readout_amplitudes(states: np.ndarray, vecs: np.ndarray | None) -> np.ndarray:
+    """Amplitudes of each readout outcome for the sector-major state columns x_k.
 
-
-def _readout_amplitudes(states: np.ndarray, columns: np.ndarray | None) -> np.ndarray:
-    """Amplitudes <i, c|x_k> of each readout outcome c for the state columns x_k.
-
-    Shape (rank, outcomes, k): a full-system projector has rank 1, an
-    ancilla-only projector I (x) |+/-><+/-| rank N+1 (one amplitude per
-    probe basis state i).
+    Shape (rank, outcomes, k).  A full-system projector has rank 1, and its
+    outcomes run over (m, branch) in label order; an ancilla-only projector
+    has rank N+1 (one amplitude per probe basis state) and two outcomes.
     """
-    if columns is None:
-        return _PLUS_MINUS.conj().T @ states.reshape(-1, 2, states.shape[1])
-    return (columns.conj().T @ states)[None]
+    rotated = states if vecs is None else vecs.conj().T @ states
+    amp = np.einsum("sb,sik->ibk", _PLUS_MINUS.conj(), rotated)
+    return amp if vecs is None else amp.reshape(1, -1, amp.shape[-1])
 
 
 def _readout_probs(
@@ -319,38 +312,46 @@ def _readout_probs(
     ancilla: AncillaState,
     params: ModelParams,
     sched: Schedule,
-    columns: np.ndarray | None,
+    vecs: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities p and their theta-derivatives dp, from output amplitudes.
 
     Each input eigenpair (w_k, psi_k) is carried through the circuit as
     chi_k = R(theta) U(t1) psi_k, phi_k = U(t2-leg) chi_k and
-    d phi_k = U(t2-leg) (-i G) chi_k; then p = sum_k w_k |<c|phi_k>|^2 and
-    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>).  No density matrix is formed.
+    d phi_k = U(t2-leg) (-i G) chi_k, sector by sector; then
+    p = sum_k w_k |<c|phi_k>|^2 and dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>).
+    No density matrix is formed.
     """
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
     u1 = propagator(params, dim, sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
+    u2 = (
+        u1.conj().transpose(0, 2, 1) if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
+    )
     chi = encoder(params.kind, sched.theta, dim) @ (u1 @ psi)
-    amp = _readout_amplitudes(u2 @ chi, columns)
-    damp = _readout_amplitudes(u2 @ (-1j * (encoding_generator(params, dim) @ chi)), columns)
+    amp = _readout_amplitudes(u2 @ chi, vecs)
+    damp = _readout_amplitudes(u2 @ (-1j * (encoding_generator(params, dim) @ chi)), vecs)
     p = np.einsum("ick,k->c", np.abs(amp) ** 2, w)
     dp = 2.0 * np.einsum("ick,k->c", (amp.conj() * damp).real, w)
     return p, dp
 
 
 def measurement_probs(
-    rho_theta: np.ndarray, basis: str = "full_system", generator=None
+    probe: SpectralProbe,
+    ancilla: AncillaState,
+    params: ModelParams,
+    sched: Schedule,
+    basis: str = "full_system",
+    generator=None,
 ) -> ProbabilityTable:
-    """Projective-measurement outcome table for the output state.
+    """Projective-measurement outcome table of the circuit's output state.
 
     ``basis="full_system"`` projects on |j,m>_gen (x) |+/-> over the supplied
-    generator's eigenbasis; ``basis="ancilla_only"`` traces out the probe and
-    projects the qubit on |+/->.
+    generator's eigenbasis; ``basis="ancilla_only"`` projects the qubit alone
+    on |+/->.
     """
-    columns, labels = _readout_basis(basis, generator)
-    probs = _readout_diagonal(np.asarray(rho_theta, dtype=complex), columns)
+    vecs, labels = _readout_basis(basis, generator)
+    probs, _ = _readout_probs(probe, ancilla, params, sched, vecs)
     rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
     return ProbabilityTable(rows=rows)
 
@@ -362,34 +363,20 @@ def cfi(
     sched: Schedule,
     generator=None,
     theta_eval: float = 0.2,
-    mode: str = "analytic",
-    h: float = 1e-5,
     basis: str = "full_system",
 ) -> FisherResult:
     """Classical Fisher information of the projective readout at theta_eval.
 
     The readout basis is fixed by ``generator`` (default: the optimized
     generator for ``params``) and does not follow the schedule, so arbitrary
-    (t1, t2) pairs can be scanned against the same measurement.  The analytic
-    path differentiates the output amplitudes exactly; ``mode="finite_diff"``
-    replaces the derivative with central differences of step ``h``.
+    (t1, t2) pairs can be scanned against the same measurement.  The
+    derivative of each outcome probability is exact, from the output
+    amplitudes.
     """
     if generator is None:
         generator = optimal_generator(params, probe.dim)
-    if mode not in ("analytic", "finite_diff"):
-        raise ContractViolation(f"unknown CFI mode {mode!r}")
-    if mode == "finite_diff" and h <= 0.0:
-        raise ContractViolation("finite-difference step must be positive")
-    columns, _ = _readout_basis(basis, generator)
-
-    def probs_at(theta: float) -> tuple[np.ndarray, np.ndarray]:
-        return _readout_probs(probe, ancilla, params, replace(sched, theta=theta), columns)
-
-    p, dp = probs_at(theta_eval)
-    if mode == "finite_diff":
-        dp = (probs_at(theta_eval + h)[0] - probs_at(theta_eval - h)[0]) / (2.0 * h)
-
+    vecs, _ = _readout_basis(basis, generator)
+    p, dp = _readout_probs(probe, ancilla, params, replace(sched, theta=theta_eval), vecs)
     keep = ~((p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB)))
     value = float(np.sum(dp[keep] ** 2 / p[keep]))
-    method = "cfi_analytic" if mode == "analytic" else "cfi_finite_diff"
-    return FisherResult(value=value, method=method)
+    return FisherResult(value=value, method="cfi_analytic")

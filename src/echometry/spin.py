@@ -2,8 +2,9 @@
 
 An ensemble of N spin-1/2 particles that is only ever driven through
 collective operators stays inside the (N+1)-dimensional symmetric subspace
-with total spin j = N/2, so all matrices here are dense complex arrays of
-dimension N+1 (probe) or 2(N+1) (probe plus ancilla qubit).
+with total spin j = N/2, so the probe operators here are dense complex
+arrays of dimension N+1; :func:`joint_embed` builds the 2(N+1)-dimensional
+probe-plus-ancilla operators of the dense reference path.
 
 Conventions used throughout the package:
 
@@ -12,9 +13,8 @@ Conventions used throughout the package:
   sigma_z |e> = +|e>,
 * tensor products put the probe factor first: ``joint_embed(A, B) = A (x) B``.
 
-Operators are plain ``numpy.ndarray`` values; hermiticity and unitarity are
-advisory properties checked on demand with :func:`assert_hermitian` and
-:func:`is_unitary` at the tolerances below.
+Operators are plain ``numpy.ndarray`` values; hermiticity is checked on
+demand with :func:`assert_hermitian` at the tolerances below.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "EnsembleDim",
     "PhaseGenerator",
     "HERMITIAN_TOL",
-    "UNITARY_TOL",
     "SPIN_SPECTRUM_TOL",
     "PAULI_X",
     "PAULI_Y",
@@ -43,12 +42,9 @@ __all__ = [
     "unitary_of_hermitian",
     "joint_embed",
     "assert_hermitian",
-    "is_hermitian",
-    "is_unitary",
 ]
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 SPIN_SPECTRUM_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -102,7 +98,6 @@ class PhaseGenerator:
 
     kind: str
     matrix: np.ndarray
-    phi: float | None = None
     coeffs: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -149,11 +144,7 @@ def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
     if not np.isfinite(phi):
         raise ContractViolation("phase angle must be finite")
     jx, jy, _ = collective_ops(dim)
-    return PhaseGenerator(kind="planar", matrix=np.cos(phi) * jx + np.sin(phi) * jy, phi=float(phi))
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) < tol)
+    return PhaseGenerator(kind="planar", matrix=np.cos(phi) * jx + np.sin(phi) * jy)
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
@@ -162,11 +153,7 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ope
         raise ContractViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < tol)
-
-
-def eigenbasis(generator: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigenbasis(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a Hermitian operator with a fixed phase convention.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
@@ -175,7 +162,7 @@ def eigenbasis(generator: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.nd
     runs (up to the eigen-solver itself).
     """
     a = np.asarray(generator, dtype=complex)
-    assert_hermitian(a, tol=tol, name="eigenbasis input")
+    assert_hermitian(a, name="eigenbasis input")
     vals, vecs = np.linalg.eigh(a)
     vecs = vecs.copy()
     for k in range(vecs.shape[1]):

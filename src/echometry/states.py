@@ -113,12 +113,10 @@ def dephase_ancilla(state: AncillaState, x: float) -> AncillaState:
 
 @dataclass(frozen=True)
 class ThermalSpec:
-    """Inverse temperature and partition function of a thermal probe.
+    """Inverse temperature of a thermal probe and its Boltzmann weights.
 
-    Energies are the spin-generator eigenvalues m = -j..+j, so
-    Z = sum_m exp(-m beta).  ``log_z`` is always finite; ``z`` itself can
-    overflow once beta * j grows past ~700 and is provided for the moderate
-    regime.
+    Energies are the spin-generator eigenvalues m = -j..+j, so the partition
+    function is Z = sum_m exp(-m beta).
     """
 
     dim: EnsembleDim
@@ -127,16 +125,6 @@ class ThermalSpec:
     def __post_init__(self) -> None:
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ContractViolation("inverse temperature must be finite and nonnegative")
-
-    @property
-    def log_z(self) -> float:
-        logw = -self.beta * self.dim.m_values()
-        shift = logw.max()
-        return float(shift + np.log(np.sum(np.exp(logw - shift))))
-
-    @property
-    def z(self) -> float:
-        return float(np.exp(self.log_z))
 
     def weights(self) -> np.ndarray:
         """Boltzmann weights exp(-m beta)/Z over m ascending (sum exactly 1)."""
@@ -179,21 +167,12 @@ class SpectralProbe:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def polarized_probe(dim: EnsembleDim, generator, sign: int = +1) -> SpectralProbe:
-    """Pure probe polarized along the extremal eigenvector of a generator.
-
-    ``sign=+1`` picks the largest eigenvalue (m = +j for a spin generator),
-    ``sign=-1`` the smallest.
-    """
-    if sign not in (+1, -1):
-        raise ContractViolation("sign must be +1 or -1")
+def polarized_probe(dim: EnsembleDim, generator) -> SpectralProbe:
+    """Pure probe polarized along the top eigenvector of a generator (m = +j for a spin generator)."""
     vals, vecs = eigenbasis(generator_matrix(generator))
-    if dim.dim >= 2:
-        gap = vals[-1] - vals[-2] if sign == +1 else vals[1] - vals[0]
-        if gap <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
-            raise ContractViolation("extremal eigenvalue of the generator is degenerate")
-    column = vecs[:, -1] if sign == +1 else vecs[:, 0]
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=column[:, None])
+    if dim.dim >= 2 and vals[-1] - vals[-2] <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
+        raise ContractViolation("extremal eigenvalue of the generator is degenerate")
+    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=vecs[:, -1:])
 
 
 def ghz_probe(dim: EnsembleDim, generator) -> SpectralProbe:

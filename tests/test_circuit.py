@@ -27,6 +27,11 @@ from echometry.spin import ContractViolation, EnsembleDim, PAULI_Z, joint_embed,
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 
 
+def joint_from_sectors(blocks):
+    """The 2(N+1) joint matrix, basis (m, {e, g}), of a stack of ancilla-sector blocks."""
+    return sum(joint_embed(block, np.diag(sector)) for block, sector in zip(blocks, np.eye(2)))
+
+
 def random_params(rng, kind):
     return ModelParams(
         omega_p=float(rng.uniform(0.2, 5.0)),
@@ -78,14 +83,15 @@ def test_xz_hamiltonian_spectrum():
 
 def test_propagator_identity_and_inverse():
     dim = EnsembleDim(3)
-    np.testing.assert_allclose(propagator(ZZ, dim, 0.0), np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(propagator(ZZ, dim, 0.0), [np.eye(4)] * 2, atol=1e-14)
     u = propagator(ZZ, dim, 0.83)
-    np.testing.assert_allclose(u @ propagator(ZZ, dim, -0.83), np.eye(8), atol=1e-10)
+    assert u.shape == (2, 4, 4)
+    np.testing.assert_allclose(u @ propagator(ZZ, dim, -0.83), [np.eye(4)] * 2, atol=1e-10)
 
 
 def test_zz_propagator_is_diagonal():
     u = propagator(ZZ, EnsembleDim(2), 1.37)
-    assert np.max(np.abs(u - np.diag(np.diag(u)))) <= 1e-14
+    assert np.max(np.abs(u - u * np.eye(3))) <= 1e-14
 
 
 sector_cases = dict(
@@ -105,7 +111,8 @@ def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g,
     params = ModelParams(omega_p, omega_a, g, kind=kind)
     dim = EnsembleDim(n)
     dense = unitary_of_hermitian(hamiltonian(params, dim), t)
-    assert np.max(np.abs(propagator(params, dim, t) - dense)) <= 1e-12 * max(1.0, n * abs(t))
+    sectors = joint_from_sectors(propagator(params, dim, t))
+    assert np.max(np.abs(sectors - dense)) <= 1e-12 * max(1.0, n * abs(t))
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,17 +127,17 @@ def test_normalized_trace_matches_dense_spectrum(n, kind, omega_p, omega_a, g, t
 
 def test_encoder_identity_and_rz():
     dim = EnsembleDim(2)
-    np.testing.assert_allclose(encoder("zz", 0.0, dim), np.eye(6), atol=1e-14)
+    np.testing.assert_allclose(encoder("zz", 0.0, dim), np.eye(3), atol=1e-14)
     theta = 0.71
     rz = encoder("xz", theta, dim)
-    expected = np.kron(np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)]), np.eye(2))
+    expected = np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)])
     np.testing.assert_allclose(rz, expected, atol=1e-12)
 
 
 def test_encoder_full_turn_sign():
     # 2*pi rotation is +1 for integer j and -1 for half-integer j
-    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(2)), np.eye(6), atol=1e-10)
-    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(3)), -np.eye(8), atol=1e-10)
+    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(2)), np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(3)), -np.eye(4), atol=1e-10)
 
 
 def test_encoder_additivity():
@@ -270,7 +277,6 @@ def test_optimal_settings_zz():
     assert settings.status == "optimal"
     assert settings.theta0 == np.pi / 2
     assert abs(settings.t1 - np.pi / 2) <= 1e-15
-    assert abs(optimal_settings(ZZ, branch=2).t1 - 2.5 * np.pi) <= 1e-12
 
 
 def test_optimal_settings_xz_strong_coupling():
@@ -296,9 +302,9 @@ def test_optimal_settings_cancel_information_leakage():
     dim = EnsembleDim(6)
     settings = optimal_settings(ZZ)
     u1 = propagator(ZZ, dim, settings.t1)
-    h_eff = u1.conj().T @ encoding_generator(ZZ, dim) @ u1
+    h_eff = u1.conj().transpose(0, 2, 1) @ encoding_generator(ZZ, dim) @ u1
     ket = ancilla_state(settings.theta0).ket
-    sector = np.einsum("a,iajb,b->ij", ket.conj(), h_eff.reshape(dim.dim, 2, dim.dim, 2), ket)
+    sector = np.einsum("a,aij,a->ij", ket.conj(), h_eff, ket)
     assert np.max(np.abs(sector)) <= 1e-10
 
 

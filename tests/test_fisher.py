@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import echometry.circuit
+import echometry.fisher
 from echometry.circuit import (
     ModelParams,
     Schedule,
     conjugate_schedule,
     encoder,
     encoding_generator,
+    hamiltonian,
     optimal_generator,
     optimal_settings,
-    propagator,
 )
 from echometry.fisher import (
     EPS_PROB,
@@ -29,9 +32,22 @@ from echometry.fisher import (
     qfi_simplified,
     qfi_thermal,
     _readout_basis,
-    _readout_diagonal,
 )
-from echometry.spin import ContractViolation, EnsembleDim, eigenbasis, phase_generator
+from echometry.spin import (
+    ID2,
+    KET_E,
+    KET_G,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    ContractViolation,
+    EnsembleDim,
+    collective_ops,
+    eigenbasis,
+    joint_embed,
+    phase_generator,
+    unitary_of_hermitian,
+)
 from echometry.states import (
     SpectralProbe,
     ancilla_state,
@@ -174,10 +190,10 @@ def test_qfi_simplified_reference_states():
 def test_sld_oracle_pure_state_specialization():
     # oracle vs the pure-state identity 4(<dpsi|dpsi> - |<psi|dpsi>|^2)
     dim, _, probe, anc, sched = optimal_setup(3)
-    u1 = propagator(ZZ, dim, sched.t1)
+    u1 = unitary_of_hermitian(hamiltonian(ZZ, dim), sched.t1)
     u2 = u1.conj().T
-    r = encoder("zz", sched.theta, dim)
-    g = encoding_generator(ZZ, dim)
+    r = joint_embed(encoder("zz", sched.theta, dim), ID2)
+    g = joint_embed(encoding_generator(ZZ, dim), ID2)
     psi0 = np.kron(probe.vectors[:, 0], anc.ket)
     psi = u2 @ r @ u1 @ psi0
     dpsi = u2 @ (-1j * g) @ r @ u1 @ psi0
@@ -383,8 +399,7 @@ def test_dephased_general_path_matches_sld_oracle(n, kind, seed, theta0, phi0, x
 
 def test_measurement_probs_polarized_at_zero_phase():
     dim, gen, probe, anc, _ = optimal_setup(4)
-    rho = output_state(probe, anc, ZZ, conjugate_schedule(optimal_settings(ZZ).t1, 0.0))
-    table = measurement_probs(rho, generator=gen)
+    table = measurement_probs(probe, anc, ZZ, conjugate_schedule(optimal_settings(ZZ).t1, 0.0), generator=gen)
     top_plus = [row for row in table.rows if abs(row[0] - dim.j) < 1e-9 and row[1] == "+"]
     assert abs(top_plus[0][2] - 1.0) <= 1e-10
     others = [row[2] for row in table.rows if not (abs(row[0] - dim.j) < 1e-9 and row[1] == "+")]
@@ -394,8 +409,7 @@ def test_measurement_probs_polarized_at_zero_phase():
 def test_measurement_probs_polarized_quarter_phase():
     # cos(2 j theta) = cos(pi/2) = 0 at theta = pi/8 for j = 2
     dim, gen, probe, anc, _ = optimal_setup(4)
-    rho = output_state(probe, anc, ZZ, conjugate_schedule(optimal_settings(ZZ).t1, np.pi / 8))
-    table = measurement_probs(rho, generator=gen)
+    table = measurement_probs(probe, anc, ZZ, conjugate_schedule(optimal_settings(ZZ).t1, np.pi / 8), generator=gen)
     top = {row[1]: row[2] for row in table.rows if abs(row[0] - dim.j) < 1e-9}
     assert abs(top["+"] - 0.5) <= 1e-10 and abs(top["-"] - 0.5) <= 1e-10
 
@@ -406,8 +420,8 @@ def test_measurement_probs_ghz():
     dim = EnsembleDim(n)
     gen = optimal_generator(ZZ, dim)
     probe = ghz_probe(dim, gen)
-    rho = output_state(probe, ancilla_state(np.pi / 2), ZZ, conjugate_schedule(optimal_settings(ZZ).t1, theta))
-    table = measurement_probs(rho, generator=gen)
+    sched = conjugate_schedule(optimal_settings(ZZ).t1, theta)
+    table = measurement_probs(probe, ancilla_state(np.pi / 2), ZZ, sched, generator=gen)
     expected = {"+": (1 + np.cos(2 * dim.j * theta)) / 4, "-": (1 - np.cos(2 * dim.j * theta)) / 4}
     for row in table.rows:
         if abs(abs(row[0]) - dim.j) < 1e-9:
@@ -421,10 +435,10 @@ def test_measurement_probs_sum_to_one_and_ancilla_only():
     dim = EnsembleDim(5)
     gen = optimal_generator(ZZ, dim)
     probe = random_probe(dim, rng)
-    rho = output_state(probe, ancilla_state(1.0, 0.3), ZZ, conjugate_schedule(0.9, 0.7))
-    full = measurement_probs(rho, generator=gen)
+    anc, sched = ancilla_state(1.0, 0.3), conjugate_schedule(0.9, 0.7)
+    full = measurement_probs(probe, anc, ZZ, sched, generator=gen)
     assert abs(full.probabilities.sum() - 1.0) <= 1e-10
-    reduced = measurement_probs(rho, basis="ancilla_only")
+    reduced = measurement_probs(probe, anc, ZZ, sched, basis="ancilla_only")
     assert len(reduced.rows) == 2 and abs(reduced.probabilities.sum() - 1.0) <= 1e-10
 
 
@@ -470,8 +484,8 @@ def test_cfi_finite_difference_agrees_with_analytic():
     probe = random_probe(dim, rng)
     anc = ancilla_state(1.2, 0.4)
     sched = Schedule(t1=0.8, t2=1.1, theta=0.0, mode="period")
-    analytic = cfi(probe, anc, ZZ, sched, generator=gen, theta_eval=0.2, mode="analytic").value
-    numeric = cfi(probe, anc, ZZ, sched, generator=gen, theta_eval=0.2, mode="finite_diff", h=1e-5).value
+    analytic = cfi(probe, anc, ZZ, sched, generator=gen, theta_eval=0.2).value
+    numeric = density_route_cfi(probe, anc, ZZ, sched, gen, 0.2, "finite_diff", "full_system")
     assert abs(analytic - numeric) <= 1e-5 * max(1.0, analytic)
 
 
@@ -497,23 +511,46 @@ def test_cfi_never_exceeds_quantum_bound():
         assert classical <= quantum + 1e-8
 
 
+# The ancilla readout kets |+> and |-> as columns.
+PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
+
+
+def ancilla_reduced(rho):
+    d = rho.shape[0] // 2
+    return np.einsum("iaib->ab", rho.reshape(d, 2, d, 2))
+
+
+def readout_diagonal(op, vecs):
+    """Expectation of a dense joint operator in each readout projector.
+
+    Full-system projector columns are |m>_gen (x) |+/-> for the generator
+    eigenvectors ``vecs``; with ``vecs`` None the probe is traced out and the
+    qubit projected on |+/->.
+    """
+    if vecs is None:
+        op, columns = ancilla_reduced(op), PLUS_MINUS
+    else:
+        columns = np.kron(vecs, PLUS_MINUS)
+    return np.einsum("ik,ik->k", columns.conj(), op @ columns).real
+
+
 def density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis, h=1e-5):
     """Readout information from the output density matrix and its derivative.
 
     The reference for the amplitude route: readout diagonals of rho and
     d rho / d theta (or of rho at theta +/- h), with cfi's row mask.
     """
-    columns, _ = _readout_basis(basis, gen)
+    vecs, _ = _readout_basis(basis, gen)
 
     def rho_at(theta):
         return output_state(probe, anc, params, replace(sched, theta=theta))
 
     if mode == "analytic":
         rho, drho = output_state_derivative(probe, anc, params, replace(sched, theta=theta_eval))
-        p, dp = _readout_diagonal(rho, columns), _readout_diagonal(drho, columns)
+        p, dp = readout_diagonal(rho, vecs), readout_diagonal(drho, vecs)
     else:
-        p = _readout_diagonal(rho_at(theta_eval), columns)
-        hi, lo = (_readout_diagonal(rho_at(theta_eval + d), columns) for d in (h, -h))
+        p = readout_diagonal(rho_at(theta_eval), vecs)
+        hi, lo = (readout_diagonal(rho_at(theta_eval + d), vecs) for d in (h, -h))
         dp = (hi - lo) / (2.0 * h)
     p = np.clip(p, 0.0, None)
     keep = ~((p < EPS_PROB) & (np.abs(dp) < np.sqrt(EPS_PROB)))
@@ -533,11 +570,10 @@ def density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis, h
     t2=st.floats(0.0, 2 * np.pi),
     sched_mode=st.sampled_from(["exact_conjugate", "period"]),
     theta_eval=st.floats(0.05, 3.0),
-    mode=st.sampled_from(["analytic", "finite_diff"]),
     basis=st.sampled_from(["full_system", "ancilla_only"]),
 )
 def test_amplitude_cfi_matches_density_route(
-    n, kind, omega_p, omega_a, seed, theta0, x, t1, t2, sched_mode, theta_eval, mode, basis
+    n, kind, omega_p, omega_a, seed, theta0, x, t1, t2, sched_mode, theta_eval, basis
 ):
     params = ModelParams(omega_p, omega_a, 1.0, kind=kind)
     dim = EnsembleDim(n)
@@ -545,6 +581,92 @@ def test_amplitude_cfi_matches_density_route(
     probe = random_probe(dim, np.random.default_rng(seed), max_rank=min(3, dim.dim))
     anc = dephase_ancilla(ancilla_state(theta0, 0.3), x)
     sched = Schedule(t1=t1, t2=t1 if sched_mode == "exact_conjugate" else t2, theta=0.0, mode=sched_mode)
-    value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval, mode=mode, basis=basis).value
-    reference = density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis)
+    value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval, basis=basis).value
+    reference = density_route_cfi(probe, anc, params, sched, gen, theta_eval, "analytic", basis)
     assert abs(value - reference) <= 1e-10 * max(1.0, reference)
+
+
+@pytest.mark.parametrize("n", [400, 1000, 1200])
+def test_qfi_true_zero_is_exact(n):
+    # a J_x thermal probe commutes with the ZZ generator J_x at t1 = 0, so F_Q = 0
+    # exactly; the two-term sum cancels terms of size ~N^2 and must not leave noise
+    dim = EnsembleDim(n)
+    jx, _, _ = collective_ops(dim)
+    probe = thermal_probe(dim, jx, 1.0)
+    assert qfi_general(probe, ancilla_state(np.pi / 2), ZZ, conjugate_schedule(0.0, 0.2)).value == 0.0
+
+
+def coherent_qfi(params, n, axis, theta0, t1):
+    """F_Q of a pure ancilla and a spin-coherent probe along the unit ``axis``, from 2x2 matrices.
+
+    In ancilla sector s the effective generator is c_s . J, with c_s the
+    rotation of the encoding axis by u_s = exp(-i t1 w_s . sigma / 2); the
+    coherent-state moments of c . J give F_Q = 4 (<H^2> - <H>^2).
+    """
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    g_axis = (1.0, 0.0, 0.0) if params.kind == "zz" else (0.0, 0.0, 1.0)
+    g_sigma = sum(gi * p for gi, p in zip(g_axis, paulis))
+    j = n / 2
+    mean = mean_sq = 0.0
+    for s, weight in ((1.0, np.cos(theta0 / 2) ** 2), (-1.0, np.sin(theta0 / 2) ** 2)):
+        if params.kind == "zz":
+            w = (0.0, 0.0, params.omega_p + s * params.g)
+        else:
+            w = (s * params.g, 0.0, params.omega_p)
+        u = expm(-0.5j * t1 * sum(wi * p for wi, p in zip(w, paulis)))
+        c = np.array([0.5 * np.trace(p @ u.conj().T @ g_sigma @ u).real for p in paulis])
+        cn = c @ axis
+        mean += weight * j * cn
+        mean_sq += weight * (j * j * cn * cn + (j / 2) * (c @ c - cn * cn))
+    return 4.0 * (mean_sq - mean * mean)
+
+
+@pytest.mark.parametrize("n", [100, 800])
+def test_qfi_matches_coherent_oracle_at_large_n(n):
+    rng = np.random.default_rng(n)
+    dim = EnsembleDim(n)
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    probe = polarized_probe(dim, sum(a * op for a, op in zip(axis, collective_ops(dim))))
+    cases = (
+        ZZ,
+        ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz"),
+        ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="xz"),
+    )
+    for params in cases:
+        theta0, phi0, t1 = rng.uniform(0.2, 3.0), rng.uniform(0.0, 2 * np.pi), rng.uniform(0.1, 3.0)
+        value = qfi_general(probe, ancilla_state(theta0, phi0), params, conjugate_schedule(t1, 0.2)).value
+        oracle = coherent_qfi(params, n, axis, theta0, t1)
+        assert abs(value - oracle) <= 1e-10 * max(1.0, oracle)
+
+
+def test_production_paths_build_no_joint_matrix(monkeypatch):
+    # production works on the two (N+1)-dim ancilla-sector blocks; only the
+    # dense reference path may embed operators on the 2(N+1) joint space
+    dim = EnsembleDim(6)
+    sched = Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period")
+    pure = ancilla_state(1.1, 0.7)
+
+    def outputs():
+        for params in (ZZ, ModelParams(omega_p=1.0, omega_a=1.5, g=1.0, kind="xz")):
+            gen = optimal_generator(params, dim)
+            probe = thermal_probe(dim, gen, 0.7)
+            for anc in (pure, dephase_ancilla(pure, 0.3)):
+                yield qfi_general(probe, anc, params, sched).value
+            for basis in ("full_system", "ancilla_only"):
+                yield cfi(probe, pure, params, sched, generator=gen, basis=basis).value
+                yield measurement_probs(probe, pure, params, sched, basis=basis, generator=gen).probabilities
+
+    reference = list(outputs())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production path built a 2(N+1) joint matrix")
+
+    for module in (echometry.circuit, echometry.fisher):
+        for name in ("joint_embed", "hamiltonian"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    monkeypatch.setattr(np, "kron", forbidden)
+    patched = list(outputs())
+    assert len(patched) == len(reference) == 12
+    for got, want in zip(patched, reference):
+        np.testing.assert_array_equal(got, want)

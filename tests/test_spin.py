@@ -6,9 +6,8 @@ from echometry.spin import (
     EnsembleDim,
     PAULI_Z,
     collective_ops,
+    assert_hermitian,
     eigenbasis,
-    is_hermitian,
-    is_unitary,
     joint_embed,
     phase_generator,
     unitary_of_hermitian,
@@ -142,11 +141,17 @@ def test_unitary_of_hermitian_rejects_non_hermitian():
 
 def test_advisory_tag_checks():
     jx, jy, _ = collective_ops(EnsembleDim(4))
-    assert is_hermitian(jx) and is_hermitian(jy)
-    assert not is_hermitian(jx + 1j * jy)
+    assert_hermitian(jx)
+    assert_hermitian(jy)
+    with pytest.raises(ContractViolation):
+        assert_hermitian(jx + 1j * jy)
+
+    def unitarity_gap(u):
+        return np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+
     u = unitary_of_hermitian(jx, 0.9)
-    assert is_unitary(u)
-    assert not is_unitary(2.0 * u)
+    assert unitarity_gap(u) < 1e-10
+    assert not unitarity_gap(2.0 * u) < 1e-10
 
 
 def test_joint_embed_identity():
