@@ -19,9 +19,9 @@ from .spin import (
     EnsembleDim,
     PhaseGenerator,
     collective_ops,
-    eigenbasis,
     joint_embed,
     phase_generator,
+    spin_frame,
     unitary_of_hermitian,
 )
 from .states import (
@@ -78,9 +78,9 @@ __all__ = [
     "EnsembleDim",
     "PhaseGenerator",
     "collective_ops",
-    "eigenbasis",
     "joint_embed",
     "phase_generator",
+    "spin_frame",
     "unitary_of_hermitian",
     "AncillaState",
     "SpectralProbe",

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import minimize_scalar
 
 from .spin import (
@@ -42,6 +41,7 @@ from .spin import (
     collective_ops,
     joint_embed,
     phase_generator,
+    spin_frame,
     unitary_of_hermitian,
 )
 
@@ -168,21 +168,26 @@ def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
 def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Eigenvalues and eigenvectors of H in the ancilla sectors s = +1 (|e>), -1 (|g>).
 
-    H commutes with I (x) sigma_z, and in sector s it is the probe operator
-    omega_p J_z + s g C + s omega_a with C = J_z (ZZ) or J_x (XZ).  ZZ blocks
-    are diagonal in the J_z basis (vectors None); XZ blocks are real
-    symmetric tridiagonal.
+    H commutes with I (x) sigma_z; in sector s it is w_s.J + s omega_a with
+    w_s = (0, 0, omega_p + s g) (ZZ, diagonal: vectors None) or (s g, 0, omega_p)
+    (XZ, from the real spin frame of w_s).
     """
-    m = dim.m_values()
     spectra = []
     for s in (1.0, -1.0):
         if params.kind == "zz":
-            spectra.append(((params.omega_p + s * params.g) * m + s * params.omega_a, None))
+            spectra.append(((params.omega_p + s * params.g) * dim.m_values() + s * params.omega_a, None))
             continue
-        ladder = np.sqrt(dim.j * (dim.j + 1) - m[:-1] * (m[:-1] + 1))
-        vals, vecs = eigh_tridiagonal(params.omega_p * m, s * params.g * ladder / 2.0)
+        vals, vecs = spin_frame(dim, (s * params.g, 0.0, params.omega_p))
         spectra.append((vals + s * params.omega_a, vecs))
     return spectra
+
+
+def _frame_exp(vals: np.ndarray, vecs: np.ndarray | None, t: float) -> np.ndarray:
+    """exp(-i B t) for B = V diag(vals) V^T: V cos V^T - i V sin V^T for real V, diagonal if V is None."""
+    phase = vals * t
+    if vecs is None:
+        return np.diag(np.exp(-1j * phase))
+    return (vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T)
 
 
 def propagator(params: ModelParams, dim: EnsembleDim, t: float) -> np.ndarray:
@@ -193,23 +198,15 @@ def propagator(params: ModelParams, dim: EnsembleDim, t: float) -> np.ndarray:
     """
     if not np.isfinite(t):
         raise ContractViolation("evolution time must be finite")
-    blocks = []
-    for vals, vecs in _sector_spectra(params, dim):
-        phase = vals * t
-        if vecs is None:
-            blocks.append(np.diag(np.exp(-1j * phase)))
-        else:
-            # exp(-i B t) = V cos V^T - i V sin V^T for real V: two real products.
-            blocks.append((vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T))
-    return np.stack(blocks)
+    return np.stack([_frame_exp(vals, vecs, t) for vals, vecs in _sector_spectra(params, dim)])
 
 
 def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
-    """Phase-encoding rotation on the probe: R_x(theta) for ZZ, R_z(theta) for XZ."""
+    """Phase-encoding rotation: R_x(theta) in the real J_x frame (ZZ) or diagonal R_z(theta) (XZ)."""
     if not np.isfinite(theta):
         raise ContractViolation("encoded phase must be finite")
-    jx, _, jz = collective_ops(dim)
-    return unitary_of_hermitian(jx if kind == "zz" else jz, theta)
+    vals, vecs = spin_frame(dim, (1.0, 0.0, 0.0)) if kind == "zz" else (dim.m_values(), None)
+    return _frame_exp(vals, vecs, theta)
 
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
@@ -227,11 +224,16 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
     h = hamiltonian(params, dim)
     u1 = unitary_of_hermitian(h, sched.t1)
     u2 = u1.conj().T if sched.mode == "exact_conjugate" else unitary_of_hermitian(h, sched.t2)
-    return u2 @ joint_embed(encoder(params.kind, sched.theta, dim), ID2) @ u1
+    rotation = unitary_of_hermitian(encoding_generator(params, dim), sched.theta)
+    return u2 @ joint_embed(rotation, ID2) @ u1
 
 
 def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    return np.sort(np.concatenate([vals for vals, _ in _sector_spectra(params, dim)]))
+    """Spectrum of H, ascending: |w_s| m + s omega_a over the ancilla sectors s = +1, -1."""
+    m = dim.m_values()
+    zz = params.kind == "zz"
+    widths = [abs(params.omega_p + s * params.g) if zz else params.omega_tilde for s in (1.0, -1.0)]
+    return np.sort(np.concatenate([w * m + s * params.omega_a for w, s in zip(widths, (1.0, -1.0))]))
 
 
 def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
@@ -450,8 +452,9 @@ def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
     if params.kind == "zz":
         return phase_generator(dim, math.pi / 2 - params.omega_p * settings.t1)
     cx, cy, cz = bch_coefficients(params, settings.t1)
-    jx, jy, _ = collective_ops(dim)
-    return PhaseGenerator(kind="xz", matrix=cx * jx + cy * jy, coeffs=(cx, cy, cz))
+    if abs(cx * cx + cy * cy + cz * cz - 1.0) > 1e-12:
+        raise ContractViolation("xz generator coefficients are not normalized")
+    return PhaseGenerator(dim, (cx, cy, 0.0))
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:

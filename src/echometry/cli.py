@@ -156,6 +156,8 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
+            if args.instances < 1 or args.seed < 0:
+                raise ConfigError("validate needs --instances >= 1 and --seed >= 0")
             report = run_validation(instances=args.instances, seed=args.seed)
             for key, value in report.items():
                 print(f"{key}={value}")

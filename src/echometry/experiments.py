@@ -538,6 +538,8 @@ def run_validation(instances: int = 200, seed: int = 7) -> dict:
     two phase points and that the readout information never exceeds the
     quantum bound.
     """
+    if instances < 1:
+        raise ContractViolation(f"validation needs at least one instance, got {instances!r}")
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     crb_violations = 0

@@ -48,8 +48,6 @@ from .spin import (
     KET_E,
     KET_G,
     assert_hermitian,
-    eigenbasis,
-    generator_matrix,
     joint_embed,
     unitary_of_hermitian,
 )
@@ -204,9 +202,7 @@ def qfi_general(
 
 def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:
     """Mean square of the optimized phase generator: 4 sum_i p_i <G^2>_i."""
-    g = generator_matrix(generator)
-    v = probe.vectors
-    gv = g @ v
+    gv = generator.matrix @ probe.vectors
     value = 4.0 * float(np.sum(probe.weights * np.einsum("ik,ik->k", gv.conj(), gv).real))
     return FisherResult(value=value, method="simplified")
 
@@ -278,7 +274,7 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
-def _readout_basis(basis: str, generator) -> tuple[np.ndarray | None, list]:
+def _readout_basis(basis: str, generator: PhaseGenerator | None) -> tuple[np.ndarray | None, list]:
     """Probe rotation and (m, branch) labels of a readout basis, m ascending.
 
     The rotation's columns are the generator eigenvectors |m>_gen of the
@@ -288,7 +284,7 @@ def _readout_basis(basis: str, generator) -> tuple[np.ndarray | None, list]:
     if basis == "full_system":
         if generator is None:
             raise ContractViolation("full-system readout needs a probe generator")
-        vals, vecs = eigenbasis(generator_matrix(generator))
+        vals, vecs = generator.frame
         return vecs, [(float(m), branch) for m in vals for branch in ("+", "-")]
     if basis == "ancilla_only":
         return None, [(None, "+"), (None, "-")]
@@ -342,7 +338,7 @@ def measurement_probs(
     params: ModelParams,
     sched: Schedule,
     basis: str = "full_system",
-    generator=None,
+    generator: PhaseGenerator | None = None,
 ) -> ProbabilityTable:
     """Projective-measurement outcome table of the circuit's output state.
 
@@ -361,7 +357,7 @@ def cfi(
     ancilla: AncillaState,
     params: ModelParams,
     sched: Schedule,
-    generator=None,
+    generator: PhaseGenerator | None = None,
     theta_eval: float = 0.2,
     basis: str = "full_system",
 ) -> FisherResult:

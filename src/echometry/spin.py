@@ -1,9 +1,10 @@
-"""Collective spin operators and dense linear algebra on the symmetric subspace.
+"""Collective spin operators and spin frames on the symmetric subspace.
 
 An ensemble of N spin-1/2 particles that is only ever driven through
 collective operators stays inside the (N+1)-dimensional symmetric subspace
-with total spin j = N/2, so the probe operators here are dense complex
-arrays of dimension N+1; :func:`joint_embed` builds the 2(N+1)-dimensional
+with total spin j = N/2.  Every operator the package diagonalizes is a spin
+component n.J, held as its axis (:class:`PhaseGenerator`) and solved by
+:func:`spin_frame`; :func:`joint_embed` builds the 2(N+1)-dimensional
 probe-plus-ancilla operators of the dense reference path.
 
 Conventions used throughout the package:
@@ -14,21 +15,23 @@ Conventions used throughout the package:
 * tensor products put the probe factor first: ``joint_embed(A, B) = A (x) B``.
 
 Operators are plain ``numpy.ndarray`` values; hermiticity is checked on
-demand with :func:`assert_hermitian` at the tolerances below.
+demand with :func:`assert_hermitian` at the tolerance below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "ContractViolation",
     "EnsembleDim",
     "PhaseGenerator",
     "HERMITIAN_TOL",
-    "SPIN_SPECTRUM_TOL",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -37,15 +40,13 @@ __all__ = [
     "KET_G",
     "collective_ops",
     "phase_generator",
-    "generator_matrix",
-    "eigenbasis",
+    "spin_frame",
     "unitary_of_hermitian",
     "joint_embed",
     "assert_hermitian",
 ]
 
 HERMITIAN_TOL = 1e-12
-SPIN_SPECTRUM_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,42 +86,6 @@ class EnsembleDim:
         return np.arange(self.dim) - self.j
 
 
-@dataclass(frozen=True)
-class PhaseGenerator:
-    """A phase generator on the probe space.
-
-    ``kind`` is one of:
-
-    * ``"planar"``  -- cos(phi) J_x + sin(phi) J_y,
-    * ``"xz"``      -- c_x J_x + c_y J_y from the XZ closed form, with the
-      full coefficient triple (c_x, c_y, c_z) stored in ``coeffs``.
-    """
-
-    kind: str
-    matrix: np.ndarray
-    coeffs: tuple[float, float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("planar", "xz"):
-            raise ContractViolation(f"unknown generator kind {self.kind!r}")
-        if self.kind == "xz":
-            if self.coeffs is None:
-                raise ContractViolation("xz generator needs its coefficient triple")
-            cx, cy, cz = self.coeffs
-            if abs(cx * cx + cy * cy + cz * cz - 1.0) > 1e-12:
-                raise ContractViolation("xz generator coefficients are not normalized")
-        matrix = np.array(self.matrix, dtype=complex)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-
-def generator_matrix(generator) -> np.ndarray:
-    """The matrix of a :class:`PhaseGenerator`, or a plain array as complex."""
-    if isinstance(generator, PhaseGenerator):
-        return generator.matrix
-    return np.asarray(generator, dtype=complex)
-
-
 def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collective spin matrices (J_x, J_y, J_z) on the symmetric subspace.
 
@@ -139,37 +104,72 @@ def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return jx, jy, jz
 
 
+def spin_frame(dim: EnsembleDim, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues |n| m (exact, ascending) and eigenvector columns of n.J.
+
+    With n_x + i n_y = r e^{i phi}, n.J = e^{-i phi J_z} (n_z J_z + r J_x) e^{i phi J_z},
+    so the vectors are real tridiagonal ones with rows scaled by e^{-i phi m}
+    (Feng et al., PRE 92, 043307, 2015), and real for n_y = 0.  Each column's
+    largest-magnitude entry is made real and positive; ties (within 1e-12
+    relative) go to the first.
+    """
+    nx, ny, nz = (float(a) for a in axis)
+    m = dim.m_values()
+    r = math.hypot(nx, ny) if ny != 0.0 else nx
+    ladder = np.sqrt(dim.j * (dim.j + 1) - m[:-1] * (m[:-1] + 1))
+    _, vecs = eigh_tridiagonal(nz * m, r * ladder / 2.0)
+    mag = np.abs(vecs)
+    pivot = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    vecs = vecs * np.sign(vecs[pivot, np.arange(dim.dim)])
+    if ny != 0.0:
+        phi = math.atan2(ny, nx)
+        vecs = vecs * np.exp(-1j * phi * m)[:, None] * np.exp(1j * phi * m[pivot])
+    return math.hypot(nx, ny, nz) * m, vecs
+
+
+@dataclass(frozen=True)
+class PhaseGenerator:
+    """The spin component n.J on the probe space, held as its axis n.
+
+    ``axis`` is any finite real 3-vector, not necessarily unit (the
+    weak-coupling XZ generator has |n| < 1).  The frame is solved once per
+    generator and shared by the probe constructors and the readout.
+    """
+
+    dim: EnsembleDim
+    axis: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        axis = np.asarray(self.axis, dtype=float)
+        if axis.shape != (3,) or not np.all(np.isfinite(axis)):
+            raise ContractViolation(f"generator axis must be a finite real 3-vector, got {self.axis!r}")
+        object.__setattr__(self, "axis", tuple(float(a) for a in axis))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (N+1)-dimensional operator n.J."""
+        return sum(a * op for a, op in zip(self.axis, collective_ops(self.dim)))
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """``spin_frame(dim, axis)`` as read-only arrays, solved on first use."""
+        vals, vecs = spin_frame(self.dim, self.axis)
+        vals.setflags(write=False)
+        vecs.setflags(write=False)
+        return vals, vecs
+
+
 def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
     """Planar generator J(phi) = cos(phi) J_x + sin(phi) J_y."""
     if not np.isfinite(phi):
         raise ContractViolation("phase angle must be finite")
-    jx, jy, _ = collective_ops(dim)
-    return PhaseGenerator(kind="planar", matrix=np.cos(phi) * jx + np.sin(phi) * jy)
+    return PhaseGenerator(dim, (np.cos(phi), np.sin(phi), 0.0))
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev >= tol:
         raise ContractViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
-
-
-def eigenbasis(generator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian operator with a fixed phase convention.
-
-    Returns ``(values, vectors)`` with eigenvalues ascending and eigenvectors
-    as columns.  Each column is rotated so that its largest-magnitude
-    component is real and positive, which makes the basis reproducible across
-    runs (up to the eigen-solver itself).
-    """
-    a = np.asarray(generator, dtype=complex)
-    assert_hermitian(a, name="eigenbasis input")
-    vals, vecs = np.linalg.eigh(a)
-    vecs = vecs.copy()
-    for k in range(vecs.shape[1]):
-        idx = int(np.argmax(np.abs(vecs[:, k])))
-        pivot = vecs[idx, k]
-        vecs[:, k] *= pivot.conj() / abs(pivot)
-    return vals, vecs
 
 
 def unitary_of_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -12,16 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import (
-    ContractViolation,
-    EnsembleDim,
-    SPIN_SPECTRUM_TOL,
-    KET_E,
-    KET_G,
-    assert_hermitian,
-    eigenbasis,
-    generator_matrix,
-)
+from .spin import ContractViolation, EnsembleDim, PhaseGenerator, KET_E, KET_G, assert_hermitian
 
 __all__ = [
     "EPS_SPECTRUM",
@@ -167,36 +158,41 @@ class SpectralProbe:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def polarized_probe(dim: EnsembleDim, generator) -> SpectralProbe:
-    """Pure probe polarized along the top eigenvector of a generator (m = +j for a spin generator)."""
-    vals, vecs = eigenbasis(generator_matrix(generator))
-    if dim.dim >= 2 and vals[-1] - vals[-2] <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
+def _generator_frame(dim: EnsembleDim, generator: PhaseGenerator) -> tuple[np.ndarray, np.ndarray]:
+    if generator.dim != dim:
+        raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
+    return generator.frame
+
+
+def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
+    """Pure probe polarized along the top eigenvector of a generator (m = +j for a unit axis)."""
+    vals, vecs = _generator_frame(dim, generator)
+    if vals[-1] - vals[-2] <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
         raise ContractViolation("extremal eigenvalue of the generator is degenerate")
     return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=vecs[:, -1:])
 
 
-def ghz_probe(dim: EnsembleDim, generator) -> SpectralProbe:
+def ghz_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
     """Equal superposition of the two extremal eigenvectors of a generator."""
-    vals, vecs = eigenbasis(generator_matrix(generator))
+    vals, vecs = _generator_frame(dim, generator)
     if vals[-1] - vals[-2] <= 1e-8 or vals[1] - vals[0] <= 1e-8:
         raise ContractViolation("extremal eigenvalue of the generator is degenerate")
     psi = (vecs[:, -1] + vecs[:, 0]) / np.sqrt(2.0)
     return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=psi[:, None])
 
 
-def thermal_probe(dim: EnsembleDim, generator, beta: float) -> SpectralProbe:
+def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> SpectralProbe:
     """Thermal probe exp(-beta G)/Z in the eigenbasis of a unit spin generator.
 
-    ``beta >= 0`` puts the ground state at m = -j.  The generator must carry
-    the integer-spaced spin spectrum {-j, ..., +j}; weights use the exact m
-    values so large beta stays well conditioned, with the maximum exponent
-    subtracted before normalization.  Weights below the spectral cutoff are
-    dropped and the remainder renormalized.
+    ``beta >= 0`` puts the ground state at m = -j.  The generator's axis must
+    be a unit vector (spectrum {-j, ..., +j}); weights use the exact m values,
+    with the maximum exponent subtracted, so large beta stays well conditioned.
+    Weights below the spectral cutoff are dropped and the rest renormalized.
     """
     spec = ThermalSpec(dim=dim, beta=float(beta))
-    vals, vecs = eigenbasis(generator_matrix(generator))
-    if np.max(np.abs(vals - dim.m_values())) > SPIN_SPECTRUM_TOL:
-        raise ContractViolation("thermal probe needs a generator with spectrum -j..+j")
+    if abs(np.linalg.norm(generator.axis) - 1.0) > 1e-12:
+        raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
+    _, vecs = _generator_frame(dim, generator)
     weights = spec.weights()
     keep = weights > EPS_SPECTRUM
     weights = weights[keep] / weights[keep].sum()
@@ -217,7 +213,7 @@ def spectral_decompose(rho: np.ndarray) -> SpectralProbe:
     tr = np.trace(a)
     if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
         raise ContractViolation(f"probe density matrix trace {tr:.12g} is not 1")
-    vals, vecs = eigenbasis(a)
+    vals, vecs = np.linalg.eigh(a)
     if vals.min() < -1e-12:
         raise ContractViolation("probe density matrix is not positive semidefinite")
     keep = vals > EPS_SPECTRUM

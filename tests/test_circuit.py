@@ -13,6 +13,7 @@ from echometry.circuit import (
     closed_form_unitary,
     conjugate_schedule,
     encoder,
+    encoding_generator,
     global_phase_distance,
     hamiltonian,
     normalized_trace,
@@ -144,6 +145,24 @@ def test_encoder_additivity():
     dim = EnsembleDim(4)
     lhs = encoder("zz", 0.31, dim) @ encoder("zz", 1.18, dim)
     np.testing.assert_allclose(lhs, encoder("zz", 0.31 + 1.18, dim), atol=1e-12)
+
+
+def check_encoder(n, kind, theta):
+    dim = EnsembleDim(n)
+    dense = unitary_of_hermitian(encoding_generator(ModelParams(1.0, 1.0, kind=kind), dim), theta)
+    assert np.max(np.abs(encoder(kind, theta, dim) - dense)) <= 1e-12 * max(1.0, n * abs(theta))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 60), kind=st.sampled_from(["zz", "xz"]), theta=st.floats(-20.0, 20.0))
+def test_encoder_matches_dense_rotation(n, kind, theta):
+    check_encoder(n, kind, theta)
+
+
+@pytest.mark.parametrize("kind", ["zz", "xz"])
+def test_encoder_matches_dense_rotation_large_probe(kind):
+    for theta in (0.2, -1.3, 7.9):
+        check_encoder(300, kind, theta)
 
 
 def test_circuit_identity_at_zero_phase_conjugate():

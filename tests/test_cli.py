@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from echometry.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from echometry.experiments import SCENARIOS
+from echometry.experiments import SCENARIOS, run_validation
+from echometry.spin import ContractViolation
 
 
 def test_trace_scan_command(tmp_path, capsys):
@@ -92,6 +93,22 @@ def test_validate_command(capsys):
     code = main(["validate", "--instances", "10", "--seed", "4"])
     assert code == EXIT_OK
     assert "passed=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["--instances", "0"], ["--instances", "-3"], ["--seed", "-1"]]
+)
+def test_validate_rejects_empty_runs_and_negative_seeds(capsys, argv):
+    # zero instances would report passed=True without checking anything
+    assert main(["validate", *argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "config error:" in captured.err
+    assert "passed=" not in captured.out
+
+
+def test_run_validation_needs_an_instance():
+    with pytest.raises(ContractViolation):
+        run_validation(instances=0)
 
 
 def test_dephasing_command_defaults(tmp_path):

@@ -42,8 +42,7 @@ from echometry.spin import (
     PAULI_Z,
     ContractViolation,
     EnsembleDim,
-    collective_ops,
-    eigenbasis,
+    PhaseGenerator,
     joint_embed,
     phase_generator,
     unitary_of_hermitian,
@@ -108,7 +107,7 @@ def test_output_state_matches_explicit_tensor_structure():
     n = 1
     dim, gen, probe, anc, sched = optimal_setup(n)
     theta = sched.theta
-    vals, vecs = eigenbasis(gen.matrix)
+    vals, vecs = gen.frame
     psi = probe.vectors[:, 0]
     expected = np.zeros((2 * dim.dim, 2 * dim.dim), dtype=complex)
     for a, m in enumerate(vals):
@@ -178,7 +177,7 @@ def test_qfi_simplified_reference_states():
     dim = EnsembleDim(n)
     gen = optimal_generator(ZZ, dim)
     assert abs(qfi_simplified(polarized_probe(dim, gen), gen).value - n * n) <= 1e-10
-    vals, vecs = eigenbasis(gen.matrix)
+    vals, vecs = gen.frame
     mixture = SpectralProbe(
         dim=dim, weights=np.array([0.5, 0.5]), vectors=np.stack([vecs[:, 0], vecs[:, -1]], axis=1)
     )
@@ -591,8 +590,7 @@ def test_qfi_true_zero_is_exact(n):
     # a J_x thermal probe commutes with the ZZ generator J_x at t1 = 0, so F_Q = 0
     # exactly; the two-term sum cancels terms of size ~N^2 and must not leave noise
     dim = EnsembleDim(n)
-    jx, _, _ = collective_ops(dim)
-    probe = thermal_probe(dim, jx, 1.0)
+    probe = thermal_probe(dim, PhaseGenerator(dim, (1.0, 0.0, 0.0)), 1.0)
     assert qfi_general(probe, ancilla_state(np.pi / 2), ZZ, conjugate_schedule(0.0, 0.2)).value == 0.0
 
 
@@ -627,7 +625,7 @@ def test_qfi_matches_coherent_oracle_at_large_n(n):
     dim = EnsembleDim(n)
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    probe = polarized_probe(dim, sum(a * op for a, op in zip(axis, collective_ops(dim))))
+    probe = polarized_probe(dim, PhaseGenerator(dim, axis))
     cases = (
         ZZ,
         ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz"),
@@ -668,5 +666,65 @@ def test_production_paths_build_no_joint_matrix(monkeypatch):
     monkeypatch.setattr(np, "kron", forbidden)
     patched = list(outputs())
     assert len(patched) == len(reference) == 12
+    for got, want in zip(patched, reference):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_production_paths_run_no_dense_eigensolver(monkeypatch):
+    # every production spectrum comes from spin_frame (one real tridiagonal
+    # eigensolve) or a closed form; a dense eigh may touch only the 2x2
+    # dephased-ancilla density matrix
+    dim = EnsembleDim(6)
+    sched = Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period")
+    pure = ancilla_state(1.1, 0.7)
+    strong = ModelParams(omega_p=1.0, omega_a=np.sqrt(2.0), g=1.0, kind="xz")
+    cases = (  # (params, params of the period solve)
+        (ZZ, ZZ),
+        # omega_a = omega_tilde: a unit generator and an analytic XZ period
+        (strong, strong),
+        # weak coupling gives |n| < 1 (no thermal probe); with g = 0 the ZZ period comes from the scan
+        (ModelParams(omega_p=3.0, omega_a=1.5, g=1.0, kind="xz"), ModelParams(1.0, 1.0, 0.0, kind="zz")),
+    )
+
+    def outputs():
+        for params, period_params in cases:
+            gen = optimal_generator(params, dim)
+            yield gen.axis
+            probes = [polarized_probe(dim, gen), ghz_probe(dim, gen)]
+            if abs(np.linalg.norm(gen.axis) - 1.0) <= 1e-12:
+                probes.append(thermal_probe(dim, gen, 0.7))
+            for probe in probes:
+                yield probe.weights
+                yield probe.vectors
+            probe = probes[-1]
+            yield encoder(params.kind, 0.3, dim)
+            yield echometry.circuit.propagator(params, dim, 0.8)
+            yield echometry.circuit.normalized_trace(params, dim, np.linspace(0.0, 5.0, 7))
+            solution = echometry.circuit.reversal_period(period_params, dim, t_max=8.0)
+            yield solution.period, solution.residual, solution.integers
+            for anc in (pure, dephase_ancilla(pure, 0.3)):
+                yield qfi_general(probe, anc, params, sched).value
+            for basis in ("full_system", "ancilla_only"):
+                yield cfi(probe, pure, params, sched, generator=gen, basis=basis).value
+                yield measurement_probs(probe, pure, params, sched, basis=basis, generator=gen).probabilities
+            yield cfi(probe, pure, params, sched).value
+
+    reference = list(outputs())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a production path ran a dense eigensolver")
+
+    dense_eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        if np.shape(a)[-1] > 2:
+            forbidden()
+        return dense_eigh(a, *args, **kwargs)
+
+    for module in (echometry.circuit, echometry.fisher):
+        monkeypatch.setattr(module, "unitary_of_hermitian", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    patched = list(outputs())
+    assert len(patched) == len(reference) == 52
     for got, want in zip(patched, reference):
         np.testing.assert_array_equal(got, want)

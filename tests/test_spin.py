@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import echometry.spin
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
     PAULI_Z,
+    PhaseGenerator,
     collective_ops,
     assert_hermitian,
-    eigenbasis,
     joint_embed,
     phase_generator,
+    spin_frame,
     unitary_of_hermitian,
 )
 
@@ -61,6 +67,7 @@ def test_casimir_identity(n):
 
 def test_phase_generator_axes():
     dim = EnsembleDim(3)
+    assert phase_generator(dim, 0.0).axis == (1.0, 0.0, 0.0)
     jx, jy, _ = collective_ops(dim)
     np.testing.assert_allclose(phase_generator(dim, 0.0).matrix, jx, atol=1e-15)
     np.testing.assert_allclose(phase_generator(dim, np.pi / 2).matrix, jy, atol=1e-12)
@@ -72,35 +79,31 @@ def test_phase_generator_rejects_nonfinite_angle():
         phase_generator(EnsembleDim(2), np.inf)
 
 
-def test_eigenbasis_jz_is_standard_basis():
-    dim = EnsembleDim(2)
-    _, _, jz = collective_ops(dim)
-    vals, vecs = eigenbasis(jz)
+def test_spin_frame_jz_is_standard_basis():
+    vals, vecs = spin_frame(EnsembleDim(2), (0.0, 0.0, 1.0))
     np.testing.assert_allclose(vals, [-1.0, 0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(vecs, np.eye(3), atol=1e-12)
 
 
-def test_eigenbasis_planar_generator_has_spin_spectrum():
+def test_spin_frame_planar_generator_has_spin_spectrum():
     # any planar generator is unitarily equivalent to J_x, so the spectrum
     # must be the integer ladder -j..+j
-    vals, _ = eigenbasis(phase_generator(EnsembleDim(4), np.pi / 3).matrix)
+    vals, _ = spin_frame(EnsembleDim(4), phase_generator(EnsembleDim(4), np.pi / 3).axis)
     np.testing.assert_allclose(vals, [-2, -1, 0, 1, 2], atol=1e-10)
 
 
-def test_eigenbasis_jx_single_spin_vectors():
-    jx, _, _ = collective_ops(EnsembleDim(1))
-    _, vecs = eigenbasis(jx)
+def test_spin_frame_jx_single_spin_vectors():
+    _, vecs = spin_frame(EnsembleDim(1), (1.0, 0.0, 0.0))
     inv_sqrt2 = 1 / np.sqrt(2)
     np.testing.assert_allclose(vecs[:, 0], [inv_sqrt2, -inv_sqrt2], atol=1e-12)
     np.testing.assert_allclose(vecs[:, 1], [inv_sqrt2, inv_sqrt2], atol=1e-12)
 
 
-def test_eigenbasis_phase_convention_and_determinism():
+def test_spin_frame_phase_convention_and_determinism():
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    a = a + a.conj().T
-    vals1, vecs1 = eigenbasis(a)
-    vals2, vecs2 = eigenbasis(a)
+    axis = rng.normal(size=3)
+    vals1, vecs1 = spin_frame(EnsembleDim(5), axis)
+    vals2, vecs2 = spin_frame(EnsembleDim(5), axis)
     np.testing.assert_array_equal(vals1, vals2)
     np.testing.assert_array_equal(vecs1, vecs2)
     for k in range(6):
@@ -108,9 +111,67 @@ def test_eigenbasis_phase_convention_and_determinism():
         assert abs(pivot.imag) < 1e-14 and pivot.real > 0
 
 
-def test_eigenbasis_rejects_non_hermitian():
+def check_spin_frame(n, axis):
+    """spin_frame against the dense n.J: eigen-residual, orthonormality, exact
+    spectrum |n| m, real frame for n_y = 0, and the pivot phase convention."""
+    dim = EnsembleDim(n)
+    norm = math.hypot(*axis)
+    vals, vecs = spin_frame(dim, axis)
+    gen = PhaseGenerator(dim, axis).matrix
+    residual = np.linalg.norm(gen @ vecs - vecs * vals, 2)
+    assert residual <= 1e-13 * norm * max(1, n)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim.dim))) <= 1e-12
+    np.testing.assert_array_equal(vals, norm * dim.m_values())
+    assert axis[1] != 0.0 or not np.iscomplexobj(vecs)
+    mag = np.abs(vecs)
+    # the first entry of largest magnitude (ties within 1e-12) is real and positive
+    pivot = vecs[np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0), np.arange(dim.dim)]
+    assert np.all(np.abs(pivot.imag) <= 1e-14) and np.all(pivot.real > 0)
+
+
+# components are 0 or at least 1e-3 in size, so |n| * N never underflows the bound
+component = st.floats(-2.0, 2.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), nx=component, ny=st.one_of(st.just(0.0), component), nz=component)
+def test_spin_frame_diagonalizes_any_axis(n, nx, ny, nz):
+    check_spin_frame(n, (nx, ny, nz))
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        (1.0, 0.0, 0.0),
+        (-1.0, -1.2246467991473532e-16, 0.0),
+        (0.3, -0.8, 0.52),
+        (-1.7, 0.0, -0.4),
+        (0.0, 0.0, -2.5),
+        (0.0, 0.0, 0.0),
+    ],
+)
+def test_spin_frame_diagonalizes_large_probe(axis):
+    check_spin_frame(300, axis)
+
+
+def test_phase_generator_frame_is_solved_once(monkeypatch):
+    calls = []
+
+    def counting(dim, axis):
+        calls.append(axis)
+        return spin_frame(dim, axis)
+
+    monkeypatch.setattr(echometry.spin, "spin_frame", counting)
+    gen = phase_generator(EnsembleDim(6), 0.4)
+    vals, vecs = gen.frame
+    assert gen.frame[1] is vecs and len(calls) == 1
+    assert not vals.flags.writeable and not vecs.flags.writeable
+
+
+@pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, np.nan, 0.0), (0.0, np.inf, 1.0)])
+def test_phase_generator_rejects_bad_axis(axis):
     with pytest.raises(ContractViolation):
-        eigenbasis(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        PhaseGenerator(EnsembleDim(2), axis)
 
 
 def test_unitary_of_hermitian_time_zero():

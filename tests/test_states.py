@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from echometry.spin import ContractViolation, EnsembleDim, collective_ops, phase_generator
+from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator
 from echometry.states import (
     SpectralProbe,
     ThermalSpec,
@@ -73,12 +73,11 @@ def test_dephased_ancilla_has_no_ket():
 
 def test_polarized_probe_along_jz():
     dim = EnsembleDim(3)
-    _, _, jz = collective_ops(dim)
-    probe = polarized_probe(dim, jz)
+    probe = polarized_probe(dim, PhaseGenerator(dim, (0.0, 0.0, 1.0)))
     assert probe.n_terms == 1
     np.testing.assert_allclose(probe.weights, [1.0])
     np.testing.assert_allclose(probe.vectors[:, 0], np.eye(4)[:, -1], atol=1e-12)
-    flipped = polarized_probe(dim, -jz)
+    flipped = polarized_probe(dim, PhaseGenerator(dim, (0.0, 0.0, -1.0)))
     np.testing.assert_allclose(flipped.vectors[:, 0], np.eye(4)[:, 0], atol=1e-12)
 
 
@@ -93,7 +92,15 @@ def test_polarized_probe_is_extremal_eigenvector():
 def test_polarized_probe_reports_degenerate_generator():
     dim = EnsembleDim(3)
     with pytest.raises(ContractViolation):
-        polarized_probe(dim, np.eye(dim.dim))
+        polarized_probe(dim, PhaseGenerator(dim, (0.0, 0.0, 0.0)))
+
+
+def test_probe_constructors_reject_a_generator_of_another_size():
+    dim = EnsembleDim(3)
+    gen = phase_generator(EnsembleDim(4), 0.3)
+    for build in (polarized_probe, ghz_probe, lambda d, g: thermal_probe(d, g, 1.0)):
+        with pytest.raises(ContractViolation):
+            build(dim, gen)
 
 
 def test_ancilla_state_rejects_nonfinite_angles():
@@ -103,7 +110,7 @@ def test_ancilla_state_rejects_nonfinite_angles():
 
 def test_ghz_probe_jz():
     dim = EnsembleDim(2)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     probe = ghz_probe(dim, jz)
     np.testing.assert_allclose(probe.vectors[:, 0], np.array([1.0, 0.0, 1.0]) / np.sqrt(2), atol=1e-12)
     assert abs(np.linalg.norm(probe.vectors[:, 0]) - 1.0) <= 1e-12
@@ -118,14 +125,14 @@ def test_ghz_probe_balanced_expectation():
 
 def test_thermal_probe_infinite_temperature_is_uniform():
     dim = EnsembleDim(4)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     probe = thermal_probe(dim, jz, 0.0)
     np.testing.assert_allclose(probe.weights, np.full(5, 0.2), atol=1e-14)
 
 
 def test_thermal_probe_ground_state_limit():
     dim = EnsembleDim(4)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     probe = thermal_probe(dim, jz, 50.0)
     # only the m = -j term survives the spectral cutoff
     assert probe.n_terms == 1
@@ -135,7 +142,7 @@ def test_thermal_probe_ground_state_limit():
 
 def test_thermal_probe_two_spin_weights():
     dim = EnsembleDim(2)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     probe = thermal_probe(dim, jz, 1.0)
     raw = np.exp([1.0, 0.0, -1.0])  # e^{-m beta} for m = -1, 0, 1
     np.testing.assert_allclose(probe.weights, raw / raw.sum(), atol=1e-14)
@@ -143,14 +150,14 @@ def test_thermal_probe_two_spin_weights():
 
 def test_thermal_probe_weights_decrease_with_m():
     dim = EnsembleDim(7)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     probe = thermal_probe(dim, jz, 0.8)
     assert np.all(np.diff(probe.weights) < 0)
 
 
 def test_thermal_probe_rejects_negative_beta():
     dim = EnsembleDim(2)
-    _, _, jz = collective_ops(dim)
+    jz = PhaseGenerator(dim, (0.0, 0.0, 1.0))
     with pytest.raises(ContractViolation):
         thermal_probe(dim, jz, -0.5)
 
@@ -162,9 +169,8 @@ def test_thermal_spec_partition_function():
 
 def test_thermal_probe_rejects_non_spin_generator():
     dim = EnsembleDim(2)
-    _, _, jz = collective_ops(dim)
     with pytest.raises(ContractViolation):
-        thermal_probe(dim, 0.5 * jz, 1.0)
+        thermal_probe(dim, PhaseGenerator(dim, (0.0, 0.0, 0.5)), 1.0)
 
 
 def test_spectral_decompose_pure_state():
@@ -194,6 +200,11 @@ def test_spectral_decompose_round_trip():
 def test_spectral_decompose_rejects_bad_trace():
     with pytest.raises(ContractViolation):
         spectral_decompose(np.eye(3))
+
+
+def test_spectral_decompose_rejects_non_hermitian():
+    with pytest.raises(ContractViolation):
+        spectral_decompose(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 def test_spectral_decompose_rejects_negative_matrix():
