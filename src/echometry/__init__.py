@@ -60,11 +60,13 @@ from .fisher import (
     FisherResult,
     ProbabilityTable,
     cfi,
+    cfi_grid,
     measurement_probs,
     output_state,
     output_state_derivative,
     qfi_deviation,
     qfi_general,
+    qfi_grid,
     qfi_simplified,
     qfi_sld_oracle,
     qfi_thermal,
@@ -113,11 +115,13 @@ __all__ = [
     "FisherResult",
     "ProbabilityTable",
     "cfi",
+    "cfi_grid",
     "measurement_probs",
     "output_state",
     "output_state_derivative",
     "qfi_deviation",
     "qfi_general",
+    "qfi_grid",
     "qfi_simplified",
     "qfi_sld_oracle",
     "qfi_thermal",

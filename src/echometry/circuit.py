@@ -42,6 +42,7 @@ from .spin import (
     joint_embed,
     phase_generator,
     spin_frame,
+    spin_ladder,
     unitary_of_hermitian,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "propagator",
     "encoder",
     "encoding_generator",
+    "apply_encoding_generator",
     "circuit_unitary",
     "normalized_trace",
     "reversal_period",
@@ -182,23 +184,33 @@ def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndar
     return spectra
 
 
-def _frame_exp(vals: np.ndarray, vecs: np.ndarray | None, t: float) -> np.ndarray:
-    """exp(-i B t) for B = V diag(vals) V^T: V cos V^T - i V sin V^T for real V, diagonal if V is None."""
-    phase = vals * t
+def _frame_exp(vals: np.ndarray, vecs: np.ndarray | None, t) -> np.ndarray:
+    """exp(-i B t) for B = V diag(vals) V^T: V cos V^T - i V sin V^T for real V, diagonal if V is None.
+
+    ``t`` may be an array of times; the result has shape ``t.shape + (n, n)``.
+    """
+    phase = np.asarray(t)[..., None] * vals
     if vecs is None:
-        return np.diag(np.exp(-1j * phase))
-    return (vecs * np.cos(phase)) @ vecs.T - 1j * ((vecs * np.sin(phase)) @ vecs.T)
+        out = np.zeros(phase.shape + vals.shape, dtype=complex)
+        diag = np.arange(vals.size)
+        out[..., diag, diag] = np.exp(-1j * phase)
+        return out
+    cos, sin = np.cos(phase)[..., None, :], np.sin(phase)[..., None, :]
+    return (vecs * cos) @ vecs.T - 1j * ((vecs * sin) @ vecs.T)
 
 
-def propagator(params: ModelParams, dim: EnsembleDim, t: float) -> np.ndarray:
+def propagator(params: ModelParams, dim: EnsembleDim, t) -> np.ndarray:
     """exp(-i H t) as its two ancilla-sector blocks, shape (2, N+1, N+1).
 
     Block s acts on the probe in ancilla sector s = |e>, |g>; the adjoint is
-    ``u.conj().transpose(0, 2, 1)``.
+    ``u.conj().swapaxes(-1, -2)``.  An array of times gives the blocks of
+    every time, shape ``t.shape + (2, N+1, N+1)`` (for T times
+    (T, 2, N+1, N+1)), from one sector eigensolve.
     """
-    if not np.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ContractViolation("evolution time must be finite")
-    return np.stack([_frame_exp(vals, vecs, t) for vals, vecs in _sector_spectra(params, dim)])
+    return np.stack([_frame_exp(vals, vecs, t) for vals, vecs in _sector_spectra(params, dim)], axis=t.ndim)
 
 
 def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
@@ -210,9 +222,24 @@ def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
 
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """The probe rotation generator behind the encoder: J_x for ZZ, J_z for XZ."""
+    """The probe rotation generator behind the encoder: J_x for ZZ, J_z for XZ (dense reference)."""
     jx, _, jz = collective_ops(dim)
     return jx if params.kind == "zz" else jz
+
+
+def apply_encoding_generator(params: ModelParams, dim: EnsembleDim, x: np.ndarray) -> np.ndarray:
+    """G x for the encoding generator G, acting on the probe axis (-2) of x.
+
+    G is never formed: J_z is diagonal (m x), and J_x applies its two real
+    bands, half the ladder amplitudes of :func:`spin_ladder` each.
+    """
+    if params.kind == "xz":
+        return dim.m_values()[:, None] * x
+    band = (spin_ladder(dim) / 2.0)[:, None]
+    out = np.zeros_like(x)
+    out[..., 1:, :] = band * x[..., :-1, :]
+    out[..., :-1, :] += band * x[..., 1:, :]
+    return out
 
 
 def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
@@ -242,8 +269,8 @@ def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
     ``t`` may be a scalar or an array of times (the spectrum is solved once).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0):
-        raise ContractViolation("evolution times must be nonnegative")
+    if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
+        raise ContractViolation("evolution times must be finite and nonnegative")
     vals = _joint_eigenvalues(params, dim)
     traces = np.exp(-1j * np.outer(t_arr, vals)).sum(axis=1)
     out = np.abs(traces) / (2 * dim.dim)

@@ -25,15 +25,16 @@ from .circuit import (
     normalized_trace,
     optimal_generator,
     optimal_settings,
-    period_schedule,
     reversal_period,
 )
 from .fisher import (
     DeviationSpec,
     cfi,
+    cfi_grid,
     output_state_derivative,
     qfi_deviation,
     qfi_general,
+    qfi_grid,
     qfi_sld_oracle,
     qfi_thermal,
 )
@@ -142,21 +143,20 @@ def _period_for(params: ModelParams, n_spins: int) -> float:
     return reversal_period(params, EnsembleDim(n_spins), t_max=window).period
 
 
-def _schedule_for(params: ModelParams, dim: EnsembleDim, t1: float, mode: str) -> Schedule:
-    """Reversal schedule at step time t1: by construction or via a found period."""
+def _step_times(params: ModelParams, dim: EnsembleDim, t1s, mode: str) -> np.ndarray:
+    """First-step durations of the reversal schedules at step times t1s.
+
+    F_Q reads only the first step, so a period-mode schedule (second leg
+    T - t1 for a found period T) enters as t1 mod T.
+    """
+    t1s = np.asarray(t1s, dtype=float)
     if mode == "exact_conjugate":
-        return conjugate_schedule(t1, theta=0.0)
-    period = _period_for(params, dim.n_spins)
-    return period_schedule(t1 % period, theta=0.0, period=period)
+        return t1s
+    return t1s % _period_for(params, dim.n_spins)
 
 
 def _optimal_probe(params: ModelParams, dim: EnsembleDim) -> SpectralProbe:
     return polarized_probe(dim, optimal_generator(params, dim))
-
-
-def _qfi_at(params, dim, probe, theta0, t1, mode) -> float:
-    sched = _schedule_for(params, dim, t1, mode)
-    return qfi_general(probe, ancilla_state(theta0), params, sched).value
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +183,14 @@ def _run_trace_scan(cfg: SweepConfig):
 def _run_qfi_theta0(cfg: SweepConfig):
     n_values = cfg.grids["n_values"]
     theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
+    ancillas = [ancilla_state(theta0) for theta0 in theta0s]
+    t1 = optimal_settings(cfg.params).t1
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
-        t1 = optimal_settings(cfg.params).t1
-        probe = _optimal_probe(cfg.params, dim)
-        for theta0 in theta0s:
-            rows.append((n, theta0, _qfi_at(cfg.params, dim, probe, theta0, t1, cfg.mode)))
+        step = _step_times(cfg.params, dim, [t1], cfg.mode)
+        fq = qfi_grid(_optimal_probe(cfg.params, dim), ancillas, cfg.params, step)[:, 0]
+        rows.extend((n, theta0, value) for theta0, value in zip(theta0s, fq))
     summary = {
         "n_values": ";".join(str(n) for n in n_values),
         "theta0_points": theta0s.size,
@@ -201,14 +202,13 @@ def _run_qfi_theta0(cfg: SweepConfig):
 def _run_qfi_t1(cfg: SweepConfig):
     n_values = cfg.grids["n_values"]
     gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
+    anc = [ancilla_state(math.pi / 2)]
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
-        probe = _optimal_probe(cfg.params, dim)
-        for gt1 in gt1s:
-            rows.append(
-                (n, gt1, _qfi_at(cfg.params, dim, probe, math.pi / 2, gt1 / cfg.params.g, cfg.mode))
-            )
+        steps = _step_times(cfg.params, dim, gt1s / cfg.params.g, cfg.mode)
+        fq = qfi_grid(_optimal_probe(cfg.params, dim), anc, cfg.params, steps)[0]
+        rows.extend((n, gt1, value) for gt1, value in zip(gt1s, fq))
     summary = {
         "n_values": ";".join(str(n) for n in n_values),
         "gt1_points": gt1s.size,
@@ -222,12 +222,14 @@ def _run_qfi_heatmap(cfg: SweepConfig):
     dim = EnsembleDim(n)
     theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
     gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
-    probe = _optimal_probe(cfg.params, dim)
-    rows = []
-    for theta0 in theta0s:
-        for gt1 in gt1s:
-            value = _qfi_at(cfg.params, dim, probe, theta0, gt1 / cfg.params.g, cfg.mode)
-            rows.append((theta0, gt1, value / n**2))
+    ancillas = [ancilla_state(theta0) for theta0 in theta0s]
+    steps = _step_times(cfg.params, dim, gt1s / cfg.params.g, cfg.mode)
+    fq = qfi_grid(_optimal_probe(cfg.params, dim), ancillas, cfg.params, steps)
+    rows = [
+        (theta0, gt1, value / n**2)
+        for theta0, fq_row in zip(theta0s, fq)
+        for gt1, value in zip(gt1s, fq_row)
+    ]
     best = _argmax_row(rows, 2)
     summary = {
         "n": n,
@@ -255,14 +257,16 @@ def _run_qfi_scaling(cfg: SweepConfig):
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
-        probe = _optimal_probe(cfg.params, dim)
         gen = optimal_generator(cfg.params, dim)
-        for label, theta0, t1_over_period in _SCALING_POINTS:
-            t1 = t1_over_period * math.pi / cfg.params.g
-            rows.append((n, label, _qfi_at(cfg.params, dim, probe, theta0, t1, cfg.mode)))
-        thermal = thermal_probe(dim, gen, beta)
-        t1_opt = optimal_settings(cfg.params).t1
-        rows.append((n, "D", _qfi_at(cfg.params, dim, thermal, math.pi / 2, t1_opt, cfg.mode)))
+        probe = polarized_probe(dim, gen)
+        cells = [
+            (label, probe, theta0, t1_over_period * math.pi / cfg.params.g)
+            for label, theta0, t1_over_period in _SCALING_POINTS
+        ]
+        cells.append(("D", thermal_probe(dim, gen, beta), math.pi / 2, optimal_settings(cfg.params).t1))
+        for label, cell_probe, theta0, t1 in cells:
+            step = _step_times(cfg.params, dim, [t1], cfg.mode)
+            rows.append((n, label, qfi_grid(cell_probe, [ancilla_state(theta0)], cfg.params, step)[0, 0]))
         exact, large_n = qfi_thermal(dim, beta)
         rows.append((n, "D_exact", exact.value))
         rows.append((n, "D_largeN", large_n.value))
@@ -284,12 +288,13 @@ def _run_cfi_map(cfg: SweepConfig):
     gen = optimal_generator(cfg.params, dim)
     probe = polarized_probe(dim, gen)
     anc = ancilla_state(math.pi / 2)
-    rows = []
-    for gt1 in gt1s:
-        for gt2 in gt2s:
-            sched = Schedule(t1=gt1 / cfg.params.g, t2=gt2 / cfg.params.g, theta=0.0, mode="period")
-            value = cfi(probe, anc, cfg.params, sched, generator=gen, theta_eval=theta_eval).value
-            rows.append((gt1, gt2, value / n**2))
+    t1s, t2s = gt1s[:, None] / cfg.params.g, gt2s / cfg.params.g
+    fc = cfi_grid(probe, anc, cfg.params, t1s, t2s, "period", generator=gen, theta_eval=theta_eval)
+    rows = [
+        (gt1, gt2, value / n**2)
+        for gt1, fc_row in zip(gt1s, fc)
+        for gt2, value in zip(gt2s, fc_row)
+    ]
     best = _argmax_row(rows, 2)
     summary = {
         "n": n,
@@ -413,7 +418,7 @@ class Scenario:
 
 
 _FIGURE_SIZES = tuple(range(2, 21))
-# The F_Q sweeps build their schedules with _schedule_for, which reads the mode.
+# The F_Q sweeps map their step times with _step_times, which reads the mode.
 _BOTH_MODES = ("exact_conjugate", "period")
 
 SCENARIOS = {

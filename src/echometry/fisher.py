@@ -15,7 +15,10 @@ over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
 dephased ancilla alike.  The sum and the classical readout work on
 sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
 probe index; input column), so every operator is an (N+1)-dimensional
-probe block.  An independent cross-check, :func:`qfi_sld_oracle`, computes
+probe block.  The grid kernels :func:`qfi_grid` and :func:`cfi_grid`
+evaluate one probe over whole axes of ancillas and step times in one
+broadcast; :func:`qfi_general` and :func:`cfi` are their one-cell calls.
+An independent cross-check, :func:`qfi_sld_oracle`, computes
 the same quantity from the symmetric logarithmic derivative of the output
 density matrix and an analytically supplied d rho / d theta
 (:func:`output_state_derivative`), built from the dense joint Hamiltonian and
@@ -26,13 +29,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
     ModelParams,
     Schedule,
+    apply_encoding_generator,
     circuit_unitary,
     encoder,
     encoding_generator,
@@ -61,17 +65,38 @@ __all__ = [
     "output_state",
     "output_state_derivative",
     "qfi_general",
+    "qfi_grid",
     "qfi_simplified",
     "qfi_sld_oracle",
     "qfi_thermal",
     "qfi_deviation",
     "measurement_probs",
     "cfi",
+    "cfi_grid",
 ]
 
 # Measurement rows with probability below EPS_PROB *and* derivative below
-# sqrt(EPS_PROB) carry no information and are dropped from the CFI sum.
+# sqrt(EPS_PROB) are readout nodes: their term dp^2 / p is replaced by its
+# limit at p -> 0 (see :func:`cfi_grid`).
 EPS_PROB = 1e-12
+
+# Complex entries that one slice of a grid kernel's stacked blocks (propagators
+# and state columns) may hold, 0.5 MB: the kernels walk their time axis in
+# slices of at most this size, and at least one time each.  The temporaries
+# of a slice take a few times as much again.
+_SLICE_ENTRIES = 2**15
+
+
+def _checked(values) -> np.ndarray:
+    """Fisher values under the :class:`FisherResult` contract, cell by cell.
+
+    A NaN or a value below -1e-9 raises; small negatives (rounding) clamp to 0.
+    """
+    values = np.asarray(values, dtype=float)
+    bad = np.isnan(values) | (values < -1e-9)
+    if np.any(bad):
+        raise ContractViolation(f"Fisher information came out as {float(values[bad][0])!r}")
+    return np.maximum(values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -82,9 +107,7 @@ class FisherResult:
     method: str
 
     def __post_init__(self) -> None:
-        if math.isnan(self.value) or self.value < -1e-9:
-            raise ContractViolation(f"Fisher information came out as {self.value!r}")
-        object.__setattr__(self, "value", max(float(self.value), 0.0))
+        object.__setattr__(self, "value", float(_checked(self.value)))
 
 
 @dataclass(frozen=True)
@@ -167,19 +190,76 @@ def _input_spectrum(probe: SpectralProbe, ancilla: AncillaState) -> tuple[np.nda
     return w[keep], psi[..., keep]
 
 
-def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> float:
+def _times(t) -> np.ndarray:
+    """Step durations as a float array; each must be finite and nonnegative."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+        raise ContractViolation("step durations must be finite and nonnegative")
+    return t
+
+
+def _slices(count: int, entries_per_time: int):
+    """Consecutive slices of a time axis, each within the ``_SLICE_ENTRIES`` budget."""
+    step = max(1, _SLICE_ENTRIES // entries_per_time)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> np.ndarray:
     """The two-term spectral sum over input eigenpairs (w_k, psi_k), given H psi_k.
 
     F_Q = 4 sum_k w_k ||H psi_k||^2 - sum_kl 8 w_k w_l / (w_k + w_l) |<psi_k|H|psi_l>|^2
     for a Hermitian generator H (Liu et al., J. Phys. A 53, 023001, 2020).
+    The columns have shape (..., D, k); the sum is taken per leading index.
     A difference within 1e-12 of term 1 is rounding noise of the two sums
     (it grows like ||H||^2 eps) and is returned as exactly 0.
     """
-    term1 = 4.0 * float(np.sum(weights * np.einsum("ik,ik->k", h_columns.conj(), h_columns).real))
-    overlaps = columns.conj().T @ h_columns
+    term1 = 4.0 * np.sum(weights * np.einsum("...ik,...ik->...k", h_columns.conj(), h_columns).real, axis=-1)
+    overlaps = np.swapaxes(columns.conj(), -1, -2) @ h_columns
     coef = 8.0 * np.outer(weights, weights) / (weights[:, None] + weights[None, :])
-    value = term1 - float(np.sum(coef * np.abs(overlaps) ** 2))
-    return 0.0 if abs(value) <= 1e-12 * term1 else value
+    value = term1 - np.sum(coef * np.abs(overlaps) ** 2, axis=(-2, -1))
+    return np.where(np.abs(value) <= 1e-12 * term1, 0.0, value)
+
+
+def _qfi_columns(
+    weights: np.ndarray, psi: np.ndarray, params: ModelParams, dim: EnsembleDim, t1s: np.ndarray
+) -> np.ndarray:
+    """Two-term sums of H_eff = U(t1)^dagger G U(t1) for stacked input columns.
+
+    ``psi`` has shape (A, 2, N+1, k), A input spectra sharing the weights;
+    the result has shape (A, T) over the T step times.
+    """
+    n_anc, n_cols = psi.shape[0], weights.size
+    columns = psi.reshape(n_anc, 1, -1, n_cols)
+    out = np.empty((n_anc, t1s.size))
+    for sl in _slices(t1s.size, 2 * dim.dim * (dim.dim + n_anc * n_cols)):
+        u1 = propagator(params, dim, t1s[sl])
+        h_psi = u1.conj().swapaxes(-1, -2) @ apply_encoding_generator(params, dim, u1 @ psi[:, None])
+        out[:, sl] = _two_term_sum(weights, columns, h_psi.reshape(n_anc, -1, 2 * dim.dim, n_cols))
+    return out
+
+
+def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.ndarray:
+    """Quantum Fisher information of one probe over ancillas x first-step times.
+
+    Returns shape (len(ancillas), len(t1s)); cell (a, t) is
+    ``qfi_general`` for ancilla a at step time t1s[t].  Pure ancillas share
+    the probe's weights, so their input columns are stacked into one
+    broadcast; a dephased ancilla has its own input spectrum and is
+    evaluated on its own.  Each cell obeys the :class:`FisherResult`
+    contract.
+    """
+    t1s = _times(t1s)
+    if t1s.ndim != 1:
+        raise ContractViolation("step times must be a 1-D array")
+    dim = probe.dim
+    out = np.empty((len(ancillas), t1s.size))
+    pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
+    groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
+    for rows in groups:
+        spectra = [_input_spectrum(probe, ancillas[a]) for a in rows]
+        psi = np.stack([columns for _, columns in spectra])
+        out[rows] = _qfi_columns(spectra[0][0], psi, params, dim, t1s)
+    return _checked(out)
 
 
 def qfi_general(
@@ -189,14 +269,10 @@ def qfi_general(
 
     Evaluates the two-term spectral sum of H_eff = U(t1)^dagger G U(t1) over
     the joint input spectrum (see :func:`_input_spectrum`), so a pure and a
-    dephased ancilla take the same path.  The result is exactly independent
-    of theta and of the second circuit leg.
+    dephased ancilla take the same path; one cell of :func:`qfi_grid`.  The
+    result is exactly independent of theta and of the second circuit leg.
     """
-    dim = probe.dim
-    w, psi = _input_spectrum(probe, ancilla)
-    u1 = propagator(params, dim, sched.t1)
-    h_psi = u1.conj().transpose(0, 2, 1) @ (encoding_generator(params, dim) @ (u1 @ psi))
-    value = _two_term_sum(w, psi.reshape(-1, w.size), h_psi.reshape(-1, w.size))
+    value = qfi_grid(probe, [ancilla], params, [sched.t1])[0, 0]
     return FisherResult(value=value, method="general")
 
 
@@ -294,42 +370,52 @@ def _readout_basis(basis: str, generator: PhaseGenerator | None) -> tuple[np.nda
 def _readout_amplitudes(states: np.ndarray, vecs: np.ndarray | None) -> np.ndarray:
     """Amplitudes of each readout outcome for the sector-major state columns x_k.
 
-    Shape (rank, outcomes, k).  A full-system projector has rank 1, and its
-    outcomes run over (m, branch) in label order; an ancilla-only projector
-    has rank N+1 (one amplitude per probe basis state) and two outcomes.
+    States have shape (..., 2, N+1, k); amplitudes (..., rank, outcomes, k).
+    A full-system projector has rank 1, and its outcomes run over
+    (m, branch) in label order; an ancilla-only projector has rank N+1 (one
+    amplitude per probe basis state) and two outcomes.
     """
     rotated = states if vecs is None else vecs.conj().T @ states
-    amp = np.einsum("sb,sik->ibk", _PLUS_MINUS.conj(), rotated)
-    return amp if vecs is None else amp.reshape(1, -1, amp.shape[-1])
+    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS.conj(), rotated)
+    return amp if vecs is None else amp.reshape(*amp.shape[:-3], 1, -1, amp.shape[-1])
 
 
 def _readout_probs(
     probe: SpectralProbe,
     ancilla: AncillaState,
     params: ModelParams,
-    sched: Schedule,
+    t1s: np.ndarray,
+    t2s: np.ndarray,
+    mode: str,
+    theta: float,
     vecs: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities p and their theta-derivatives dp, from output amplitudes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome probabilities p, their theta-derivatives dp and node limits, from output amplitudes.
 
+    For P step-time pairs (t1s, t2s, 1-D) each result has shape (P, outcomes).
     Each input eigenpair (w_k, psi_k) is carried through the circuit as
     chi_k = R(theta) U(t1) psi_k, phi_k = U(t2-leg) chi_k and
     d phi_k = U(t2-leg) (-i G) chi_k, sector by sector; then
-    p = sum_k w_k |<c|phi_k>|^2 and dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>).
-    No density matrix is formed.
+    p = sum_k w_k |<c|phi_k>|^2, dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and
+    the node limit of dp^2 / p is 4 sum_k w_k |<c|d phi_k>|^2.  The second leg
+    is U(t1)^dagger in ``exact_conjugate`` mode and U(t2) otherwise.  No
+    density matrix is formed.
     """
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
-    u1 = propagator(params, dim, sched.t1)
-    u2 = (
-        u1.conj().transpose(0, 2, 1) if sched.mode == "exact_conjugate" else propagator(params, dim, sched.t2)
-    )
-    chi = encoder(params.kind, sched.theta, dim) @ (u1 @ psi)
-    amp = _readout_amplitudes(u2 @ chi, vecs)
-    damp = _readout_amplitudes(u2 @ (-1j * (encoding_generator(params, dim) @ chi)), vecs)
-    p = np.einsum("ick,k->c", np.abs(amp) ** 2, w)
-    dp = 2.0 * np.einsum("ick,k->c", (amp.conj() * damp).real, w)
-    return p, dp
+    rotation = encoder(params.kind, theta, dim)
+    results = []
+    for sl in _slices(t1s.size, 2 * dim.dim * (2 * dim.dim + 3 * w.size)):
+        u1 = propagator(params, dim, t1s[sl])
+        u2 = u1.conj().swapaxes(-1, -2) if mode == "exact_conjugate" else propagator(params, dim, t2s[sl])
+        chi = rotation @ (u1 @ psi)
+        amp = _readout_amplitudes(u2 @ chi, vecs)
+        damp = _readout_amplitudes(u2 @ (-1j * apply_encoding_generator(params, dim, chi)), vecs)
+        p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
+        dp = 2.0 * np.einsum("...ick,k->...c", (amp.conj() * damp).real, w)
+        node = 4.0 * np.einsum("...ick,k->...c", np.abs(damp) ** 2, w)
+        results.append((p, dp, node))
+    return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
 def measurement_probs(
@@ -347,9 +433,45 @@ def measurement_probs(
     on |+/->.
     """
     vecs, labels = _readout_basis(basis, generator)
-    probs, _ = _readout_probs(probe, ancilla, params, sched, vecs)
+    t1s, t2s = _times([sched.t1]), _times([sched.t2])
+    probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, vecs)[0][0]
     rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
     return ProbabilityTable(rows=rows)
+
+
+def cfi_grid(
+    probe: SpectralProbe,
+    ancilla: AncillaState,
+    params: ModelParams,
+    t1s,
+    t2s,
+    mode: str,
+    generator: PhaseGenerator | None = None,
+    theta_eval: float = 0.2,
+    basis: str = "full_system",
+) -> np.ndarray:
+    """Classical Fisher information of the projective readout over (t1, t2) pairs.
+
+    ``t1s`` and ``t2s`` broadcast against each other, and the result has
+    their broadcast shape; cell by cell it is :func:`cfi` of the schedule
+    (t1, t2, ``mode``).  In ``exact_conjugate`` mode the second leg is
+    U(t1)^dagger and t2 is not used.  The readout basis is fixed by
+    ``generator`` (default: the optimized generator for ``params``) and does
+    not follow the schedule.  A readout node (p below ``EPS_PROB`` and |dp|
+    below its square root) contributes the limit 4 sum_k w_k |d a_k|^2 of
+    dp^2 / p, from the output amplitudes' derivatives d a_k, instead of a
+    ratio of two rounding-level numbers.
+    """
+    if mode not in ("period", "exact_conjugate"):
+        raise ContractViolation(f"unknown reversal mode {mode!r}")
+    t1s, t2s = np.broadcast_arrays(_times(t1s), _times(t2s))
+    if generator is None:
+        generator = optimal_generator(params, probe.dim)
+    vecs, _ = _readout_basis(basis, generator)
+    p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, vecs)
+    at_node = (p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB))
+    terms = np.where(at_node, node, dp**2 / np.where(at_node, 1.0, p))
+    return _checked(terms.sum(axis=-1)).reshape(t1s.shape)
 
 
 def cfi(
@@ -367,12 +489,7 @@ def cfi(
     generator for ``params``) and does not follow the schedule, so arbitrary
     (t1, t2) pairs can be scanned against the same measurement.  The
     derivative of each outcome probability is exact, from the output
-    amplitudes.
+    amplitudes; one cell of :func:`cfi_grid`.
     """
-    if generator is None:
-        generator = optimal_generator(params, probe.dim)
-    vecs, _ = _readout_basis(basis, generator)
-    p, dp = _readout_probs(probe, ancilla, params, replace(sched, theta=theta_eval), vecs)
-    keep = ~((p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB)))
-    value = float(np.sum(dp[keep] ** 2 / p[keep]))
+    value = cfi_grid(probe, ancilla, params, sched.t1, sched.t2, sched.mode, generator, theta_eval, basis)
     return FisherResult(value=value, method="cfi_analytic")

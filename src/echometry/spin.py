@@ -39,6 +39,7 @@ __all__ = [
     "KET_E",
     "KET_G",
     "collective_ops",
+    "spin_ladder",
     "phase_generator",
     "spin_frame",
     "unitary_of_hermitian",
@@ -86,6 +87,16 @@ class EnsembleDim:
         return np.arange(self.dim) - self.j
 
 
+def spin_ladder(dim: EnsembleDim) -> np.ndarray:
+    """Ladder amplitudes sqrt(j(j+1) - m(m+1)) of J_+ |j,m> for m = -j, ..., j-1.
+
+    The one band of J_+; J_x = (J_+ + J_-)/2 is the real tridiagonal matrix
+    with this band halved on both off-diagonals.
+    """
+    m = dim.m_values()[:-1]
+    return np.sqrt(dim.j * (dim.j + 1) - m * (m + 1))
+
+
 def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collective spin matrices (J_x, J_y, J_z) on the symmetric subspace.
 
@@ -93,10 +104,8 @@ def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray
     in the ascending-m basis; all three are Hermitian and satisfy the su(2)
     algebra and the Casimir identity to near machine precision.
     """
-    j = dim.j
-    m = dim.m_values()
-    jz = np.diag(m.astype(complex))
-    amp = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    jz = np.diag(dim.m_values().astype(complex))
+    amp = spin_ladder(dim)
     jp = np.zeros((dim.dim, dim.dim), dtype=complex)
     jp[np.arange(1, dim.dim), np.arange(dim.dim - 1)] = amp
     jx = (jp + jp.conj().T) / 2.0
@@ -116,8 +125,7 @@ def spin_frame(dim: EnsembleDim, axis) -> tuple[np.ndarray, np.ndarray]:
     nx, ny, nz = (float(a) for a in axis)
     m = dim.m_values()
     r = math.hypot(nx, ny) if ny != 0.0 else nx
-    ladder = np.sqrt(dim.j * (dim.j + 1) - m[:-1] * (m[:-1] + 1))
-    _, vecs = eigh_tridiagonal(nz * m, r * ladder / 2.0)
+    _, vecs = eigh_tridiagonal(nz * m, r * spin_ladder(dim) / 2.0)
     mag = np.abs(vecs)
     pivot = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
     vecs = vecs * np.sign(vecs[pivot, np.arange(dim.dim)])

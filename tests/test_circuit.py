@@ -8,6 +8,7 @@ from echometry.circuit import (
     PeriodNotFound,
     Schedule,
     _scan_period,
+    apply_encoding_generator,
     bch_coefficients,
     circuit_unitary,
     closed_form_unitary,
@@ -116,6 +117,38 @@ def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g,
     assert np.max(np.abs(sectors - dense)) <= 1e-12 * max(1.0, n * abs(t))
 
 
+@pytest.mark.parametrize("kind", ["zz", "xz"])
+def test_propagator_on_an_array_stacks_the_scalar_calls(kind):
+    params = ModelParams(omega_p=1.3, omega_a=0.7, g=1.1, kind=kind)
+    dim = EnsembleDim(7)
+    ts = np.array([0.0, 0.4, 2.5, 11.0, -0.3])
+    stacked = propagator(params, dim, ts)
+    assert stacked.shape == (ts.size, 2, dim.dim, dim.dim)
+    for block, t in zip(stacked, ts):
+        np.testing.assert_array_equal(block, propagator(params, dim, t))
+    assert propagator(params, dim, ts[:0]).shape == (0, 2, dim.dim, dim.dim)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagator_rejects_non_finite_times(bad):
+    dim = EnsembleDim(3)
+    for t in (bad, np.array([0.1, bad, 0.2])):
+        with pytest.raises(ContractViolation):
+            propagator(ZZ, dim, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), kind=st.sampled_from(["zz", "xz"]), seed=st.integers(0, 2**32 - 1))
+def test_banded_encoding_generator_matches_dense(n, kind, seed):
+    params = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind=kind)
+    dim = EnsembleDim(n)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 2, dim.dim, 2)) + 1j * rng.normal(size=(3, 2, dim.dim, 2))
+    dense = encoding_generator(params, dim) @ x
+    banded = apply_encoding_generator(params, dim, x)
+    assert np.max(np.abs(banded - dense)) <= 1e-15 * n * np.max(np.abs(x))
+
+
 @settings(max_examples=80, deadline=None)
 @given(**sector_cases)
 def test_normalized_trace_matches_dense_spectrum(n, kind, omega_p, omega_a, g, t):
@@ -200,6 +233,12 @@ def test_normalized_trace_is_one_at_zero_and_bounded():
     ts = np.linspace(0.0, 12.0, 400)
     f = normalized_trace(ZZ, dim, ts)
     assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("t", [np.inf, np.nan, np.array([1.0, np.inf]), -1.0])
+def test_normalized_trace_rejects_bad_times(t):
+    with pytest.raises(ContractViolation, match="finite and nonnegative"):
+        normalized_trace(ZZ, EnsembleDim(3), t)
 
 
 def test_reversal_period_even_probe():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +92,25 @@ def test_missing_period_is_numerical_error(tmp_path, capsys):
     )
     assert code == EXIT_NUMERICAL
     assert "contract" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_trace_scan_without_coupling_is_numerical_error(tmp_path, capsys):
+    # the scan's times are gT / g: with g = 0 they are infinite, not a NaN trace
+    code = main(["trace-scan", "--g", "0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "echometry", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "trace-scan" in proc.stdout
 
 
 def test_validate_command(capsys):

@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 
 import echometry
-from echometry.circuit import ModelParams
+from echometry.circuit import (
+    ModelParams,
+    Schedule,
+    conjugate_schedule,
+    optimal_generator,
+    optimal_settings,
+    period_schedule,
+    reversal_period,
+)
+from echometry.fisher import cfi, qfi_general
+from echometry.spin import EnsembleDim
+from echometry.states import ancilla_state, polarized_probe
 from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
 
@@ -204,6 +215,61 @@ def test_period_mode_scenario_matches_conjugate(tmp_path):
     for (_, _, fa), (_, _, fb) in zip(rows_a, rows_b):
         assert abs(float(fa) - float(fb)) <= 1e-8
     assert conj["rows"] == per["rows"]
+
+
+def per_cell_rows(scenario, grids, mode):
+    """A scenario's CSV rows from one qfi_general / cfi call per cell, in grid order."""
+
+    def probe_and_gen(n):
+        dim = EnsembleDim(n)
+        gen = optimal_generator(ZZ, dim)
+        return dim, polarized_probe(dim, gen), gen
+
+    def fq(n, theta0, t1):
+        dim, probe, _ = probe_and_gen(n)
+        if mode == "exact_conjugate":
+            sched = conjugate_schedule(t1, 0.0)
+        else:
+            period = reversal_period(ZZ, dim, t_max=64 * math.pi).period
+            sched = period_schedule(t1 % period, 0.0, period)
+        return qfi_general(probe, ancilla_state(theta0), ZZ, sched).value
+
+    theta0s = np.linspace(0.0, math.pi, grids.get("theta0_points", 1))
+    gt1s = np.linspace(0.0, grids.get("gt1_max", math.pi), grids.get("gt1_points", 1))
+    if scenario == "qfi_theta0":
+        t1 = optimal_settings(ZZ).t1
+        return [(n, th, fq(n, th, t1)) for n in grids["n_values"] for th in theta0s]
+    if scenario == "qfi_t1":
+        return [(n, gt1, fq(n, math.pi / 2, gt1)) for n in grids["n_values"] for gt1 in gt1s]
+    n = grids["n"]
+    if scenario == "qfi_heatmap":
+        return [(th, gt1, fq(n, th, gt1) / n**2) for th in theta0s for gt1 in gt1s]
+    _, probe, gen = probe_and_gen(n)
+    gt1s = np.linspace(0.0, grids["gt_max"], grids["gt1_points"])
+    gt2s = np.linspace(0.0, grids["gt_max"], grids["gt2_points"])
+    return [
+        (gt1, gt2, cfi(probe, ancilla_state(math.pi / 2), ZZ, Schedule(gt1, gt2, 0.0, "period"), gen).value / n**2)
+        for gt1 in gt1s
+        for gt2 in gt2s
+    ]
+
+
+@pytest.mark.parametrize(
+    "scenario, grids, mode",
+    [
+        ("qfi_theta0", {"n_values": [2, 5], "theta0_points": 3}, "exact_conjugate"),
+        ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "exact_conjugate"),
+        ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "period"),
+        ("qfi_heatmap", {"n": 3, "theta0_points": 3, "gt1_points": 5}, "exact_conjugate"),
+        ("cfi_map", {"n": 3, "gt1_points": 3, "gt2_points": 5, "gt_max": 6.0}, "exact_conjugate"),
+    ],
+)
+def test_grid_runners_match_a_per_cell_loop_in_grid_order(tmp_path, scenario, grids, mode):
+    # non-square grids: a transposed or reordered axis changes the rows
+    run_scenario(make_config(scenario, tmp_path, grids, mode=mode))
+    _, rows = read_rows(tmp_path / f"{scenario}.csv")
+    expected = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in per_cell_rows(scenario, grids, mode)]
+    assert rows == expected
 
 
 def test_summary_file_is_flat_key_value(tmp_path):

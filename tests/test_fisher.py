@@ -23,11 +23,13 @@ from echometry.fisher import (
     DeviationSpec,
     ProbabilityTable,
     cfi,
+    cfi_grid,
     measurement_probs,
     output_state,
     output_state_derivative,
     qfi_deviation,
     qfi_general,
+    qfi_grid,
     qfi_sld_oracle,
     qfi_simplified,
     qfi_thermal,
@@ -583,6 +585,194 @@ def test_amplitude_cfi_matches_density_route(
     value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval, basis=basis).value
     reference = density_route_cfi(probe, anc, params, sched, gen, theta_eval, "analytic", basis)
     assert abs(value - reference) <= 1e-10 * max(1.0, reference)
+
+
+# ---------------------------------------------------------------------------
+# readout nodes
+
+
+@pytest.mark.parametrize("theta_eval", [0.0, np.pi, 1e-9])
+@pytest.mark.parametrize("n", [5, 60])
+@pytest.mark.parametrize("params", [ZZ, ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")])
+def test_cfi_at_readout_nodes_keeps_the_full_information(params, n, theta_eval):
+    # at theta = 0 (and pi for odd N) one branch of the top readout row has
+    # p = dp = 0; it carries the whole information through its limit 4 |d a|^2
+    dim, gen, probe, anc, _ = optimal_setup(n, params)
+    sched = conjugate_schedule(optimal_settings(params).t1, theta=0.0)
+    value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval).value
+    assert abs(value - n * n) <= 1e-12 * n * n
+
+
+# F_c of cell gt1 = 2 (2 pi / 64), gt2 = 30 (2 pi / 64) of the default ZZ
+# readout map (N = 5, theta_eval = 0.2), from the 50-digit evaluation in
+# test_map_cell_reference_from_high_precision below.
+MAP_CELL_FC = 1.8878967972283329
+
+
+def map_cell_schedule():
+    gts = np.linspace(0.0, 2 * np.pi, 65)
+    return Schedule(t1=gts[2], t2=gts[30], theta=0.0, mode="period")
+
+
+def test_cfi_map_cell_matches_high_precision_reference():
+    # its two smallest outcomes have p ~ 7e-13, which the plain ratio
+    # drops, although they carry 3.8e-9 of the information
+    dim = EnsembleDim(5)
+    gen = optimal_generator(ZZ, dim)
+    probe = polarized_probe(dim, gen)
+    value = cfi(probe, ancilla_state(np.pi / 2), ZZ, map_cell_schedule(), generator=gen, theta_eval=0.2).value
+    assert abs(value - MAP_CELL_FC) <= 1e-12 * MAP_CELL_FC
+
+
+def test_map_cell_reference_from_high_precision():
+    """MAP_CELL_FC in 50-digit arithmetic, sharing no code with the package.
+
+    Polarized probe along the optimal generator J(-pi) = -J_x (its top
+    eigenvector is the J_x eigenvector of eigenvalue -j), ancilla at
+    theta0 = pi/2, readout on the J_x eigenvectors times |+/->, and
+    F_c = sum_c (2 Re(a_c^* da_c))^2 / |a_c|^2 over the output amplitudes
+    a_c and their exact theta-derivatives; no outcome is dropped or replaced.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    sched = map_cell_schedule()
+    n, omega_p, omega_a, g, theta = 5, 3, 3, 1, mpmath.mpf(0.2)
+    with mp.workdps(50):
+        j = mp.mpf(n) / 2
+        m = [mp.mpf(k) - j for k in range(n + 1)]
+        jx = mp.matrix(n + 1, n + 1)
+        for k in range(n):
+            jx[k + 1, k] = jx[k, k + 1] = mp.sqrt(j * (j + 1) - m[k] * (m[k] + 1)) / 2
+        vals, vecs = mp.eigsy(jx)
+        rotation = vecs * mp.diag([mp.exp(-1j * theta * v) for v in vals]) * vecs.T
+        probe = vecs[:, 0]
+        legs = {}
+        for s in (1, -1):
+            def leg(t):
+                return mp.diag([mp.exp(-1j * mp.mpf(t) * ((omega_p + s * g) * mk + s * omega_a)) for mk in m])
+
+            chi = rotation * leg(sched.t1) * probe * mp.sqrt(mp.mpf(1) / 2)
+            legs[s] = (leg(sched.t2) * chi, leg(sched.t2) * (-1j * (jx * chi)))
+        total = mp.mpf(0)
+        for col in range(n + 1):
+            v = vecs[:, col]
+            for sign in (1, -1):
+                a, da = (
+                    sum(v[i] * (legs[1][part][i] + sign * legs[-1][part][i]) for i in range(n + 1)) / mp.sqrt(2)
+                    for part in (0, 1)
+                )
+                total += (2 * mp.re(mp.conj(a) * da)) ** 2 / abs(a) ** 2
+        assert abs(total - mp.mpf(MAP_CELL_FC)) <= mp.mpf("1e-15")
+
+
+# ---------------------------------------------------------------------------
+# grid kernels
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    kind=st.sampled_from(["zz", "xz"]),
+    seed=st.integers(0, 2**32 - 1),
+    xs=st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0]), min_size=1, max_size=4),
+    t1s=st.lists(st.floats(0.0, 2 * np.pi), min_size=0, max_size=4),
+    t2=st.floats(0.0, 2 * np.pi),
+    sched_mode=st.sampled_from(["exact_conjugate", "period"]),
+    basis=st.sampled_from(["full_system", "ancilla_only"]),
+)
+def test_grid_kernels_match_the_dense_references(n, kind, seed, xs, t1s, t2, sched_mode, basis):
+    params = ModelParams(omega_p=3.0, omega_a=2.0, g=1.0, kind=kind)
+    dim = EnsembleDim(n)
+    rng = np.random.default_rng(seed)
+    probe = random_probe(dim, rng, max_rank=min(3, dim.dim))
+    ancillas = [dephase_ancilla(ancilla_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)), x) for x in xs]
+    times = np.array([0.0, *t1s])
+    grid = qfi_grid(probe, ancillas, params, times)
+    assert grid.shape == (len(ancillas), times.size)
+    for anc, row in zip(ancillas, grid):
+        for t1, value in zip(times, row):
+            rho, drho = output_state_derivative(probe, anc, params, conjugate_schedule(t1, 0.3))
+            oracle = qfi_sld_oracle(rho, drho).value
+            assert abs(value - oracle) <= 1e-8 * max(1.0, oracle)
+    gen = optimal_generator(params, dim)
+    t2s = times[::-1] + t2
+    fc = cfi_grid(probe, ancillas[0], params, times, t2s, sched_mode, generator=gen, theta_eval=0.4, basis=basis)
+    assert fc.shape == times.shape
+    for t1, t2_cell, value in zip(times, t2s, fc):
+        sched = Schedule(t1=t1, t2=t1 if sched_mode == "exact_conjugate" else t2_cell, theta=0.0, mode=sched_mode)
+        reference = density_route_cfi(probe, ancillas[0], params, sched, gen, 0.4, "analytic", basis)
+        assert abs(value - reference) <= 1e-10 * max(1.0, reference)
+
+
+def test_cfi_grid_broadcasts_step_times():
+    dim, gen, probe, anc, _ = optimal_setup(4)
+    t1s, t2s = np.array([0.0, 0.7, 1.9]), np.array([0.2, 1.5])
+    grid = cfi_grid(probe, anc, ZZ, t1s[:, None], t2s, "period", generator=gen)
+    assert grid.shape == (3, 2)
+    for (i, k), value in np.ndenumerate(grid):
+        sched = Schedule(t1=t1s[i], t2=t2s[k], theta=0.0, mode="period")
+        assert value == cfi(probe, anc, ZZ, sched, generator=gen).value
+    # exact_conjugate ignores t2: the second leg is U(t1)^dagger
+    conj = cfi_grid(probe, anc, ZZ, t1s, 5.0, "exact_conjugate", generator=gen)
+    assert conj.shape == (3,)
+    np.testing.assert_array_equal(conj, [cfi(probe, anc, ZZ, conjugate_schedule(t, 0.0), gen).value for t in t1s])
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+def test_grid_kernels_reject_bad_times(bad):
+    dim, gen, probe, anc, _ = optimal_setup(3)
+    with pytest.raises(ContractViolation, match="step durations"):
+        qfi_grid(probe, [anc], ZZ, [0.1, bad])
+    with pytest.raises(ContractViolation, match="step durations"):
+        cfi_grid(probe, anc, ZZ, [0.1, 0.2], [0.3, bad], "period", generator=gen)
+    with pytest.raises(ContractViolation, match="reversal mode"):
+        cfi_grid(probe, anc, ZZ, 0.1, 0.2, "forward", generator=gen)
+
+
+def test_qfi_grid_checks_every_cell(monkeypatch):
+    dim, _, probe, anc, _ = optimal_setup(3)
+    cells = np.array([[1.0, -1e-12, 2.0]])
+    monkeypatch.setattr(echometry.fisher, "_qfi_columns", lambda *args: cells.copy())
+    np.testing.assert_array_equal(qfi_grid(probe, [anc], ZZ, [0.1, 0.2, 0.3]), [[1.0, 0.0, 2.0]])
+    for bad in (-1e-6, np.nan):
+        cells[0, 1] = bad
+        with pytest.raises(ContractViolation, match="Fisher information came out as"):
+            qfi_grid(probe, [anc], ZZ, [0.1, 0.2, 0.3])
+
+
+def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
+    # at N = 300 one time's sector blocks (2 (N+1)^2 entries) already exceed
+    # the budget, so every slice holds a single time, as a per-cell loop would
+    n = 300
+    dim, gen, probe, anc, _ = optimal_setup(n)
+    assert 2 * dim.dim**2 > echometry.fisher._SLICE_ENTRIES
+    thermal = thermal_probe(dim, gen, 1.0)
+    ancillas = [anc, dephase_ancilla(anc, 0.4), ancilla_state(0.7)]
+    t1s = np.linspace(0.0, np.pi, 81)
+    times_per_call = []
+    propagator = echometry.fisher.propagator
+
+    def recording(params, dim, t):
+        times_per_call.append(np.size(t))
+        return propagator(params, dim, t)
+
+    monkeypatch.setattr(echometry.fisher, "propagator", recording)
+    grid = qfi_grid(thermal, ancillas, ZZ, t1s)
+    # the two pure ancillas share one walk over the times, the dephased one takes another
+    assert times_per_call == [1] * (2 * t1s.size)
+    monkeypatch.setattr(echometry.fisher, "propagator", propagator)
+    for anc_row, row in zip(ancillas, grid):
+        for t1, value in zip(t1s[::10], row[::10]):
+            assert value == qfi_general(thermal, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
+
+
+def test_small_grids_take_one_slice(monkeypatch):
+    dim, gen, probe, anc, _ = optimal_setup(20)
+    calls = []
+    propagator = echometry.fisher.propagator
+    monkeypatch.setattr(echometry.fisher, "propagator", lambda *args: calls.append(args[2].size) or propagator(*args))
+    qfi_grid(probe, [anc], ZZ, np.linspace(0.0, np.pi, 30))
+    assert calls == [30]
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1200])
