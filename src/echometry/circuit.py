@@ -16,9 +16,13 @@ Two interactions are supported:
 
 Both Hamiltonians commute with the ancilla's sigma_z, so :func:`propagator`
 returns the two (N+1)-dimensional ancilla-sector blocks and the probe
-rotation and generator stay (N+1)-dimensional.  The dense 2(N+1) joint
-operators, :func:`hamiltonian` and :func:`circuit_unitary`, are the
-independent reference that the oracle path and the tests check against.
+rotation and generator stay (N+1)-dimensional.  In sector s the Hamiltonian
+is w_s.J + s omega_a, so conjugating the encoding generator g.J by the
+evolution gives another spin component c_s.J: :func:`generator_axes` reads
+c_s off the spin-1/2 blocks, and :func:`apply_spin_axis` applies c.J as one
+diagonal and the two ladder bands.  The dense 2(N+1) joint operators,
+:func:`hamiltonian` and :func:`circuit_unitary`, are the independent
+reference that the oracle path and the tests check against.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -58,8 +62,10 @@ __all__ = [
     "hamiltonian",
     "propagator",
     "encoder",
+    "encoding_axis",
     "encoding_generator",
-    "apply_encoding_generator",
+    "generator_axes",
+    "apply_spin_axis",
     "circuit_unitary",
     "normalized_trace",
     "reversal_period",
@@ -73,6 +79,9 @@ __all__ = [
 
 # A candidate recurrence time T is accepted when 1 - F(T) stays below this.
 PERIOD_RESIDUAL_TOL = 1e-9
+
+# The spin-1/2 matrices (J_x, J_y, J_z) in the basis of propagator(params, EnsembleDim(1), t).
+_SPIN_HALF = np.stack(collective_ops(EnsembleDim(1)))
 
 # Rational-ratio detection for the analytic period solve.
 _RATIO_MAX_DENOMINATOR = 10**6
@@ -213,6 +222,11 @@ def propagator(params: ModelParams, dim: EnsembleDim, t) -> np.ndarray:
     return np.stack([_frame_exp(vals, vecs, t) for vals, vecs in _sector_spectra(params, dim)], axis=t.ndim)
 
 
+def encoding_axis(kind: str) -> tuple[float, float, float]:
+    """Axis g of the encoding generator g.J: x (R_x, ZZ) or z (R_z, XZ)."""
+    return (1.0, 0.0, 0.0) if kind == "zz" else (0.0, 0.0, 1.0)
+
+
 def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
     """Phase-encoding rotation: R_x(theta) in the real J_x frame (ZZ) or diagonal R_z(theta) (XZ)."""
     if not np.isfinite(theta):
@@ -227,18 +241,35 @@ def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     return jx if params.kind == "zz" else jz
 
 
-def apply_encoding_generator(params: ModelParams, dim: EnsembleDim, x: np.ndarray) -> np.ndarray:
-    """G x for the encoding generator G, acting on the probe axis (-2) of x.
+def generator_axes(kind: str, u: np.ndarray) -> np.ndarray:
+    """Axes c_s with U_s^dagger (g.J) U_s = c_s.J in each ancilla sector s, at any N.
 
-    G is never formed: J_z is diagonal (m x), and J_x applies its two real
-    bands, half the ladder amplitudes of :func:`spin_ladder` each.
+    ``u`` holds the spin-1/2 sector blocks ``propagator(params, EnsembleDim(1), t)``,
+    shape (..., 2, 2, 2); the result has shape (..., 2, 3).  In sector s,
+    U_s(t) is a sector phase times the spin-j image of the SU(2) rotation
+    u_s(t), so c_s is the SO(3) image of the encoding axis g (see
+    :func:`encoding_axis`), the same for every j:
+    c_s,i = 2 Tr(J_i u_s^dagger (g.J) u_s) with the spin-1/2 matrices J_i,
+    and the sector phase drops out.
     """
-    if params.kind == "xz":
-        return dim.m_values()[:, None] * x
-    band = (spin_ladder(dim) / 2.0)[:, None]
-    out = np.zeros_like(x)
-    out[..., 1:, :] = band * x[..., :-1, :]
-    out[..., :-1, :] += band * x[..., 1:, :]
+    g_op = np.einsum("i,iab->ab", encoding_axis(kind), _SPIN_HALF)
+    h_eff = u.conj().swapaxes(-1, -2) @ g_op @ u
+    return 2.0 * np.einsum("iab,...ba->...i", _SPIN_HALF, h_eff).real
+
+
+def apply_spin_axis(dim: EnsembleDim, axis, x: np.ndarray) -> np.ndarray:
+    """(c.J) x for spin axes c of shape (..., 3), acting on the probe axis (-2) of x.
+
+    c.J is never formed: J_z is diagonal (c_z m x), and
+    c_x J_x + c_y J_y = ((c_x - i c_y) J_+ + (c_x + i c_y) J_-) / 2 applies
+    the one band of :func:`spin_ladder` on each side of the diagonal.  The
+    leading axes of c broadcast against those of x.
+    """
+    c = np.asarray(axis, dtype=float)[..., None, None]
+    raising = (0.5 * (c[..., 0, :, :] - 1j * c[..., 1, :, :])) * spin_ladder(dim)[:, None]
+    out = (c[..., 2, :, :] * dim.m_values()[:, None]) * x
+    out[..., 1:, :] += raising * x[..., :-1, :]
+    out[..., :-1, :] += raising.conj() * x[..., 1:, :]
     return out
 
 

@@ -69,10 +69,17 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         spec = SCENARIOS.get(self.scenario)
-        if spec is not None and self.mode not in spec.modes:
+        if spec is None:
+            return
+        if self.mode not in spec.modes:
             accepted = " or ".join(repr(mode) for mode in spec.modes)
             raise ContractViolation(
                 f"scenario {self.scenario} accepts mode {accepted}, got {self.mode!r}"
+            )
+        if spec.g_units and self.params.g <= 0.0:
+            raise ContractViolation(
+                f"scenario {self.scenario} measures time in units of 1/g and needs g > 0, "
+                f"got g = {self.params.g!r}"
             )
 
 
@@ -322,8 +329,9 @@ def _run_xz_scaling(cfg: SweepConfig):
             probe = polarized_probe(dim, optimal_generator(params, dim))
             sched = conjugate_schedule(settings.t1, theta=0.0)
             rows.append((n, ratio, gt1, qfi_general(probe, anc, params, sched).value))
-        # The fit reads the values as written: their last bits vary with the
-        # BLAS thread count, so the summary follows the CSV text instead.
+        # The fit reads the values as written, so the summary follows the CSV
+        # text: F_Q of a probe of rank above 1 can vary in its last bits with
+        # the BLAS thread count (the two-term sum's overlap matmul).
         fit_pts = [(n, float(_fmt(f))) for n, r, _, f in rows if r == ratio and n >= 10]
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
@@ -408,13 +416,15 @@ class Scenario:
     The type of a key's default (int, float, or a tuple of either) is the
     key's type; see :func:`resolve_grids`.  ``modes`` lists the reversal
     modes the runner reads from :attr:`SweepConfig.mode`; a runner that
-    builds its own schedules accepts only the default.
+    builds its own schedules accepts only the default.  ``g_units`` marks a
+    grid that measures time in units of 1/g, which needs a positive coupling.
     """
 
     runner: Callable[[SweepConfig], tuple]
     command: str
     defaults: dict
     modes: tuple[str, ...] = ("exact_conjugate",)
+    g_units: bool = False
 
 
 _FIGURE_SIZES = tuple(range(2, 21))
@@ -423,7 +433,7 @@ _BOTH_MODES = ("exact_conjugate", "period")
 
 SCENARIOS = {
     "trace_scan": Scenario(
-        _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi)
+        _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi), g_units=True
     ),
     "qfi_theta0": Scenario(
         _run_qfi_theta0, "qfi-sweep", dict(n_values=_FIGURE_SIZES, theta0_points=81), _BOTH_MODES
@@ -433,20 +443,24 @@ SCENARIOS = {
         "qfi-sweep",
         dict(n_values=_FIGURE_SIZES, gt1_points=81, gt1_max=math.pi),
         _BOTH_MODES,
+        g_units=True,
     ),
     "qfi_heatmap": Scenario(
         _run_qfi_heatmap,
         "qfi-sweep",
         dict(n=4, theta0_points=65, gt1_points=65, gt1_max=math.pi),
         _BOTH_MODES,
+        g_units=True,
     ),
+    # its working points B and C put t1 at fractions of pi / g
     "qfi_scaling": Scenario(
-        _run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0), _BOTH_MODES
+        _run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0), _BOTH_MODES, g_units=True
     ),
     "cfi_map": Scenario(
         _run_cfi_map,
         "cfi-map",
         dict(n=5, gt1_points=65, gt2_points=65, gt_max=2 * math.pi, theta_eval=0.2),
+        g_units=True,
     ),
     "xz_scaling": Scenario(
         _run_xz_scaling, "xz-scaling", dict(n_values=tuple(range(2, 101)), ratios=(1.0, 0.3, 0.1))

@@ -15,9 +15,14 @@ over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
 dephased ancilla alike.  The sum and the classical readout work on
 sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
 probe index; input column), so every operator is an (N+1)-dimensional
-probe block.  The grid kernels :func:`qfi_grid` and :func:`cfi_grid`
-evaluate one probe over whole axes of ancillas and step times in one
-broadcast; :func:`qfi_general` and :func:`cfi` are their one-cell calls.
+probe block.  In ancilla sector s, H_eff is the spin component c_s.J, with
+c_s the encoding axis rotated by the sector's SU(2) evolution; the sum
+reads c_s at every step time off the spin-1/2 sector blocks of
+:func:`propagator` and applies c_s.J as its tridiagonal band, so no
+(N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
+and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
+step times in one broadcast; :func:`qfi_general` and :func:`cfi` are their
+one-cell calls.
 An independent cross-check, :func:`qfi_sld_oracle`, computes
 the same quantity from the symmetric logarithmic derivative of the output
 density matrix and an analytically supplied d rho / d theta
@@ -36,10 +41,12 @@ import numpy as np
 from .circuit import (
     ModelParams,
     Schedule,
-    apply_encoding_generator,
+    apply_spin_axis,
     circuit_unitary,
     encoder,
+    encoding_axis,
     encoding_generator,
+    generator_axes,
     hamiltonian,
     optimal_generator,
     propagator,
@@ -80,10 +87,11 @@ __all__ = [
 # limit at p -> 0 (see :func:`cfi_grid`).
 EPS_PROB = 1e-12
 
-# Complex entries that one slice of a grid kernel's stacked blocks (propagators
-# and state columns) may hold, 0.5 MB: the kernels walk their time axis in
-# slices of at most this size, and at least one time each.  The temporaries
-# of a slice take a few times as much again.
+# Complex entries that one slice of a grid kernel's stacked arrays (the CFI's
+# propagator blocks and state columns, the QFI's H psi columns) may hold,
+# 0.5 MB: the kernels walk their time axis in slices of at most this size,
+# and at least one time each.  The temporaries of a slice take a few times
+# as much again.
 _SLICE_ENTRIES = 2**15
 
 
@@ -220,20 +228,19 @@ def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarra
     return np.where(np.abs(value) <= 1e-12 * term1, 0.0, value)
 
 
-def _qfi_columns(
-    weights: np.ndarray, psi: np.ndarray, params: ModelParams, dim: EnsembleDim, t1s: np.ndarray
-) -> np.ndarray:
-    """Two-term sums of H_eff = U(t1)^dagger G U(t1) for stacked input columns.
+def _qfi_columns(weights: np.ndarray, psi: np.ndarray, dim: EnsembleDim, axes: np.ndarray) -> np.ndarray:
+    """Two-term sums of H_eff = c_s.J for stacked input columns.
 
-    ``psi`` has shape (A, 2, N+1, k), A input spectra sharing the weights;
-    the result has shape (A, T) over the T step times.
+    ``psi`` has shape (A, 2, N+1, k), A input spectra sharing the weights,
+    and ``axes`` the (T, 2, 3) generator axes of :func:`generator_axes` at
+    T step times; the result has shape (A, T).  In sector s the column
+    a_s v_k maps to a_s (c_s.J) v_k, one banded product.
     """
     n_anc, n_cols = psi.shape[0], weights.size
     columns = psi.reshape(n_anc, 1, -1, n_cols)
-    out = np.empty((n_anc, t1s.size))
-    for sl in _slices(t1s.size, 2 * dim.dim * (dim.dim + n_anc * n_cols)):
-        u1 = propagator(params, dim, t1s[sl])
-        h_psi = u1.conj().swapaxes(-1, -2) @ apply_encoding_generator(params, dim, u1 @ psi[:, None])
+    out = np.empty((n_anc, axes.shape[0]))
+    for sl in _slices(axes.shape[0], 2 * dim.dim * n_anc * n_cols):
+        h_psi = apply_spin_axis(dim, axes[sl], psi[:, None])
         out[:, sl] = _two_term_sum(weights, columns, h_psi.reshape(n_anc, -1, 2 * dim.dim, n_cols))
     return out
 
@@ -252,13 +259,14 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
     dim = probe.dim
+    axes = generator_axes(params.kind, propagator(params, EnsembleDim(1), t1s))
     out = np.empty((len(ancillas), t1s.size))
     pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
     groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
     for rows in groups:
         spectra = [_input_spectrum(probe, ancillas[a]) for a in rows]
         psi = np.stack([columns for _, columns in spectra])
-        out[rows] = _qfi_columns(spectra[0][0], psi, params, dim, t1s)
+        out[rows] = _qfi_columns(spectra[0][0], psi, dim, axes)
     return _checked(out)
 
 
@@ -404,13 +412,14 @@ def _readout_probs(
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
     rotation = encoder(params.kind, theta, dim)
+    g_axis = encoding_axis(params.kind)
     results = []
     for sl in _slices(t1s.size, 2 * dim.dim * (2 * dim.dim + 3 * w.size)):
         u1 = propagator(params, dim, t1s[sl])
         u2 = u1.conj().swapaxes(-1, -2) if mode == "exact_conjugate" else propagator(params, dim, t2s[sl])
         chi = rotation @ (u1 @ psi)
         amp = _readout_amplitudes(u2 @ chi, vecs)
-        damp = _readout_amplitudes(u2 @ (-1j * apply_encoding_generator(params, dim, chi)), vecs)
+        damp = _readout_amplitudes(u2 @ (-1j * apply_spin_axis(dim, g_axis, chi)), vecs)
         p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
         dp = 2.0 * np.einsum("...ick,k->...c", (amp.conj() * damp).real, w)
         node = 4.0 * np.einsum("...ick,k->...c", np.abs(damp) ** 2, w)

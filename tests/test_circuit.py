@@ -8,13 +8,15 @@ from echometry.circuit import (
     PeriodNotFound,
     Schedule,
     _scan_period,
-    apply_encoding_generator,
+    apply_spin_axis,
     bch_coefficients,
     circuit_unitary,
     closed_form_unitary,
     conjugate_schedule,
     encoder,
+    encoding_axis,
     encoding_generator,
+    generator_axes,
     global_phase_distance,
     hamiltonian,
     normalized_trace,
@@ -24,7 +26,15 @@ from echometry.circuit import (
     propagator,
     reversal_period,
 )
-from echometry.spin import ContractViolation, EnsembleDim, PAULI_Z, joint_embed, unitary_of_hermitian
+from echometry.spin import (
+    ContractViolation,
+    EnsembleDim,
+    ID2,
+    PAULI_Z,
+    collective_ops,
+    joint_embed,
+    unitary_of_hermitian,
+)
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 
@@ -145,8 +155,35 @@ def test_banded_encoding_generator_matches_dense(n, kind, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(3, 2, dim.dim, 2)) + 1j * rng.normal(size=(3, 2, dim.dim, 2))
     dense = encoding_generator(params, dim) @ x
-    banded = apply_encoding_generator(params, dim, x)
+    banded = apply_spin_axis(dim, encoding_axis(kind), x)
     assert np.max(np.abs(banded - dense)) <= 1e-15 * n * np.max(np.abs(x))
+    # any real axes, one per leading index of x
+    axes = rng.normal(size=(3, 2, 3))
+    dense = np.einsum("...i,iab,...bk->...ak", axes, np.stack(collective_ops(dim)), x)
+    banded = apply_spin_axis(dim, axes, x)
+    assert np.max(np.abs(banded - dense)) <= 1e-15 * n * np.max(np.abs(axes)) * np.max(np.abs(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(-5.0, 5.0),
+    omega_a=st.floats(-5.0, 5.0),
+    g=st.floats(0.0, 3.0),
+    t=st.floats(0.0, 50.0),
+)
+def test_generator_axes_match_dense_effective_generator(n, kind, omega_p, omega_a, g, t):
+    # c_s.J from the spin-1/2 blocks is the sector-s block of the dense
+    # U(t)^dagger (G (x) I) U(t) at any N
+    params = ModelParams(omega_p, omega_a, g, kind=kind)
+    dim = EnsembleDim(n)
+    u = unitary_of_hermitian(hamiltonian(params, dim), t)
+    dense = u.conj().T @ joint_embed(encoding_generator(params, dim), ID2) @ u
+    axes = generator_axes(kind, propagator(params, EnsembleDim(1), np.array([t])))
+    assert axes.shape == (1, 2, 3)
+    bands = apply_spin_axis(dim, axes[0], np.eye(dim.dim, dtype=complex))
+    assert np.max(np.abs(joint_from_sectors(bands) - dense)) <= 1e-12 * max(1.0, n * abs(t))
 
 
 @settings(max_examples=80, deadline=None)

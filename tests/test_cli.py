@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +95,15 @@ def test_missing_period_is_numerical_error(tmp_path, capsys):
     assert "contract" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
-def test_trace_scan_without_coupling_is_numerical_error(tmp_path, capsys):
-    # the scan's times are gT / g: with g = 0 they are infinite, not a NaN trace
-    code = main(["trace-scan", "--g", "0", "--out", str(tmp_path / "out")])
-    assert code == EXIT_NUMERICAL
-    assert "finite" in capsys.readouterr().err
+def test_trace_scan_without_coupling_is_config_error(tmp_path, capsys):
+    # the scan's times are gT / g: g = 0 is rejected before any division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trace-scan", "--g", "0", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: scenario trace_scan measures time in units of 1/g and needs g > 0, got g = 0.0\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -173,12 +177,22 @@ def test_explicit_default_mode_changes_nothing(tmp_path):
         (["xz-scaling", "--mode", "period"], ""),
         (["trace-scan", "--mode", "period"], ""),
         (["cfi-map"], "mode = period"),
+        # grids in units of g t need g > 0
+        (["trace-scan", "--g", "0"], ""),
+        (["qfi-sweep", "--scenario", "t1"], "g = 0"),
+        (["qfi-sweep", "--scenario", "t1", "--mode", "period", "--g", "0"], ""),
+        (["qfi-sweep", "--scenario", "heatmap", "--g", "0"], ""),
+        (["qfi-sweep", "--scenario", "scaling", "--g", "0"], ""),
+        (["qfi-sweep"], "g = 0"),
+        (["cfi-map", "--interaction", "xz"], "g = 0.0"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config + "\n")
-    assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 

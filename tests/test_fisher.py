@@ -1,16 +1,22 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 import echometry.circuit
 import echometry.fisher
 from echometry.circuit import (
     ModelParams,
     Schedule,
+    apply_spin_axis,
     conjugate_schedule,
     encoder,
     encoding_generator,
@@ -741,29 +747,30 @@ def test_qfi_grid_checks_every_cell(monkeypatch):
 
 
 def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
-    # at N = 300 one time's sector blocks (2 (N+1)^2 entries) already exceed
-    # the budget, so every slice holds a single time, as a per-cell loop would
+    # the QFI budget counts the stacked H psi columns, 2 (N+1) A k entries per
+    # time: at N = 300 the two pure ancillas of a rank-1 probe (A = 2, k = 1)
+    # and the dephased one (A = 1, k = 2) both take 1204 per time, so a slice
+    # holds 27 times (27 * 1204 <= 2**15 < 28 * 1204)
     n = 300
     dim, gen, probe, anc, _ = optimal_setup(n)
-    assert 2 * dim.dim**2 > echometry.fisher._SLICE_ENTRIES
-    thermal = thermal_probe(dim, gen, 1.0)
+    assert echometry.fisher._SLICE_ENTRIES == 2**15
     ancillas = [anc, dephase_ancilla(anc, 0.4), ancilla_state(0.7)]
     t1s = np.linspace(0.0, np.pi, 81)
-    times_per_call = []
-    propagator = echometry.fisher.propagator
+    slices = []  # (ancillas, times) of each banded product
+    apply_spin_axis = echometry.fisher.apply_spin_axis
 
-    def recording(params, dim, t):
-        times_per_call.append(np.size(t))
-        return propagator(params, dim, t)
+    def recording(dim, axis, x):
+        slices.append((x.shape[0], np.shape(axis)[0]))
+        return apply_spin_axis(dim, axis, x)
 
-    monkeypatch.setattr(echometry.fisher, "propagator", recording)
-    grid = qfi_grid(thermal, ancillas, ZZ, t1s)
+    monkeypatch.setattr(echometry.fisher, "apply_spin_axis", recording)
+    grid = qfi_grid(probe, ancillas, ZZ, t1s)
     # the two pure ancillas share one walk over the times, the dephased one takes another
-    assert times_per_call == [1] * (2 * t1s.size)
-    monkeypatch.setattr(echometry.fisher, "propagator", propagator)
+    assert slices == [(2, 27)] * 3 + [(1, 27)] * 3
+    monkeypatch.setattr(echometry.fisher, "apply_spin_axis", apply_spin_axis)
     for anc_row, row in zip(ancillas, grid):
         for t1, value in zip(t1s[::10], row[::10]):
-            assert value == qfi_general(thermal, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
+            assert value == qfi_general(probe, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
 
 
 def test_small_grids_take_one_slice(monkeypatch):
@@ -826,6 +833,107 @@ def test_qfi_matches_coherent_oracle_at_large_n(n):
         value = qfi_general(probe, ancilla_state(theta0, phi0), params, conjugate_schedule(t1, 0.2)).value
         oracle = coherent_qfi(params, n, axis, theta0, t1)
         assert abs(value - oracle) <= 1e-10 * max(1.0, oracle)
+
+
+def coherent_probe(dim, polar, azimuth):
+    """Spin-coherent probe along (sin p cos a, sin p sin a, cos p), in closed form.
+
+    Amplitudes sqrt(C(N, k)) cos(p/2)^k sin(p/2)^(N-k) e^{i (N-k) a} on
+    |j, m = k - j> (Arecchi et al., PRA 6, 2211, 1972), from log-gamma so that
+    N = 10^6 stays in range, normalized; no eigensolver is involved.
+    """
+    n = dim.n_spins
+    k = np.arange(dim.dim)
+    log_amp = (
+        0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+        + k * np.log(np.cos(polar / 2))
+        + (n - k) * np.log(np.sin(polar / 2))
+    )
+    amp = np.exp(log_amp - log_amp.max()) * np.exp(1j * (n - k) * azimuth)
+    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=(amp / np.linalg.norm(amp))[:, None])
+
+
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_qfi_matches_coherent_oracle_at_scale(n):
+    # dyadic azimuths keep the phases (N - k) a exact in floating point
+    dim = EnsembleDim(n)
+    cases = (
+        ZZ,
+        ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz"),
+        ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="xz"),
+    )
+    for (polar, azimuth), params in zip([(1.1, 0.8125), (2.3, -2.5), (0.6, 1.25)], cases):
+        axis = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
+        probe = coherent_probe(dim, polar, azimuth)
+        residual = apply_spin_axis(dim, axis, probe.vectors) - dim.j * probe.vectors
+        assert np.linalg.norm(residual) <= 1e-8 * dim.j
+        value = qfi_general(probe, ancilla_state(1.3, 0.4), params, conjugate_schedule(0.9, 0.2)).value
+        oracle = coherent_qfi(params, n, axis, 1.3, 0.9)
+        assert abs(value - oracle) <= 1e-10 * max(1.0, oracle)
+
+
+def test_qfi_at_the_optimum_is_heisenberg_at_a_million_spins():
+    # at the ZZ optimum (omega_p t1 = 3 pi / 2) the generator is -J_x, so the
+    # coherent probe along -x reaches the Heisenberg limit N^2
+    dim = EnsembleDim(10**6)
+    probe = coherent_probe(dim, np.pi / 2, np.pi)
+    settings = optimal_settings(ZZ)
+    value = qfi_general(probe, ancilla_state(settings.theta0), ZZ, conjugate_schedule(settings.t1, 0.0)).value
+    assert abs(value / dim.n_spins**2 - 1.0) <= 1e-10
+
+
+def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
+    # H_eff = c_s.J needs the propagator only at N = 1; no (N+1)-dim block is built
+    dim = EnsembleDim(9)
+    pure = ancilla_state(1.1, 0.7)
+    t1s = np.linspace(0.0, 4.0, 13)
+
+    def outputs():
+        for params in (ZZ, ModelParams(omega_p=1.0, omega_a=1.5, g=1.0, kind="xz")):
+            probe = thermal_probe(dim, optimal_generator(params, dim), 0.7)
+            for anc in (pure, dephase_ancilla(pure, 0.3)):
+                yield qfi_general(probe, anc, params, conjugate_schedule(0.8, 0.3)).value
+            yield qfi_grid(probe, [pure, dephase_ancilla(pure, 0.6), ancilla_state(0.4)], params, t1s)
+
+    reference = list(outputs())
+    propagator = echometry.fisher.propagator
+
+    def spin_half_only(params, dim, t):
+        if dim.n_spins > 1:
+            raise AssertionError("the QFI built an (N+1)-dim propagator")
+        return propagator(params, dim, t)
+
+    monkeypatch.setattr(echometry.fisher, "propagator", spin_half_only)
+    patched = list(outputs())
+    assert len(patched) == len(reference) == 6
+    for got, want in zip(patched, reference):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rank_one_qfi_independent_of_blas_threads():
+    # a rank-1 probe goes through no threaded BLAS call, so the values agree to
+    # the last bit between 1 and 2 OpenBLAS threads (XZ, three coupling ratios)
+    script = (
+        "import echometry as em\n"
+        "for ratio in (1.0, 0.3, 0.1):\n"
+        "    params = em.ModelParams(omega_p=1 / ratio, omega_a=1 / ratio, g=1.0, kind='xz')\n"
+        "    sched = em.conjugate_schedule(em.optimal_settings(params).t1, 0.0)\n"
+        "    for n in range(60, 297, 8):\n"
+        "        dim = em.EnsembleDim(n)\n"
+        "        probe = em.polarized_probe(dim, em.optimal_generator(params, dim))\n"
+        "        print(repr(em.qfi_general(probe, em.ancilla_state(1.5707963267948966), params, sched).value))\n"
+    )
+    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300
+        )
+        outputs.append(proc.stdout)
+    assert len(outputs[0].split()) == 3 * 30
+    assert outputs[0] == outputs[1]
 
 
 def test_production_paths_build_no_joint_matrix(monkeypatch):
