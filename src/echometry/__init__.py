@@ -30,7 +30,6 @@ from .states import (
     ThermalSpec,
     ancilla_state,
     dephase_ancilla,
-    ghz_probe,
     polarized_probe,
     spectral_decompose,
     thermal_probe,
@@ -89,7 +88,6 @@ __all__ = [
     "ThermalSpec",
     "ancilla_state",
     "dephase_ancilla",
-    "ghz_probe",
     "polarized_probe",
     "spectral_decompose",
     "thermal_probe",

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .spin import (
     ContractViolation,
@@ -380,6 +379,8 @@ def _scan_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> float |
     # Every interior local maximum is a refinement candidate, in ascending T.
     interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
     vals = _joint_eigenvalues(params, dim)
+    # imported here: only this fallback needs it, and it costs a third of the package import
+    from scipy.optimize import minimize_scalar
 
     def residual(t: float) -> float:
         return 1.0 - abs(np.exp(-1j * vals * t).sum()) / (2 * dim.dim)

@@ -76,10 +76,14 @@ class SweepConfig:
             raise ContractViolation(
                 f"scenario {self.scenario} accepts mode {accepted}, got {self.mode!r}"
             )
-        if spec.g_units and self.params.g <= 0.0:
+        if spec.needs_g and self.params.g <= 0.0:
             raise ContractViolation(
-                f"scenario {self.scenario} measures time in units of 1/g and needs g > 0, "
-                f"got g = {self.params.g!r}"
+                f"scenario {self.scenario} {spec.needs_g} and needs g > 0, got g = {self.params.g!r}"
+            )
+        if spec.thermal and optimal_settings(self.params).status != "optimal":
+            raise ContractViolation(
+                f"scenario {self.scenario} builds a thermal probe, which needs the unit generator of "
+                f"the XZ optimum (g >= wp), got g = {self.params.g!r}, wp = {self.params.omega_p!r}"
             )
 
 
@@ -416,62 +420,81 @@ class Scenario:
     The type of a key's default (int, float, or a tuple of either) is the
     key's type; see :func:`resolve_grids`.  ``modes`` lists the reversal
     modes the runner reads from :attr:`SweepConfig.mode`; a runner that
-    builds its own schedules accepts only the default.  ``g_units`` marks a
-    grid that measures time in units of 1/g, which needs a positive coupling.
+    builds its own schedules accepts only the default.  ``needs_g`` says why
+    a runner needs a positive coupling: its grid measures time in units of
+    1/g, or it starts from the optimal settings.  ``thermal`` marks a runner
+    that builds a thermal probe of the optimal generator, whose axis is a
+    unit vector only for ZZ and for XZ at strong coupling.
     """
 
     runner: Callable[[SweepConfig], tuple]
     command: str
     defaults: dict
     modes: tuple[str, ...] = ("exact_conjugate",)
-    g_units: bool = False
+    needs_g: str = ""
+    thermal: bool = False
 
 
 _FIGURE_SIZES = tuple(range(2, 21))
 # The F_Q sweeps map their step times with _step_times, which reads the mode.
 _BOTH_MODES = ("exact_conjugate", "period")
+_G_UNITS = "measures time in units of 1/g"
+_OPTIMUM = "starts from the optimal settings"
 
 SCENARIOS = {
     "trace_scan": Scenario(
-        _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi), g_units=True
+        _run_trace_scan, "trace-scan", dict(n=4, points=2048, gt_max=4 * math.pi), needs_g=_G_UNITS
     ),
     "qfi_theta0": Scenario(
-        _run_qfi_theta0, "qfi-sweep", dict(n_values=_FIGURE_SIZES, theta0_points=81), _BOTH_MODES
+        _run_qfi_theta0,
+        "qfi-sweep",
+        dict(n_values=_FIGURE_SIZES, theta0_points=81),
+        _BOTH_MODES,
+        needs_g=_OPTIMUM,
     ),
     "qfi_t1": Scenario(
         _run_qfi_t1,
         "qfi-sweep",
         dict(n_values=_FIGURE_SIZES, gt1_points=81, gt1_max=math.pi),
         _BOTH_MODES,
-        g_units=True,
+        needs_g=_G_UNITS,
     ),
     "qfi_heatmap": Scenario(
         _run_qfi_heatmap,
         "qfi-sweep",
         dict(n=4, theta0_points=65, gt1_points=65, gt1_max=math.pi),
         _BOTH_MODES,
-        g_units=True,
+        needs_g=_G_UNITS,
     ),
     # its working points B and C put t1 at fractions of pi / g
     "qfi_scaling": Scenario(
-        _run_qfi_scaling, "qfi-sweep", dict(n_values=_FIGURE_SIZES, beta=1.0), _BOTH_MODES, g_units=True
+        _run_qfi_scaling,
+        "qfi-sweep",
+        dict(n_values=_FIGURE_SIZES, beta=1.0),
+        _BOTH_MODES,
+        needs_g=_G_UNITS,
+        thermal=True,
     ),
     "cfi_map": Scenario(
         _run_cfi_map,
         "cfi-map",
         dict(n=5, gt1_points=65, gt2_points=65, gt_max=2 * math.pi, theta_eval=0.2),
-        g_units=True,
+        needs_g=_G_UNITS,
     ),
     "xz_scaling": Scenario(
         _run_xz_scaling, "xz-scaling", dict(n_values=tuple(range(2, 101)), ratios=(1.0, 0.3, 0.1))
     ),
     "deviation_scan": Scenario(
-        _run_deviation_scan, "deviation", dict(n_values=(4, 20), deltas=(0.005, 0.01, 0.02))
+        _run_deviation_scan,
+        "deviation",
+        dict(n_values=(4, 20), deltas=(0.005, 0.01, 0.02)),
+        needs_g=_OPTIMUM,
     ),
     "dephasing_scan": Scenario(
         _run_dephasing_scan,
         "dephasing",
         dict(n_values=(4, 20), x_values=tuple(k / 10 for k in range(11))),
+        needs_g=_OPTIMUM,
     ),
 }
 

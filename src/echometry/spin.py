@@ -4,7 +4,8 @@ An ensemble of N spin-1/2 particles that is only ever driven through
 collective operators stays inside the (N+1)-dimensional symmetric subspace
 with total spin j = N/2.  Every operator the package diagonalizes is a spin
 component n.J, held as its axis (:class:`PhaseGenerator`) and solved by
-:func:`spin_frame`; :func:`joint_embed` builds the 2(N+1)-dimensional
+:func:`spin_frame`, or by :func:`lowest_spin_columns` where only the lowest
+few eigenvectors are needed; :func:`joint_embed` builds the 2(N+1)-dimensional
 probe-plus-ancilla operators of the dense reference path.
 
 Conventions used throughout the package:
@@ -42,6 +43,9 @@ __all__ = [
     "spin_ladder",
     "phase_generator",
     "spin_frame",
+    "tridiagonal_axis",
+    "pin_frame_phases",
+    "lowest_spin_columns",
     "unitary_of_hermitian",
     "joint_embed",
     "assert_hermitian",
@@ -113,26 +117,59 @@ def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return jx, jy, jz
 
 
+def tridiagonal_axis(axis) -> tuple[float, float, float]:
+    """(n_z, r, phi) with n.J = e^{-i phi J_z} (n_z J_z + r J_x) e^{i phi J_z}.
+
+    ``r e^{i phi} = n_x + i n_y``; an axis with n_y = 0 keeps phi = 0 and the
+    signed r = n_x, so its frame stays real.
+    """
+    nx, ny, nz = (float(a) for a in axis)
+    if ny == 0.0:
+        return nz, nx, 0.0
+    return nz, math.hypot(nx, ny), math.atan2(ny, nx)
+
+
+def pin_frame_phases(dim: EnsembleDim, axis, vecs: np.ndarray) -> np.ndarray:
+    """Eigenvector columns of n.J from real ones of n_z J_z + r J_x, phases pinned.
+
+    The frame's phase convention: each column's largest-magnitude entry is
+    made real and positive (ties within 1e-12 relative go to the first), and
+    rows are scaled by e^{-i phi m} relative to that entry, so the pivot stays
+    real and positive.
+    """
+    _, _, phi = tridiagonal_axis(axis)
+    m = dim.m_values()
+    mag = np.abs(vecs)
+    pivot = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    vecs = vecs * np.sign(vecs[pivot, np.arange(vecs.shape[1])])
+    if phi != 0.0:
+        vecs = vecs * np.exp(-1j * phi * m)[:, None] * np.exp(1j * phi * m[pivot])
+    return vecs
+
+
+def lowest_spin_columns(dim: EnsembleDim, axis, count: int) -> np.ndarray:
+    """The eigenvector columns of n.J for its ``count`` lowest eigenvalues.
+
+    One real ``eigh_tridiagonal`` of n_z J_z + r J_x (Feng et al., PRE 92,
+    043307, 2015); below the full frame only the requested columns are
+    solved (bisection and inverse iteration).  Phases follow
+    :func:`pin_frame_phases`.
+    """
+    nz, r, _ = tridiagonal_axis(axis)
+    select = {} if count == dim.dim else dict(select="i", select_range=(0, count - 1))
+    _, vecs = eigh_tridiagonal(nz * dim.m_values(), r * spin_ladder(dim) / 2.0, **select)
+    return pin_frame_phases(dim, axis, vecs)
+
+
 def spin_frame(dim: EnsembleDim, axis) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues |n| m (exact, ascending) and eigenvector columns of n.J.
 
-    With n_x + i n_y = r e^{i phi}, n.J = e^{-i phi J_z} (n_z J_z + r J_x) e^{i phi J_z},
-    so the vectors are real tridiagonal ones with rows scaled by e^{-i phi m}
-    (Feng et al., PRE 92, 043307, 2015), and real for n_y = 0.  Each column's
-    largest-magnitude entry is made real and positive; ties (within 1e-12
-    relative) go to the first.
+    The vectors are real tridiagonal ones with rows scaled by e^{-i phi m}
+    (:func:`tridiagonal_axis`), real for n_y = 0; :func:`lowest_spin_columns`
+    solves them and :func:`pin_frame_phases` fixes their phases.
     """
-    nx, ny, nz = (float(a) for a in axis)
-    m = dim.m_values()
-    r = math.hypot(nx, ny) if ny != 0.0 else nx
-    _, vecs = eigh_tridiagonal(nz * m, r * spin_ladder(dim) / 2.0)
-    mag = np.abs(vecs)
-    pivot = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
-    vecs = vecs * np.sign(vecs[pivot, np.arange(dim.dim)])
-    if ny != 0.0:
-        phi = math.atan2(ny, nx)
-        vecs = vecs * np.exp(-1j * phi * m)[:, None] * np.exp(1j * phi * m[pivot])
-    return math.hypot(nx, ny, nz) * m, vecs
+    norm = math.hypot(*(float(a) for a in axis))
+    return norm * dim.m_values(), lowest_spin_columns(dim, axis, dim.dim)
 
 
 @dataclass(frozen=True)
@@ -141,7 +178,7 @@ class PhaseGenerator:
 
     ``axis`` is any finite real 3-vector, not necessarily unit (the
     weak-coupling XZ generator has |n| < 1).  The frame is solved once per
-    generator and shared by the probe constructors and the readout.
+    generator, on first use; only the full-system readout needs it.
     """
 
     dim: EnsembleDim

@@ -4,15 +4,43 @@ The probe is always handled in spectral form: a list of weights and mutually
 orthonormal eigenvectors (:class:`SpectralProbe`).  The ancilla is a 2x2
 density matrix carrying its preparation angles and an accumulated dephasing
 rate (:class:`AncillaState`).
+
+Both probe constructors cost O(N) memory and solve no full eigenframe.
+
+* :func:`polarized_probe` is the spin-coherent state along the generator's
+  axis n = |n| (sin t cos p, sin t sin p, cos t) (Arecchi et al., PRA 6,
+  2211, 1972), in closed form:
+  ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, summed in log
+  form (``gammaln``) with the maximum subtracted, then normalized.  At a pole
+  it is the exact basis vector.
+* :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
+  the generator (:func:`~echometry.spin.lowest_spin_columns`).
+
+Both follow the phase convention of :func:`~echometry.spin.spin_frame`
+(:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude
+entry is real and positive, ties within 1e-12 relative going to the first,
+so a probe equals the matching frame column without phase alignment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from .spin import ContractViolation, EnsembleDim, PhaseGenerator, KET_E, KET_G, assert_hermitian
+from .spin import (
+    ContractViolation,
+    EnsembleDim,
+    PhaseGenerator,
+    KET_E,
+    KET_G,
+    assert_hermitian,
+    lowest_spin_columns,
+    pin_frame_phases,
+    tridiagonal_axis,
+)
 
 __all__ = [
     "EPS_SPECTRUM",
@@ -22,7 +50,6 @@ __all__ = [
     "ancilla_state",
     "dephase_ancilla",
     "polarized_probe",
-    "ghz_probe",
     "thermal_probe",
     "spectral_decompose",
 ]
@@ -158,27 +185,36 @@ class SpectralProbe:
         return (self.vectors * self.weights) @ self.vectors.conj().T
 
 
-def _generator_frame(dim: EnsembleDim, generator: PhaseGenerator) -> tuple[np.ndarray, np.ndarray]:
+def _generator_axis(dim: EnsembleDim, generator: PhaseGenerator) -> tuple[float, float, float]:
     if generator.dim != dim:
         raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
-    return generator.frame
+    return generator.axis
 
 
 def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
-    """Pure probe polarized along the top eigenvector of a generator (m = +j for a unit axis)."""
-    vals, vecs = _generator_frame(dim, generator)
-    if vals[-1] - vals[-2] <= 1e-8 * max(1.0, abs(vals[-1] - vals[0])):
-        raise ContractViolation("extremal eigenvalue of the generator is degenerate")
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=vecs[:, -1:])
+    """Pure probe polarized along the generator's axis: its top eigenvector (m = +j for a unit axis).
 
-
-def ghz_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
-    """Equal superposition of the two extremal eigenvectors of a generator."""
-    vals, vecs = _generator_frame(dim, generator)
-    if vals[-1] - vals[-2] <= 1e-8 or vals[1] - vals[0] <= 1e-8:
-        raise ContractViolation("extremal eigenvalue of the generator is degenerate")
-    psi = (vecs[:, -1] + vecs[:, 0]) / np.sqrt(2.0)
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=psi[:, None])
+    The spin-coherent state in closed form, without an eigensolve; see the
+    module docstring for the amplitudes and the phase convention.
+    """
+    axis = _generator_axis(dim, generator)
+    nz, r, _ = tridiagonal_axis(axis)
+    norm = math.hypot(nz, r)
+    if norm == 0.0:
+        raise ContractViolation("polarized probe needs a generator with a nonzero axis")
+    # cos^2 and sin^2 of half the polar angle, the small one without cancellation,
+    # so that a pole gives an exact zero
+    big = (norm + abs(nz)) / (2.0 * norm)
+    small = r * r / (2.0 * norm * (norm + abs(nz)))
+    cos2, sin2 = (big, small) if nz >= 0.0 else (small, big)
+    n = dim.n_spins
+    k = np.arange(dim.dim)  # j + m
+    log_amp = 0.5 * (xlogy(k, cos2) + xlogy(n - k, sin2) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+    amp = np.exp(log_amp - log_amp.max())
+    if r < 0.0:
+        amp[(n - k) % 2 == 1] *= -1.0
+    amp /= np.linalg.norm(amp)
+    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=pin_frame_phases(dim, axis, amp[:, None]))
 
 
 def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> SpectralProbe:
@@ -187,16 +223,18 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     ``beta >= 0`` puts the ground state at m = -j.  The generator's axis must
     be a unit vector (spectrum {-j, ..., +j}); weights use the exact m values,
     with the maximum exponent subtracted, so large beta stays well conditioned.
-    Weights below the spectral cutoff are dropped and the rest renormalized.
+    Weights below the spectral cutoff are dropped and the rest renormalized;
+    they fall with m, so the kept terms are the lowest eigenvectors, and only
+    those are solved.
     """
     spec = ThermalSpec(dim=dim, beta=float(beta))
-    if abs(np.linalg.norm(generator.axis) - 1.0) > 1e-12:
+    axis = _generator_axis(dim, generator)
+    if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
-    _, vecs = _generator_frame(dim, generator)
     weights = spec.weights()
-    keep = weights > EPS_SPECTRUM
-    weights = weights[keep] / weights[keep].sum()
-    return SpectralProbe(dim=dim, weights=weights, vectors=vecs[:, keep])
+    kept = int(np.count_nonzero(weights > EPS_SPECTRUM))
+    weights = weights[:kept] / weights[:kept].sum()
+    return SpectralProbe(dim=dim, weights=weights, vectors=lowest_spin_columns(dim, axis, kept))
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralProbe:

@@ -107,6 +107,19 @@ def test_trace_scan_without_coupling_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_weak_xz_qfi_sweep_fails_before_writing(tmp_path, capsys):
+    # at the default rates (wp = 3 > g = 1) the XZ optimum does not exist, so the
+    # scaling scenario's thermal probe has no unit generator; --scenario all
+    # resolves every config before the first scenario writes its CSV
+    code = main(["qfi-sweep", "--interaction", "xz", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: scenario qfi_scaling builds a thermal probe, which needs the unit generator "
+        "of the XZ optimum (g >= wp), got g = 1.0, wp = 3.0\n"
+    )
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_package_runs_as_a_module():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -115,6 +128,16 @@ def test_package_runs_as_a_module():
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "trace-scan" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only the period scan's fallback refinement needs scipy.optimize, which it imports itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, echometry; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_validate_command(capsys):
@@ -185,6 +208,13 @@ def test_explicit_default_mode_changes_nothing(tmp_path):
         (["qfi-sweep", "--scenario", "scaling", "--g", "0"], ""),
         (["qfi-sweep"], "g = 0"),
         (["cfi-map", "--interaction", "xz"], "g = 0.0"),
+        # so do the runs that start from the optimal settings
+        (["deviation", "--g", "0"], ""),
+        (["deviation", "--interaction", "xz"], "g = 0"),
+        (["dephasing", "--g", "0"], ""),
+        (["dephasing", "--interaction", "xz", "--g", "0"], ""),
+        (["qfi-sweep", "--scenario", "theta0", "--g", "0"], ""),
+        (["qfi-sweep", "--scenario", "theta0", "--interaction", "xz"], "g = 0"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 import echometry.circuit
 import echometry.fisher
@@ -59,10 +58,10 @@ from echometry.states import (
     SpectralProbe,
     ancilla_state,
     dephase_ancilla,
-    ghz_probe,
     polarized_probe,
     thermal_probe,
 )
+from test_states import ghz_probe
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 
@@ -835,27 +834,8 @@ def test_qfi_matches_coherent_oracle_at_large_n(n):
         assert abs(value - oracle) <= 1e-10 * max(1.0, oracle)
 
 
-def coherent_probe(dim, polar, azimuth):
-    """Spin-coherent probe along (sin p cos a, sin p sin a, cos p), in closed form.
-
-    Amplitudes sqrt(C(N, k)) cos(p/2)^k sin(p/2)^(N-k) e^{i (N-k) a} on
-    |j, m = k - j> (Arecchi et al., PRA 6, 2211, 1972), from log-gamma so that
-    N = 10^6 stays in range, normalized; no eigensolver is involved.
-    """
-    n = dim.n_spins
-    k = np.arange(dim.dim)
-    log_amp = (
-        0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-        + k * np.log(np.cos(polar / 2))
-        + (n - k) * np.log(np.sin(polar / 2))
-    )
-    amp = np.exp(log_amp - log_amp.max()) * np.exp(1j * (n - k) * azimuth)
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=(amp / np.linalg.norm(amp))[:, None])
-
-
 @pytest.mark.parametrize("n", [10**4, 10**6])
 def test_qfi_matches_coherent_oracle_at_scale(n):
-    # dyadic azimuths keep the phases (N - k) a exact in floating point
     dim = EnsembleDim(n)
     cases = (
         ZZ,
@@ -864,7 +844,7 @@ def test_qfi_matches_coherent_oracle_at_scale(n):
     )
     for (polar, azimuth), params in zip([(1.1, 0.8125), (2.3, -2.5), (0.6, 1.25)], cases):
         axis = np.array([np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)])
-        probe = coherent_probe(dim, polar, azimuth)
+        probe = polarized_probe(dim, PhaseGenerator(dim, axis))
         residual = apply_spin_axis(dim, axis, probe.vectors) - dim.j * probe.vectors
         assert np.linalg.norm(residual) <= 1e-8 * dim.j
         value = qfi_general(probe, ancilla_state(1.3, 0.4), params, conjugate_schedule(0.9, 0.2)).value
@@ -873,10 +853,10 @@ def test_qfi_matches_coherent_oracle_at_scale(n):
 
 
 def test_qfi_at_the_optimum_is_heisenberg_at_a_million_spins():
-    # at the ZZ optimum (omega_p t1 = 3 pi / 2) the generator is -J_x, so the
-    # coherent probe along -x reaches the Heisenberg limit N^2
+    # at the ZZ optimum (omega_p t1 = 3 pi / 2) the generator is -J_x up to
+    # rounding, so its polarized (coherent) probe reaches the Heisenberg limit N^2
     dim = EnsembleDim(10**6)
-    probe = coherent_probe(dim, np.pi / 2, np.pi)
+    probe = polarized_probe(dim, optimal_generator(ZZ, dim))
     settings = optimal_settings(ZZ)
     value = qfi_general(probe, ancilla_state(settings.theta0), ZZ, conjugate_schedule(settings.t1, 0.0)).value
     assert abs(value / dim.n_spins**2 - 1.0) <= 1e-10

@@ -1,17 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator
+import echometry.spin
+from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
 from echometry.states import (
     SpectralProbe,
     ThermalSpec,
     ancilla_state,
     dephase_ancilla,
-    ghz_probe,
     polarized_probe,
     spectral_decompose,
     thermal_probe,
 )
+
+
+def ghz_probe(dim, generator):
+    """Equal superposition of the two extremal eigenvectors of a generator (a test probe)."""
+    _, vecs = generator.frame
+    psi = (vecs[:, -1] + vecs[:, 0]) / np.sqrt(2.0)
+    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=psi[:, None])
 
 
 def test_ancilla_poles():
@@ -76,9 +85,10 @@ def test_polarized_probe_along_jz():
     probe = polarized_probe(dim, PhaseGenerator(dim, (0.0, 0.0, 1.0)))
     assert probe.n_terms == 1
     np.testing.assert_allclose(probe.weights, [1.0])
-    np.testing.assert_allclose(probe.vectors[:, 0], np.eye(4)[:, -1], atol=1e-12)
+    # the poles give the exact basis vectors (no 0 log 0 NaN)
+    np.testing.assert_array_equal(probe.vectors[:, 0], np.eye(4)[:, -1])
     flipped = polarized_probe(dim, PhaseGenerator(dim, (0.0, 0.0, -1.0)))
-    np.testing.assert_allclose(flipped.vectors[:, 0], np.eye(4)[:, 0], atol=1e-12)
+    np.testing.assert_array_equal(flipped.vectors[:, 0], np.eye(4)[:, 0])
 
 
 def test_polarized_probe_is_extremal_eigenvector():
@@ -87,6 +97,58 @@ def test_polarized_probe_is_extremal_eigenvector():
     probe = polarized_probe(dim, gen)
     psi = probe.vectors[:, 0]
     assert np.linalg.norm(gen.matrix @ psi - dim.j * psi) <= 1e-10
+
+
+_COMPONENT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    axis=st.one_of(
+        st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]),
+        st.tuples(_COMPONENT, st.just(0.0), _COMPONENT),
+        st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+    ).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    scale=st.floats(0.1, 1.0),
+    beta=st.floats(0.0, 5.0),
+)
+def test_probe_constructors_match_the_frame_columns(n, axis, scale, beta):
+    # same vectors and phases as spin_frame's columns, without any phase alignment:
+    # the top one for the polarized probe (|n| < 1 included), the kept lowest
+    # ones for the thermal probe
+    dim = EnsembleDim(n)
+    gen = PhaseGenerator(dim, scale * np.asarray(axis))
+    _, vecs = spin_frame(dim, gen.axis)
+    np.testing.assert_allclose(polarized_probe(dim, gen).vectors[:, 0], vecs[:, -1], rtol=0.0, atol=1e-12)
+    unit = PhaseGenerator(dim, np.asarray(axis) / np.linalg.norm(axis))
+    probe = thermal_probe(dim, unit, beta)
+    _, vecs = spin_frame(dim, unit.axis)
+    np.testing.assert_allclose(probe.vectors, vecs[:, : probe.n_terms], rtol=0.0, atol=1e-12)
+
+
+def test_probe_constructors_solve_no_full_frame(monkeypatch):
+    # the polarized probe is a closed form; the thermal probe solves only its kept columns
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a probe constructor solved the full frame")
+
+    solved = []
+    eigh_tridiagonal = echometry.spin.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        vals, vecs = eigh_tridiagonal(*args, **kwargs)
+        solved.append(vecs.shape[1])
+        return vals, vecs
+
+    monkeypatch.setattr(echometry.spin, "spin_frame", forbidden)
+    monkeypatch.setattr(PhaseGenerator, "frame", property(forbidden))
+    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
+    dim = EnsembleDim(2000)
+    gen = PhaseGenerator(dim, (0.6, -0.48, 0.64))
+    assert polarized_probe(dim, gen).n_terms == 1
+    assert solved == []
+    probe = thermal_probe(dim, gen, 1.0)
+    assert solved == [probe.n_terms] and probe.n_terms < 40
 
 
 def test_polarized_probe_reports_degenerate_generator():
@@ -98,7 +160,7 @@ def test_polarized_probe_reports_degenerate_generator():
 def test_probe_constructors_reject_a_generator_of_another_size():
     dim = EnsembleDim(3)
     gen = phase_generator(EnsembleDim(4), 0.3)
-    for build in (polarized_probe, ghz_probe, lambda d, g: thermal_probe(d, g, 1.0)):
+    for build in (polarized_probe, lambda d, g: thermal_probe(d, g, 1.0)):
         with pytest.raises(ContractViolation):
             build(dim, gen)
 
