@@ -9,9 +9,9 @@ harness and CLI (:mod:`echometry.experiments`, :mod:`echometry.cli`).
 
 Both couplings are diagonal in the ancilla's sigma_z, so production code
 works on the two (N+1)-dimensional ancilla-sector blocks.  The dense
-2(N+1)-dimensional path (:func:`hamiltonian`, :func:`circuit_unitary`,
-:func:`output_state`, :func:`output_state_derivative`) is the independent
-reference of the ``validate`` oracle and the tests.
+2(N+1)-dimensional path and the SLD oracle are the independent reference of
+the ``validate`` run and the tests; they live in :mod:`echometry.reference`,
+which is not re-exported here.
 """
 
 from .spin import (
@@ -19,10 +19,8 @@ from .spin import (
     EnsembleDim,
     PhaseGenerator,
     collective_ops,
-    joint_embed,
     phase_generator,
     spin_frame,
-    unitary_of_hermitian,
 )
 from .states import (
     AncillaState,
@@ -41,12 +39,8 @@ from .circuit import (
     PeriodSolution,
     Schedule,
     bch_coefficients,
-    circuit_unitary,
-    closed_form_unitary,
     conjugate_schedule,
     encoder,
-    global_phase_distance,
-    hamiltonian,
     normalized_trace,
     optimal_generator,
     optimal_settings,
@@ -61,13 +55,9 @@ from .fisher import (
     cfi,
     cfi_grid,
     measurement_probs,
-    output_state,
-    output_state_derivative,
     qfi_deviation,
     qfi_general,
     qfi_grid,
-    qfi_simplified,
-    qfi_sld_oracle,
     qfi_thermal,
 )
 from .experiments import FitResult, SweepConfig, fit_quadratic, run_scenario, run_validation
@@ -79,10 +69,8 @@ __all__ = [
     "EnsembleDim",
     "PhaseGenerator",
     "collective_ops",
-    "joint_embed",
     "phase_generator",
     "spin_frame",
-    "unitary_of_hermitian",
     "AncillaState",
     "SpectralProbe",
     "ThermalSpec",
@@ -97,12 +85,8 @@ __all__ = [
     "PeriodSolution",
     "Schedule",
     "bch_coefficients",
-    "circuit_unitary",
-    "closed_form_unitary",
     "conjugate_schedule",
     "encoder",
-    "global_phase_distance",
-    "hamiltonian",
     "normalized_trace",
     "optimal_generator",
     "optimal_settings",
@@ -115,13 +99,9 @@ __all__ = [
     "cfi",
     "cfi_grid",
     "measurement_probs",
-    "output_state",
-    "output_state_derivative",
     "qfi_deviation",
     "qfi_general",
     "qfi_grid",
-    "qfi_simplified",
-    "qfi_sld_oracle",
     "qfi_thermal",
     "FitResult",
     "SweepConfig",

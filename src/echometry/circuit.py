@@ -1,4 +1,4 @@
-"""The two-step probe-ancilla circuit: Hamiltonians, propagators, reversal.
+"""The two-step probe-ancilla circuit: propagators, generator axes, reversal.
 
 The protocol evolves probe and ancilla jointly for t1, encodes a phase theta
 by a probe rotation, then evolves again for t2.  The second leg realizes the
@@ -20,9 +20,8 @@ rotation and generator stay (N+1)-dimensional.  In sector s the Hamiltonian
 is w_s.J + s omega_a, so conjugating the encoding generator g.J by the
 evolution gives another spin component c_s.J: :func:`generator_axes` reads
 c_s off the spin-1/2 blocks, and :func:`apply_spin_axis` applies c.J as one
-diagonal and the two ladder bands.  The dense 2(N+1) joint operators,
-:func:`hamiltonian` and :func:`circuit_unitary`, are the independent
-reference that the oracle path and the tests check against.
+diagonal and the two ladder bands.  The dense 2(N+1) joint operators are
+the independent reference of :mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -39,14 +38,10 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    ID2,
-    PAULI_Z,
     collective_ops,
-    joint_embed,
     phase_generator,
     spin_frame,
     spin_ladder,
-    unitary_of_hermitian,
 )
 
 __all__ = [
@@ -58,22 +53,16 @@ __all__ = [
     "PERIOD_RESIDUAL_TOL",
     "conjugate_schedule",
     "period_schedule",
-    "hamiltonian",
     "propagator",
     "encoder",
     "encoding_axis",
-    "encoding_generator",
     "generator_axes",
     "apply_spin_axis",
-    "circuit_unitary",
     "normalized_trace",
     "reversal_period",
-    "closed_form_unitary",
-    "closed_form_generator",
     "bch_coefficients",
     "optimal_settings",
     "optimal_generator",
-    "global_phase_distance",
 ]
 
 # A candidate recurrence time T is accepted when 1 - F(T) stays below this.
@@ -163,18 +152,6 @@ class OptimalSettings:
     status: str  # "optimal" | "sub_optimal"
 
 
-def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """Joint Hamiltonian on the 2(N+1)-dimensional probe-ancilla space."""
-    jx, _, jz = collective_ops(dim)
-    eye = np.eye(dim.dim, dtype=complex)
-    coupling_op = jz if params.kind == "zz" else jx
-    return (
-        params.omega_p * joint_embed(jz, ID2)
-        + params.omega_a * joint_embed(eye, PAULI_Z)
-        + params.g * joint_embed(coupling_op, PAULI_Z)
-    )
-
-
 def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndarray, np.ndarray | None]]:
     """Eigenvalues and eigenvectors of H in the ancilla sectors s = +1 (|e>), -1 (|g>).
 
@@ -234,12 +211,6 @@ def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
     return _frame_exp(vals, vecs, theta)
 
 
-def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """The probe rotation generator behind the encoder: J_x for ZZ, J_z for XZ (dense reference)."""
-    jx, _, jz = collective_ops(dim)
-    return jx if params.kind == "zz" else jz
-
-
 def generator_axes(kind: str, u: np.ndarray) -> np.ndarray:
     """Axes c_s with U_s^dagger (g.J) U_s = c_s.J in each ancilla sector s, at any N.
 
@@ -270,19 +241,6 @@ def apply_spin_axis(dim: EnsembleDim, axis, x: np.ndarray) -> np.ndarray:
     out[..., 1:, :] += raising * x[..., :-1, :]
     out[..., :-1, :] += raising.conj() * x[..., 1:, :]
     return out
-
-
-def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
-    """Full circuit unitary U(t2-leg) R(theta) U(t1) on the joint 2(N+1) space.
-
-    The dense reference: built from exp(-i H t) of :func:`hamiltonian`, never
-    from the sector blocks of :func:`propagator`.
-    """
-    h = hamiltonian(params, dim)
-    u1 = unitary_of_hermitian(h, sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else unitary_of_hermitian(h, sched.t2)
-    rotation = unitary_of_hermitian(encoding_generator(params, dim), sched.theta)
-    return u2 @ joint_embed(rotation, ID2) @ u1
 
 
 def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
@@ -444,43 +402,6 @@ def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, floa
     return cx, cy, cz
 
 
-def closed_form_generator(params: ModelParams, dim: EnsembleDim, t1: float) -> np.ndarray:
-    """Hermitian M with U_theta = exp(-i theta M) once the reversal holds.
-
-    ZZ: M = cos(g t1) J(-phi) - sin(g t1) J(pi/2 - phi) sigma_z with
-    phi = omega_p t1.  XZ: M = -(c_z J_z + c_x J_x sigma_z + c_y J_y sigma_z).
-    """
-    jx, jy, jz = collective_ops(dim)
-    if params.kind == "zz":
-        phi = params.omega_p * t1
-        j_minus_phi = phase_generator(dim, -phi).matrix
-        j_perp = phase_generator(dim, math.pi / 2 - phi).matrix
-        return math.cos(params.g * t1) * joint_embed(j_minus_phi, ID2) - math.sin(
-            params.g * t1
-        ) * joint_embed(j_perp, PAULI_Z)
-    cx, cy, cz = bch_coefficients(params, t1)
-    return -(
-        cz * joint_embed(jz, ID2)
-        + cx * joint_embed(jx, PAULI_Z)
-        + cy * joint_embed(jy, PAULI_Z)
-    )
-
-
-def closed_form_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
-    """The circuit unitary from its closed-form generator.
-
-    Valid whenever the reversal condition holds, i.e. in exact-conjugate mode
-    or in period mode with t1 + t2 a verified reversal period.
-    """
-    if sched.mode == "period":
-        res = 1.0 - normalized_trace(params, dim, sched.t1 + sched.t2)
-        if res >= PERIOD_RESIDUAL_TOL:
-            raise ContractViolation(
-                f"closed form needs a verified reversal period; residual {res:.3e}"
-            )
-    return unitary_of_hermitian(closed_form_generator(params, dim, sched.t1), sched.theta)
-
-
 def optimal_settings(params: ModelParams) -> OptimalSettings:
     """Ancilla angle and step-1 duration that cancel the information leakage.
 
@@ -515,19 +436,3 @@ def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
         raise ContractViolation("xz generator coefficients are not normalized")
     return PhaseGenerator(dim, (cx, cy, 0.0))
 
-
-def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max-norm distance between A and B after aligning a global phase.
-
-    The phase is read off the largest-magnitude entry of B, so the distance
-    is insensitive to an overall e^{i phi} between the two matrices.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ContractViolation("matrices must share a shape")
-    idx = np.unravel_index(int(np.argmax(np.abs(b))), b.shape)
-    if abs(b[idx]) == 0.0:
-        return float(np.max(np.abs(a - b)))
-    phase = (a[idx] / b[idx]) / abs(a[idx] / b[idx]) if abs(a[idx]) > 0 else 1.0
-    return float(np.max(np.abs(a - phase * b)))

@@ -20,7 +20,6 @@ import numpy as np
 
 from .circuit import (
     ModelParams,
-    Schedule,
     conjugate_schedule,
     normalized_trace,
     optimal_generator,
@@ -31,13 +30,12 @@ from .fisher import (
     DeviationSpec,
     cfi,
     cfi_grid,
-    output_state_derivative,
     qfi_deviation,
     qfi_general,
     qfi_grid,
-    qfi_sld_oracle,
     qfi_thermal,
 )
+from .reference import output_state_derivative, qfi_sld_oracle
 from .spin import ContractViolation, EnsembleDim
 from .states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 
@@ -79,6 +77,11 @@ class SweepConfig:
         if spec.needs_g and self.params.g <= 0.0:
             raise ContractViolation(
                 f"scenario {self.scenario} {spec.needs_g} and needs g > 0, got g = {self.params.g!r}"
+            )
+        if self.params.kind not in spec.kinds:
+            raise ContractViolation(
+                f"scenario {self.scenario} checks a law of interaction {' or '.join(spec.kinds)} only, "
+                f"got {self.params.kind!r}"
             )
         if spec.thermal and optimal_settings(self.params).status != "optimal":
             raise ContractViolation(
@@ -424,7 +427,8 @@ class Scenario:
     a runner needs a positive coupling: its grid measures time in units of
     1/g, or it starts from the optimal settings.  ``thermal`` marks a runner
     that builds a thermal probe of the optimal generator, whose axis is a
-    unit vector only for ZZ and for XZ at strong coupling.
+    unit vector only for ZZ and for XZ at strong coupling.  ``kinds`` lists the
+    interactions a runner accepts; the deviation scan checks a ZZ-only law.
     """
 
     runner: Callable[[SweepConfig], tuple]
@@ -433,6 +437,7 @@ class Scenario:
     modes: tuple[str, ...] = ("exact_conjugate",)
     needs_g: str = ""
     thermal: bool = False
+    kinds: tuple[str, ...] = ("zz", "xz")
 
 
 _FIGURE_SIZES = tuple(range(2, 21))
@@ -489,6 +494,7 @@ SCENARIOS = {
         "deviation",
         dict(n_values=(4, 20), deltas=(0.005, 0.01, 0.02)),
         needs_g=_OPTIMUM,
+        kinds=("zz",),
     ),
     "dephasing_scan": Scenario(
         _run_dephasing_scan,
@@ -608,7 +614,7 @@ def run_validation(instances: int = 200, seed: int = 7) -> dict:
 
         general = qfi_general(probe, anc, params, sched).value
         for theta in (0.2, 1.0):
-            rho, drho = output_state_derivative(probe, anc, params, Schedule(t1, t1, theta, "exact_conjugate"))
+            rho, drho = output_state_derivative(probe, anc, params, conjugate_schedule(t1, theta))
             oracle = qfi_sld_oracle(rho, drho).value
             rel = abs(general - oracle) / max(abs(general), abs(oracle), 1e-9)
             max_rel = max(max_rel, rel)

@@ -23,11 +23,10 @@ reads c_s at every step time off the spin-1/2 sector blocks of
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
 step times in one broadcast; :func:`qfi_general` and :func:`cfi` are their
 one-cell calls.
-An independent cross-check, :func:`qfi_sld_oracle`, computes
-the same quantity from the symmetric logarithmic derivative of the output
-density matrix and an analytically supplied d rho / d theta
-(:func:`output_state_derivative`), built from the dense joint Hamiltonian and
-never reusing the two-term path or the sector blocks.
+The independent cross-check, the symmetric-logarithmic-derivative oracle
+on the dense 2(N+1)-dimensional output state, lives in
+:mod:`echometry.reference` and reuses neither the two-term path nor the
+sector blocks.
 """
 
 from __future__ import annotations
@@ -42,12 +41,9 @@ from .circuit import (
     ModelParams,
     Schedule,
     apply_spin_axis,
-    circuit_unitary,
     encoder,
     encoding_axis,
-    encoding_generator,
     generator_axes,
-    hamiltonian,
     optimal_generator,
     propagator,
 )
@@ -55,12 +51,8 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    ID2,
     KET_E,
     KET_G,
-    assert_hermitian,
-    joint_embed,
-    unitary_of_hermitian,
 )
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec
 
@@ -69,12 +61,8 @@ __all__ = [
     "FisherResult",
     "DeviationSpec",
     "ProbabilityTable",
-    "output_state",
-    "output_state_derivative",
     "qfi_general",
     "qfi_grid",
-    "qfi_simplified",
-    "qfi_sld_oracle",
     "qfi_thermal",
     "qfi_deviation",
     "measurement_probs",
@@ -150,38 +138,6 @@ class ProbabilityTable:
     @property
     def probabilities(self) -> np.ndarray:
         return np.array([row[2] for row in self.rows], dtype=float)
-
-
-def _input_density(probe: SpectralProbe, ancilla: AncillaState) -> np.ndarray:
-    return joint_embed(probe.density(), ancilla.rho)
-
-
-def output_state(
-    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
-) -> np.ndarray:
-    """Output density matrix U_theta (rho_P (x) rho_A) U_theta^dagger (dense reference)."""
-    u = circuit_unitary(params, probe.dim, sched)
-    return u @ _input_density(probe, ancilla) @ u.conj().T
-
-
-def output_state_derivative(
-    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output state together with its analytic theta-derivative (dense reference).
-
-    d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1) = U_theta U(t1)^dagger
-    (-i G) U(t1), because the encoding generator G commutes with R(theta);
-    differencing of unitaries is never used.  U(t1) and U_theta come from the
-    dense joint Hamiltonian, not from the sector blocks of the production path.
-    """
-    dim = probe.dim
-    u = circuit_unitary(params, dim, sched)
-    u1 = unitary_of_hermitian(hamiltonian(params, dim), sched.t1)
-    du = u @ u1.conj().T @ joint_embed(-1j * encoding_generator(params, dim), ID2) @ u1
-    rho0 = _input_density(probe, ancilla)
-    rho = u @ rho0 @ u.conj().T
-    half = du @ rho0 @ u.conj().T
-    return rho, half + half.conj().T
 
 
 def _input_spectrum(probe: SpectralProbe, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
@@ -282,38 +238,6 @@ def qfi_general(
     """
     value = qfi_grid(probe, [ancilla], params, [sched.t1])[0, 0]
     return FisherResult(value=value, method="general")
-
-
-def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:
-    """Mean square of the optimized phase generator: 4 sum_i p_i <G^2>_i."""
-    gv = generator.matrix @ probe.vectors
-    value = 4.0 * float(np.sum(probe.weights * np.einsum("ik,ik->k", gv.conj(), gv).real))
-    return FisherResult(value=value, method="simplified")
-
-
-def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResult:
-    """Fisher information from the symmetric-logarithmic-derivative expansion.
-
-    F_Q = 2 sum_{k,l} |<k| drho |l>|^2 / (lambda_k + lambda_l) over eigenpairs
-    of rho with lambda_k + lambda_l above the spectral cutoff.  Independent of
-    the two-term path: it only sees the output state and its derivative.
-    """
-    rho = np.asarray(rho_theta, dtype=complex)
-    drho = np.asarray(drho_theta, dtype=complex)
-    assert_hermitian(rho, name="output state")
-    assert_hermitian(drho, tol=1e-10, name="output-state derivative")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise ContractViolation("output state must have unit trace")
-    if abs(np.trace(drho)) > 1e-9:
-        raise ContractViolation("output-state derivative must be traceless")
-    vals, vecs = np.linalg.eigh(rho)
-    if vals.min() < -1e-10:
-        raise ContractViolation("output state is not positive semidefinite")
-    md = vecs.conj().T @ drho @ vecs
-    denom = vals[:, None] + vals[None, :]
-    mask = denom > EPS_SPECTRUM
-    value = 2.0 * float(np.sum((np.abs(md) ** 2)[mask] / denom[mask]))
-    return FisherResult(value=value, method="sld_oracle")
 
 
 def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResult]:

@@ -5,15 +5,16 @@ collective operators stays inside the (N+1)-dimensional symmetric subspace
 with total spin j = N/2.  Every operator the package diagonalizes is a spin
 component n.J, held as its axis (:class:`PhaseGenerator`) and solved by
 :func:`spin_frame`, or by :func:`lowest_spin_columns` where only the lowest
-few eigenvectors are needed; :func:`joint_embed` builds the 2(N+1)-dimensional
-probe-plus-ancilla operators of the dense reference path.
+few eigenvectors are needed.  The 2(N+1)-dimensional probe-plus-ancilla
+operators of the dense reference path live in :mod:`echometry.reference`.
 
 Conventions used throughout the package:
 
 * probe basis ordered by the J_z eigenvalue m = -j, ..., +j (ascending),
 * ancilla basis (|e>, |g>) with the excited state first, so that
   sigma_z |e> = +|e>,
-* tensor products put the probe factor first: ``joint_embed(A, B) = A (x) B``.
+* production holds joint states sector-major, (ancilla sector, m); the
+  dense reference puts the probe factor first, basis order (m, {e, g}).
 
 Operators are plain ``numpy.ndarray`` values; hermiticity is checked on
 demand with :func:`assert_hermitian` at the tolerance below.
@@ -33,10 +34,6 @@ __all__ = [
     "EnsembleDim",
     "PhaseGenerator",
     "HERMITIAN_TOL",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "ID2",
     "KET_E",
     "KET_G",
     "collective_ops",
@@ -46,17 +43,11 @@ __all__ = [
     "tridiagonal_axis",
     "pin_frame_phases",
     "lowest_spin_columns",
-    "unitary_of_hermitian",
-    "joint_embed",
     "assert_hermitian",
 ]
 
 HERMITIAN_TOL = 1e-12
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_G = np.array([0.0, 1.0], dtype=complex)
 
@@ -216,19 +207,3 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ope
     if dev >= tol:
         raise ContractViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
 
-
-def unitary_of_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H, via spectral decomposition."""
-    a = np.asarray(h, dtype=complex)
-    assert_hermitian(a, name="evolution generator")
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-
-
-def joint_embed(probe_op: np.ndarray, ancilla_op: np.ndarray) -> np.ndarray:
-    """Kronecker product with the probe factor first, basis order (m, {e, g})."""
-    a = np.asarray(probe_op, dtype=complex)
-    b = np.asarray(ancilla_op, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ContractViolation("joint_embed needs two square matrices")
-    return np.kron(a, b)

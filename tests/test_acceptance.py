@@ -12,10 +12,7 @@ from echometry.circuit import (
     ModelParams,
     Schedule,
     bch_coefficients,
-    circuit_unitary,
-    closed_form_unitary,
     conjugate_schedule,
-    global_phase_distance,
     normalized_trace,
     optimal_generator,
     optimal_settings,
@@ -25,14 +22,19 @@ from echometry.experiments import fit_quadratic, run_validation
 from echometry.fisher import (
     DeviationSpec,
     cfi,
-    output_state_derivative,
     qfi_deviation,
     qfi_general,
-    qfi_sld_oracle,
     qfi_thermal,
 )
 from echometry.spin import EnsembleDim
 from echometry.states import ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
+from echometry.reference import (
+    circuit_unitary,
+    closed_form_unitary,
+    global_phase_distance,
+    output_state_derivative,
+    qfi_sld_oracle,
+)
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 

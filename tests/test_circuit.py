@@ -10,15 +10,10 @@ from echometry.circuit import (
     _scan_period,
     apply_spin_axis,
     bch_coefficients,
-    circuit_unitary,
-    closed_form_unitary,
     conjugate_schedule,
     encoder,
     encoding_axis,
-    encoding_generator,
     generator_axes,
-    global_phase_distance,
-    hamiltonian,
     normalized_trace,
     optimal_generator,
     optimal_settings,
@@ -29,9 +24,16 @@ from echometry.circuit import (
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
+    collective_ops,
+)
+from echometry.reference import (
     ID2,
     PAULI_Z,
-    collective_ops,
+    circuit_unitary,
+    closed_form_unitary,
+    encoding_generator,
+    global_phase_distance,
+    hamiltonian,
     joint_embed,
     unitary_of_hermitian,
 )
@@ -336,8 +338,6 @@ def test_closed_form_at_optimum_is_generator_rotation():
     theta = 0.37
     closed = closed_form_unitary(ZZ, dim, conjugate_schedule(settings.t1, theta))
     gen = optimal_generator(ZZ, dim)
-    from echometry.spin import unitary_of_hermitian
-
     expected = unitary_of_hermitian(-joint_embed(gen.matrix, PAULI_Z), theta)
     assert global_phase_distance(closed, expected) <= 1e-10
 
@@ -391,7 +391,6 @@ def test_optimal_settings_xz_weak_coupling():
 def test_optimal_settings_cancel_information_leakage():
     # at the optimum the ancilla-sector projection of the conjugated encoding
     # generator vanishes identically, independent of the probe matrix element
-    from echometry.circuit import encoding_generator
     from echometry.states import ancilla_state
 
     dim = EnsembleDim(6)

@@ -215,6 +215,8 @@ def test_explicit_default_mode_changes_nothing(tmp_path):
         (["dephasing", "--interaction", "xz", "--g", "0"], ""),
         (["qfi-sweep", "--scenario", "theta0", "--g", "0"], ""),
         (["qfi-sweep", "--scenario", "theta0", "--interaction", "xz"], "g = 0"),
+        # the deviation law is the ZZ one
+        (["deviation", "--interaction", "xz"], ""),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):

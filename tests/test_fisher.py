@@ -12,14 +12,13 @@ from scipy.linalg import expm
 
 import echometry.circuit
 import echometry.fisher
+import echometry.reference
 from echometry.circuit import (
     ModelParams,
     Schedule,
     apply_spin_axis,
     conjugate_schedule,
     encoder,
-    encoding_generator,
-    hamiltonian,
     optimal_generator,
     optimal_settings,
 )
@@ -30,29 +29,19 @@ from echometry.fisher import (
     cfi,
     cfi_grid,
     measurement_probs,
-    output_state,
-    output_state_derivative,
     qfi_deviation,
     qfi_general,
     qfi_grid,
-    qfi_sld_oracle,
-    qfi_simplified,
     qfi_thermal,
     _readout_basis,
 )
 from echometry.spin import (
-    ID2,
     KET_E,
     KET_G,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    joint_embed,
     phase_generator,
-    unitary_of_hermitian,
 )
 from echometry.states import (
     SpectralProbe,
@@ -60,6 +49,19 @@ from echometry.states import (
     dephase_ancilla,
     polarized_probe,
     thermal_probe,
+)
+from echometry.reference import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    encoding_generator,
+    hamiltonian,
+    joint_embed,
+    output_state_derivative,
+    qfi_simplified,
+    qfi_sld_oracle,
+    unitary_of_hermitian,
 )
 from test_states import ghz_probe
 
@@ -92,7 +94,7 @@ def random_probe(dim, rng, max_rank=3):
 def test_output_state_traces_back_at_zero_phase():
     dim, _, probe, anc, _ = optimal_setup(3)
     sched = conjugate_schedule(t1=0.7, theta=0.0)
-    rho = output_state(probe, anc, ZZ, sched)
+    rho = output_state_derivative(probe, anc, ZZ, sched)[0]
     np.testing.assert_allclose(rho, np.kron(probe.density(), anc.rho), atol=1e-10)
 
 
@@ -103,7 +105,7 @@ def test_output_state_is_a_density_matrix():
         probe = random_probe(dim, rng)
         anc = ancilla_state(float(rng.uniform(0, np.pi)), float(rng.uniform(0, 2 * np.pi)))
         sched = conjugate_schedule(float(rng.uniform(0, np.pi)), float(rng.uniform(-1, 1)))
-        rho = output_state(probe, anc, ZZ, sched)
+        rho = output_state_derivative(probe, anc, ZZ, sched)[0]
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(rho).min() >= -1e-10
 
@@ -123,7 +125,7 @@ def test_output_state_matches_explicit_tensor_structure():
             ket_m = np.array([np.exp(1j * theta * m), np.exp(-1j * theta * m)])
             ket_mp = np.array([np.exp(1j * theta * mp), np.exp(-1j * theta * mp)])
             expected += coeff * np.kron(np.outer(vecs[:, a], vecs[:, b].conj()), np.outer(ket_m, ket_mp.conj()))
-    rho = output_state(probe, anc, ZZ, sched)
+    rho = output_state_derivative(probe, anc, ZZ, sched)[0]
     np.testing.assert_allclose(rho, expected, atol=1e-10)
 
 
@@ -549,7 +551,7 @@ def density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis, h
     vecs, _ = _readout_basis(basis, gen)
 
     def rho_at(theta):
-        return output_state(probe, anc, params, replace(sched, theta=theta))
+        return output_state_derivative(probe, anc, params, replace(sched, theta=theta))[0]
 
     if mode == "analytic":
         rho, drho = output_state_derivative(probe, anc, params, replace(sched, theta=theta_eval))
@@ -668,6 +670,68 @@ def test_map_cell_reference_from_high_precision():
                 )
                 total += (2 * mp.re(mp.conj(a) * da)) ** 2 / abs(a) ** 2
         assert abs(total - mp.mpf(MAP_CELL_FC)) <= mp.mpf("1e-15")
+
+
+def test_qfi_cell_matches_high_precision_reference():
+    """qfi_general against a 50-digit two-term sum, sharing no code with the package.
+
+    XZ cell away from the optimum, N = 3, a rank-2 probe and a dephased
+    ancilla: H_eff = U(t1)^dagger (J_z (x) I) U(t1) from mp.expm of the 8x8
+    joint Hamiltonian (probe factor first, |e> first), then
+    F_Q = 4 sum_k w_k <H_eff^2>_k - sum_kl 8 w_k w_l / (w_k + w_l) |<k|H_eff|l>|^2
+    over the joint input eigenpairs.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    n, omega_p, omega_a, g, t1 = 3, 0.8, 1.3, 1.0, 0.9
+    theta0, phi0, x = 1.1, 0.7, 0.3
+    weights = (0.7, 0.3)
+    with mp.workdps(50):
+        j = mp.mpf(n) / 2
+        m = [mp.mpf(k) - j for k in range(n + 1)]
+        jz = mp.diag(m)
+        jx = mp.matrix(n + 1, n + 1)
+        for k in range(n):
+            jx[k + 1, k] = jx[k, k + 1] = mp.sqrt(j * (j + 1) - m[k] * (m[k] + 1)) / 2
+        eye2, sz = mp.eye(2), mp.diag([1, -1])
+
+        def kron(a, b):
+            out = mp.matrix(a.rows * b.rows, a.cols * b.cols)
+            for i in range(a.rows):
+                for k in range(a.cols):
+                    for p in range(b.rows):
+                        for q in range(b.cols):
+                            out[i * b.rows + p, k * b.cols + q] = a[i, k] * b[p, q]
+            return out
+
+        h = omega_p * kron(jz, eye2) + omega_a * kron(mp.eye(n + 1), sz) + g * kron(jx, sz)
+        u1 = mp.expm(-1j * mp.mpf(t1) * h)
+        h_eff = u1.H * kron(jz, eye2) * u1
+        vecs = [mp.matrix([1, 1, 0, 0]) / mp.sqrt(2), mp.matrix([0, 0, 1, 2j]) / mp.sqrt(5)]
+        ket = mp.matrix([mp.cos(mp.mpf(theta0) / 2), mp.exp(-1j * mp.mpf(phi0)) * mp.sin(mp.mpf(theta0) / 2)])
+        rho_a = ket * ket.H
+        rho_a[0, 1] *= 1 - mp.mpf(x)
+        rho_a[1, 0] *= 1 - mp.mpf(x)
+        q, a = mp.eighe(rho_a)
+        pairs = [
+            (mp.mpf(w) * q[s], kron(v, a[:, s]))
+            for w, v in zip(weights, vecs)
+            for s in range(2)
+        ]
+        total = mp.mpf(0)
+        for wk, psi_k in pairs:
+            h_psi = h_eff * psi_k
+            total += 4 * wk * mp.re((h_psi.H * h_psi)[0])
+            for wl, psi_l in pairs:
+                total -= 8 * wk * wl / (wk + wl) * abs((psi_l.H * h_psi)[0]) ** 2
+        dim = EnsembleDim(n)
+        vectors = np.array([[complex(v[i]) for v in vecs] for i in range(n + 1)])
+        probe = SpectralProbe(dim=dim, weights=np.array(weights), vectors=vectors)
+        anc = dephase_ancilla(ancilla_state(theta0, phi0), x)
+        np.testing.assert_allclose(anc.rho, np.array(rho_a.tolist(), dtype=complex), rtol=0, atol=1e-15)
+        params = ModelParams(omega_p=omega_p, omega_a=omega_a, g=g, kind="xz")
+        value = qfi_general(probe, anc, params, conjugate_schedule(t1, theta=0.2)).value
+        assert abs(mp.mpf(value) - total) <= mp.mpf("1e-12") * total
 
 
 # ---------------------------------------------------------------------------
@@ -938,9 +1002,8 @@ def test_production_paths_build_no_joint_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a production path built a 2(N+1) joint matrix")
 
-    for module in (echometry.circuit, echometry.fisher):
-        for name in ("joint_embed", "hamiltonian"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for name in ("joint_embed", "hamiltonian"):
+        monkeypatch.setattr(echometry.reference, name, forbidden, raising=True)
     monkeypatch.setattr(np, "kron", forbidden)
     patched = list(outputs())
     assert len(patched) == len(reference) == 12
@@ -999,8 +1062,7 @@ def test_production_paths_run_no_dense_eigensolver(monkeypatch):
             forbidden()
         return dense_eigh(a, *args, **kwargs)
 
-    for module in (echometry.circuit, echometry.fisher):
-        monkeypatch.setattr(module, "unitary_of_hermitian", forbidden)
+    monkeypatch.setattr(echometry.reference, "unitary_of_hermitian", forbidden, raising=True)
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
     patched = list(outputs())
     assert len(patched) == len(reference) == 52

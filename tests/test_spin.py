@@ -9,13 +9,15 @@ import echometry.spin
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
-    PAULI_Z,
     PhaseGenerator,
     collective_ops,
     assert_hermitian,
-    joint_embed,
     phase_generator,
     spin_frame,
+)
+from echometry.reference import (
+    PAULI_Z,
+    joint_embed,
     unitary_of_hermitian,
 )
 
