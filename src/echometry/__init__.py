@@ -40,7 +40,6 @@ from .circuit import (
     Schedule,
     bch_coefficients,
     conjugate_schedule,
-    encoder,
     normalized_trace,
     optimal_generator,
     optimal_settings,
@@ -86,7 +85,6 @@ __all__ = [
     "Schedule",
     "bch_coefficients",
     "conjugate_schedule",
-    "encoder",
     "normalized_trace",
     "optimal_generator",
     "optimal_settings",

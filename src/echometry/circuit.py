@@ -1,4 +1,4 @@
-"""The two-step probe-ancilla circuit: propagators, generator axes, reversal.
+"""The two-step probe-ancilla circuit: SU(2) sector elements, generator axes, reversal.
 
 The protocol evolves probe and ancilla jointly for t1, encodes a phase theta
 by a probe rotation, then evolves again for t2.  The second leg realizes the
@@ -14,14 +14,18 @@ Two interactions are supported:
 * ``"xz"``:  H = omega_p J_z + omega_a sigma_z + g J_x sigma_z, phase encoded
   by R_z(theta).
 
-Both Hamiltonians commute with the ancilla's sigma_z, so :func:`propagator`
-returns the two (N+1)-dimensional ancilla-sector blocks and the probe
-rotation and generator stay (N+1)-dimensional.  In sector s the Hamiltonian
-is w_s.J + s omega_a, so conjugating the encoding generator g.J by the
-evolution gives another spin component c_s.J: :func:`generator_axes` reads
-c_s off the spin-1/2 blocks, and :func:`apply_spin_axis` applies c.J as one
-diagonal and the two ladder bands.  The dense 2(N+1) joint operators are
-the independent reference of :mod:`echometry.reference`.
+Both Hamiltonians commute with the ancilla's sigma_z, and in sector s the
+Hamiltonian is w_s.J + s omega_a, so every circuit element is a sector phase
+times the spin-j image D^j(u) of an SU(2) element u.  Elements are held as
+Cayley-Klein pairs (a, b), u = [[a, b], [-b*, a*]] in the ascending-m basis,
+and composed elementwise; :func:`propagator` returns the closed-form
+spin-1/2 sector blocks, :func:`apply_su2` applies D^j(u) to probe columns
+through one real J_x frame, and no (N+1)-dimensional propagator is built.
+Conjugating the encoding generator g.J by an element gives another spin
+component c.J: :func:`generator_axes` and :func:`su2_rotate` give c, and
+:func:`apply_spin_axis` applies c.J as one diagonal and the two ladder
+bands.  The dense 2(N+1) joint operators are the independent reference of
+:mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -40,7 +44,6 @@ from .spin import (
     PhaseGenerator,
     collective_ops,
     phase_generator,
-    spin_frame,
     spin_ladder,
 )
 
@@ -53,8 +56,15 @@ __all__ = [
     "PERIOD_RESIDUAL_TOL",
     "conjugate_schedule",
     "period_schedule",
+    "su2_rotation",
+    "su2_compose",
+    "su2_inverse",
+    "su2_rotate",
+    "axis_rotation",
+    "apply_su2",
+    "sector_rotations",
+    "sector_phases",
     "propagator",
-    "encoder",
     "encoding_axis",
     "generator_axes",
     "apply_spin_axis",
@@ -68,7 +78,7 @@ __all__ = [
 # A candidate recurrence time T is accepted when 1 - F(T) stays below this.
 PERIOD_RESIDUAL_TOL = 1e-9
 
-# The spin-1/2 matrices (J_x, J_y, J_z) in the basis of propagator(params, EnsembleDim(1), t).
+# The spin-1/2 matrices (J_x, J_y, J_z) in the basis of propagator(params, t).
 _SPIN_HALF = np.stack(collective_ops(EnsembleDim(1)))
 
 # Rational-ratio detection for the analytic period solve.
@@ -152,50 +162,133 @@ class OptimalSettings:
     status: str  # "optimal" | "sub_optimal"
 
 
-def _sector_spectra(params: ModelParams, dim: EnsembleDim) -> list[tuple[np.ndarray, np.ndarray | None]]:
-    """Eigenvalues and eigenvectors of H in the ancilla sectors s = +1 (|e>), -1 (|g>).
+# Ancilla sector signs s, in the block order of :func:`propagator` (|e>, |g>).
+_SECTORS = np.array([1.0, -1.0])
 
-    H commutes with I (x) sigma_z; in sector s it is w_s.J + s omega_a with
-    w_s = (0, 0, omega_p + s g) (ZZ, diagonal: vectors None) or (s g, 0, omega_p)
-    (XZ, from the real spin frame of w_s).
+
+def su2_rotation(v, t) -> tuple[np.ndarray, np.ndarray]:
+    """Cayley-Klein pair (a, b) of exp(-i t v.J), U = [[a, b], [-b*, a*]] in the ascending-m basis.
+
+    ``v`` has shape (..., 3) and ``t`` broadcasts against its leading axes.
+    With h = |v| t / 2 and v = |v| n: a = cos h + i n_z sin h and
+    b = (n_y - i n_x) sin h, a rotation by |v| t about n.
     """
-    spectra = []
-    for s in (1.0, -1.0):
-        if params.kind == "zz":
-            spectra.append(((params.omega_p + s * params.g) * dim.m_values() + s * params.omega_a, None))
-            continue
-        vals, vecs = spin_frame(dim, (s * params.g, 0.0, params.omega_p))
-        spectra.append((vals + s * params.omega_a, vecs))
-    return spectra
+    v = np.asarray(v, dtype=float)
+    norm = np.sqrt(np.sum(v * v, axis=-1))
+    half = 0.5 * norm * t
+    sin_per_norm = np.sin(half) / np.where(norm > 0.0, norm, 1.0)
+    return np.cos(half) + 1j * sin_per_norm * v[..., 2], sin_per_norm * (v[..., 1] - 1j * v[..., 0])
 
 
-def _frame_exp(vals: np.ndarray, vecs: np.ndarray | None, t) -> np.ndarray:
-    """exp(-i B t) for B = V diag(vals) V^T: V cos V^T - i V sin V^T for real V, diagonal if V is None.
+def su2_compose(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The product p q of Cayley-Klein pairs: (a1 a2 - b1 b2*, a1 b2 + b1 a2*), elementwise."""
+    (a1, b1), (a2, b2) = p, q
+    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
 
-    ``t`` may be an array of times; the result has shape ``t.shape + (n, n)``.
+
+def su2_inverse(p) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse (adjoint) of a Cayley-Klein pair: (a*, -b)."""
+    a, b = p
+    return np.conj(a), -b
+
+
+def su2_rotate(p, v) -> np.ndarray:
+    """SO(3) image R v of axes v (..., 3), with U (v.J) U^dagger = (R v).J at every j.
+
+    The pair is the unit quaternion (Re a; -Im b, Re b, Im a), and R v follows
+    from Rodrigues' formula v + 2 q0 (q x v) + 2 q x (q x v).
     """
-    phase = np.asarray(t)[..., None] * vals
-    if vecs is None:
-        out = np.zeros(phase.shape + vals.shape, dtype=complex)
-        diag = np.arange(vals.size)
-        out[..., diag, diag] = np.exp(-1j * phase)
-        return out
-    cos, sin = np.cos(phase)[..., None, :], np.sin(phase)[..., None, :]
-    return (vecs * cos) @ vecs.T - 1j * ((vecs * sin) @ vecs.T)
+    a, b = (np.asarray(x) for x in p)
+    q = np.stack(np.broadcast_arrays(-b.imag, b.real, a.imag), axis=-1)
+    v = np.asarray(v, dtype=float)
+    qv = np.cross(q, v)
+    return v + 2.0 * a.real[..., None] * qv + 2.0 * np.cross(q, qv)
 
 
-def propagator(params: ModelParams, dim: EnsembleDim, t) -> np.ndarray:
-    """exp(-i H t) as its two ancilla-sector blocks, shape (2, N+1, N+1).
+def axis_rotation(axis) -> tuple[complex, complex]:
+    """Pair of R_n = exp(-i phi J_z) exp(-i theta J_y), which turns z onto the direction of ``axis``.
 
-    Block s acts on the probe in ancilla sector s = |e>, |g>; the adjoint is
-    ``u.conj().swapaxes(-1, -2)``.  An array of times gives the blocks of
-    every time, shape ``t.shape + (2, N+1, N+1)`` (for T times
-    (T, 2, N+1, N+1)), from one sector eigensolve.
+    (theta, phi) are the polar and azimuthal angles of the axis (0 for a
+    zero axis), so R_n |m> is the eigenvector of n.J with eigenvalue |n| m.
+    """
+    nx, ny, nz = (float(c) for c in axis)
+    theta, phi = math.atan2(math.hypot(nx, ny), nz), math.atan2(ny, nx)
+    return complex(np.exp(0.5j * phi) * math.cos(theta / 2)), complex(np.exp(0.5j * phi) * math.sin(theta / 2))
+
+
+def apply_su2(dim: EnsembleDim, x_frame: np.ndarray, p, x: np.ndarray) -> np.ndarray:
+    """D^j(U) x for Cayley-Klein pairs p = (a, b), on the probe axis (0) of x.
+
+    ``x_frame`` is the real J_x frame ``spin_frame(dim, (1, 0, 0))[1]``; a and b
+    broadcast against x's other axes.  With beta = 2 atan2(|b|, |a|),
+    sigma = arg a and delta = arg b, the Euler form
+    U = e^{-i alpha J_z} e^{-i beta J_y} e^{-i gamma J_z} has
+    alpha, gamma = sigma +/- delta, and e^{-i beta J_y} is e^{-i beta J_x}
+    turned by pi/2 about z, so
+
+        D^j(U) x = e^{-i(sigma+delta+pi/2) m} X e^{-i beta m} X^T e^{-i(sigma-delta-pi/2) m} x
+
+    (Feng et al., PRE 92, 043307, 2015).  Both X products are one real GEMM
+    over every column at once, on the interleaved real and imaginary parts,
+    so they sum in a fixed order whatever the BLAS thread count.
+    """
+    a, b = (np.asarray(c) for c in p)
+    sigma, delta = np.angle(a), np.angle(b)
+    beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    m = dim.m_values().reshape(-1, *[1] * (np.ndim(x) - 1))
+
+    def diag(angle):
+        return np.exp(-1j * m * angle)
+
+    y = np.ascontiguousarray(diag(sigma - delta - 0.5 * np.pi) * x)
+    shape = y.shape
+
+    def frame_product(frame, z):
+        return (frame @ z.reshape(dim.dim, -1).view(float)).view(complex).reshape(shape)
+
+    y = frame_product(x_frame.T, y)
+    y *= diag(beta)
+    y = frame_product(x_frame, y)
+    y *= diag(sigma + delta + 0.5 * np.pi)
+    return y
+
+
+def sector_rotations(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (a, b) of the sector evolutions u_s(t) = exp(-i t w_s.J), shape t.shape + (2,).
+
+    In ancilla sector s (s = +1 for |e>, -1 for |g>) the Hamiltonian is
+    w_s.J + s omega_a with w_s = (0, 0, omega_p + s g) for ZZ and
+    (s g, 0, omega_p) for XZ, so exp(-i H t) acts there as
+    e^{-i s omega_a t} D^j(u_s(t)).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ContractViolation("evolution time must be finite")
-    return np.stack([_frame_exp(vals, vecs, t) for vals, vecs in _sector_spectra(params, dim)], axis=t.ndim)
+    zeros = np.zeros(2)
+    if params.kind == "zz":
+        w = np.stack([zeros, zeros, params.omega_p + _SECTORS * params.g], axis=-1)
+    else:
+        w = np.stack([_SECTORS * params.g, zeros, np.full(2, params.omega_p)], axis=-1)
+    return su2_rotation(w, t[..., None])
+
+
+def sector_phases(params: ModelParams, t) -> np.ndarray:
+    """The sector phases e^{-i s omega_a t} of exp(-i H t), shape t.shape + (2,)."""
+    return np.exp(-1j * params.omega_a * np.multiply.outer(t, _SECTORS))
+
+
+def propagator(params: ModelParams, t) -> np.ndarray:
+    """exp(-i H t) of the spin-1/2 probe (N = 1) as its two ancilla-sector blocks, in closed form.
+
+    The result has shape t.shape + (2, 2, 2): block s is the sector phase
+    e^{-i s omega_a t} (:func:`sector_phases`) times the SU(2) element u_s(t)
+    of :func:`sector_rotations`.  At any N the sector block is
+    e^{-i s omega_a t} D^j(u_s(t)), so these 2x2 blocks carry the whole
+    evolution; the adjoint is ``u.conj().swapaxes(-1, -2)``.
+    """
+    a, b = sector_rotations(params, t)
+    phase = sector_phases(params, np.asarray(t, dtype=float))[..., None, None]
+    return phase * np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
 
 
 def encoding_axis(kind: str) -> tuple[float, float, float]:
@@ -203,18 +296,10 @@ def encoding_axis(kind: str) -> tuple[float, float, float]:
     return (1.0, 0.0, 0.0) if kind == "zz" else (0.0, 0.0, 1.0)
 
 
-def encoder(kind: str, theta: float, dim: EnsembleDim) -> np.ndarray:
-    """Phase-encoding rotation: R_x(theta) in the real J_x frame (ZZ) or diagonal R_z(theta) (XZ)."""
-    if not np.isfinite(theta):
-        raise ContractViolation("encoded phase must be finite")
-    vals, vecs = spin_frame(dim, (1.0, 0.0, 0.0)) if kind == "zz" else (dim.m_values(), None)
-    return _frame_exp(vals, vecs, theta)
-
-
 def generator_axes(kind: str, u: np.ndarray) -> np.ndarray:
     """Axes c_s with U_s^dagger (g.J) U_s = c_s.J in each ancilla sector s, at any N.
 
-    ``u`` holds the spin-1/2 sector blocks ``propagator(params, EnsembleDim(1), t)``,
+    ``u`` holds the spin-1/2 sector blocks ``propagator(params, t)``,
     shape (..., 2, 2, 2); the result has shape (..., 2, 3).  In sector s,
     U_s(t) is a sector phase times the spin-j image of the SU(2) rotation
     u_s(t), so c_s is the SO(3) image of the encoding axis g (see

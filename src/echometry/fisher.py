@@ -14,11 +14,14 @@ information reduces to the two-term spectral sum
 over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
 dephased ancilla alike.  The sum and the classical readout work on
 sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
-probe index; input column), so every operator is an (N+1)-dimensional
-probe block.  In ancilla sector s, H_eff is the spin component c_s.J, with
-c_s the encoding axis rotated by the sector's SU(2) evolution; the sum
-reads c_s at every step time off the spin-1/2 sector blocks of
-:func:`propagator` and applies c_s.J as its tridiagonal band, so no
+probe index; input column), so every operator acts on the
+(N+1)-dimensional probe.  In ancilla sector s, H_eff is the spin component
+c_s.J, with c_s the encoding axis rotated by the sector's SU(2) evolution;
+the sum reads c_s at every step time off the spin-1/2 sector blocks of
+:func:`propagator` and applies c_s.J as its tridiagonal band.  The
+classical readout turns the whole circuit of a sector, readout rotation
+included, into one SU(2) element and applies it to the input columns of
+every step time at once, through one real J_x frame per call.  No
 (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
 step times in one broadcast; :func:`qfi_general` and :func:`cfi` are their
@@ -41,11 +44,18 @@ from .circuit import (
     ModelParams,
     Schedule,
     apply_spin_axis,
-    encoder,
+    apply_su2,
+    axis_rotation,
     encoding_axis,
     generator_axes,
     optimal_generator,
     propagator,
+    sector_phases,
+    sector_rotations,
+    su2_compose,
+    su2_inverse,
+    su2_rotate,
+    su2_rotation,
 )
 from .spin import (
     ContractViolation,
@@ -53,6 +63,7 @@ from .spin import (
     PhaseGenerator,
     KET_E,
     KET_G,
+    spin_frame,
 )
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec
 
@@ -76,7 +87,7 @@ __all__ = [
 EPS_PROB = 1e-12
 
 # Complex entries that one slice of a grid kernel's stacked arrays (the CFI's
-# propagator blocks and state columns, the QFI's H psi columns) may hold,
+# output columns, the QFI's H psi columns) may hold,
 # 0.5 MB: the kernels walk their time axis in slices of at most this size,
 # and at least one time each.  The temporaries of a slice take a few times
 # as much again.
@@ -215,7 +226,7 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
     dim = probe.dim
-    axes = generator_axes(params.kind, propagator(params, EnsembleDim(1), t1s))
+    axes = generator_axes(params.kind, propagator(params, t1s))
     out = np.empty((len(ancillas), t1s.size))
     pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
     groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
@@ -282,34 +293,39 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
-def _readout_basis(basis: str, generator: PhaseGenerator | None) -> tuple[np.ndarray | None, list]:
-    """Probe rotation and (m, branch) labels of a readout basis, m ascending.
+def _readout_basis(basis: str, generator: PhaseGenerator | None, dim: EnsembleDim) -> tuple[tuple | None, list]:
+    """Readout rotation and (m, branch) labels of a readout basis, m ascending.
 
-    The rotation's columns are the generator eigenvectors |m>_gen of the
-    full-system projectors |m>_gen (x) |+/->; it is None for the ancilla-only
+    The full-system projectors are |m>_gen (x) |+/-> over the generator
+    eigenvectors |m>_gen = R_n |m> (up to phases), and the rotation is the
+    Cayley-Klein pair of R_n^dagger (:func:`axis_rotation`), so the readout
+    becomes the J_z basis.  The rotation is None for the ancilla-only
     readout, whose projectors I (x) |+/-><+/-| have rank N+1.
     """
     if basis == "full_system":
         if generator is None:
             raise ContractViolation("full-system readout needs a probe generator")
-        vals, vecs = generator.frame
-        return vecs, [(float(m), branch) for m in vals for branch in ("+", "-")]
+        if generator.dim != dim:
+            raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
+        norm = math.hypot(*generator.axis)
+        labels = [(float(m), branch) for m in norm * dim.m_values() for branch in ("+", "-")]
+        return su2_inverse(axis_rotation(generator.axis)), labels
     if basis == "ancilla_only":
         return None, [(None, "+"), (None, "-")]
     raise ContractViolation(f"unknown measurement basis {basis!r}")
 
 
-def _readout_amplitudes(states: np.ndarray, vecs: np.ndarray | None) -> np.ndarray:
+def _readout_amplitudes(states: np.ndarray, full_system: bool) -> np.ndarray:
     """Amplitudes of each readout outcome for the sector-major state columns x_k.
 
-    States have shape (..., 2, N+1, k); amplitudes (..., rank, outcomes, k).
-    A full-system projector has rank 1, and its outcomes run over
-    (m, branch) in label order; an ancilla-only projector has rank N+1 (one
-    amplitude per probe basis state) and two outcomes.
+    States have shape (..., 2, N+1, k), already turned into the readout frame;
+    amplitudes (..., rank, outcomes, k).  A full-system projector has rank 1,
+    and its outcomes run over (m, branch) in label order; an ancilla-only
+    projector has rank N+1 (one amplitude per probe basis state) and two
+    outcomes.
     """
-    rotated = states if vecs is None else vecs.conj().T @ states
-    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS.conj(), rotated)
-    return amp if vecs is None else amp.reshape(*amp.shape[:-3], 1, -1, amp.shape[-1])
+    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS.conj(), states)
+    return amp.reshape(*amp.shape[:-3], 1, -1, amp.shape[-1]) if full_system else amp
 
 
 def _readout_probs(
@@ -320,30 +336,47 @@ def _readout_probs(
     t2s: np.ndarray,
     mode: str,
     theta: float,
-    vecs: np.ndarray | None,
+    readout: tuple | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome probabilities p, their theta-derivatives dp and node limits, from output amplitudes.
 
     For P step-time pairs (t1s, t2s, 1-D) each result has shape (P, outcomes).
-    Each input eigenpair (w_k, psi_k) is carried through the circuit as
-    chi_k = R(theta) U(t1) psi_k, phi_k = U(t2-leg) chi_k and
-    d phi_k = U(t2-leg) (-i G) chi_k, sector by sector; then
-    p = sum_k w_k |<c|phi_k>|^2, dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and
-    the node limit of dp^2 / p is 4 sum_k w_k |<c|d phi_k>|^2.  The second leg
-    is U(t1)^dagger in ``exact_conjugate`` mode and U(t2) otherwise.  No
-    density matrix is formed.
+    In ancilla sector s the whole circuit, readout rotation R included, is
+    one SU(2) element W_s = R u_s(t2-leg) r(theta) u_s(t1) times the sector
+    phase e^{-i s omega_a (t1 + t2)} (1 in ``exact_conjugate`` mode, where
+    u_s(t2-leg) = u_s(t1)^dagger), so each input eigenpair (w_k, psi_k) maps
+    to phi_k = phase D^j(W_s) psi_k through one J_x frame (:func:`apply_su2`)
+    and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
+    R u_s(t2-leg).  Then p = sum_k w_k |<c|phi_k>|^2,
+    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and the node limit of dp^2 / p
+    is 4 sum_k w_k |<c|d phi_k>|^2.  R changes each full-system amplitude by
+    a phase that both sectors share, which leaves all three unchanged.  No
+    (N+1)-dimensional propagator or density matrix is formed.
     """
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
-    rotation = encoder(params.kind, theta, dim)
+    columns = psi.transpose(1, 0, 2)[:, None]  # (N+1, 1, 2, k): probe axis first
+    _, x_frame = spin_frame(dim, (1.0, 0.0, 0.0))
     g_axis = encoding_axis(params.kind)
+    encode = su2_rotation(g_axis, theta)
+    full = readout is not None
     results = []
-    for sl in _slices(t1s.size, 2 * dim.dim * (2 * dim.dim + 3 * w.size)):
-        u1 = propagator(params, dim, t1s[sl])
-        u2 = u1.conj().swapaxes(-1, -2) if mode == "exact_conjugate" else propagator(params, dim, t2s[sl])
-        chi = rotation @ (u1 @ psi)
-        amp = _readout_amplitudes(u2 @ chi, vecs)
-        damp = _readout_amplitudes(u2 @ (-1j * apply_spin_axis(dim, g_axis, chi)), vecs)
+    # a slice holds its output columns and about seven temporaries of their size
+    for sl in _slices(t1s.size, 8 * 2 * dim.dim * w.size):
+        u1 = sector_rotations(params, t1s[sl])
+        if mode == "exact_conjugate":
+            u2 = su2_inverse(u1)
+        else:
+            u2 = sector_rotations(params, t2s[sl])
+        if full:
+            u2 = su2_compose(readout, u2)
+        element = su2_compose(u2, su2_compose(encode, u1))
+        out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)
+        if mode != "exact_conjugate":
+            out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None]
+        out = np.moveaxis(out, 0, -2)  # (P, 2, N+1, k)
+        amp = _readout_amplitudes(out, full)
+        damp = _readout_amplitudes(-1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
         p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
         dp = 2.0 * np.einsum("...ick,k->...c", (amp.conj() * damp).real, w)
         node = 4.0 * np.einsum("...ick,k->...c", np.abs(damp) ** 2, w)
@@ -365,9 +398,9 @@ def measurement_probs(
     generator's eigenbasis; ``basis="ancilla_only"`` projects the qubit alone
     on |+/->.
     """
-    vecs, labels = _readout_basis(basis, generator)
+    readout, labels = _readout_basis(basis, generator, probe.dim)
     t1s, t2s = _times([sched.t1]), _times([sched.t2])
-    probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, vecs)[0][0]
+    probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, readout)[0][0]
     rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
     return ProbabilityTable(rows=rows)
 
@@ -397,11 +430,13 @@ def cfi_grid(
     """
     if mode not in ("period", "exact_conjugate"):
         raise ContractViolation(f"unknown reversal mode {mode!r}")
+    if not np.isfinite(theta_eval):
+        raise ContractViolation("encoded phase must be finite")
     t1s, t2s = np.broadcast_arrays(_times(t1s), _times(t2s))
     if generator is None:
         generator = optimal_generator(params, probe.dim)
-    vecs, _ = _readout_basis(basis, generator)
-    p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, vecs)
+    readout, _ = _readout_basis(basis, generator, probe.dim)
+    p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, readout)
     at_node = (p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB))
     terms = np.where(at_node, node, dp**2 / np.where(at_node, 1.0, p))
     return _checked(terms.sum(axis=-1)).reshape(t1s.shape)

@@ -64,7 +64,7 @@ def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
 
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """The probe rotation generator behind the encoder: J_x for ZZ, J_z for XZ (dense reference)."""
+    """The generator of the encoding rotation: J_x for ZZ, J_z for XZ (dense reference)."""
     jx, _, jz = collective_ops(dim)
     return jx if params.kind == "zz" else jz
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -168,8 +167,8 @@ class PhaseGenerator:
     """The spin component n.J on the probe space, held as its axis n.
 
     ``axis`` is any finite real 3-vector, not necessarily unit (the
-    weak-coupling XZ generator has |n| < 1).  The frame is solved once per
-    generator, on first use; only the full-system readout needs it.
+    weak-coupling XZ generator has |n| < 1).  Its eigenvectors are
+    :func:`spin_frame`'s columns.
     """
 
     dim: EnsembleDim
@@ -185,14 +184,6 @@ class PhaseGenerator:
     def matrix(self) -> np.ndarray:
         """The dense (N+1)-dimensional operator n.J."""
         return sum(a * op for a, op in zip(self.axis, collective_ops(self.dim)))
-
-    @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray]:
-        """``spin_frame(dim, axis)`` as read-only arrays, solved on first use."""
-        vals, vecs = spin_frame(self.dim, self.axis)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        return vals, vecs
 
 
 def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from echometry.circuit import (
     ModelParams,
@@ -9,9 +12,10 @@ from echometry.circuit import (
     Schedule,
     _scan_period,
     apply_spin_axis,
+    apply_su2,
+    axis_rotation,
     bch_coefficients,
     conjugate_schedule,
-    encoder,
     encoding_axis,
     generator_axes,
     normalized_trace,
@@ -20,11 +24,17 @@ from echometry.circuit import (
     period_schedule,
     propagator,
     reversal_period,
+    sector_rotations,
+    su2_compose,
+    su2_inverse,
+    su2_rotate,
+    su2_rotation,
 )
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
     collective_ops,
+    spin_frame,
 )
 from echometry.reference import (
     ID2,
@@ -44,6 +54,16 @@ ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 def joint_from_sectors(blocks):
     """The 2(N+1) joint matrix, basis (m, {e, g}), of a stack of ancilla-sector blocks."""
     return sum(joint_embed(block, np.diag(sector)) for block, sector in zip(blocks, np.eye(2)))
+
+
+def wigner_matrix(dim, pair):
+    """The (N+1)-dim matrix D^j(U) of a Cayley-Klein pair, column by column through apply_su2."""
+    return apply_su2(dim, spin_frame(dim, (1.0, 0.0, 0.0))[1], pair, np.eye(dim.dim, dtype=complex))
+
+
+def dense_rotation(dim, axis, angle):
+    """exp(-i angle n.J) from the dense spin matrices."""
+    return expm(-1j * angle * np.einsum("i,iab->ab", axis, np.stack(collective_ops(dim))))
 
 
 def random_params(rng, kind):
@@ -96,16 +116,15 @@ def test_xz_hamiltonian_spectrum():
 
 
 def test_propagator_identity_and_inverse():
-    dim = EnsembleDim(3)
-    np.testing.assert_allclose(propagator(ZZ, dim, 0.0), [np.eye(4)] * 2, atol=1e-14)
-    u = propagator(ZZ, dim, 0.83)
-    assert u.shape == (2, 4, 4)
-    np.testing.assert_allclose(u @ propagator(ZZ, dim, -0.83), [np.eye(4)] * 2, atol=1e-10)
+    np.testing.assert_allclose(propagator(ZZ, 0.0), [np.eye(2)] * 2, atol=1e-15)
+    u = propagator(ZZ, 0.83)
+    assert u.shape == (2, 2, 2)
+    np.testing.assert_allclose(u @ propagator(ZZ, -0.83), [np.eye(2)] * 2, atol=1e-15)
 
 
 def test_zz_propagator_is_diagonal():
-    u = propagator(ZZ, EnsembleDim(2), 1.37)
-    assert np.max(np.abs(u - u * np.eye(3))) <= 1e-14
+    u = propagator(ZZ, 1.37)
+    assert np.max(np.abs(u - u * np.eye(2))) == 0.0
 
 
 sector_cases = dict(
@@ -121,32 +140,104 @@ sector_cases = dict(
 @settings(max_examples=80, deadline=None)
 @given(**sector_cases)
 def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g, t):
-    # the per-sector assembly against exp(-i H t) of the dense 2(N+1) Hamiltonian
+    # the closed-form spin-1/2 blocks are exp(-i H t) at N = 1, and at any N
+    # the sector blocks e^{-i s omega_a t} D^j(u_s(t)) assemble the dense exp(-i H t)
     params = ModelParams(omega_p, omega_a, g, kind=kind)
+    half = unitary_of_hermitian(hamiltonian(params, EnsembleDim(1)), t)
+    assert np.max(np.abs(joint_from_sectors(propagator(params, t)) - half)) <= 1e-13 * max(1.0, abs(t))
     dim = EnsembleDim(n)
+    a, b = sector_rotations(params, t)
+    phases = np.exp(-1j * params.omega_a * t * np.array([1.0, -1.0]))
+    blocks = [phase * wigner_matrix(dim, (a[s], b[s])) for s, phase in enumerate(phases)]
     dense = unitary_of_hermitian(hamiltonian(params, dim), t)
-    sectors = joint_from_sectors(propagator(params, dim, t))
-    assert np.max(np.abs(sectors - dense)) <= 1e-12 * max(1.0, n * abs(t))
+    assert np.max(np.abs(joint_from_sectors(blocks) - dense)) <= 1e-12 * max(1.0, n * abs(t))
 
 
 @pytest.mark.parametrize("kind", ["zz", "xz"])
 def test_propagator_on_an_array_stacks_the_scalar_calls(kind):
     params = ModelParams(omega_p=1.3, omega_a=0.7, g=1.1, kind=kind)
-    dim = EnsembleDim(7)
     ts = np.array([0.0, 0.4, 2.5, 11.0, -0.3])
-    stacked = propagator(params, dim, ts)
-    assert stacked.shape == (ts.size, 2, dim.dim, dim.dim)
+    stacked = propagator(params, ts)
+    assert stacked.shape == (ts.size, 2, 2, 2)
     for block, t in zip(stacked, ts):
-        np.testing.assert_array_equal(block, propagator(params, dim, t))
-    assert propagator(params, dim, ts[:0]).shape == (0, 2, dim.dim, dim.dim)
+        np.testing.assert_array_equal(block, propagator(params, t))
+    assert propagator(params, ts[:0]).shape == (0, 2, 2, 2)
+    assert propagator(params, ts.reshape(5, 1)).shape == (5, 1, 2, 2, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_propagator_rejects_non_finite_times(bad):
-    dim = EnsembleDim(3)
     for t in (bad, np.array([0.1, bad, 0.2])):
         with pytest.raises(ContractViolation):
-            propagator(ZZ, dim, t)
+            propagator(ZZ, t)
+        with pytest.raises(ContractViolation):
+            sector_rotations(ZZ, t)
+
+
+unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    axis=unit_axes,
+    angle=st.floats(-20.0, 20.0),
+    axis2=unit_axes,
+    angle2=st.floats(-20.0, 20.0),
+)
+def test_apply_su2_matches_dense_rotation(n, axis, angle, axis2, angle2):
+    # D^j of a pair through the one J_x frame against expm of the dense n.J,
+    # for one element, a composition of two, and an inverse
+    dim = EnsembleDim(n)
+    tol = 1e-12 * max(1.0, n * (abs(angle) + abs(angle2)))
+    first, second = su2_rotation(axis, angle), su2_rotation(axis2, angle2)
+    dense = dense_rotation(dim, axis, angle)
+    assert np.max(np.abs(wigner_matrix(dim, first) - dense)) <= tol
+    composed = dense_rotation(dim, axis2, angle2) @ dense
+    assert np.max(np.abs(wigner_matrix(dim, su2_compose(second, first)) - composed)) <= tol
+    assert np.max(np.abs(wigner_matrix(dim, su2_inverse(first)) - dense.conj().T)) <= tol
+    # the SO(3) image: D^j(U) (v.J) D^j(U)^dagger = (R v).J
+    jvec = np.stack(collective_ops(dim))
+    lhs = dense @ np.einsum("i,iab->ab", axis2, jvec) @ dense.conj().T
+    rhs = np.einsum("i,iab->ab", su2_rotate(first, axis2), jvec)
+    assert np.max(np.abs(lhs - rhs)) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_apply_su2_at_the_degenerate_euler_angles(n):
+    # b = 0 (beta = 0, delta = arg 0) is a turn by 2 sigma about z; a = 0
+    # (beta = pi, sigma = arg 0, also of -0.0) a half turn about (-sin delta, cos delta, 0)
+    dim = EnsembleDim(n)
+    for sigma in (0.0, 0.45, -2.0, np.pi):
+        dense = dense_rotation(dim, (0.0, 0.0, 1.0), 2.0 * sigma)
+        assert np.max(np.abs(wigner_matrix(dim, (np.exp(1j * sigma), 0j)) - dense)) <= 1e-12 * n
+    for delta in (0.0, 0.7, np.pi / 2, -2.5):
+        dense = dense_rotation(dim, (-np.sin(delta), np.cos(delta), 0.0), np.pi)
+        for a in (0j, complex(-0.0, 0.0)):
+            assert np.max(np.abs(wigner_matrix(dim, (a, np.exp(1j * delta))) - dense)) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_apply_su2_full_turn_is_the_parity_sign(n):
+    # a 2 pi turn is -I in SU(2), and D^j(-I) = (-1)^N
+    dim = EnsembleDim(n)
+    for axis in ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.48, 0.6, 0.64)):
+        pair = su2_rotation(axis, 2 * np.pi)
+        np.testing.assert_allclose(wigner_matrix(dim, pair), (-1) ** n * np.eye(dim.dim), atol=1e-12 * n)
+    np.testing.assert_allclose(wigner_matrix(dim, (-1.0 + 0j, 0j)), (-1) ** n * np.eye(dim.dim), atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), axis=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_axis_rotation_turns_the_readout_basis(n, axis):
+    # R_n |m> is the eigenvector of n.J for |n| m: spin_frame's column up to a phase
+    dim = EnsembleDim(n)
+    vals, vecs = spin_frame(dim, axis)
+    columns = wigner_matrix(dim, axis_rotation(axis))
+    np.testing.assert_array_equal(vals, math.hypot(*axis) * dim.m_values())
+    if np.linalg.norm(axis) > 1e-6:
+        overlaps = np.abs(np.einsum("ik,ik->k", vecs.conj(), columns))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-12 * n
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,7 +273,7 @@ def test_generator_axes_match_dense_effective_generator(n, kind, omega_p, omega_
     dim = EnsembleDim(n)
     u = unitary_of_hermitian(hamiltonian(params, dim), t)
     dense = u.conj().T @ joint_embed(encoding_generator(params, dim), ID2) @ u
-    axes = generator_axes(kind, propagator(params, EnsembleDim(1), np.array([t])))
+    axes = generator_axes(kind, propagator(params, np.array([t])))
     assert axes.shape == (1, 2, 3)
     bands = apply_spin_axis(dim, axes[0], np.eye(dim.dim, dtype=complex))
     assert np.max(np.abs(joint_from_sectors(bands) - dense)) <= 1e-12 * max(1.0, n * abs(t))
@@ -198,31 +289,38 @@ def test_normalized_trace_matches_dense_spectrum(n, kind, omega_p, omega_a, g, t
     assert abs(normalized_trace(params, dim, abs(t)) - dense) <= 1e-12 * max(1.0, n * abs(t))
 
 
+def encoding_rotation(kind, theta, dim):
+    """D^j of the encoding rotation exp(-i theta g.J)."""
+    return wigner_matrix(dim, su2_rotation(encoding_axis(kind), theta))
+
+
 def test_encoder_identity_and_rz():
     dim = EnsembleDim(2)
-    np.testing.assert_allclose(encoder("zz", 0.0, dim), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(encoding_rotation("zz", 0.0, dim), np.eye(3), atol=1e-14)
     theta = 0.71
-    rz = encoder("xz", theta, dim)
+    rz = encoding_rotation("xz", theta, dim)
     expected = np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)])
     np.testing.assert_allclose(rz, expected, atol=1e-12)
 
 
 def test_encoder_full_turn_sign():
     # 2*pi rotation is +1 for integer j and -1 for half-integer j
-    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(2)), np.eye(3), atol=1e-10)
-    np.testing.assert_allclose(encoder("zz", 2 * np.pi, EnsembleDim(3)), -np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(encoding_rotation("zz", 2 * np.pi, EnsembleDim(2)), np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(encoding_rotation("zz", 2 * np.pi, EnsembleDim(3)), -np.eye(4), atol=1e-10)
 
 
 def test_encoder_additivity():
     dim = EnsembleDim(4)
-    lhs = encoder("zz", 0.31, dim) @ encoder("zz", 1.18, dim)
-    np.testing.assert_allclose(lhs, encoder("zz", 0.31 + 1.18, dim), atol=1e-12)
+    lhs = encoding_rotation("zz", 0.31, dim) @ encoding_rotation("zz", 1.18, dim)
+    np.testing.assert_allclose(lhs, encoding_rotation("zz", 0.31 + 1.18, dim), atol=1e-12)
+    pair = su2_compose(su2_rotation(encoding_axis("zz"), 0.31), su2_rotation(encoding_axis("zz"), 1.18))
+    np.testing.assert_allclose(pair, su2_rotation(encoding_axis("zz"), 0.31 + 1.18), atol=1e-15)
 
 
 def check_encoder(n, kind, theta):
     dim = EnsembleDim(n)
     dense = unitary_of_hermitian(encoding_generator(ModelParams(1.0, 1.0, kind=kind), dim), theta)
-    assert np.max(np.abs(encoder(kind, theta, dim) - dense)) <= 1e-12 * max(1.0, n * abs(theta))
+    assert np.max(np.abs(encoding_rotation(kind, theta, dim) - dense)) <= 1e-12 * max(1.0, n * abs(theta))
 
 
 @settings(max_examples=80, deadline=None)
@@ -395,10 +493,9 @@ def test_optimal_settings_cancel_information_leakage():
 
     dim = EnsembleDim(6)
     settings = optimal_settings(ZZ)
-    u1 = propagator(ZZ, dim, settings.t1)
-    h_eff = u1.conj().transpose(0, 2, 1) @ encoding_generator(ZZ, dim) @ u1
+    axes = generator_axes("zz", propagator(ZZ, settings.t1))
     ket = ancilla_state(settings.theta0).ket
-    sector = np.einsum("a,aij,a->ij", ket.conj(), h_eff, ket)
+    sector = np.einsum("s,si,iab->ab", np.abs(ket) ** 2, axes, np.stack(collective_ops(dim)))
     assert np.max(np.abs(sector)) <= 1e-10
 
 

@@ -13,12 +13,12 @@ from scipy.linalg import expm
 import echometry.circuit
 import echometry.fisher
 import echometry.reference
+import echometry.spin
 from echometry.circuit import (
     ModelParams,
     Schedule,
     apply_spin_axis,
     conjugate_schedule,
-    encoder,
     optimal_generator,
     optimal_settings,
 )
@@ -33,7 +33,6 @@ from echometry.fisher import (
     qfi_general,
     qfi_grid,
     qfi_thermal,
-    _readout_basis,
 )
 from echometry.spin import (
     KET_E,
@@ -42,6 +41,7 @@ from echometry.spin import (
     EnsembleDim,
     PhaseGenerator,
     phase_generator,
+    spin_frame,
 )
 from echometry.states import (
     SpectralProbe,
@@ -66,6 +66,8 @@ from echometry.reference import (
 from test_states import ghz_probe
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
+UNIT_XZ = ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")
+STRONG_XZ = ModelParams(omega_p=1.0, omega_a=1.0, g=2.0, kind="xz")
 
 
 def optimal_setup(n, params=ZZ):
@@ -116,7 +118,7 @@ def test_output_state_matches_explicit_tensor_structure():
     n = 1
     dim, gen, probe, anc, sched = optimal_setup(n)
     theta = sched.theta
-    vals, vecs = gen.frame
+    vals, vecs = spin_frame(dim, gen.axis)
     psi = probe.vectors[:, 0]
     expected = np.zeros((2 * dim.dim, 2 * dim.dim), dtype=complex)
     for a, m in enumerate(vals):
@@ -186,7 +188,7 @@ def test_qfi_simplified_reference_states():
     dim = EnsembleDim(n)
     gen = optimal_generator(ZZ, dim)
     assert abs(qfi_simplified(polarized_probe(dim, gen), gen).value - n * n) <= 1e-10
-    vals, vecs = gen.frame
+    vals, vecs = spin_frame(dim, gen.axis)
     mixture = SpectralProbe(
         dim=dim, weights=np.array([0.5, 0.5]), vectors=np.stack([vecs[:, 0], vecs[:, -1]], axis=1)
     )
@@ -200,7 +202,7 @@ def test_sld_oracle_pure_state_specialization():
     dim, _, probe, anc, sched = optimal_setup(3)
     u1 = unitary_of_hermitian(hamiltonian(ZZ, dim), sched.t1)
     u2 = u1.conj().T
-    r = joint_embed(encoder("zz", sched.theta, dim), ID2)
+    r = joint_embed(unitary_of_hermitian(encoding_generator(ZZ, dim), sched.theta), ID2)
     g = joint_embed(encoding_generator(ZZ, dim), ID2)
     psi0 = np.kron(probe.vectors[:, 0], anc.ket)
     psi = u2 @ r @ u1 @ psi0
@@ -548,7 +550,7 @@ def density_route_cfi(probe, anc, params, sched, gen, theta_eval, mode, basis, h
     The reference for the amplitude route: readout diagonals of rho and
     d rho / d theta (or of rho at theta +/- h), with cfi's row mask.
     """
-    vecs, _ = _readout_basis(basis, gen)
+    vecs = spin_frame(gen.dim, gen.axis)[1] if basis == "full_system" else None
 
     def rho_at(theta):
         return output_state_derivative(probe, anc, params, replace(sched, theta=theta))[0]
@@ -798,6 +800,18 @@ def test_grid_kernels_reject_bad_times(bad):
         cfi_grid(probe, anc, ZZ, 0.1, 0.2, "forward", generator=gen)
 
 
+def test_readout_rejects_bad_phase_and_foreign_generator():
+    dim, gen, probe, anc, sched = optimal_setup(3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="encoded phase"):
+            cfi(probe, anc, ZZ, sched, generator=gen, theta_eval=bad)
+    foreign = optimal_generator(ZZ, EnsembleDim(4))
+    with pytest.raises(ContractViolation, match="generator is for N = 4, probe for N = 3"):
+        cfi(probe, anc, ZZ, sched, generator=foreign)
+    with pytest.raises(ContractViolation, match="generator is for N = 4"):
+        measurement_probs(probe, anc, ZZ, sched, generator=foreign)
+
+
 def test_qfi_grid_checks_every_cell(monkeypatch):
     dim, _, probe, anc, _ = optimal_setup(3)
     cells = np.array([[1.0, -1e-12, 2.0]])
@@ -840,7 +854,7 @@ def test_small_grids_take_one_slice(monkeypatch):
     dim, gen, probe, anc, _ = optimal_setup(20)
     calls = []
     propagator = echometry.fisher.propagator
-    monkeypatch.setattr(echometry.fisher, "propagator", lambda *args: calls.append(args[2].size) or propagator(*args))
+    monkeypatch.setattr(echometry.fisher, "propagator", lambda *args: calls.append(args[1].size) or propagator(*args))
     qfi_grid(probe, [anc], ZZ, np.linspace(0.0, np.pi, 30))
     assert calls == [30]
 
@@ -927,7 +941,8 @@ def test_qfi_at_the_optimum_is_heisenberg_at_a_million_spins():
 
 
 def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
-    # H_eff = c_s.J needs the propagator only at N = 1; no (N+1)-dim block is built
+    # H_eff = c_s.J needs only the closed-form 2x2 sector blocks: each QFI call
+    # reads them once, for all of its step times
     dim = EnsembleDim(9)
     pure = ancilla_state(1.1, 0.7)
     t1s = np.linspace(0.0, 4.0, 13)
@@ -941,17 +956,112 @@ def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
 
     reference = list(outputs())
     propagator = echometry.fisher.propagator
+    shapes = []
 
-    def spin_half_only(params, dim, t):
-        if dim.n_spins > 1:
-            raise AssertionError("the QFI built an (N+1)-dim propagator")
-        return propagator(params, dim, t)
+    def recording(params, t):
+        blocks = propagator(params, t)
+        shapes.append(blocks.shape)
+        return blocks
 
-    monkeypatch.setattr(echometry.fisher, "propagator", spin_half_only)
+    monkeypatch.setattr(echometry.fisher, "propagator", recording)
     patched = list(outputs())
+    assert shapes == [(1, 2, 2, 2), (1, 2, 2, 2), (t1s.size, 2, 2, 2)] * 2
     assert len(patched) == len(reference) == 6
     for got, want in zip(patched, reference):
         np.testing.assert_array_equal(got, want)
+
+
+def test_cfi_solves_one_frame_per_call(monkeypatch):
+    # the readout solves exactly one real tridiagonal frame (J_x) per call,
+    # whatever the kind, mode, basis, grid size or number of calls
+    dim = EnsembleDim(7)
+    pure = ancilla_state(1.1, 0.7)
+    solved = []
+    eigh_tridiagonal = echometry.spin.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        solved.append(len(args[0]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    for params in (ZZ, STRONG_XZ, ModelParams(3.0, 1.5, 1.0, kind="xz")):
+        gen = optimal_generator(params, dim)
+        probe = polarized_probe(dim, gen)
+        monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
+        for sched in (Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period"), conjugate_schedule(0.8, 0.3)):
+            for basis in ("full_system", "ancilla_only"):
+                for _ in range(2):
+                    solved.clear()
+                    cfi(probe, pure, params, sched, generator=gen, basis=basis)
+                    assert solved == [dim.dim]
+                solved.clear()
+                measurement_probs(probe, pure, params, sched, basis=basis, generator=gen)
+                assert solved == [dim.dim]
+                solved.clear()
+                cfi_grid(probe, pure, params, np.linspace(0.0, 3.0, 40)[:, None], np.linspace(0.0, 2.0, 30), sched.mode,
+                         gen, basis=basis)
+                assert solved == [dim.dim]
+        solved.clear()
+        cfi(probe, pure, params, conjugate_schedule(0.8, 0.3))
+        assert solved == [dim.dim]
+        monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", eigh_tridiagonal)
+
+
+@pytest.mark.parametrize("params", [ZZ, UNIT_XZ, STRONG_XZ], ids=["zz", "unit-xz", "strong-xz"])
+def test_cfi_saturates_at_large_n(params):
+    # F_c = F_Q = N^2 at the optimum with the polarized probe at N = 2000, and
+    # F_c <= F_Q off it
+    n = 2000
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = polarized_probe(dim, gen)
+    settings = optimal_settings(params)
+    anc = ancilla_state(settings.theta0)
+    value = cfi(probe, anc, params, conjugate_schedule(settings.t1, 0.0), generator=gen, theta_eval=0.3).value
+    assert abs(value / n**2 - 1.0) <= 1e-12
+    if params.kind == "zz":
+        detuned = conjugate_schedule(0.7 * settings.t1, 0.0)
+        classical = cfi(probe, anc, params, detuned, generator=gen, theta_eval=0.3).value
+        quantum = qfi_general(probe, anc, params, detuned).value
+        assert classical <= quantum * (1.0 + 1e-12)
+        assert classical < 0.99 * quantum
+
+
+def run_at_blas_threads(script):
+    """The stdout of a Python script run at 1 and at 2 OpenBLAS threads."""
+    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300
+        )
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def test_rank_one_cfi_independent_of_blas_threads():
+    # the J_x frame products are real GEMMs that sum in a fixed order, so a
+    # rank-1 probe's F_c agrees to the last bit between 1 and 2 OpenBLAS threads
+    script = (
+        "import echometry as em\n"
+        "cases = [em.ModelParams(3.0, 3.0, 1.0, kind='zz')]\n"
+        "cases += [em.ModelParams(1 / r, 1 / r, 1.0, kind='xz') for r in (1.0, 0.3, 0.1)]\n"
+        "for params in cases:\n"
+        "    t1 = em.optimal_settings(params).t1\n"
+        "    scheds = [em.conjugate_schedule(t1, 0.0), em.Schedule(0.8 * t1, 1.3 * t1, 0.0, 'period')]\n"
+        "    for n in range(60, 297, 16):\n"
+        "        dim = em.EnsembleDim(n)\n"
+        "        gen = em.optimal_generator(params, dim)\n"
+        "        probe = em.polarized_probe(dim, gen)\n"
+        "        for sched in scheds:\n"
+        "            for basis in ('full_system', 'ancilla_only'):\n"
+        "                value = em.cfi(probe, em.ancilla_state(1.5707963267948966), params, sched, gen, 0.3, basis)\n"
+        "                print(repr(value.value))\n"
+    )
+    outputs = run_at_blas_threads(script)
+    assert len(outputs[0].split()) == 4 * 15 * 2 * 2
+    assert outputs[0] == outputs[1]
 
 
 def test_rank_one_qfi_independent_of_blas_threads():
@@ -967,15 +1077,7 @@ def test_rank_one_qfi_independent_of_blas_threads():
         "        probe = em.polarized_probe(dim, em.optimal_generator(params, dim))\n"
         "        print(repr(em.qfi_general(probe, em.ancilla_state(1.5707963267948966), params, sched).value))\n"
     )
-    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300
-        )
-        outputs.append(proc.stdout)
+    outputs = run_at_blas_threads(script)
     assert len(outputs[0].split()) == 3 * 30
     assert outputs[0] == outputs[1]
 
@@ -1013,8 +1115,8 @@ def test_production_paths_build_no_joint_matrix(monkeypatch):
 
 def test_production_paths_run_no_dense_eigensolver(monkeypatch):
     # every production spectrum comes from spin_frame (one real tridiagonal
-    # eigensolve) or a closed form; a dense eigh may touch only the 2x2
-    # dephased-ancilla density matrix
+    # eigensolve) or a closed form, the propagator included; a dense eigh may
+    # touch only the 2x2 dephased-ancilla density matrix
     dim = EnsembleDim(6)
     sched = Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period")
     pure = ancilla_state(1.1, 0.7)
@@ -1038,8 +1140,7 @@ def test_production_paths_run_no_dense_eigensolver(monkeypatch):
                 yield probe.weights
                 yield probe.vectors
             probe = probes[-1]
-            yield encoder(params.kind, 0.3, dim)
-            yield echometry.circuit.propagator(params, dim, 0.8)
+            yield echometry.circuit.propagator(params, 0.8)
             yield echometry.circuit.normalized_trace(params, dim, np.linspace(0.0, 5.0, 7))
             solution = echometry.circuit.reversal_period(period_params, dim, t_max=8.0)
             yield solution.period, solution.residual, solution.integers
@@ -1065,6 +1166,6 @@ def test_production_paths_run_no_dense_eigensolver(monkeypatch):
     monkeypatch.setattr(echometry.reference, "unitary_of_hermitian", forbidden, raising=True)
     monkeypatch.setattr(np.linalg, "eigh", small_eigh)
     patched = list(outputs())
-    assert len(patched) == len(reference) == 52
+    assert len(patched) == len(reference) == 49
     for got, want in zip(patched, reference):
         np.testing.assert_array_equal(got, want)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import echometry.spin
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
@@ -154,20 +153,6 @@ def test_spin_frame_diagonalizes_any_axis(n, nx, ny, nz):
 )
 def test_spin_frame_diagonalizes_large_probe(axis):
     check_spin_frame(300, axis)
-
-
-def test_phase_generator_frame_is_solved_once(monkeypatch):
-    calls = []
-
-    def counting(dim, axis):
-        calls.append(axis)
-        return spin_frame(dim, axis)
-
-    monkeypatch.setattr(echometry.spin, "spin_frame", counting)
-    gen = phase_generator(EnsembleDim(6), 0.4)
-    vals, vecs = gen.frame
-    assert gen.frame[1] is vecs and len(calls) == 1
-    assert not vals.flags.writeable and not vecs.flags.writeable
 
 
 @pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, np.nan, 0.0), (0.0, np.inf, 1.0)])

@@ -18,7 +18,7 @@ from echometry.states import (
 
 def ghz_probe(dim, generator):
     """Equal superposition of the two extremal eigenvectors of a generator (a test probe)."""
-    _, vecs = generator.frame
+    _, vecs = spin_frame(dim, generator.axis)
     psi = (vecs[:, -1] + vecs[:, 0]) / np.sqrt(2.0)
     return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=psi[:, None])
 
@@ -141,7 +141,6 @@ def test_probe_constructors_solve_no_full_frame(monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(echometry.spin, "spin_frame", forbidden)
-    monkeypatch.setattr(PhaseGenerator, "frame", property(forbidden))
     monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
     dim = EnsembleDim(2000)
     gen = PhaseGenerator(dim, (0.6, -0.48, 0.64))
