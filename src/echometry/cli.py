@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .circuit import ModelParams, PeriodNotFound
-from .experiments import SCENARIOS, SweepConfig, resolve_grids, run_scenario, run_validation
+from .experiments import SCENARIOS, SweepConfig, run_scenario, run_validation
 from .spin import ContractViolation
 
 __all__ = ["main"]
@@ -65,9 +65,6 @@ def _build_config(scenario: str, args: argparse.Namespace, file_options: dict) -
         # --n restricts multi-size scenarios to a single probe size.
         options["n" if "n" in SCENARIOS[scenario].defaults else "n_values"] = args.n
 
-    interaction = options.pop("interaction", "xz" if scenario == "xz_scaling" else "zz")
-    if interaction not in ("zz", "xz"):
-        raise ConfigError(f"interaction must be 'zz' or 'xz', got {interaction!r}")
     mode = options.pop("mode", "conjugate")
     mode_map = {"conjugate": "exact_conjugate", "period": "period"}
     if mode not in mode_map:
@@ -76,7 +73,7 @@ def _build_config(scenario: str, args: argparse.Namespace, file_options: dict) -
         omega_p=float(options.pop("wp", 3.0)),
         omega_a=float(options.pop("wa", 3.0)),
         g=float(options.pop("g", 1.0)),
-        kind=interaction,
+        kind=options.pop("interaction", SCENARIOS[scenario].kinds[0]),
     )
     out_dir = options.pop("out", "results")
     return SweepConfig(
@@ -84,7 +81,7 @@ def _build_config(scenario: str, args: argparse.Namespace, file_options: dict) -
         params=params,
         out_dir=out_dir,
         mode=mode_map[mode],
-        grids=resolve_grids(scenario, options),
+        grids=options,
     )
 
 

@@ -11,7 +11,7 @@ Runs are pure and reseeded, so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -45,7 +45,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "fit_quadratic",
-    "resolve_grids",
     "run_scenario",
     "run_validation",
 ]
@@ -56,7 +55,9 @@ class SweepConfig:
     """One scenario run: name, model parameters, grids, and output directory.
 
     ``grids`` sets any of the scenario's grid keys (see :data:`SCENARIOS`);
-    the rest keep their defaults.  ``mode`` must be one the scenario reads.
+    the rest keep their defaults.  Construction resolves it into the full,
+    coerced grid in the table's key order (see :func:`_resolve_grids`).
+    ``mode`` must be one the scenario reads.
     """
 
     scenario: str
@@ -66,9 +67,8 @@ class SweepConfig:
     grids: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        spec = SCENARIOS.get(self.scenario)
-        if spec is None:
-            return
+        self.grids = _resolve_grids(self.scenario, self.grids)
+        spec = SCENARIOS[self.scenario]
         if self.mode not in spec.modes:
             accepted = " or ".join(repr(mode) for mode in spec.modes)
             raise ContractViolation(
@@ -125,6 +125,8 @@ def fit_quadratic(points) -> FitResult:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return ";".join(_fmt(item) for item in value)
     if isinstance(value, (float, np.floating)):
         return f"{value:.12g}"
     return str(value)
@@ -183,14 +185,7 @@ def _run_trace_scan(cfg: SweepConfig):
     gts = gt_max * np.arange(1, points + 1) / points
     f = normalized_trace(cfg.params, dim, gts / cfg.params.g)
     rows = list(zip(gts, f))
-    unit = gts[f >= 1.0 - 1e-9]
-    summary = {
-        "n": n,
-        "points": points,
-        "gt_max": gt_max,
-        "max_trace": float(f.max()),
-        "unit_trace_gt": ";".join(_fmt(v) for v in unit),
-    }
+    summary = {"max_trace": float(f.max()), "unit_trace_gt": tuple(gts[f >= 1.0 - 1e-9])}
     return ["gT", "F"], rows, summary
 
 
@@ -205,12 +200,7 @@ def _run_qfi_theta0(cfg: SweepConfig):
         step = _step_times(cfg.params, dim, [t1], cfg.mode)
         fq = qfi_grid(_optimal_probe(cfg.params, dim), ancillas, cfg.params, step)[:, 0]
         rows.extend((n, theta0, value) for theta0, value in zip(theta0s, fq))
-    summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "theta0_points": theta0s.size,
-        "max_FQ": max(r[2] for r in rows),
-    }
-    return ["N", "theta0", "FQ"], rows, summary
+    return ["N", "theta0", "FQ"], rows, {"max_FQ": max(r[2] for r in rows)}
 
 
 def _run_qfi_t1(cfg: SweepConfig):
@@ -223,12 +213,7 @@ def _run_qfi_t1(cfg: SweepConfig):
         steps = _step_times(cfg.params, dim, gt1s / cfg.params.g, cfg.mode)
         fq = qfi_grid(_optimal_probe(cfg.params, dim), anc, cfg.params, steps)[0]
         rows.extend((n, gt1, value) for gt1, value in zip(gt1s, fq))
-    summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "gt1_points": gt1s.size,
-        "max_FQ": max(r[2] for r in rows),
-    }
-    return ["N", "gt1", "FQ"], rows, summary
+    return ["N", "gt1", "FQ"], rows, {"max_FQ": max(r[2] for r in rows)}
 
 
 def _run_qfi_heatmap(cfg: SweepConfig):
@@ -246,9 +231,6 @@ def _run_qfi_heatmap(cfg: SweepConfig):
     ]
     best = _argmax_row(rows, 2)
     summary = {
-        "n": n,
-        "theta0_points": theta0s.size,
-        "gt1_points": gt1s.size,
         "max_FQ_over_N2": best[2],
         "argmax_theta0": best[0],
         "argmax_gt1": best[1],
@@ -286,9 +268,7 @@ def _run_qfi_scaling(cfg: SweepConfig):
         rows.append((n, "D_largeN", large_n.value))
     point_a = [(n, f) for n, label, f in rows if label == "A"]
     summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "beta": beta,
-        "labels": ";".join(["A", "B", "C", "D", "D_exact", "D_largeN"]),
+        "labels": ("A", "B", "C", "D", "D_exact", "D_largeN"),
         "max_A_deviation": max(abs(f / n**2 - 1.0) for n, f in point_a),
     }
     return ["N", "point_label", "FQ"], rows, summary
@@ -311,10 +291,6 @@ def _run_cfi_map(cfg: SweepConfig):
     ]
     best = _argmax_row(rows, 2)
     summary = {
-        "n": n,
-        "gt1_points": gt1s.size,
-        "gt2_points": gt2s.size,
-        "theta_eval": theta_eval,
         "max_Fc_over_N2": best[2],
         "argmax_gt1": best[0],
         "argmax_gt2": best[1],
@@ -342,10 +318,7 @@ def _run_xz_scaling(cfg: SweepConfig):
         fit_pts = [(n, float(_fmt(f))) for n, r, _, f in rows if r == ratio and n >= 10]
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
-    summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "ratios": ";".join(_fmt(r) for r in ratios),
-    }
+    summary = {}
     for ratio, fit in fits.items():
         key = _fmt(ratio)
         summary[f"fit_a_{key}"] = fit.a
@@ -386,34 +359,20 @@ def _run_deviation_scan(cfg: SweepConfig):
                 ).value
                 worst = max(worst, abs(numeric - formula))
                 rows.append((n, dg_t1, dwp_t1, formula, numeric))
-    summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "deltas": ";".join(_fmt(d) for d in deltas),
-        "patterns": len(_DEVIATION_PATTERNS),
-        "max_abs_gap": worst,
-    }
+    summary = {"patterns": len(_DEVIATION_PATTERNS), "max_abs_gap": worst}
     return ["N", "dg_t1", "dwp_t1", "FQ_formula", "FQ_numeric"], rows, summary
 
 
 def _run_dephasing_scan(cfg: SweepConfig):
     n_values, x_values = cfg.grids["n_values"], cfg.grids["x_values"]
-    anc = ancilla_state(math.pi / 2)
-    sched = conjugate_schedule(optimal_settings(cfg.params).t1, 0.0)
+    ancillas = [dephase_ancilla(ancilla_state(math.pi / 2), x) for x in x_values]
+    t1 = [optimal_settings(cfg.params).t1]
     rows = []
-    worst = 0.0
     for n in n_values:
-        dim = EnsembleDim(n)
-        probe = _optimal_probe(cfg.params, dim)
-        for x in x_values:
-            value = qfi_general(probe, dephase_ancilla(anc, x), cfg.params, sched).value
-            worst = max(worst, abs(value - (1.0 - x) ** 2 * n**2))
-            rows.append((n, x, value))
-    summary = {
-        "n_values": ";".join(str(n) for n in n_values),
-        "x_values": ";".join(_fmt(x) for x in x_values),
-        "max_abs_gap_to_law": worst,
-    }
-    return ["N", "x", "FQ"], rows, summary
+        fq = qfi_grid(_optimal_probe(cfg.params, EnsembleDim(n)), ancillas, cfg.params, t1)[:, 0]
+        rows.extend((n, x, value) for x, value in zip(x_values, fq))
+    worst = max(abs(value - (1.0 - x) ** 2 * n**2) for n, x, value in rows)
+    return ["N", "x", "FQ"], rows, {"max_abs_gap_to_law": worst}
 
 
 @dataclass(frozen=True)
@@ -421,14 +380,17 @@ class Scenario:
     """A sweep: its runner, the CLI subcommand that runs it, and its grid keys.
 
     The type of a key's default (int, float, or a tuple of either) is the
-    key's type; see :func:`resolve_grids`.  ``modes`` lists the reversal
+    key's type; see :func:`_resolve_grids`.  Every run's summary lists the
+    resolved grid keys in this order, and the runner adds only what it
+    computes.  ``modes`` lists the reversal
     modes the runner reads from :attr:`SweepConfig.mode`; a runner that
     builds its own schedules accepts only the default.  ``needs_g`` says why
     a runner needs a positive coupling: its grid measures time in units of
     1/g, or it starts from the optimal settings.  ``thermal`` marks a runner
     that builds a thermal probe of the optimal generator, whose axis is a
     unit vector only for ZZ and for XZ at strong coupling.  ``kinds`` lists the
-    interactions a runner accepts; the deviation scan checks a ZZ-only law.
+    interactions a runner accepts, the first being the CLI's default; the
+    deviation scan checks a ZZ-only law and the XZ scaling builds XZ models.
     """
 
     runner: Callable[[SweepConfig], tuple]
@@ -486,8 +448,12 @@ SCENARIOS = {
         dict(n=5, gt1_points=65, gt2_points=65, gt_max=2 * math.pi, theta_eval=0.2),
         needs_g=_G_UNITS,
     ),
+    # builds its own XZ models, one per coupling ratio
     "xz_scaling": Scenario(
-        _run_xz_scaling, "xz-scaling", dict(n_values=tuple(range(2, 101)), ratios=(1.0, 0.3, 0.1))
+        _run_xz_scaling,
+        "xz-scaling",
+        dict(n_values=tuple(range(2, 101)), ratios=(1.0, 0.3, 0.1)),
+        kinds=("xz",),
     ),
     "deviation_scan": Scenario(
         _run_deviation_scan,
@@ -535,7 +501,7 @@ def _coerce(key: str, default, value):
     return number
 
 
-def resolve_grids(scenario: str, grids: dict) -> dict:
+def _resolve_grids(scenario: str, grids: dict) -> dict:
     """A scenario's full grid: ``grids`` merged over its defaults and coerced.
 
     Each value takes its default's type: an int at least 1, a finite float, or
@@ -556,16 +522,21 @@ def resolve_grids(scenario: str, grids: dict) -> dict:
 
 
 def run_scenario(cfg: SweepConfig) -> dict:
-    """Run one scenario, write its CSV and summary, and return the summary."""
-    cfg = replace(cfg, grids=resolve_grids(cfg.scenario, cfg.grids))
-    header, rows, summary = SCENARIOS[cfg.scenario].runner(cfg)
+    """Run one scenario, write its CSV and summary, and return the summary.
+
+    The summary holds the scenario name, its resolved grid (a tuple is
+    written as ``;``-joined values), the values the runner computed, the row
+    count, the model parameters, the mode and the CSV's name, in that order.
+    """
+    header, rows, computed = SCENARIOS[cfg.scenario].runner(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{cfg.scenario}.csv"
     _write_csv(csv_path, header, rows)
     summary = {
         "scenario": cfg.scenario,
-        **summary,
+        **cfg.grids,
+        **computed,
         "rows": len(rows),
         "wp": cfg.params.omega_p,
         "wa": cfg.params.omega_a,

@@ -342,16 +342,17 @@ def _readout_probs(
 
     For P step-time pairs (t1s, t2s, 1-D) each result has shape (P, outcomes).
     In ancilla sector s the whole circuit, readout rotation R included, is
-    one SU(2) element W_s = R u_s(t2-leg) r(theta) u_s(t1) times the sector
-    phase e^{-i s omega_a (t1 + t2)} (1 in ``exact_conjugate`` mode, where
-    u_s(t2-leg) = u_s(t1)^dagger), so each input eigenpair (w_k, psi_k) maps
-    to phi_k = phase D^j(W_s) psi_k through one J_x frame (:func:`apply_su2`)
-    and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
-    R u_s(t2-leg).  Then p = sum_k w_k |<c|phi_k>|^2,
-    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and the node limit of dp^2 / p
-    is 4 sum_k w_k |<c|d phi_k>|^2.  R changes each full-system amplitude by
-    a phase that both sectors share, which leaves all three unchanged.  No
-    (N+1)-dimensional propagator or density matrix is formed.
+    one SU(2) element W_s = R u_s(t2) r(theta) u_s(t1) times the sector
+    phase e^{-i s omega_a (t1 + t2)}.  In ``exact_conjugate`` mode the second
+    leg runs for t2 = -t1, so u_s(t2) = u_s(t1)^dagger and the phase is 1.
+    Each input eigenpair (w_k, psi_k) maps to phi_k = phase D^j(W_s) psi_k
+    through one J_x frame (:func:`apply_su2`) and d phi_k = -i (c.J) phi_k,
+    with c the encoding axis turned by R u_s(t2).  Then
+    p = sum_k w_k |<c|phi_k>|^2, dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>)
+    and the node limit of dp^2 / p is 4 sum_k w_k |<c|d phi_k>|^2.  R changes
+    each full-system amplitude by a phase that both sectors share, which
+    leaves all three unchanged.  No (N+1)-dimensional propagator or density
+    matrix is formed.
     """
     dim = probe.dim
     w, psi = _input_spectrum(probe, ancilla)
@@ -360,20 +361,18 @@ def _readout_probs(
     g_axis = encoding_axis(params.kind)
     encode = su2_rotation(g_axis, theta)
     full = readout is not None
+    if mode == "exact_conjugate":
+        t2s = -t1s
     results = []
     # a slice holds its output columns and about seven temporaries of their size
     for sl in _slices(t1s.size, 8 * 2 * dim.dim * w.size):
         u1 = sector_rotations(params, t1s[sl])
-        if mode == "exact_conjugate":
-            u2 = su2_inverse(u1)
-        else:
-            u2 = sector_rotations(params, t2s[sl])
+        u2 = sector_rotations(params, t2s[sl])
         if full:
             u2 = su2_compose(readout, u2)
         element = su2_compose(u2, su2_compose(encode, u1))
         out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)
-        if mode != "exact_conjugate":
-            out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None]
+        out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None]
         out = np.moveaxis(out, 0, -2)  # (P, 2, N+1, k)
         amp = _readout_amplitudes(out, full)
         damp = _readout_amplitudes(-1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
@@ -426,7 +425,7 @@ def cfi_grid(
     not follow the schedule.  A readout node (p below ``EPS_PROB`` and |dp|
     below its square root) contributes the limit 4 sum_k w_k |d a_k|^2 of
     dp^2 / p, from the output amplitudes' derivatives d a_k, instead of a
-    ratio of two rounding-level numbers.
+    ratio of two rounding-level numbers.  An empty grid gives an empty result.
     """
     if mode not in ("period", "exact_conjugate"):
         raise ContractViolation(f"unknown reversal mode {mode!r}")
@@ -436,6 +435,8 @@ def cfi_grid(
     if generator is None:
         generator = optimal_generator(params, probe.dim)
     readout, _ = _readout_basis(basis, generator, probe.dim)
+    if t1s.size == 0:
+        return np.zeros(t1s.shape)
     p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, readout)
     at_node = (p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB))
     terms = np.where(at_node, node, dp**2 / np.where(at_node, 1.0, p))

@@ -10,6 +10,7 @@ import pytest
 from echometry.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from echometry.experiments import SCENARIOS, run_validation
 from echometry.spin import ContractViolation
+from test_fisher import run_at_blas_threads
 
 
 def test_trace_scan_command(tmp_path, capsys):
@@ -217,6 +218,8 @@ def test_explicit_default_mode_changes_nothing(tmp_path):
         (["qfi-sweep", "--scenario", "theta0", "--interaction", "xz"], "g = 0"),
         # the deviation law is the ZZ one
         (["deviation", "--interaction", "xz"], ""),
+        # the XZ scaling builds XZ models only
+        (["xz-scaling", "--interaction", "zz"], ""),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):
@@ -259,9 +262,37 @@ def test_every_scenario_runs_and_is_documented(tmp_path, capsys, name):
         assert main([spec.command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         rows.append(len((out / f"{name}.csv").read_text().splitlines()) - 1)
         assert f"{name}: {rows[-1]} rows" in capsys.readouterr().out
+        # the summary lists every grid key right after the scenario, as resolved
+        lines = (out / f"{name}_summary.txt").read_text().splitlines()
+        summary = dict(line.split("=", 1) for line in lines)
+        assert list(summary)[: 1 + len(spec.defaults)] == ["scenario", *spec.defaults]
+        for key, default in spec.defaults.items():
+            kind = type(default[0] if isinstance(default, tuple) else default)
+            items = [kind(item) for item in _tiny_grid(key, default, size).split(",")]
+            assert summary[key] == ";".join(f"{v:.12g}" if kind is float else str(v) for v in items)
     assert rows[0] >= 1
     assert rows[1] == rows[0] * 2**axes
     assert main([spec.command, "--help"]) == EXIT_OK
     help_text = capsys.readouterr().out
     assert f"scenario = {name}" in help_text
     assert all(f"    {key} = " in help_text for key in spec.defaults)
+
+
+def test_scenario_files_independent_of_blas_threads():
+    # every scenario at its defaults, and the one figure that solves for
+    # reversal periods, writes the same bytes at 1 and at 2 OpenBLAS threads
+    commands = [[command] for command in dict.fromkeys(spec.command for spec in SCENARIOS.values())]
+    commands.append(["qfi-sweep", "--scenario", "t1", "--mode", "period"])
+    script = (
+        "import hashlib, pathlib, tempfile\n"
+        "from echometry.cli import main\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        f"    for k, argv in enumerate({commands!r}):\n"
+        "        assert main([*argv, '--out', f'{tmp}/{k}']) == 0\n"
+        "    for path in sorted(pathlib.Path(tmp).rglob('*.*')):\n"
+        "        print(path.relative_to(tmp), hashlib.sha256(path.read_bytes()).hexdigest())\n"
+    )
+    outputs = run_at_blas_threads(script)
+    # each of the ten runs prints one line and writes a CSV and a summary
+    assert len(outputs[0].splitlines()) == 3 * (len(SCENARIOS) + 1)
+    assert outputs[0] == outputs[1]

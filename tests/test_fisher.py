@@ -1169,3 +1169,16 @@ def test_production_paths_run_no_dense_eigensolver(monkeypatch):
     assert len(patched) == len(reference) == 49
     for got, want in zip(patched, reference):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["exact_conjugate", "period"])
+def test_grid_kernels_on_empty_step_times(mode):
+    # an empty time axis gives an empty result of the grid's shape
+    dim = EnsembleDim(3)
+    gen = optimal_generator(ZZ, dim)
+    probe = polarized_probe(dim, gen)
+    ancillas = [ancilla_state(1.1), dephase_ancilla(ancilla_state(0.4), 0.3)]
+    assert qfi_grid(probe, ancillas, ZZ, np.array([])).shape == (2, 0)
+    for basis in ("full_system", "ancilla_only"):
+        fc = cfi_grid(probe, ancillas[0], ZZ, np.empty((3, 0)), np.empty(0), mode, gen, basis=basis)
+        assert fc.shape == (3, 0)
