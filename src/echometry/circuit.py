@@ -183,7 +183,7 @@ def su2_rotation(v, t) -> tuple[np.ndarray, np.ndarray]:
 def su2_compose(p, q) -> tuple[np.ndarray, np.ndarray]:
     """The product p q of Cayley-Klein pairs: (a1 a2 - b1 b2*, a1 b2 + b1 a2*), elementwise."""
     (a1, b1), (a2, b2) = p, q
-    return a1 * a2 - b1 * b2.conj(), a1 * b2 + b1 * a2.conj()
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
 def su2_inverse(p) -> tuple[np.ndarray, np.ndarray]:

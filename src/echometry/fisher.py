@@ -21,8 +21,17 @@ the sum reads c_s at every step time off the spin-1/2 sector blocks of
 :func:`propagator` and applies c_s.J as its tridiagonal band.  The
 classical readout turns the whole circuit of a sector, readout rotation
 included, into one SU(2) element and applies it to the input columns of
-every step time at once, through one real J_x frame per call.  No
-(N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
+every step time at once, by one of two routes chosen by the probe alone:
+
+* a coherent probe (``SpectralProbe.coherent_axis``, set by
+  :func:`~echometry.states.polarized_probe`) maps to another coherent
+  state, the closed form :func:`~echometry.states.coherent_state`, in O(N)
+  per cell with no eigensolve;
+* every other probe (thermal, rank above 1, or any vector without that
+  declaration) goes through one real J_x frame per call
+  (:func:`~echometry.circuit.apply_su2`), O(N^2).
+
+No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
 step times in one broadcast; :func:`qfi_general` and :func:`cfi` are their
 one-cell calls.
@@ -65,7 +74,7 @@ from .spin import (
     KET_G,
     spin_frame,
 )
-from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec
+from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec, coherent_state
 
 __all__ = [
     "EPS_PROB",
@@ -81,9 +90,9 @@ __all__ = [
     "cfi_grid",
 ]
 
-# Measurement rows with probability below EPS_PROB *and* derivative below
-# sqrt(EPS_PROB) are readout nodes: their term dp^2 / p is replaced by its
-# limit at p -> 0 (see :func:`cfi_grid`).
+# A measurement row is a readout node when its probability is at most
+# EPS_PROB / N^2 times the limit of dp^2 / p at a zero of its amplitudes;
+# that limit is at most N^2, so a node has p <= EPS_PROB (see :func:`cfi_grid`).
 EPS_PROB = 1e-12
 
 # Complex entries that one slice of a grid kernel's stacked arrays (the CFI's
@@ -151,16 +160,18 @@ class ProbabilityTable:
         return np.array([row[2] for row in self.rows], dtype=float)
 
 
-def _input_spectrum(probe: SpectralProbe, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
+def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
     """Joint input eigenpairs: weights p_i q_a and columns v_i (x) a_a.
 
-    The columns are sector-major, shape (2, N+1, k).  A pure ancilla
-    contributes its ket with weight 1, a dephased one the eigenpairs of its
-    density matrix; joint weights at or below the spectral cutoff are dropped.
+    ``weights`` and ``vectors`` are the probe's spectrum p_i, v_i.  The
+    columns are sector-major, shape (2, D, k) for D-dimensional v_i.  A pure
+    ancilla contributes its ket with weight 1, a dephased one the eigenpairs
+    of its density matrix; joint weights at or below the spectral cutoff are
+    dropped.
     """
     q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
-    w = np.outer(probe.weights, q).ravel()
-    psi = (a[:, None, None, :] * probe.vectors[None, :, :, None]).reshape(2, probe.dim.dim, w.size)
+    w = np.outer(weights, q).ravel()
+    psi = (a[:, None, None, :] * vectors[None, :, :, None]).reshape(2, vectors.shape[0], w.size)
     keep = w > EPS_SPECTRUM
     return w[keep], psi[..., keep]
 
@@ -231,7 +242,7 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
     groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
     for rows in groups:
-        spectra = [_input_spectrum(probe, ancillas[a]) for a in rows]
+        spectra = [_input_spectrum(probe.weights, probe.vectors, ancillas[a]) for a in rows]
         psi = np.stack([columns for _, columns in spectra])
         out[rows] = _qfi_columns(spectra[0][0], psi, dim, axes)
     return _checked(out)
@@ -293,25 +304,22 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
-def _readout_basis(basis: str, generator: PhaseGenerator | None, dim: EnsembleDim) -> tuple[tuple | None, list]:
-    """Readout rotation and (m, branch) labels of a readout basis, m ascending.
+def _readout_rotation(basis: str, generator: PhaseGenerator | None, dim: EnsembleDim) -> tuple | None:
+    """Readout rotation of a readout basis: the pair that turns it into the J_z basis.
 
     The full-system projectors are |m>_gen (x) |+/-> over the generator
     eigenvectors |m>_gen = R_n |m> (up to phases), and the rotation is the
-    Cayley-Klein pair of R_n^dagger (:func:`axis_rotation`), so the readout
-    becomes the J_z basis.  The rotation is None for the ancilla-only
-    readout, whose projectors I (x) |+/-><+/-| have rank N+1.
+    Cayley-Klein pair of R_n^dagger (:func:`axis_rotation`).  It is None for
+    the ancilla-only readout, whose projectors I (x) |+/-><+/-| have rank N+1.
     """
     if basis == "full_system":
         if generator is None:
             raise ContractViolation("full-system readout needs a probe generator")
         if generator.dim != dim:
             raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
-        norm = math.hypot(*generator.axis)
-        labels = [(float(m), branch) for m in norm * dim.m_values() for branch in ("+", "-")]
-        return su2_inverse(axis_rotation(generator.axis)), labels
+        return su2_inverse(axis_rotation(generator.axis))
     if basis == "ancilla_only":
-        return None, [(None, "+"), (None, "-")]
+        return None
     raise ContractViolation(f"unknown measurement basis {basis!r}")
 
 
@@ -346,23 +354,45 @@ def _readout_probs(
     phase e^{-i s omega_a (t1 + t2)}.  In ``exact_conjugate`` mode the second
     leg runs for t2 = -t1, so u_s(t2) = u_s(t1)^dagger and the phase is 1.
     Each input eigenpair (w_k, psi_k) maps to phi_k = phase D^j(W_s) psi_k
-    through one J_x frame (:func:`apply_su2`) and d phi_k = -i (c.J) phi_k,
-    with c the encoding axis turned by R u_s(t2).  Then
-    p = sum_k w_k |<c|phi_k>|^2, dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>)
-    and the node limit of dp^2 / p is 4 sum_k w_k |<c|d phi_k>|^2.  R changes
-    each full-system amplitude by a phase that both sectors share, which
-    leaves all three unchanged.  No (N+1)-dimensional propagator or density
-    matrix is formed.
+    and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
+    R u_s(t2).  Then p = sum_k w_k |<c|phi_k>|^2,
+    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and the node limit of dp^2 / p
+    is 4 sum_k w_k |<c|d phi_k>|^2.  R changes each full-system amplitude by
+    a phase that both sectors share, which leaves all three unchanged.
+
+    D^j(W_s) takes one of two routes, chosen by the probe alone:
+
+    * a coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to
+      a global phase, so its image is the closed form
+      :func:`~echometry.states.coherent_state` of W_s R_n, O(N) per cell;
+    * any other probe goes through one real J_x frame per call
+      (:func:`apply_su2`), O(N^2).
+
+    No (N+1)-dimensional propagator or density matrix is formed.
     """
     dim = probe.dim
-    w, psi = _input_spectrum(probe, ancilla)
-    columns = psi.transpose(1, 0, 2)[:, None]  # (N+1, 1, 2, k): probe axis first
-    _, x_frame = spin_frame(dim, (1.0, 0.0, 0.0))
     g_axis = encoding_axis(params.kind)
     encode = su2_rotation(g_axis, theta)
     full = readout is not None
     if mode == "exact_conjugate":
         t2s = -t1s
+    if probe.coherent_axis is None:
+        w, psi = _input_spectrum(probe.weights, probe.vectors, ancilla)
+        columns = psi.transpose(1, 0, 2)[:, None]  # (N+1, 1, 2, k): probe axis first
+        _, x_frame = spin_frame(dim, (1.0, 0.0, 0.0))
+
+        def evolve(element):
+            out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)
+            return np.moveaxis(out, 0, -2)
+
+    else:
+        # the ancilla factors a_k alone, as the input spectrum of a one-dimensional probe
+        w, anc = _input_spectrum(probe.weights, np.ones((1, 1)), ancilla)  # anc: (2, 1, k)
+        polarize = axis_rotation(probe.coherent_axis)
+
+        def evolve(element):
+            return coherent_state(dim, su2_compose(element, polarize))[..., None] * anc
+
     results = []
     # a slice holds its output columns and about seven temporaries of their size
     for sl in _slices(t1s.size, 8 * 2 * dim.dim * w.size):
@@ -370,10 +400,8 @@ def _readout_probs(
         u2 = sector_rotations(params, t2s[sl])
         if full:
             u2 = su2_compose(readout, u2)
-        element = su2_compose(u2, su2_compose(encode, u1))
-        out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)
-        out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None]
-        out = np.moveaxis(out, 0, -2)  # (P, 2, N+1, k)
+        out = evolve(su2_compose(u2, su2_compose(encode, u1)))  # (P, 2, N+1, k)
+        out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None, None]
         amp = _readout_amplitudes(out, full)
         damp = _readout_amplitudes(-1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
         p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
@@ -397,7 +425,11 @@ def measurement_probs(
     generator's eigenbasis; ``basis="ancilla_only"`` projects the qubit alone
     on |+/->.
     """
-    readout, labels = _readout_basis(basis, generator, probe.dim)
+    readout = _readout_rotation(basis, generator, probe.dim)
+    if readout is None:
+        labels = [(None, "+"), (None, "-")]
+    else:  # (m, branch) in outcome order, m ascending
+        labels = [(float(m), branch) for m in math.hypot(*generator.axis) * probe.dim.m_values() for branch in "+-"]
     t1s, t2s = _times([sched.t1]), _times([sched.t2])
     probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, readout)[0][0]
     rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
@@ -422,10 +454,19 @@ def cfi_grid(
     (t1, t2, ``mode``).  In ``exact_conjugate`` mode the second leg is
     U(t1)^dagger and t2 is not used.  The readout basis is fixed by
     ``generator`` (default: the optimized generator for ``params``) and does
-    not follow the schedule.  A readout node (p below ``EPS_PROB`` and |dp|
-    below its square root) contributes the limit 4 sum_k w_k |d a_k|^2 of
-    dp^2 / p, from the output amplitudes' derivatives d a_k, instead of a
-    ratio of two rounding-level numbers.  An empty grid gives an empty result.
+    not follow the schedule.
+
+    Each outcome contributes dp^2 / p, or at a readout node its limit
+    L = 4 sum_k w_k |d a_k|^2 from the output amplitudes' derivatives d a_k.
+    Near a zero of every amplitude a_k(theta) = d a_k (theta - theta_0), so
+    p = L (theta - theta_0)^2 / 4 and the ratio equals L, but it is a ratio
+    of two rounding-level numbers: at N = 10^5 the whole information can sit
+    on a row with p ~ 1e-22 and |dp| ~ 1e-6.  A row is taken as a node when
+    p N^2 <= ``EPS_PROB`` L, that is within about 2e-6 / N of such a zero
+    (L <= N^2 always).  Elsewhere the ratio stands, however small p is: in
+    the tails of an eigenstate of the encoded rotation d a_k = -i m a_k, the
+    ratio is 0, and the limit would add information the state does not
+    carry.  An empty grid gives an empty result.
     """
     if mode not in ("period", "exact_conjugate"):
         raise ContractViolation(f"unknown reversal mode {mode!r}")
@@ -434,11 +475,11 @@ def cfi_grid(
     t1s, t2s = np.broadcast_arrays(_times(t1s), _times(t2s))
     if generator is None:
         generator = optimal_generator(params, probe.dim)
-    readout, _ = _readout_basis(basis, generator, probe.dim)
+    readout = _readout_rotation(basis, generator, probe.dim)
     if t1s.size == 0:
         return np.zeros(t1s.shape)
     p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, readout)
-    at_node = (p < EPS_PROB) & (np.abs(dp) < math.sqrt(EPS_PROB))
+    at_node = p * probe.dim.n_spins**2 <= EPS_PROB * node
     terms = np.where(at_node, node, dp**2 / np.where(at_node, 1.0, p))
     return _checked(terms.sum(axis=-1)).reshape(t1s.shape)
 

@@ -10,9 +10,11 @@ Both probe constructors cost O(N) memory and solve no full eigenframe.
 * :func:`polarized_probe` is the spin-coherent state along the generator's
   axis n = |n| (sin t cos p, sin t sin p, cos t) (Arecchi et al., PRA 6,
   2211, 1972), in closed form:
-  ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, summed in log
-  form (``gammaln``) with the maximum subtracted, then normalized.  At a pole
-  it is the exact basis vector.
+  ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, from
+  :func:`coherent_state`.  At a pole it is the exact basis vector.  The
+  probe records its axis (``SpectralProbe.coherent_axis``), so the readout
+  can map it through any circuit in the same closed form instead of a
+  J_x frame.
 * :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
   the generator (:func:`~echometry.spin.lowest_spin_columns`).
 
@@ -20,15 +22,22 @@ Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 (:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude
 entry is real and positive, ties within 1e-12 relative going to the first,
 so a probe equals the matching frame column without phase alignment.
+
+:func:`coherent_state` is D^j(u)|j,+j> for SU(2) elements u held as
+Cayley-Klein pairs (a, b) (see :mod:`echometry.circuit`), with amplitudes
+``sqrt(C(N, k)) (a*)^k b^(N-k)``, k = j + m, summed in log form with the
+maximum subtracted, then normalized.  Its log-factorials come from
+``math.lgamma`` below 32 and Stirling's series above, so no scipy special
+function is needed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .spin import (
     ContractViolation,
@@ -48,6 +57,7 @@ __all__ = [
     "SpectralProbe",
     "ThermalSpec",
     "ancilla_state",
+    "coherent_state",
     "dephase_ancilla",
     "polarized_probe",
     "thermal_probe",
@@ -153,11 +163,19 @@ class ThermalSpec:
 
 @dataclass(frozen=True)
 class SpectralProbe:
-    """Probe density matrix in spectral form: weights plus orthonormal columns."""
+    """Probe density matrix in spectral form: weights plus orthonormal columns.
+
+    ``coherent_axis``, when set, declares the probe pure and equal, up to a
+    global phase, to the spin-coherent state polarized along that axis
+    (``D^j(R_n)|j,+j>`` with R_n = :func:`~echometry.circuit.axis_rotation`);
+    only :func:`polarized_probe` sets it.  It lets the readout use the closed
+    form of :func:`coherent_state` for the probe's image under any circuit.
+    """
 
     dim: EnsembleDim
     weights: np.ndarray
     vectors: np.ndarray
+    coherent_axis: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -171,6 +189,13 @@ class SpectralProbe:
         gram = v.conj().T @ v
         if np.max(np.abs(gram - np.eye(w.size))) > 1e-10:
             raise ContractViolation("probe eigenvectors must be orthonormal")
+        if self.coherent_axis is not None:
+            axis = tuple(float(c) for c in self.coherent_axis)
+            if w.size != 1:
+                raise ContractViolation("only a pure probe can be a coherent state")
+            if len(axis) != 3 or not all(map(math.isfinite, axis)) or not any(axis):
+                raise ContractViolation("coherent axis must be a finite nonzero real 3-vector")
+            object.__setattr__(self, "coherent_axis", axis)
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -183,6 +208,62 @@ class SpectralProbe:
     def density(self) -> np.ndarray:
         """Reconstruct the density matrix sum_i p_i |psi_i><psi_i|."""
         return (self.vectors * self.weights) @ self.vectors.conj().T
+
+
+# log k! for k below this comes from math.lgamma; at and above it, from
+# Stirling's series, whose first omitted term is then below 1e-17.
+_STIRLING_FROM = 32
+_SMALL_LOG_FACTORIALS = np.array([math.lgamma(k + 1.0) for k in range(_STIRLING_FROM)])
+
+
+@functools.lru_cache(maxsize=4)
+def _half_log_binomials(n: int) -> np.ndarray:
+    """log sqrt(C(N, k)) + const for k = 0, ..., N, as -(log k! + log (N-k)!) / 2; read-only.
+
+    log k! is ``math.lgamma`` below ``_STIRLING_FROM``; above it, Stirling's
+    series for log Gamma(z), z = k + 1, to four correction terms (Abramowitz
+    & Stegun 6.1.41): (z - 1/2) log z - z + log(2 pi)/2 + 1/(12 z)
+    - 1/(360 z^3) + 1/(1260 z^5) - 1/(1680 z^7).  Every coherent column at
+    this N shares the table, so the last few are kept.
+    """
+    z = np.arange(_STIRLING_FROM, n + 1) + 1.0
+    inv2 = 1.0 / (z * z)
+    series = (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 * (1.0 / 1260.0 - inv2 / 1680.0))) / z
+    large = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series
+    log_fact = np.concatenate([_SMALL_LOG_FACTORIALS[: n + 1], large])
+    out = -0.5 * (log_fact + log_fact[::-1])
+    out.setflags(write=False)
+    return out
+
+
+def _binomial_magnitudes(n: int, abs_a, abs_b) -> np.ndarray:
+    """Unit columns sqrt(C(N, k)) |a|^k |b|^(N-k), k = 0..N, on a new last axis.
+
+    Taken in log form with the maximum subtracted, then normalized per pair,
+    so none over- or underflows at large N.  log 0 is taken as -1e300, finite,
+    so that 0 log 0 is 0 and k log 0 (k >= 1) underflows to an exact zero
+    magnitude, without a warning.
+    """
+    k = np.arange(n + 1)
+    log_a, log_b = (np.log(x, out=np.full(np.shape(x), -1e300), where=x > 0.0)[..., None] for x in (abs_a, abs_b))
+    log_mag = k * log_a + (n - k) * log_b + _half_log_binomials(n)
+    mag = np.exp(log_mag - log_mag.max(axis=-1, keepdims=True))
+    return mag / np.linalg.norm(mag, axis=-1, keepdims=True)
+
+
+def coherent_state(dim: EnsembleDim, p) -> np.ndarray:
+    """D^j(u)|j,+j> for Cayley-Klein pairs p = (a, b), on a new last (probe) axis.
+
+    a and b broadcast against each other; each pair gives the unit column
+    with amplitudes sqrt(C(N, k)) (a*)^k b^(N-k), k = j + m (the spin-j image
+    of the spin-1/2 column (b, a*) of u): the magnitudes of
+    :func:`_binomial_magnitudes` with phases -k arg a + (N - k) arg b.
+    """
+    a, b = (np.asarray(c) for c in p)
+    n = dim.n_spins
+    k = np.arange(dim.dim)
+    phase = (n - k) * np.angle(b)[..., None] - k * np.angle(a)[..., None]
+    return _binomial_magnitudes(n, np.abs(a), np.abs(b)) * np.exp(1j * phase)
 
 
 def _generator_axis(dim: EnsembleDim, generator: PhaseGenerator) -> tuple[float, float, float]:
@@ -207,14 +288,12 @@ def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProb
     big = (norm + abs(nz)) / (2.0 * norm)
     small = r * r / (2.0 * norm * (norm + abs(nz)))
     cos2, sin2 = (big, small) if nz >= 0.0 else (small, big)
-    n = dim.n_spins
-    k = np.arange(dim.dim)  # j + m
-    log_amp = 0.5 * (xlogy(k, cos2) + xlogy(n - k, sin2) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
-    amp = np.exp(log_amp - log_amp.max())
+    # exp(-i t J_y)|j,+j> of the real tridiagonal frame: the binomial magnitudes, with the sign of r
+    amp = _binomial_magnitudes(dim.n_spins, math.sqrt(cos2), math.sqrt(sin2))
     if r < 0.0:
-        amp[(n - k) % 2 == 1] *= -1.0
-    amp /= np.linalg.norm(amp)
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=pin_frame_phases(dim, axis, amp[:, None]))
+        amp[(dim.n_spins - np.arange(dim.dim)) % 2 == 1] *= -1.0
+    vectors = pin_frame_phases(dim, axis, amp[:, None])
+    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=vectors, coherent_axis=axis)
 
 
 def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> SpectralProbe:

@@ -132,13 +132,14 @@ def test_package_runs_as_a_module():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only the period scan's fallback refinement needs scipy.optimize, which it imports itself
+    # only the period scan's fallback refinement needs scipy.optimize, which it
+    # imports itself; no code needs scipy.special (log-factorials come from numpy)
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    script = "import sys, echometry; print('scipy.optimize' in sys.modules)"
+    script = "import sys, echometry; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False\n"
 
 
 def test_validate_command(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -971,11 +972,20 @@ def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
-def test_cfi_solves_one_frame_per_call(monkeypatch):
-    # the readout solves exactly one real tridiagonal frame (J_x) per call,
-    # whatever the kind, mode, basis, grid size or number of calls
+def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch):
+    # a polarized probe takes the closed coherent form and solves no frame; a
+    # thermal or any other probe solves exactly one real tridiagonal frame
+    # (J_x) per call, whatever the kind, mode, basis, ancilla, grid size or
+    # number of calls
     dim = EnsembleDim(7)
     pure = ancilla_state(1.1, 0.7)
+    rng = np.random.default_rng(3)
+    vectors, _ = np.linalg.qr(rng.normal(size=(dim.dim, 3)) + 1j * rng.normal(size=(dim.dim, 3)))
+    others = [
+        thermal_probe(dim, phase_generator(dim, 0.4), 1.0),
+        SpectralProbe(dim, np.array([0.5, 0.3, 0.2]), vectors),
+    ]
+    assert [probe.n_terms for probe in others] == [dim.dim, 3]
     solved = []
     eigh_tridiagonal = echometry.spin.eigh_tridiagonal
 
@@ -983,27 +993,92 @@ def test_cfi_solves_one_frame_per_call(monkeypatch):
         solved.append(len(args[0]))
         return eigh_tridiagonal(*args, **kwargs)
 
+    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
     for params in (ZZ, STRONG_XZ, ModelParams(3.0, 1.5, 1.0, kind="xz")):
         gen = optimal_generator(params, dim)
-        probe = polarized_probe(dim, gen)
-        monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
-        for sched in (Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period"), conjugate_schedule(0.8, 0.3)):
-            for basis in ("full_system", "ancilla_only"):
-                for _ in range(2):
+        cases = [(polarized_probe(dim, gen), [])] + [(probe, [dim.dim]) for probe in others]
+        for (probe, frames), anc in itertools.product(cases, (pure, dephase_ancilla(pure, 0.4))):
+            for sched in (Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period"), conjugate_schedule(0.8, 0.3)):
+                for basis in ("full_system", "ancilla_only"):
+                    for _ in range(2):
+                        solved.clear()
+                        cfi(probe, anc, params, sched, generator=gen, basis=basis)
+                        assert solved == frames
                     solved.clear()
-                    cfi(probe, pure, params, sched, generator=gen, basis=basis)
-                    assert solved == [dim.dim]
-                solved.clear()
-                measurement_probs(probe, pure, params, sched, basis=basis, generator=gen)
-                assert solved == [dim.dim]
-                solved.clear()
-                cfi_grid(probe, pure, params, np.linspace(0.0, 3.0, 40)[:, None], np.linspace(0.0, 2.0, 30), sched.mode,
-                         gen, basis=basis)
-                assert solved == [dim.dim]
-        solved.clear()
-        cfi(probe, pure, params, conjugate_schedule(0.8, 0.3))
-        assert solved == [dim.dim]
-        monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", eigh_tridiagonal)
+                    measurement_probs(probe, anc, params, sched, basis=basis, generator=gen)
+                    assert solved == frames
+                    solved.clear()
+                    cfi_grid(probe, anc, params, np.linspace(0.0, 3.0, 40)[:, None], np.linspace(0.0, 2.0, 30),
+                             sched.mode, gen, basis=basis)
+                    assert solved == frames
+            solved.clear()
+            cfi(probe, anc, params, conjugate_schedule(0.8, 0.3))
+            assert solved == frames
+
+
+_AXIS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(
+    lambda a: np.linalg.norm(a) > 1e-3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 500),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(0.2, 5.0),
+    omega_a=st.floats(0.2, 5.0),
+    probe_axis=st.one_of(st.none(), st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]), _AXIS),
+    theta0=st.floats(0.0, np.pi),
+    phi0=st.floats(0.0, 2 * np.pi),
+    x=st.sampled_from([0.0, 0.4, 1.0]),
+    t1s=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=3),
+    t2=st.floats(0.0, 2 * np.pi),
+    mode=st.sampled_from(["exact_conjugate", "period"]),
+    basis=st.sampled_from(["full_system", "ancilla_only"]),
+    theta_eval=st.one_of(st.sampled_from([0.0, np.pi]), st.floats(-2 * np.pi, 2 * np.pi)),
+)
+def test_coherent_readout_matches_the_frame_route(
+    n, kind, omega_p, omega_a, probe_axis, theta0, phi0, x, t1s, t2, mode, basis, theta_eval
+):
+    # the closed form for a polarized probe against the J_x frame route, run
+    # on the same vector declared as a general probe (no coherent axis); the
+    # probe is polarized along the readout generator (None) or any axis
+    params = ModelParams(omega_p, omega_a, 1.0, kind=kind)
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    coherent = polarized_probe(dim, gen if probe_axis is None else PhaseGenerator(dim, probe_axis))
+    framed = SpectralProbe(dim, coherent.weights, coherent.vectors)
+    assert coherent.coherent_axis is not None and framed.coherent_axis is None
+    anc = dephase_ancilla(ancilla_state(theta0, phi0), x)
+    t1s = np.array(t1s)
+    t2s = t2 + t1s[::-1]
+    fc, reference = (
+        cfi_grid(probe, anc, params, t1s, t2s, mode, gen, theta_eval, basis) for probe in (coherent, framed)
+    )
+    np.testing.assert_allclose(fc, reference, rtol=1e-12, atol=1e-12)
+    sched = Schedule(t1=t1s[0], t2=t1s[0] if mode == "exact_conjugate" else t2s[0], theta=theta_eval, mode=mode)
+    probs, reference = (
+        measurement_probs(probe, anc, params, sched, basis=basis, generator=gen).probabilities
+        for probe in (coherent, framed)
+    )
+    np.testing.assert_allclose(probs, reference, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("params", [ZZ, STRONG_XZ, UNIT_XZ], ids=["zz", "strong-xz", "unit-xz"])
+def test_cfi_is_heisenberg_at_scale(params, n):
+    # F_c = F_Q = N^2 at the optimum with the polarized probe up to a million
+    # spins, readout nodes (theta_eval = 0, pi) included: at theta_eval = pi
+    # the information sits on a row with p ~ 1e-22 and |dp| ~ 1e-6 at N = 10^5
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = polarized_probe(dim, gen)
+    settings = optimal_settings(params)
+    anc = ancilla_state(settings.theta0)
+    sched = conjugate_schedule(settings.t1, 0.0)
+    for theta_eval in (0.0, 0.3, np.pi):
+        value = cfi(probe, anc, params, sched, generator=gen, theta_eval=theta_eval).value
+        assert abs(value / n**2 - 1.0) <= 1e-12, theta_eval
 
 
 @pytest.mark.parametrize("params", [ZZ, UNIT_XZ, STRONG_XZ], ids=["zz", "unit-xz", "strong-xz"])
@@ -1026,6 +1101,23 @@ def test_cfi_saturates_at_large_n(params):
         assert classical < 0.99 * quantum
 
 
+@pytest.mark.parametrize("n", [500, 10**5])
+@pytest.mark.parametrize("params, axis", [(ZZ, (1.0, 0.0, 0.0)), (UNIT_XZ, (0.0, 0.0, 1.0))], ids=["zz", "xz"])
+def test_cfi_of_an_eigenstate_of_the_encoding_is_zero(params, axis, n):
+    # with t1 = 0 a probe polarized along the encoding axis only picks up a
+    # global phase, so F_c = F_Q = 0; its tail rows have p far below EPS_PROB
+    # but d a = -i j a, and are no readout nodes (the node limit there
+    # would give F_c = 0.96 at N = 10^5 for XZ)
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = polarized_probe(dim, PhaseGenerator(dim, axis))
+    sched = conjugate_schedule(0.0, 0.0)
+    for theta0 in (0.0, np.pi / 2):
+        anc = ancilla_state(theta0)
+        assert qfi_general(probe, anc, params, sched).value == 0.0
+        assert cfi(probe, anc, params, sched, generator=gen, theta_eval=0.3).value <= 1e-15 * n**2
+
+
 def run_at_blas_threads(script):
     """The stdout of a Python script run at 1 and at 2 OpenBLAS threads."""
     src = str(Path(echometry.fisher.__file__).resolve().parents[1])
@@ -1041,8 +1133,11 @@ def run_at_blas_threads(script):
 
 
 def test_rank_one_cfi_independent_of_blas_threads():
-    # the J_x frame products are real GEMMs that sum in a fixed order, so a
-    # rank-1 probe's F_c agrees to the last bit between 1 and 2 OpenBLAS threads
+    # a polarized probe's readout is a closed form with no BLAS product, and
+    # the J_x frame products that the same vector takes as a general probe
+    # (at every third size) are real GEMMs that sum in a fixed order, so a
+    # rank-1 probe's F_c agrees to the last bit between 1 and 2 OpenBLAS
+    # threads on either route
     script = (
         "import echometry as em\n"
         "cases = [em.ModelParams(3.0, 3.0, 1.0, kind='zz')]\n"
@@ -1053,14 +1148,16 @@ def test_rank_one_cfi_independent_of_blas_threads():
         "    for n in range(60, 297, 16):\n"
         "        dim = em.EnsembleDim(n)\n"
         "        gen = em.optimal_generator(params, dim)\n"
-        "        probe = em.polarized_probe(dim, gen)\n"
-        "        for sched in scheds:\n"
-        "            for basis in ('full_system', 'ancilla_only'):\n"
-        "                value = em.cfi(probe, em.ancilla_state(1.5707963267948966), params, sched, gen, 0.3, basis)\n"
-        "                print(repr(value.value))\n"
+        "        coherent = em.polarized_probe(dim, gen)\n"
+        "        framed = [em.SpectralProbe(dim, coherent.weights, coherent.vectors)] if n % 48 == 12 else []\n"
+        "        for probe in [coherent, *framed]:\n"
+        "            for sched in scheds:\n"
+        "                for basis in ('full_system', 'ancilla_only'):\n"
+        "                    anc = em.ancilla_state(1.5707963267948966)\n"
+        "                    print(repr(em.cfi(probe, anc, params, sched, gen, 0.3, basis).value))\n"
     )
     outputs = run_at_blas_threads(script)
-    assert len(outputs[0].split()) == 4 * 15 * 2 * 2
+    assert len(outputs[0].split()) == 4 * (15 + 5) * 2 * 2
     assert outputs[0] == outputs[1]
 
 

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echometry.spin
+import echometry.states
+from echometry.circuit import axis_rotation
 from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
 from echometry.states import (
     SpectralProbe,
     ThermalSpec,
     ancilla_state,
+    coherent_state,
     dephase_ancilla,
     polarized_probe,
     spectral_decompose,
@@ -125,6 +130,30 @@ def test_probe_constructors_match_the_frame_columns(n, axis, scale, beta):
     probe = thermal_probe(dim, unit, beta)
     _, vecs = spin_frame(dim, unit.axis)
     np.testing.assert_allclose(probe.vectors, vecs[:, : probe.n_terms], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    axis=st.one_of(
+        st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]),
+        st.tuples(_COMPONENT, st.just(0.0), _COMPONENT),
+        st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+    ).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    scale=st.floats(0.1, 1.0),
+)
+def test_polarized_probe_is_the_coherent_state_of_its_axis(n, axis, scale):
+    # the contract the coherent readout relies on: the probe records its axis
+    # and equals D^j(R_n)|j,+j> up to one global phase
+    dim = EnsembleDim(n)
+    gen = PhaseGenerator(dim, scale * np.asarray(axis))
+    probe = polarized_probe(dim, gen)
+    assert probe.coherent_axis == gen.axis
+    psi = probe.vectors[:, 0]
+    column = coherent_state(dim, axis_rotation(gen.axis))
+    overlap = np.vdot(column, psi)
+    assert abs(abs(overlap) - 1.0) <= 1e-12
+    np.testing.assert_allclose(psi, overlap * column, rtol=0.0, atol=1e-12)
 
 
 def test_probe_constructors_solve_no_full_frame(monkeypatch):
@@ -283,6 +312,60 @@ def test_spectral_probe_validates_inputs():
     skewed[:, 1] = (good[:, 0] + good[:, 1]) / np.sqrt(2)
     with pytest.raises(ContractViolation):
         SpectralProbe(dim=dim, weights=np.array([0.5, 0.5]), vectors=skewed)
+
+
+def test_spectral_probe_validates_its_coherent_axis():
+    dim = EnsembleDim(2)
+    one = np.eye(3, dtype=complex)[:, -1:]
+    assert SpectralProbe(dim, np.array([1.0]), one, coherent_axis=[0, 0, 2]).coherent_axis == (0.0, 0.0, 2.0)
+    for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ContractViolation):
+            SpectralProbe(dim, np.array([1.0]), one, coherent_axis=axis)
+    # a coherent state is pure: a probe of rank above 1 cannot declare one
+    with pytest.raises(ContractViolation):
+        SpectralProbe(dim, np.array([0.5, 0.5]), np.eye(3, dtype=complex)[:, 1:], coherent_axis=(0.0, 0.0, 1.0))
+    gen = phase_generator(dim, 0.4)
+    assert thermal_probe(dim, gen, 1.3).coherent_axis is None
+    assert spectral_decompose(polarized_probe(dim, gen).density()).coherent_axis is None
+
+
+def test_log_binomials_join_lgamma_and_stirling():
+    # log k! from math.lgamma below k = 32 and from the four-term Stirling
+    # series from there on, at both ends of C(N, k)
+    n = 200
+    exact = np.array([-0.5 * (math.lgamma(k + 1.0) + math.lgamma(n - k + 1.0)) for k in range(n + 1)])
+    table = echometry.states._half_log_binomials(n)
+    np.testing.assert_allclose(table, exact, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert not table.flags.writeable
+    np.testing.assert_array_equal(echometry.states._half_log_binomials(0), [0.0])
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (0.6 * np.exp(0.7j), 0.8 * np.exp(-2.1j)),
+        (math.sqrt(1.0 - 1e-12) * np.exp(0.3j), 1e-6 * np.exp(-1.1j)),
+    ],
+    ids=["generic", "near-pole"],
+)
+def test_coherent_state_matches_high_precision_binomials(pair):
+    # 50-digit sqrt(C(N, k)) (a*)^k b^(N-k), normalized, at N = 1000; near the
+    # pole the amplitudes fall by 1e-6 a step and underflow past k ~ N - 50
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    n = 1000
+    got = coherent_state(EnsembleDim(n), pair)
+    # log C(N, k) is a difference of log-factorials of size log N!, each
+    # rounded to a few ulp
+    rtol = 4 * np.finfo(float).eps * math.lgamma(n + 1.0)
+    with mp.workdps(50):
+        a, b = (mpmath.mpc(c.real, c.imag) for c in pair)
+        amps = [mp.sqrt(mp.binomial(n, k)) * mp.conj(a) ** k * b ** (n - k) for k in range(n + 1)]
+        norm = mp.sqrt(mp.fsum(abs(x) ** 2 for x in amps))
+        for k, (value, amp) in enumerate(zip(got, amps)):
+            want = amp / norm
+            err = abs(mpmath.mpc(value.real, value.imag) - want)
+            assert err <= rtol * abs(want) or (abs(want) < 1e-290 and err < 1e-290), k
 
 
 def test_spectral_probe_weights_sum_to_one():
