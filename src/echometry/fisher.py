@@ -359,16 +359,11 @@ def _readout_probs(
     dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and the node limit of dp^2 / p
     is 4 sum_k w_k |<c|d phi_k>|^2.  R changes each full-system amplitude by
     a phase that both sectors share, which leaves all three unchanged.
-
-    D^j(W_s) takes one of two routes, chosen by the probe alone:
-
-    * a coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to
-      a global phase, so its image is the closed form
-      :func:`~echometry.states.coherent_state` of W_s R_n, O(N) per cell;
-    * any other probe goes through one real J_x frame per call
-      (:func:`apply_su2`), O(N^2).
-
-    No (N+1)-dimensional propagator or density matrix is formed.
+    A coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to a
+    global phase, so phi is :func:`~echometry.states.coherent_state` of
+    W_s R_n, O(N) per cell; any other probe goes through one real J_x frame
+    per call (:func:`apply_su2`).  No (N+1)-dimensional propagator or
+    density matrix is formed.
     """
     dim = probe.dim
     g_axis = encoding_axis(params.kind)

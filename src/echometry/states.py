@@ -10,11 +10,11 @@ Both probe constructors cost O(N) memory and solve no full eigenframe.
 * :func:`polarized_probe` is the spin-coherent state along the generator's
   axis n = |n| (sin t cos p, sin t sin p, cos t) (Arecchi et al., PRA 6,
   2211, 1972), in closed form:
-  ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, from
-  :func:`coherent_state`.  At a pole it is the exact basis vector.  The
-  probe records its axis (``SpectralProbe.coherent_axis``), so the readout
-  can map it through any circuit in the same closed form instead of a
-  J_x frame.
+  ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, from the
+  binomial magnitudes it shares with :func:`coherent_state`.  At a pole it
+  is the exact basis vector.  It records its axis
+  (``SpectralProbe.coherent_axis``), so the readout can map it through any
+  circuit with :func:`coherent_state` instead of a J_x frame.
 * :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
   the generator (:func:`~echometry.spin.lowest_spin_columns`).
 
@@ -24,11 +24,10 @@ entry is real and positive, ties within 1e-12 relative going to the first,
 so a probe equals the matching frame column without phase alignment.
 
 :func:`coherent_state` is D^j(u)|j,+j> for SU(2) elements u held as
-Cayley-Klein pairs (a, b) (see :mod:`echometry.circuit`), with amplitudes
-``sqrt(C(N, k)) (a*)^k b^(N-k)``, k = j + m, summed in log form with the
-maximum subtracted, then normalized.  Its log-factorials come from
-``math.lgamma`` below 32 and Stirling's series above, so no scipy special
-function is needed.
+Cayley-Klein pairs (a, b) (see :mod:`echometry.circuit`): amplitudes
+``sqrt(C(N, k)) (a*)^k b^(N-k)``, k = j + m, in log form.  Its
+log-factorials come from ``math.lgamma`` and Stirling's series, not from
+scipy.
 """
 
 from __future__ import annotations
