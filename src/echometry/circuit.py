@@ -1,4 +1,4 @@
-"""The two-step probe-ancilla circuit: SU(2) sector elements, generator axes, reversal.
+"""The two-step probe-ancilla circuit: SU(2) sector elements, their SO(3) images, reversal.
 
 The protocol evolves probe and ancilla jointly for t1, encodes a phase theta
 by a probe rotation, then evolves again for t2.  The second leg realizes the
@@ -18,14 +18,15 @@ Both Hamiltonians commute with the ancilla's sigma_z, and in sector s the
 Hamiltonian is w_s.J + s omega_a, so every circuit element is a sector phase
 times the spin-j image D^j(u) of an SU(2) element u.  Elements are held as
 Cayley-Klein pairs (a, b), u = [[a, b], [-b*, a*]] in the ascending-m basis,
-and composed elementwise; :func:`propagator` returns the closed-form
-spin-1/2 sector blocks, :func:`apply_su2` applies D^j(u) to probe columns
-through one real J_x frame, and no (N+1)-dimensional propagator is built.
-Conjugating the encoding generator g.J by an element gives another spin
-component c.J: :func:`generator_axes` and :func:`su2_rotate` give c, and
-:func:`apply_spin_axis` applies c.J as one diagonal and the two ladder
-bands.  The dense 2(N+1) joint operators are the independent reference of
-:mod:`echometry.reference`.
+and composed elementwise; :func:`propagator` returns the pairs of the sector
+evolutions, :func:`apply_su2` applies D^j(u) to probe columns through one
+real J_x frame, and no (N+1)-dimensional propagator is built.  Conjugating
+a spin component v.J by an element gives another one, (R v).J, and
+:func:`su2_rotate` is the one route to that SO(3) image R v: the effective
+generators of the Fisher kernels are c.J with c the encoding axis turned
+this way.  :func:`apply_spin_axis` applies c.J as one diagonal and the two
+ladder bands.  The dense 2(N+1) joint operators are the independent
+reference of :mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -42,7 +43,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    collective_ops,
     phase_generator,
     spin_ladder,
 )
@@ -62,11 +62,9 @@ __all__ = [
     "su2_rotate",
     "axis_rotation",
     "apply_su2",
-    "sector_rotations",
     "sector_phases",
     "propagator",
     "encoding_axis",
-    "generator_axes",
     "apply_spin_axis",
     "normalized_trace",
     "reversal_period",
@@ -77,9 +75,6 @@ __all__ = [
 
 # A candidate recurrence time T is accepted when 1 - F(T) stays below this.
 PERIOD_RESIDUAL_TOL = 1e-9
-
-# The spin-1/2 matrices (J_x, J_y, J_z) in the basis of propagator(params, t).
-_SPIN_HALF = np.stack(collective_ops(EnsembleDim(1)))
 
 # Rational-ratio detection for the analytic period solve.
 _RATIO_MAX_DENOMINATOR = 10**6
@@ -162,7 +157,7 @@ class OptimalSettings:
     status: str  # "optimal" | "sub_optimal"
 
 
-# Ancilla sector signs s, in the block order of :func:`propagator` (|e>, |g>).
+# Ancilla sector signs s, in the sector order of :func:`propagator` (|e>, |g>).
 _SECTORS = np.array([1.0, -1.0])
 
 
@@ -196,13 +191,19 @@ def su2_rotate(p, v) -> np.ndarray:
     """SO(3) image R v of axes v (..., 3), with U (v.J) U^dagger = (R v).J at every j.
 
     The pair is the unit quaternion (Re a; -Im b, Re b, Im a), and R v follows
-    from Rodrigues' formula v + 2 q0 (q x v) + 2 q x (q x v).
+    from Rodrigues' formula v + 2 q0 (q x v) + 2 q x (q x v), with both cross
+    products written out by component.
     """
     a, b = (np.asarray(x) for x in p)
-    q = np.stack(np.broadcast_arrays(-b.imag, b.real, a.imag), axis=-1)
-    v = np.asarray(v, dtype=float)
-    qv = np.cross(q, v)
-    return v + 2.0 * a.real[..., None] * qv + 2.0 * np.cross(q, qv)
+    qx, qy, qz = -b.imag, b.real, a.imag
+    vx, vy, vz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    cx, cy, cz = qy * vz - qz * vy, qz * vx - qx * vz, qx * vy - qy * vx
+    scale = 2.0 * a.real
+    return np.stack([
+        vx + scale * cx + 2.0 * (qy * cz - qz * cy),
+        vy + scale * cy + 2.0 * (qz * cx - qx * cz),
+        vz + scale * cz + 2.0 * (qx * cy - qy * cx),
+    ], axis=-1)
 
 
 def axis_rotation(axis) -> tuple[complex, complex]:
@@ -253,13 +254,14 @@ def apply_su2(dim: EnsembleDim, x_frame: np.ndarray, p, x: np.ndarray) -> np.nda
     return y
 
 
-def sector_rotations(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
+def propagator(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (a, b) of the sector evolutions u_s(t) = exp(-i t w_s.J), shape t.shape + (2,).
 
     In ancilla sector s (s = +1 for |e>, -1 for |g>) the Hamiltonian is
     w_s.J + s omega_a with w_s = (0, 0, omega_p + s g) for ZZ and
     (s g, 0, omega_p) for XZ, so exp(-i H t) acts there as
-    e^{-i s omega_a t} D^j(u_s(t)).
+    e^{-i s omega_a t} D^j(u_s(t)) (:func:`sector_phases`) at every N: these
+    pairs are the whole evolution, for the quantum and the classical kernels.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -277,39 +279,9 @@ def sector_phases(params: ModelParams, t) -> np.ndarray:
     return np.exp(-1j * params.omega_a * np.multiply.outer(t, _SECTORS))
 
 
-def propagator(params: ModelParams, t) -> np.ndarray:
-    """exp(-i H t) of the spin-1/2 probe (N = 1) as its two ancilla-sector blocks, in closed form.
-
-    The result has shape t.shape + (2, 2, 2): block s is the sector phase
-    e^{-i s omega_a t} (:func:`sector_phases`) times the SU(2) element u_s(t)
-    of :func:`sector_rotations`.  At any N the sector block is
-    e^{-i s omega_a t} D^j(u_s(t)), so these 2x2 blocks carry the whole
-    evolution; the adjoint is ``u.conj().swapaxes(-1, -2)``.
-    """
-    a, b = sector_rotations(params, t)
-    phase = sector_phases(params, np.asarray(t, dtype=float))[..., None, None]
-    return phase * np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
-
-
 def encoding_axis(kind: str) -> tuple[float, float, float]:
     """Axis g of the encoding generator g.J: x (R_x, ZZ) or z (R_z, XZ)."""
     return (1.0, 0.0, 0.0) if kind == "zz" else (0.0, 0.0, 1.0)
-
-
-def generator_axes(kind: str, u: np.ndarray) -> np.ndarray:
-    """Axes c_s with U_s^dagger (g.J) U_s = c_s.J in each ancilla sector s, at any N.
-
-    ``u`` holds the spin-1/2 sector blocks ``propagator(params, t)``,
-    shape (..., 2, 2, 2); the result has shape (..., 2, 3).  In sector s,
-    U_s(t) is a sector phase times the spin-j image of the SU(2) rotation
-    u_s(t), so c_s is the SO(3) image of the encoding axis g (see
-    :func:`encoding_axis`), the same for every j:
-    c_s,i = 2 Tr(J_i u_s^dagger (g.J) u_s) with the spin-1/2 matrices J_i,
-    and the sector phase drops out.
-    """
-    g_op = np.einsum("i,iab->ab", encoding_axis(kind), _SPIN_HALF)
-    h_eff = u.conj().swapaxes(-1, -2) @ g_op @ u
-    return 2.0 * np.einsum("iab,...ba->...i", _SPIN_HALF, h_eff).real
 
 
 def apply_spin_axis(dim: EnsembleDim, axis, x: np.ndarray) -> np.ndarray:

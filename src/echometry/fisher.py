@@ -17,8 +17,9 @@ sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
 probe index; input column), so every operator acts on the
 (N+1)-dimensional probe.  In ancilla sector s, H_eff is the spin component
 c_s.J, with c_s the encoding axis rotated by the sector's SU(2) evolution;
-the sum reads c_s at every step time off the spin-1/2 sector blocks of
-:func:`propagator` and applies c_s.J as its tridiagonal band.  The
+the sum turns the encoding axis by the inverse pairs of :func:`propagator`
+at every step time (:func:`~echometry.circuit.su2_rotate`, the one SO(3)
+route of both kernels) and applies c_s.J as its tridiagonal band.  The
 classical readout turns the whole circuit of a sector, readout rotation
 included, into one SU(2) element and applies it to the input columns of
 every step time at once, by one of two routes chosen by the probe alone:
@@ -38,7 +39,7 @@ one-cell calls.
 The independent cross-check, the symmetric-logarithmic-derivative oracle
 on the dense 2(N+1)-dimensional output state, lives in
 :mod:`echometry.reference` and reuses neither the two-term path nor the
-sector blocks.
+sector pairs.
 """
 
 from __future__ import annotations
@@ -56,11 +57,9 @@ from .circuit import (
     apply_su2,
     axis_rotation,
     encoding_axis,
-    generator_axes,
     optimal_generator,
     propagator,
     sector_phases,
-    sector_rotations,
     su2_compose,
     su2_inverse,
     su2_rotate,
@@ -117,10 +116,9 @@ def _checked(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FisherResult:
-    """A Fisher-information value tagged with the method that produced it."""
+    """A Fisher-information value, checked by :func:`_checked`."""
 
     value: float
-    method: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(_checked(self.value)))
@@ -138,26 +136,35 @@ class DeviationSpec:
             raise ContractViolation("deviations must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Outcome probabilities as rows (m label, branch '+'/'-', probability).
+    """Outcome probabilities in outcome order, labelled (m, branch '+'/'-').
 
-    The label is the probe-generator eigenvalue for full-system projectors
-    and ``None`` for the ancilla-only readout.
+    Full-system outcomes run over the probe-generator eigenvalues
+    ``m_values``, ascending, each with the branches '+' and '-';
+    ``m_values`` is None for the ancilla-only readout, whose two outcomes
+    have the label None.
     """
 
-    rows: tuple[tuple[float | None, str, float], ...]
+    probabilities: np.ndarray
+    m_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        probs = self.probabilities
+        probs = np.asarray(self.probabilities, dtype=float)
+        object.__setattr__(self, "probabilities", probs)
+        if probs.shape != (2 if self.m_values is None else 2 * len(self.m_values),):
+            raise ContractViolation("one probability per (m, branch) outcome")
         if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
             raise ContractViolation("probabilities must lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise ContractViolation("outcome probabilities must sum to one")
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([row[2] for row in self.rows], dtype=float)
+    def rows(self) -> tuple[tuple[float | None, str, float], ...]:
+        """(m, branch, probability) per outcome, built on each read."""
+        labels = [None] if self.m_values is None else np.asarray(self.m_values, dtype=float).tolist()
+        pairs = self.probabilities.reshape(-1, 2).tolist()
+        return tuple((m, branch, p) for m, pair in zip(labels, pairs) for branch, p in zip("+-", pair))
 
 
 def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
@@ -210,8 +217,8 @@ def _qfi_columns(weights: np.ndarray, psi: np.ndarray, dim: EnsembleDim, axes: n
     """Two-term sums of H_eff = c_s.J for stacked input columns.
 
     ``psi`` has shape (A, 2, N+1, k), A input spectra sharing the weights,
-    and ``axes`` the (T, 2, 3) generator axes of :func:`generator_axes` at
-    T step times; the result has shape (A, T).  In sector s the column
+    and ``axes`` the (T, 2, 3) generator axes c_s at T step times; the
+    result has shape (A, T).  In sector s the column
     a_s v_k maps to a_s (c_s.J) v_k, one banded product.
     """
     n_anc, n_cols = psi.shape[0], weights.size
@@ -237,7 +244,8 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
     dim = probe.dim
-    axes = generator_axes(params.kind, propagator(params, t1s))
+    # U_s^dagger (g.J) U_s = c_s.J: the encoding axis g turned by u_s(t1)^dagger
+    axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
     out = np.empty((len(ancillas), t1s.size))
     pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
     groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
@@ -259,7 +267,7 @@ def qfi_general(
     result is exactly independent of theta and of the second circuit leg.
     """
     value = qfi_grid(probe, [ancilla], params, [sched.t1])[0, 0]
-    return FisherResult(value=value, method="general")
+    return FisherResult(value=value)
 
 
 def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResult]:
@@ -277,8 +285,8 @@ def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResu
     eb = math.exp(beta)
     large_n = n * n - 4.0 * n / (eb - 1.0) + 4.0 * (eb + 1.0) / (eb - 1.0) ** 2
     return (
-        FisherResult(value=exact, method="thermal_exact"),
-        FisherResult(value=large_n, method="thermal_large_n"),
+        FisherResult(value=exact),
+        FisherResult(value=large_n),
     )
 
 
@@ -297,27 +305,29 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
                 stacklevel=2,
             )
     value = n * n - n * (n - 1) * (spec.delta_omega_p**2 + spec.delta_g**2) * t1 * t1
-    return FisherResult(value=value, method="deviation")
+    return FisherResult(value=value)
 
 
 # The ancilla readout kets |+> and |-> as columns.
 _PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
 
 
-def _readout_rotation(basis: str, generator: PhaseGenerator | None, dim: EnsembleDim) -> tuple | None:
-    """Readout rotation of a readout basis: the pair that turns it into the J_z basis.
+def _readout_generator(
+    basis: str, generator: PhaseGenerator | None, params: ModelParams, dim: EnsembleDim
+) -> PhaseGenerator | None:
+    """The probe generator whose eigenbasis the readout projects on, or None for the ancilla alone.
 
-    The full-system projectors are |m>_gen (x) |+/-> over the generator
-    eigenvectors |m>_gen = R_n |m> (up to phases), and the rotation is the
-    Cayley-Klein pair of R_n^dagger (:func:`axis_rotation`).  It is None for
-    the ancilla-only readout, whose projectors I (x) |+/-><+/-| have rank N+1.
+    The full-system projectors are |m>_gen (x) |+/-> over the eigenvectors of
+    ``generator`` (default: :func:`~echometry.circuit.optimal_generator` of
+    ``params``); the ancilla-only projectors I (x) |+/-><+/-| have rank N+1
+    and need no generator.
     """
     if basis == "full_system":
         if generator is None:
-            raise ContractViolation("full-system readout needs a probe generator")
+            return optimal_generator(params, dim)
         if generator.dim != dim:
             raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
-        return su2_inverse(axis_rotation(generator.axis))
+        return generator
     if basis == "ancilla_only":
         return None
     raise ContractViolation(f"unknown measurement basis {basis!r}")
@@ -344,15 +354,19 @@ def _readout_probs(
     t2s: np.ndarray,
     mode: str,
     theta: float,
-    readout: tuple | None,
+    generator: PhaseGenerator | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcome probabilities p, their theta-derivatives dp and node limits, from output amplitudes.
 
     For P step-time pairs (t1s, t2s, 1-D) each result has shape (P, outcomes).
     In ancilla sector s the whole circuit, readout rotation R included, is
     one SU(2) element W_s = R u_s(t2) r(theta) u_s(t1) times the sector
-    phase e^{-i s omega_a (t1 + t2)}.  In ``exact_conjugate`` mode the second
-    leg runs for t2 = -t1, so u_s(t2) = u_s(t1)^dagger and the phase is 1.
+    phase e^{-i s omega_a (t1 + t2)}.  R is the pair of R_n^dagger
+    (:func:`~echometry.circuit.axis_rotation`), which turns the eigenbasis
+    |m>_gen = R_n |m> of the readout ``generator`` into the J_z basis; the
+    ancilla-only readout (``generator`` None) has no R.  In
+    ``exact_conjugate`` mode the second leg runs for t2 = -t1, so
+    u_s(t2) = u_s(t1)^dagger and the phase is 1.
     Each input eigenpair (w_k, psi_k) maps to phi_k = phase D^j(W_s) psi_k
     and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
     R u_s(t2).  Then p = sum_k w_k |<c|phi_k>|^2,
@@ -368,6 +382,7 @@ def _readout_probs(
     dim = probe.dim
     g_axis = encoding_axis(params.kind)
     encode = su2_rotation(g_axis, theta)
+    readout = None if generator is None else su2_inverse(axis_rotation(generator.axis))
     full = readout is not None
     if mode == "exact_conjugate":
         t2s = -t1s
@@ -391,8 +406,8 @@ def _readout_probs(
     results = []
     # a slice holds its output columns and about seven temporaries of their size
     for sl in _slices(t1s.size, 8 * 2 * dim.dim * w.size):
-        u1 = sector_rotations(params, t1s[sl])
-        u2 = sector_rotations(params, t2s[sl])
+        u1 = propagator(params, t1s[sl])
+        u2 = propagator(params, t2s[sl])
         if full:
             u2 = su2_compose(readout, u2)
         out = evolve(su2_compose(u2, su2_compose(encode, u1)))  # (P, 2, N+1, k)
@@ -416,19 +431,17 @@ def measurement_probs(
 ) -> ProbabilityTable:
     """Projective-measurement outcome table of the circuit's output state.
 
-    ``basis="full_system"`` projects on |j,m>_gen (x) |+/-> over the supplied
-    generator's eigenbasis; ``basis="ancilla_only"`` projects the qubit alone
-    on |+/->.
+    ``basis="full_system"`` projects on |j,m>_gen (x) |+/-> over the
+    eigenbasis of ``generator`` (default, as in :func:`cfi`: the optimized
+    generator for ``params``); ``basis="ancilla_only"`` projects the qubit
+    alone on |+/->.  The table holds the probabilities as one array and
+    builds its labelled ``rows`` only when they are read.
     """
-    readout = _readout_rotation(basis, generator, probe.dim)
-    if readout is None:
-        labels = [(None, "+"), (None, "-")]
-    else:  # (m, branch) in outcome order, m ascending
-        labels = [(float(m), branch) for m in math.hypot(*generator.axis) * probe.dim.m_values() for branch in "+-"]
+    generator = _readout_generator(basis, generator, params, probe.dim)
     t1s, t2s = _times([sched.t1]), _times([sched.t2])
-    probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, readout)[0][0]
-    rows = tuple((m, branch, float(pk)) for (m, branch), pk in zip(labels, probs))
-    return ProbabilityTable(rows=rows)
+    probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, generator)[0][0]
+    m_values = None if generator is None else math.hypot(*generator.axis) * probe.dim.m_values()
+    return ProbabilityTable(probs, m_values)
 
 
 def cfi_grid(
@@ -468,12 +481,10 @@ def cfi_grid(
     if not np.isfinite(theta_eval):
         raise ContractViolation("encoded phase must be finite")
     t1s, t2s = np.broadcast_arrays(_times(t1s), _times(t2s))
-    if generator is None:
-        generator = optimal_generator(params, probe.dim)
-    readout = _readout_rotation(basis, generator, probe.dim)
+    generator = _readout_generator(basis, generator, params, probe.dim)
     if t1s.size == 0:
         return np.zeros(t1s.shape)
-    p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, readout)
+    p, dp, node = _readout_probs(probe, ancilla, params, t1s.ravel(), t2s.ravel(), mode, theta_eval, generator)
     at_node = p * probe.dim.n_spins**2 <= EPS_PROB * node
     terms = np.where(at_node, node, dp**2 / np.where(at_node, 1.0, p))
     return _checked(terms.sum(axis=-1)).reshape(t1s.shape)
@@ -497,4 +508,4 @@ def cfi(
     amplitudes; one cell of :func:`cfi_grid`.
     """
     value = cfi_grid(probe, ancilla, params, sched.t1, sched.t2, sched.mode, generator, theta_eval, basis)
-    return FisherResult(value=value, method="cfi_analytic")
+    return FisherResult(value=value)

@@ -89,7 +89,7 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
     """Full circuit unitary U(t2-leg) R(theta) U(t1) on the joint 2(N+1) space.
 
     The dense reference: built from exp(-i H t) of :func:`hamiltonian`, never
-    from the sector blocks of :func:`~echometry.circuit.propagator`.
+    from the sector pairs of :func:`~echometry.circuit.propagator`.
     """
     u2, _, rotation, u1 = _legs(params, dim, sched)
     return u2 @ joint_embed(rotation, ID2) @ u1
@@ -157,7 +157,7 @@ def output_state_derivative(
     d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1), exact because the
     encoding generator G commutes with R(theta); differencing of unitaries is
     never used.  U(t1) and U_theta come from the dense joint Hamiltonian, not
-    from the sector blocks of the production path.
+    from the sector pairs of the production path.
     """
     u2, gen, rotation, u1 = _legs(params, probe.dim, sched)
     u = u2 @ joint_embed(rotation, ID2) @ u1
@@ -172,7 +172,7 @@ def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherRes
     """Mean square of the optimized phase generator: 4 sum_i p_i <G^2>_i."""
     gv = generator.matrix @ probe.vectors
     value = 4.0 * float(np.sum(probe.weights * np.einsum("ik,ik->k", gv.conj(), gv).real))
-    return FisherResult(value=value, method="simplified")
+    return FisherResult(value=value)
 
 
 def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResult:
@@ -197,4 +197,4 @@ def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResul
     denom = vals[:, None] + vals[None, :]
     mask = denom > EPS_SPECTRUM
     value = 2.0 * float(np.sum((np.abs(md) ** 2)[mask] / denom[mask]))
-    return FisherResult(value=value, method="sld_oracle")
+    return FisherResult(value=value)

@@ -17,14 +17,13 @@ from echometry.circuit import (
     bch_coefficients,
     conjugate_schedule,
     encoding_axis,
-    generator_axes,
     normalized_trace,
     optimal_generator,
     optimal_settings,
     period_schedule,
     propagator,
     reversal_period,
-    sector_rotations,
+    sector_phases,
     su2_compose,
     su2_inverse,
     su2_rotate,
@@ -54,6 +53,18 @@ ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 def joint_from_sectors(blocks):
     """The 2(N+1) joint matrix, basis (m, {e, g}), of a stack of ancilla-sector blocks."""
     return sum(joint_embed(block, np.diag(sector)) for block, sector in zip(blocks, np.eye(2)))
+
+
+def sector_blocks(params, t):
+    """exp(-i H t) at N = 1 as its two 2x2 ancilla-sector blocks, from the pairs and the sector phases."""
+    a, b = propagator(params, t)
+    u = np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+    return sector_phases(params, np.asarray(t, dtype=float))[..., None, None] * u
+
+
+def effective_axes(params, t):
+    """Axes c_s of U_s(t)^dagger (g.J) U_s(t) = c_s.J, shape t.shape + (2, 3)."""
+    return su2_rotate(su2_inverse(propagator(params, t)), encoding_axis(params.kind))
 
 
 def wigner_matrix(dim, pair):
@@ -116,15 +127,16 @@ def test_xz_hamiltonian_spectrum():
 
 
 def test_propagator_identity_and_inverse():
-    np.testing.assert_allclose(propagator(ZZ, 0.0), [np.eye(2)] * 2, atol=1e-15)
-    u = propagator(ZZ, 0.83)
+    np.testing.assert_allclose(sector_blocks(ZZ, 0.0), [np.eye(2)] * 2, atol=1e-15)
+    u = sector_blocks(ZZ, 0.83)
     assert u.shape == (2, 2, 2)
-    np.testing.assert_allclose(u @ propagator(ZZ, -0.83), [np.eye(2)] * 2, atol=1e-15)
+    np.testing.assert_allclose(u @ sector_blocks(ZZ, -0.83), [np.eye(2)] * 2, atol=1e-15)
 
 
 def test_zz_propagator_is_diagonal():
-    u = propagator(ZZ, 1.37)
-    assert np.max(np.abs(u - u * np.eye(2))) == 0.0
+    a, b = propagator(ZZ, 1.37)
+    assert a.shape == b.shape == (2,)
+    assert np.max(np.abs(b)) == 0.0
 
 
 sector_cases = dict(
@@ -140,14 +152,14 @@ sector_cases = dict(
 @settings(max_examples=80, deadline=None)
 @given(**sector_cases)
 def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g, t):
-    # the closed-form spin-1/2 blocks are exp(-i H t) at N = 1, and at any N
+    # the sector pairs with their phases are exp(-i H t) at N = 1, and at any N
     # the sector blocks e^{-i s omega_a t} D^j(u_s(t)) assemble the dense exp(-i H t)
     params = ModelParams(omega_p, omega_a, g, kind=kind)
     half = unitary_of_hermitian(hamiltonian(params, EnsembleDim(1)), t)
-    assert np.max(np.abs(joint_from_sectors(propagator(params, t)) - half)) <= 1e-13 * max(1.0, abs(t))
+    assert np.max(np.abs(joint_from_sectors(sector_blocks(params, t)) - half)) <= 1e-13 * max(1.0, abs(t))
     dim = EnsembleDim(n)
-    a, b = sector_rotations(params, t)
-    phases = np.exp(-1j * params.omega_a * t * np.array([1.0, -1.0]))
+    a, b = propagator(params, t)
+    phases = sector_phases(params, t)
     blocks = [phase * wigner_matrix(dim, (a[s], b[s])) for s, phase in enumerate(phases)]
     dense = unitary_of_hermitian(hamiltonian(params, dim), t)
     assert np.max(np.abs(joint_from_sectors(blocks) - dense)) <= 1e-12 * max(1.0, n * abs(t))
@@ -157,12 +169,12 @@ def test_sector_propagator_matches_dense_reference(n, kind, omega_p, omega_a, g,
 def test_propagator_on_an_array_stacks_the_scalar_calls(kind):
     params = ModelParams(omega_p=1.3, omega_a=0.7, g=1.1, kind=kind)
     ts = np.array([0.0, 0.4, 2.5, 11.0, -0.3])
-    stacked = propagator(params, ts)
-    assert stacked.shape == (ts.size, 2, 2, 2)
-    for block, t in zip(stacked, ts):
-        np.testing.assert_array_equal(block, propagator(params, t))
-    assert propagator(params, ts[:0]).shape == (0, 2, 2, 2)
-    assert propagator(params, ts.reshape(5, 1)).shape == (5, 1, 2, 2, 2)
+    a, b = propagator(params, ts)
+    assert a.shape == b.shape == (ts.size, 2)
+    for i, t in enumerate(ts):
+        np.testing.assert_array_equal((a[i], b[i]), propagator(params, t))
+    assert all(c.shape == (0, 2) for c in propagator(params, ts[:0]))
+    assert all(c.shape == (5, 1, 2) for c in propagator(params, ts.reshape(5, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -170,8 +182,6 @@ def test_propagator_rejects_non_finite_times(bad):
     for t in (bad, np.array([0.1, bad, 0.2])):
         with pytest.raises(ContractViolation):
             propagator(ZZ, t)
-        with pytest.raises(ContractViolation):
-            sector_rotations(ZZ, t)
 
 
 unit_axes = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
@@ -201,6 +211,38 @@ def test_apply_su2_matches_dense_rotation(n, axis, angle, axis2, angle2):
     lhs = dense @ np.einsum("i,iab->ab", axis2, jvec) @ dense.conj().T
     rhs = np.einsum("i,iab->ab", su2_rotate(first, axis2), jvec)
     assert np.max(np.abs(lhs - rhs)) <= tol
+
+
+def rodrigues_cross(p, v):
+    """R v by Rodrigues' formula through np.cross: the form su2_rotate writes out by component."""
+    a, b = (np.asarray(x) for x in p)
+    q = np.stack(np.broadcast_arrays(-b.imag, b.real, a.imag), axis=-1)
+    v = np.asarray(v, dtype=float)
+    qv = np.cross(q, v)
+    return v + 2.0 * a.real[..., None] * qv + 2.0 * np.cross(q, qv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.sampled_from([
+        ((), ()), ((4,), ()), ((), (4,)), ((4,), (4,)), ((3, 1), (4,)), ((13, 2), ()), ((1,), (5, 2)),
+    ]),
+)
+def test_su2_rotate_is_bitwise_the_cross_product_form(seed, shapes):
+    # the component-wise cross products give the very bits of np.cross, so
+    # the CFI's derivative axes (and its output bytes) do not move
+    pair_shape, axes_shape = shapes
+    rng = np.random.default_rng(seed)
+    axis = rng.normal(size=pair_shape + (3,))
+    pair = su2_rotation(axis, rng.uniform(-20.0, 20.0, size=pair_shape))
+    v = rng.normal(size=axes_shape + (3,))
+    shape = np.broadcast_shapes(pair_shape, axes_shape) + (3,)
+    for p in (pair, su2_inverse(pair), axis_rotation(axis.reshape(-1, 3)[0])):
+        got = su2_rotate(p, v)
+        assert got.shape == np.broadcast_shapes(np.shape(p[0]), axes_shape) + (3,)
+        np.testing.assert_array_equal(got, rodrigues_cross(p, v))
+    assert su2_rotate(pair, v).shape == shape
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
@@ -267,13 +309,13 @@ def test_banded_encoding_generator_matches_dense(n, kind, seed):
     t=st.floats(0.0, 50.0),
 )
 def test_generator_axes_match_dense_effective_generator(n, kind, omega_p, omega_a, g, t):
-    # c_s.J from the spin-1/2 blocks is the sector-s block of the dense
-    # U(t)^dagger (G (x) I) U(t) at any N
+    # c_s.J, the encoding axis turned by the inverse sector pairs, is the
+    # sector-s block of the dense U(t)^dagger (G (x) I) U(t) at any N
     params = ModelParams(omega_p, omega_a, g, kind=kind)
     dim = EnsembleDim(n)
     u = unitary_of_hermitian(hamiltonian(params, dim), t)
     dense = u.conj().T @ joint_embed(encoding_generator(params, dim), ID2) @ u
-    axes = generator_axes(kind, propagator(params, np.array([t])))
+    axes = effective_axes(params, np.array([t]))
     assert axes.shape == (1, 2, 3)
     bands = apply_spin_axis(dim, axes[0], np.eye(dim.dim, dtype=complex))
     assert np.max(np.abs(joint_from_sectors(bands) - dense)) <= 1e-12 * max(1.0, n * abs(t))
@@ -493,7 +535,7 @@ def test_optimal_settings_cancel_information_leakage():
 
     dim = EnsembleDim(6)
     settings = optimal_settings(ZZ)
-    axes = generator_axes("zz", propagator(ZZ, settings.t1))
+    axes = effective_axes(ZZ, settings.t1)
     ket = ancilla_state(settings.theta0).ket
     sector = np.einsum("s,si,iab->ab", np.abs(ket) ** 2, axes, np.stack(collective_ops(dim)))
     assert np.max(np.abs(sector)) <= 1e-10

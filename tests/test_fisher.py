@@ -455,7 +455,27 @@ def test_measurement_probs_sum_to_one_and_ancilla_only():
 
 def test_probability_table_validates():
     with pytest.raises(ContractViolation):
-        ProbabilityTable(rows=((1.0, "+", 0.6), (1.0, "-", 0.6)))
+        ProbabilityTable(np.array([0.6, 0.6]), np.array([1.0]))
+    with pytest.raises(ContractViolation):
+        ProbabilityTable(np.array([1.2, -0.2]))
+    with pytest.raises(ContractViolation):
+        ProbabilityTable(np.array([0.5, 0.5]), np.array([-1.0, 1.0]))
+    table = ProbabilityTable(np.array([0.25, 0.0, 0.5, 0.25]), np.array([-0.5, 0.5]))
+    assert table.rows == ((-0.5, "+", 0.25), (-0.5, "-", 0.0), (0.5, "+", 0.5), (0.5, "-", 0.25))
+    assert ProbabilityTable(np.array([0.75, 0.25])).rows == ((None, "+", 0.75), (None, "-", 0.25))
+
+
+@pytest.mark.parametrize("kind", ["zz", "xz"])
+def test_measurement_probs_default_generator_is_the_optimal_one(kind):
+    # the full-system readout defaults to the generator cfi defaults to
+    params = ModelParams(omega_p=1.0, omega_a=1.5, g=1.0, kind=kind)
+    dim = EnsembleDim(6)
+    probe = thermal_probe(dim, optimal_generator(params, dim), 0.7)
+    anc, sched = ancilla_state(1.1, 0.7), conjugate_schedule(0.8, 0.3)
+    default = measurement_probs(probe, anc, params, sched)
+    explicit = measurement_probs(probe, anc, params, sched, generator=optimal_generator(params, dim))
+    assert default.rows == explicit.rows
+    np.testing.assert_array_equal(default.probabilities, explicit.probabilities)
 
 
 def test_cfi_ancilla_only_heisenberg_limit():
@@ -942,7 +962,7 @@ def test_qfi_at_the_optimum_is_heisenberg_at_a_million_spins():
 
 
 def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
-    # H_eff = c_s.J needs only the closed-form 2x2 sector blocks: each QFI call
+    # H_eff = c_s.J needs only the closed-form SU(2) sector pairs: each QFI call
     # reads them once, for all of its step times
     dim = EnsembleDim(9)
     pure = ancilla_state(1.1, 0.7)
@@ -960,13 +980,14 @@ def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
     shapes = []
 
     def recording(params, t):
-        blocks = propagator(params, t)
-        shapes.append(blocks.shape)
-        return blocks
+        a, b = propagator(params, t)
+        assert a.shape == b.shape
+        shapes.append(a.shape)
+        return a, b
 
     monkeypatch.setattr(echometry.fisher, "propagator", recording)
     patched = list(outputs())
-    assert shapes == [(1, 2, 2, 2), (1, 2, 2, 2), (t1s.size, 2, 2, 2)] * 2
+    assert shapes == [(1, 2), (1, 2), (t1s.size, 2)] * 2
     assert len(patched) == len(reference) == 6
     for got, want in zip(patched, reference):
         np.testing.assert_array_equal(got, want)

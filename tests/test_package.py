@@ -16,9 +16,8 @@ MODULES = [path.stem for path in SOURCES if path.stem not in ("__init__", "__mai
 # The production kernels the reference must stay independent of.
 SECTOR_KERNELS = {
     "propagator",
-    "sector_rotations",
     "apply_su2",
-    "generator_axes",
+    "su2_rotate",
     "apply_spin_axis",
     "spin_frame",
     "lowest_spin_columns",
