@@ -5,8 +5,12 @@ collective operators stays inside the (N+1)-dimensional symmetric subspace
 with total spin j = N/2.  Every operator the package diagonalizes is a spin
 component n.J, held as its axis (:class:`PhaseGenerator`) and solved by
 :func:`spin_frame`, or by :func:`lowest_spin_columns` where only the lowest
-few eigenvectors are needed.  The 2(N+1)-dimensional probe-plus-ancilla
-operators of the dense reference path live in :mod:`echometry.reference`.
+few eigenvectors are needed.  Its spectrum is known exactly, |n| m.  The
+full frame is one ``eigh_tridiagonal``; a partial set comes from inverse
+iteration at the known eigenvalues (LAPACK ``stein``), with no eigenvalue
+search, or, at a pole of the axis, is the exact J_z basis vectors.  The
+2(N+1)-dimensional probe-plus-ancilla operators of the dense reference path
+live in :mod:`echometry.reference`.
 
 Conventions used throughout the package:
 
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 
 __all__ = [
     "ContractViolation",
@@ -140,14 +145,36 @@ def pin_frame_phases(dim: EnsembleDim, axis, vecs: np.ndarray) -> np.ndarray:
 def lowest_spin_columns(dim: EnsembleDim, axis, count: int) -> np.ndarray:
     """The eigenvector columns of n.J for its ``count`` lowest eigenvalues.
 
-    One real ``eigh_tridiagonal`` of n_z J_z + r J_x (Feng et al., PRE 92,
-    043307, 2015); below the full frame only the requested columns are
-    solved (bisection and inverse iteration).  Phases follow
-    :func:`pin_frame_phases`.
+    Solved as the real tridiagonal n_z J_z + r J_x (Feng et al., PRE 92,
+    043307, 2015), whose spectrum is known exactly: |n| m.  The full frame
+    is one ``eigh_tridiagonal``.  Fewer columns come from LAPACK's inverse
+    iteration (``stein``) at those exact eigenvalues, with no eigenvalue
+    search; the matrix is divided by |n| first, so its eigenvalues are the
+    exact m values and the iteration does not depend on the axis' scale.
+    At a pole, |r| <= eps |n_z|, the partial columns are the exact J_z basis
+    vectors instead (m ascending for n_z >= 0, descending for n_z < 0):
+    dropping r J_x is a backward error of at most eps ||n.J||, while inverse
+    iteration on so nearly split a matrix loses orthogonality.  Phases
+    follow :func:`pin_frame_phases`.
     """
     nz, r, _ = tridiagonal_axis(axis)
-    select = {} if count == dim.dim else dict(select="i", select_range=(0, count - 1))
-    _, vecs = eigh_tridiagonal(nz * dim.m_values(), r * spin_ladder(dim) / 2.0, **select)
+    n = dim.dim
+    m = dim.m_values()
+    if count == n:
+        _, vecs = eigh_tridiagonal(nz * m, r * spin_ladder(dim) / 2.0)
+    elif abs(r) <= np.finfo(float).eps * abs(nz):
+        rows = np.arange(count) if nz >= 0.0 else n - 1 - np.arange(count)
+        vecs = np.zeros((n, count))
+        vecs[rows, np.arange(count)] = 1.0
+    else:
+        norm = math.hypot(nz, r)
+        # one unreduced block: iblock all 1, ending at row isplit[0] = n
+        block = np.ones(n, dtype=np.int32)
+        split = np.zeros(n, dtype=np.int32)
+        split[0] = n
+        vecs, info = dstein(nz / norm * m, r / norm * spin_ladder(dim) / 2.0, m[:count], block, split)
+        if info != 0:
+            raise ContractViolation(f"inverse iteration (LAPACK stein) failed on the spin frame: info = {info}")
     return pin_frame_phases(dim, axis, vecs)
 
 

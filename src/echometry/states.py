@@ -16,7 +16,9 @@ Both probe constructors cost O(N) memory and solve no full eigenframe.
   (``SpectralProbe.coherent_axis``), so the readout can map it through any
   circuit with :func:`coherent_state` instead of a J_x frame.
 * :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
-  the generator (:func:`~echometry.spin.lowest_spin_columns`).
+  the generator (:func:`~echometry.spin.lowest_spin_columns`): inverse
+  iteration at their exact eigenvalues m, with no eigenvalue search (exact
+  basis vectors at a pole), or the full frame when every weight is kept.
 
 Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 (:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude

@@ -288,6 +288,20 @@ def test_thermal_matches_general_path():
     assert abs(general - exact.value) <= 1e-8 * exact.value
 
 
+@pytest.mark.parametrize(
+    "params, n", [(ZZ, 10**4), (STRONG_XZ, 10**4), (ZZ, 10**5)], ids=["zz-1e4", "strong-xz-1e4", "zz-1e5"]
+)
+def test_thermal_probe_reaches_the_thermal_law_at_scale(params, n):
+    # the finite-temperature Heisenberg law at beta = 1: the thermal probe's
+    # F_Q at the optimum equals qfi_thermal's exact sum 4 sum_m m^2 p_m
+    dim = EnsembleDim(n)
+    settings = optimal_settings(params)
+    probe = thermal_probe(dim, optimal_generator(params, dim), 1.0)
+    value = qfi_general(probe, ancilla_state(settings.theta0), params, conjugate_schedule(settings.t1, 0.2)).value
+    exact, _ = qfi_thermal(dim, 1.0)
+    assert abs(value / exact.value - 1.0) <= 1e-10
+
+
 def test_deviation_formula_values():
     t1 = optimal_settings(ZZ).t1
     dim = EnsembleDim(4)

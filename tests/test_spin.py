@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+import echometry.spin
+from echometry.circuit import apply_spin_axis
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
     collective_ops,
     assert_hermitian,
+    lowest_spin_columns,
     phase_generator,
+    pin_frame_phases,
     spin_frame,
+    spin_ladder,
+    tridiagonal_axis,
 )
 from echometry.reference import (
     PAULI_Z,
@@ -153,6 +160,75 @@ def test_spin_frame_diagonalizes_any_axis(n, nx, ny, nz):
 )
 def test_spin_frame_diagonalizes_large_probe(axis):
     check_spin_frame(300, axis)
+
+
+def check_lowest_columns(n, axis, count):
+    """lowest_spin_columns against n.J applied as its tridiagonal bands:
+    eigen-residual at the exact eigenvalues |n| m, and orthonormality."""
+    dim = EnsembleDim(n)
+    norm = math.hypot(*axis)
+    vecs = lowest_spin_columns(dim, axis, count)
+    assert vecs.shape == (dim.dim, count)
+    residual = apply_spin_axis(dim, axis, vecs.astype(complex)) - vecs * (norm * dim.m_values()[:count])
+    assert np.linalg.norm(residual, 2) <= 1e-13 * norm * max(1.0, dim.j)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= 1e-13
+    return dim, vecs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    axis=st.tuples(component, st.one_of(st.just(0.0), component), component).filter(any),
+    tilt=st.sampled_from([1.0, 1e-6, 1e-12, 1e-14, 1e-15]),
+    data=st.data(),
+)
+def test_lowest_spin_columns_solve_any_axis(n, axis, tilt, data):
+    # the partial columns (inverse iteration at the known eigenvalues) are
+    # eigenvectors of n.J, orthonormal, and the ones a bisecting solver of the
+    # same tridiagonal matrix finds, phases pinned alike; ``tilt`` brings the
+    # axis near the z pole
+    axis = (tilt * axis[0], tilt * axis[1], axis[2])
+    count = data.draw(st.integers(1, min(n + 1, 60)), label="count")
+    dim, vecs = check_lowest_columns(n, axis, count)
+    z, r, _ = tridiagonal_axis(axis)
+    if abs(r) >= 1e-12 * math.hypot(*axis):
+        _, oracle = eigh_tridiagonal(
+            z * dim.m_values(), r * spin_ladder(dim) / 2.0, select="i", select_range=(0, count - 1)
+        )
+        np.testing.assert_allclose(vecs, pin_frame_phases(dim, axis, oracle), rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 500, 5000])
+@pytest.mark.parametrize("nz", [1.0, -1.0])
+@pytest.mark.parametrize("r", [0.0, 1e-300, 1e-100, 1e-20, 1e-16])
+def test_lowest_spin_columns_at_a_pole(n, nz, r):
+    # |r| <= eps |n_z|: inverse iteration on the nearly split matrix would lose
+    # orthogonality; the columns are J_z basis vectors, lowest n_z m first
+    count = min(n, 60)
+    dim, vecs = check_lowest_columns(n, (r, 0.0, nz), count)
+    if r == 0.0:
+        rows = np.arange(count) if nz > 0.0 else n - np.arange(count)
+        np.testing.assert_array_equal(vecs, np.eye(dim.dim)[:, rows])
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**1000])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, -0.8, 0.52), (-1.7, 0.0, -0.4)])
+def test_lowest_spin_columns_do_not_depend_on_the_axis_scale(axis, scale):
+    # the partial solve runs on n.J / |n|, so a power-of-two scale of the axis
+    # gives the same bits, near underflow and overflow alike
+    dim = EnsembleDim(400)
+    expected = lowest_spin_columns(dim, axis, 30)
+    np.testing.assert_array_equal(lowest_spin_columns(dim, tuple(scale * a for a in axis), 30), expected)
+    if axis[1:] == (0.0, 0.0):
+        np.testing.assert_array_equal(lowest_spin_columns(dim, (5e-324, 0.0, 0.0), 30), expected)
+
+
+def test_lowest_spin_columns_report_failed_inverse_iteration(monkeypatch):
+    # LAPACK stein's info > 0 counts vectors that did not converge
+    dstein = echometry.spin.dstein
+    monkeypatch.setattr(echometry.spin, "dstein", lambda *args: (dstein(*args)[0], 2))
+    with pytest.raises(ContractViolation, match="info = 2"):
+        lowest_spin_columns(EnsembleDim(20), (1.0, 0.0, 0.0), 5)
 
 
 @pytest.mark.parametrize("axis", [(1.0, 0.0), (1.0, np.nan, 0.0), (0.0, np.inf, 1.0)])

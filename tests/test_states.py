@@ -157,20 +157,22 @@ def test_polarized_probe_is_the_coherent_state_of_its_axis(n, axis, scale):
 
 
 def test_probe_constructors_solve_no_full_frame(monkeypatch):
-    # the polarized probe is a closed form; the thermal probe solves only its kept columns
+    # the polarized probe is a closed form; the thermal probe solves only its
+    # kept columns, by inverse iteration at their known eigenvalues
     def forbidden(*args, **kwargs):
         raise AssertionError("a probe constructor solved the full frame")
 
     solved = []
-    eigh_tridiagonal = echometry.spin.eigh_tridiagonal
+    dstein = echometry.spin.dstein
 
     def counted(*args, **kwargs):
-        vals, vecs = eigh_tridiagonal(*args, **kwargs)
+        vecs, info = dstein(*args, **kwargs)
         solved.append(vecs.shape[1])
-        return vals, vecs
+        return vecs, info
 
     monkeypatch.setattr(echometry.spin, "spin_frame", forbidden)
-    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", forbidden)
+    monkeypatch.setattr(echometry.spin, "dstein", counted)
     dim = EnsembleDim(2000)
     gen = PhaseGenerator(dim, (0.6, -0.48, 0.64))
     assert polarized_probe(dim, gen).n_terms == 1
