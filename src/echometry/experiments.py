@@ -86,7 +86,7 @@ class SweepConfig:
         if spec.thermal and optimal_settings(self.params).status != "optimal":
             raise ContractViolation(
                 f"scenario {self.scenario} builds a thermal probe, which needs the unit generator of "
-                f"the XZ optimum (g >= wp), got g = {self.params.g!r}, wp = {self.params.omega_p!r}"
+                f"the XZ optimum (g >= |wp|), got g = {self.params.g!r}, wp = {self.params.omega_p!r}"
             )
 
 
@@ -250,6 +250,7 @@ _SCALING_POINTS = (
 
 def _run_qfi_scaling(cfg: SweepConfig):
     n_values, beta = cfg.grids["n_values"], cfg.grids["beta"]
+    t1_opt = optimal_settings(cfg.params).t1
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
@@ -259,7 +260,7 @@ def _run_qfi_scaling(cfg: SweepConfig):
             (label, probe, theta0, t1_over_period * math.pi / cfg.params.g)
             for label, theta0, t1_over_period in _SCALING_POINTS
         ]
-        cells.append(("D", thermal_probe(dim, gen, beta), math.pi / 2, optimal_settings(cfg.params).t1))
+        cells.append(("D", thermal_probe(dim, gen, beta), math.pi / 2, t1_opt))
         for label, cell_probe, theta0, t1 in cells:
             step = _step_times(cfg.params, dim, [t1], cfg.mode)
             rows.append((n, label, qfi_grid(cell_probe, [ancilla_state(theta0)], cfg.params, step)[0, 0]))
@@ -307,15 +308,12 @@ def _run_xz_scaling(cfg: SweepConfig):
         params = ModelParams(omega_p=1.0 / ratio, omega_a=1.0 / ratio, g=1.0, kind="xz")
         settings = optimal_settings(params)
         gt1 = settings.t1 * params.g
+        sched = conjugate_schedule(settings.t1, theta=0.0)
         for n in n_values:
             dim = EnsembleDim(n)
             probe = polarized_probe(dim, optimal_generator(params, dim))
-            sched = conjugate_schedule(settings.t1, theta=0.0)
             rows.append((n, ratio, gt1, qfi_general(probe, anc, params, sched).value))
-        # The fit reads the values as written, so the summary follows the CSV
-        # text: F_Q of a probe of rank above 1 can vary in its last bits with
-        # the BLAS thread count (the two-term sum's overlap matmul).
-        fit_pts = [(n, float(_fmt(f))) for n, r, _, f in rows if r == ratio and n >= 10]
+        fit_pts = [(n, f) for n, r, _, f in rows if r == ratio and n >= 10]
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
     summary = {}
@@ -335,11 +333,11 @@ _DEVIATION_PATTERNS = ((1.0, 0.0), (0.0, 1.0), (1.0 / math.sqrt(2.0), 1.0 / math
 def _run_deviation_scan(cfg: SweepConfig):
     n_values, deltas = cfg.grids["n_values"], cfg.grids["deltas"]
     anc = ancilla_state(math.pi / 2)
+    settings = optimal_settings(cfg.params)
     rows = []
     worst = 0.0
     for n in n_values:
         dim = EnsembleDim(n)
-        settings = optimal_settings(cfg.params)
         probe = _optimal_probe(cfg.params, dim)
         for magnitude in deltas:
             for weight_g, weight_wp in _DEVIATION_PATTERNS:

@@ -1,9 +1,10 @@
 """The dense 2(N+1)-dimensional reference path and the independent SLD oracle.
 
 The joint Hamiltonian, the circuit unitary from its eigendecomposition, the
-closed-form (BCH) unitary, the output state with its analytic
+closed-form (BCH) generator and unitary, the output state with its analytic
 theta-derivative, and the Fisher information from the symmetric logarithmic
-derivative of that state (Braunstein & Caves, PRL 72, 3439, 1994).  It
+derivative of that state (Braunstein & Caves, PRL 72, 3439, 1994).  The
+XZ :func:`bch_coefficients` are the oracle of the optimal generator.  It
 imports model definitions only, never a sector kernel, so ``validate`` and
 the tests can check the production kernels against it.  Tensor products put
 the probe factor first, basis order (m, {e, g}).
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from .circuit import PERIOD_RESIDUAL_TOL, ModelParams, Schedule, bch_coefficients, normalized_trace
+from .circuit import PERIOD_RESIDUAL_TOL, ModelParams, Schedule, normalized_trace
 from .fisher import FisherResult
 from .spin import (
     ContractViolation, EnsembleDim, PhaseGenerator, assert_hermitian, collective_ops, phase_generator
@@ -23,8 +24,8 @@ from .spin import (
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe
 
 __all__ = [
-    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "joint_embed", "unitary_of_hermitian",
-    "hamiltonian", "encoding_generator", "circuit_unitary", "closed_form_generator", "closed_form_unitary",
+    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "joint_embed", "unitary_of_hermitian", "hamiltonian",
+    "encoding_generator", "circuit_unitary", "bch_coefficients", "closed_form_generator", "closed_form_unitary",
     "global_phase_distance", "output_state_derivative", "qfi_simplified", "qfi_sld_oracle",
 ]
 
@@ -93,6 +94,24 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
     """
     u2, _, rotation, u1 = _legs(params, dim, sched)
     return u2 @ joint_embed(rotation, ID2) @ u1
+
+
+def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, float]:
+    """Closed-form generator coefficients (c_x, c_y, c_z) of the XZ circuit.
+
+    The conjugated rotation generator exp(iHt1) J_z exp(-iHt1) equals
+    -(c_z J_z + c_x J_x sigma_z + c_y J_y sigma_z) with these coefficients;
+    they satisfy c_x^2 + c_y^2 + c_z^2 = 1 identically.
+    """
+    if params.kind != "xz":
+        raise ContractViolation("coefficient triple is defined for the XZ interaction")
+    wt = params.omega_tilde
+    wt2 = wt * wt
+    cos_wt = math.cos(wt * t1)
+    cz = -(params.g**2 / wt2) * cos_wt - params.omega_p**2 / wt2
+    cx = (params.g * params.omega_p / wt2) * (cos_wt - 1.0)
+    cy = -(params.g / wt) * math.sin(wt * t1)
+    return cx, cy, cz
 
 
 def closed_form_generator(params: ModelParams, dim: EnsembleDim, t1: float) -> np.ndarray:

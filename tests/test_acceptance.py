@@ -11,7 +11,6 @@ import numpy as np
 from echometry.circuit import (
     ModelParams,
     Schedule,
-    bch_coefficients,
     conjugate_schedule,
     normalized_trace,
     optimal_generator,
@@ -29,6 +28,7 @@ from echometry.fisher import (
 from echometry.spin import EnsembleDim
 from echometry.states import ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 from echometry.reference import (
+    bch_coefficients,
     circuit_unitary,
     closed_form_unitary,
     global_phase_distance,

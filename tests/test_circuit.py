@@ -14,7 +14,6 @@ from echometry.circuit import (
     apply_spin_axis,
     apply_su2,
     axis_rotation,
-    bch_coefficients,
     conjugate_schedule,
     encoding_axis,
     normalized_trace,
@@ -38,7 +37,9 @@ from echometry.spin import (
 from echometry.reference import (
     ID2,
     PAULI_Z,
+    bch_coefficients,
     circuit_unitary,
+    closed_form_generator,
     closed_form_unitary,
     encoding_generator,
     global_phase_distance,
@@ -99,6 +100,12 @@ def test_schedule_validation():
         Schedule(t1=-1.0, t2=0.0, theta=0.0)
     with pytest.raises(ContractViolation):
         Schedule(t1=0.0, t2=0.0, theta=0.0, mode="reverse")
+    with pytest.raises(ContractViolation):
+        Schedule(t1=np.nan, t2=0.0, theta=0.0)
+    with pytest.raises(ContractViolation):
+        conjugate_schedule(np.inf, 0.0)
+    with pytest.raises(ContractViolation):
+        period_schedule(1.0, 0.0, period=np.nan)
     sched = period_schedule(t1=1.0, theta=0.3, period=4.0)
     assert sched.t2 == 3.0 and sched.mode == "period"
 
@@ -472,14 +479,39 @@ def test_closed_form_identity_at_zero_phase():
     np.testing.assert_allclose(closed_form_unitary(ZZ, dim, sched), np.eye(8), atol=1e-12)
 
 
+def assert_generator_is_odd_part_of_closed_form(params, dim):
+    # the sigma_z-odd part Tr_A[(I x sigma_z) M] / 2 of the closed-form generator
+    # M at the optimal step is -G: the SO(3) route against the BCH closed form
+    gen = optimal_generator(params, dim)
+    blocks = closed_form_generator(params, dim, optimal_settings(params).t1).reshape(dim.dim, 2, dim.dim, 2)
+    odd = 0.5 * (blocks[:, 0, :, 0] - blocks[:, 1, :, 1])
+    assert gen.axis[2] == 0.0
+    np.testing.assert_allclose(odd, -gen.matrix, rtol=0.0, atol=1e-13)
+
+
 def test_closed_form_at_optimum_is_generator_rotation():
     dim = EnsembleDim(4)
-    settings = optimal_settings(ZZ)
     theta = 0.37
-    closed = closed_form_unitary(ZZ, dim, conjugate_schedule(settings.t1, theta))
-    gen = optimal_generator(ZZ, dim)
-    expected = unitary_of_hermitian(-joint_embed(gen.matrix, PAULI_Z), theta)
-    assert global_phase_distance(closed, expected) <= 1e-10
+    strong = ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")
+    weak = ModelParams(omega_p=10.0, omega_a=10.0, g=1.0, kind="xz")
+    for params in (ZZ, strong, weak):
+        assert_generator_is_odd_part_of_closed_form(params, dim)
+    for params in (ZZ, strong):
+        # at the optimum no sigma_z-even part is left: U_theta is generated by -G sigma_z
+        closed = closed_form_unitary(params, dim, conjugate_schedule(optimal_settings(params).t1, theta))
+        expected = unitary_of_hermitian(-joint_embed(optimal_generator(params, dim).matrix, PAULI_Z), theta)
+        assert global_phase_distance(closed, expected) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(-10.0, 10.0),
+    g=st.floats(0.1, 10.0),
+)
+def test_optimal_generator_matches_the_closed_form_everywhere(n, kind, omega_p, g):
+    assert_generator_is_odd_part_of_closed_form(ModelParams(omega_p, 1.0, g, kind), EnsembleDim(n))
 
 
 def test_closed_form_rejects_unverified_period():
@@ -526,6 +558,18 @@ def test_optimal_settings_xz_weak_coupling():
     settings = optimal_settings(params)
     assert settings.status == "sub_optimal"
     assert abs(settings.t1 * params.g - np.pi / np.sqrt(101.0)) <= 1e-12
+
+
+def test_optimal_settings_xz_depend_on_the_probe_frequency_squared():
+    # strong coupling is g >= |omega_p|: a negative omega_p below -g is weak
+    params = ModelParams(omega_p=-3.0, omega_a=1.0, g=1.0, kind="xz")
+    settings = optimal_settings(params)
+    assert settings == optimal_settings(ModelParams(omega_p=3.0, omega_a=1.0, g=1.0, kind="xz"))
+    assert settings.status == "sub_optimal"
+    assert settings.t1 == np.pi / params.omega_tilde
+    strong = optimal_settings(ModelParams(omega_p=-0.5, omega_a=1.0, g=1.0, kind="xz"))
+    assert strong == optimal_settings(ModelParams(omega_p=0.5, omega_a=1.0, g=1.0, kind="xz"))
+    assert strong.status == "optimal"
 
 
 def test_optimal_settings_cancel_information_leakage():

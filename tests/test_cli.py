@@ -116,9 +116,23 @@ def test_weak_xz_qfi_sweep_fails_before_writing(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "config error: scenario qfi_scaling builds a thermal probe, which needs the unit generator "
-        "of the XZ optimum (g >= wp), got g = 1.0, wp = 3.0\n"
+        "of the XZ optimum (g >= |wp|), got g = 1.0, wp = 3.0\n"
     )
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_probe_frequency_below_minus_g_is_weak_xz(tmp_path, capsys):
+    # the XZ optimum depends on wp^2 only: wp = -3 runs at the weak-coupling
+    # step, and the scaling scenario's thermal probe is a config error as at wp = 3
+    argv = ["--interaction", "xz", "--wp", "-3"]
+    assert main(["dephasing", *argv, "--out", str(tmp_path / "dephasing")]) == EXIT_OK
+    code = main(["qfi-sweep", "--scenario", "scaling", *argv, "--out", str(tmp_path / "scaling")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: scenario qfi_scaling builds a thermal probe, which needs the unit generator "
+        "of the XZ optimum (g >= |wp|), got g = 1.0, wp = -3.0\n"
+    )
+    assert not (tmp_path / "scaling").exists()
 
 
 def test_package_runs_as_a_module():
