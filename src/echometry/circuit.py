@@ -168,7 +168,7 @@ def su2_rotation(v, t) -> tuple[np.ndarray, np.ndarray]:
     b = (n_y - i n_x) sin h, a rotation by |v| t about n.
     """
     v = np.asarray(v, dtype=float)
-    norm = np.sqrt(np.sum(v * v, axis=-1))
+    norm = np.sqrt((v * v).sum(-1))
     half = 0.5 * norm * t
     sin_per_norm = np.sin(half) / np.where(norm > 0.0, norm, 1.0)
     return np.cos(half) + 1j * sin_per_norm * v[..., 2], sin_per_norm * (v[..., 1] - 1j * v[..., 0])
@@ -195,13 +195,14 @@ def su2_rotate(p, v) -> np.ndarray:
     """
     a, b = (np.asarray(x) for x in p)
     qx, qy, qz = -b.imag, b.real, a.imag
-    vx, vy, vz = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    v = np.asarray(v, dtype=float)
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
     cx, cy, cz = qy * vz - qz * vy, qz * vx - qx * vz, qx * vy - qy * vx
     scale = 2.0 * a.real
-    return np.stack([
-        vx + scale * cx + 2.0 * (qy * cz - qz * cy),
-        vy + scale * cy + 2.0 * (qz * cx - qx * cz),
-        vz + scale * cz + 2.0 * (qx * cy - qy * cx),
+    return np.concatenate([
+        (vx + scale * cx + 2.0 * (qy * cz - qz * cy))[..., None],
+        (vy + scale * cy + 2.0 * (qz * cx - qx * cz))[..., None],
+        (vz + scale * cz + 2.0 * (qx * cy - qy * cx))[..., None],
     ], axis=-1)
 
 
@@ -233,7 +234,7 @@ def apply_su2(dim: EnsembleDim, x_frame: np.ndarray, p, x: np.ndarray) -> np.nda
     so they sum in a fixed order whatever the BLAS thread count.
     """
     a, b = (np.asarray(c) for c in p)
-    sigma, delta = np.angle(a), np.angle(b)
+    sigma, delta = np.arctan2(a.imag, a.real), np.arctan2(b.imag, b.real)
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     m = dim.m_values().reshape(-1, *[1] * (np.ndim(x) - 1))
 
@@ -271,7 +272,7 @@ def propagator(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     pairs are the whole evolution, for the quantum and the classical kernels.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ContractViolation("evolution time must be finite")
     return su2_rotation(_sector_axes(params), t[..., None])
 
@@ -447,7 +448,8 @@ def optimal_settings(params: ModelParams) -> OptimalSettings:
     ZZ always admits the optimum theta0 = pi/2, t1 = pi / (2 g), the first of
     the times (n + 1/2) pi / g.  The XZ optimum exists only in the
     strong-coupling regime g >= |omega_p|; below it the returned time
-    minimizes the residual term and is flagged ``sub_optimal``.
+    minimizes the residual term and is flagged ``sub_optimal``.  With
+    g = omega_p = 0 the XZ probe does not evolve, and there is no optimum.
     """
     theta0 = math.pi / 2
     if params.kind == "zz":
@@ -455,6 +457,8 @@ def optimal_settings(params: ModelParams) -> OptimalSettings:
             raise ContractViolation("the ZZ optimum needs a positive coupling")
         return OptimalSettings(theta0=theta0, t1=0.5 * math.pi / params.g, status="optimal")
     wt = params.omega_tilde
+    if wt <= 0.0:
+        raise ContractViolation("the XZ optimum needs a nonzero coupling or probe frequency")
     if params.g >= abs(params.omega_p):
         t1 = math.acos(-(params.omega_p**2) / params.g**2) / wt
         return OptimalSettings(theta0=theta0, t1=t1, status="optimal")

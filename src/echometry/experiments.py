@@ -35,7 +35,7 @@ from .fisher import (
     qfi_grid,
     qfi_thermal,
 )
-from .reference import output_state_derivative, qfi_sld_oracle
+from .reference import output_state_derivatives, qfi_sld_oracle
 from .spin import ContractViolation, EnsembleDim
 from .states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 
@@ -582,8 +582,7 @@ def run_validation(instances: int = 200, seed: int = 7) -> dict:
         sched = conjugate_schedule(t1, theta=0.0)
 
         general = qfi_general(probe, anc, params, sched).value
-        for theta in (0.2, 1.0):
-            rho, drho = output_state_derivative(probe, anc, params, conjugate_schedule(t1, theta))
+        for rho, drho in output_state_derivatives(probe, anc, params, sched, (0.2, 1.0)):
             oracle = qfi_sld_oracle(rho, drho).value
             rel = abs(general - oracle) / max(abs(general), abs(oracle), 1e-9)
             max_rel = max(max_rel, rel)

@@ -101,6 +101,10 @@ EPS_PROB = 1e-12
 # as much again.
 _SLICE_ENTRIES = 2**15
 
+# The weight of a pure ancilla, and the one-dimensional probe of the coherent readout.
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
 
 def _checked(values) -> np.ndarray:
     """Fisher values under the :class:`FisherResult` contract, cell by cell.
@@ -109,7 +113,7 @@ def _checked(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     bad = np.isnan(values) | (values < -1e-9)
-    if np.any(bad):
+    if bad.any():
         raise ContractViolation(f"Fisher information came out as {float(values[bad][0])!r}")
     return np.maximum(values, 0.0)
 
@@ -176,8 +180,8 @@ def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaSt
     of its density matrix; joint weights at or below the spectral cutoff are
     dropped.
     """
-    q, a = (np.ones(1), ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
-    w = np.outer(weights, q).ravel()
+    q, a = (_ONE, ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
+    w = (weights[:, None] * q).ravel()
     psi = (a[:, None, None, :] * vectors[None, :, :, None]).reshape(2, vectors.shape[0], w.size)
     keep = w > EPS_SPECTRUM
     return w[keep], psi[..., keep]
@@ -186,7 +190,7 @@ def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaSt
 def _times(t) -> np.ndarray:
     """Step durations as a float array; each must be finite and nonnegative."""
     t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0.0):
+    if not np.isfinite(t).all() or (t < 0.0).any():
         raise ContractViolation("step durations must be finite and nonnegative")
     return t
 
@@ -206,10 +210,10 @@ def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarra
     A difference within 1e-12 of term 1 is rounding noise of the two sums
     (it grows like ||H||^2 eps) and is returned as exactly 0.
     """
-    term1 = 4.0 * np.sum(weights * np.einsum("...ik,...ik->...k", h_columns.conj(), h_columns).real, axis=-1)
+    term1 = 4.0 * (weights * np.einsum("...ik,...ik->...k", h_columns.conj(), h_columns).real).sum(-1)
     overlaps = np.swapaxes(columns.conj(), -1, -2) @ h_columns
-    coef = 8.0 * np.outer(weights, weights) / (weights[:, None] + weights[None, :])
-    value = term1 - np.sum(coef * np.abs(overlaps) ** 2, axis=(-2, -1))
+    coef = 8.0 * (weights[:, None] * weights) / (weights[:, None] + weights[None, :])
+    value = term1 - (coef * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
     return np.where(np.abs(value) <= 1e-12 * term1, 0.0, value)
 
 
@@ -308,8 +312,8 @@ def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherRes
     return FisherResult(value=value)
 
 
-# The ancilla readout kets |+> and |-> as columns.
-_PLUS_MINUS = np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)
+# The conjugates of the ancilla readout kets |+> and |->, as columns.
+_PLUS_MINUS_BRAS = (np.stack([KET_E + KET_G, KET_E - KET_G], axis=1) / np.sqrt(2.0)).conj()
 
 
 def _readout_generator(
@@ -342,7 +346,7 @@ def _readout_amplitudes(states: np.ndarray, full_system: bool) -> np.ndarray:
     projector has rank N+1 (one amplitude per probe basis state) and two
     outcomes.
     """
-    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS.conj(), states)
+    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS_BRAS, states)
     return amp.reshape(*amp.shape[:-3], 1, -1, amp.shape[-1]) if full_system else amp
 
 
@@ -365,8 +369,10 @@ def _readout_probs(
     (:func:`~echometry.circuit.axis_rotation`), which turns the eigenbasis
     |m>_gen = R_n |m> of the readout ``generator`` into the J_z basis; the
     ancilla-only readout (``generator`` None) has no R.  In
-    ``exact_conjugate`` mode the second leg runs for t2 = -t1, so
-    u_s(t2) = u_s(t1)^dagger and the phase is 1.
+    ``exact_conjugate`` mode the second leg is u_s(t1)^dagger, the inverse
+    pairs of the one :func:`propagator` call per slice (value for value
+    u_s(-t1)), and the phase of t1 + (-t1) = 0 is exactly 1, so none is
+    applied; ``period`` mode solves both legs and applies the phase.
     Each input eigenpair (w_k, psi_k) maps to phi_k = phase D^j(W_s) psi_k
     and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
     R u_s(t2).  Then p = sum_k w_k |<c|phi_k>|^2,
@@ -384,8 +390,7 @@ def _readout_probs(
     encode = su2_rotation(g_axis, theta)
     readout = None if generator is None else su2_inverse(axis_rotation(generator.axis))
     full = readout is not None
-    if mode == "exact_conjugate":
-        t2s = -t1s
+    conjugate = mode == "exact_conjugate"
     if probe.coherent_axis is None:
         w, psi = _input_spectrum(probe.weights, probe.vectors, ancilla)
         columns = psi.transpose(1, 0, 2)[:, None]  # (N+1, 1, 2, k): probe axis first
@@ -397,7 +402,7 @@ def _readout_probs(
 
     else:
         # the ancilla factors a_k alone, as the input spectrum of a one-dimensional probe
-        w, anc = _input_spectrum(probe.weights, np.ones((1, 1)), ancilla)  # anc: (2, 1, k)
+        w, anc = _input_spectrum(probe.weights, _ONE[:, None], ancilla)  # anc: (2, 1, k)
         polarize = axis_rotation(probe.coherent_axis)
 
         def evolve(element):
@@ -407,17 +412,20 @@ def _readout_probs(
     # a slice holds its output columns and about seven temporaries of their size
     for sl in _slices(t1s.size, 8 * 2 * dim.dim * w.size):
         u1 = propagator(params, t1s[sl])
-        u2 = propagator(params, t2s[sl])
+        u2 = su2_inverse(u1) if conjugate else propagator(params, t2s[sl])
         if full:
             u2 = su2_compose(readout, u2)
         out = evolve(su2_compose(u2, su2_compose(encode, u1)))  # (P, 2, N+1, k)
-        out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None, None]
+        if not conjugate:
+            out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None, None]
         amp = _readout_amplitudes(out, full)
         damp = _readout_amplitudes(-1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
         p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
         dp = 2.0 * np.einsum("...ick,k->...c", (amp.conj() * damp).real, w)
         node = 4.0 * np.einsum("...ick,k->...c", np.abs(damp) ** 2, w)
         results.append((p, dp, node))
+    if len(results) == 1:
+        return results[0]
     return tuple(np.concatenate(parts) for parts in zip(*results))
 
 
@@ -480,7 +488,9 @@ def cfi_grid(
         raise ContractViolation(f"unknown reversal mode {mode!r}")
     if not np.isfinite(theta_eval):
         raise ContractViolation("encoded phase must be finite")
-    t1s, t2s = np.broadcast_arrays(_times(t1s), _times(t2s))
+    t1s, t2s = _times(t1s), _times(t2s)
+    if t1s.shape != t2s.shape:
+        t1s, t2s = np.broadcast_arrays(t1s, t2s)
     generator = _readout_generator(basis, generator, params, probe.dim)
     if t1s.size == 0:
         return np.zeros(t1s.shape)

@@ -26,7 +26,8 @@ from .states import EPS_SPECTRUM, AncillaState, SpectralProbe
 __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "joint_embed", "unitary_of_hermitian", "hamiltonian",
     "encoding_generator", "circuit_unitary", "bch_coefficients", "closed_form_generator", "closed_form_unitary",
-    "global_phase_distance", "output_state_derivative", "qfi_simplified", "qfi_sld_oracle",
+    "global_phase_distance", "output_state_derivative", "output_state_derivatives", "qfi_simplified",
+    "qfi_sld_oracle",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -35,21 +36,30 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
+def _evolution(eigenpairs: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
+    """exp(-i H t) from the eigenpairs (values, column vectors) of a Hermitian H."""
+    vals, vecs = eigenpairs
+    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
 def unitary_of_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) for Hermitian H, via spectral decomposition."""
     a = np.asarray(h, dtype=complex)
     assert_hermitian(a, name="evolution generator")
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    return _evolution(np.linalg.eigh(a), t)
 
 
 def joint_embed(probe_op: np.ndarray, ancilla_op: np.ndarray) -> np.ndarray:
-    """Kronecker product with the probe factor first, basis order (m, {e, g})."""
+    """Kronecker product with the probe factor first, basis order (m, {e, g}).
+
+    Entry ((i, k), (j, l)) is the one product a_ij b_kl, taken by broadcasting.
+    """
     a = np.asarray(probe_op, dtype=complex)
     b = np.asarray(ancilla_op, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ContractViolation("joint_embed needs two square matrices")
-    return np.kron(a, b)
+    size = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
 
 
 def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
@@ -71,19 +81,16 @@ def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
 
 
 def _legs(params: ModelParams, dim: EnsembleDim, sched: Schedule):
-    """U(t2-leg), G, R(theta) = exp(-i theta G) and U(t1) of the dense circuit, from one eigh of H.
+    """U(t2-leg), U(t1), G and the eigenpairs of G for the dense circuit, from one eigh of H and one of G.
 
-    U(t2-leg) is U(t1)^dagger in ``exact_conjugate`` mode; G and R(theta) are (N+1)-dimensional.
+    U(t2-leg) is U(t1)^dagger in ``exact_conjugate`` mode; G is (N+1)-dimensional,
+    and R(theta) = exp(-i theta G) follows from its eigenpairs at any theta.
     """
-    vals, vecs = np.linalg.eigh(hamiltonian(params, dim))
-
-    def evolve(t: float) -> np.ndarray:
-        return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-
-    u1 = evolve(sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else evolve(sched.t2)
+    h_spectrum = np.linalg.eigh(hamiltonian(params, dim))
+    u1 = _evolution(h_spectrum, sched.t1)
+    u2 = u1.conj().T if sched.mode == "exact_conjugate" else _evolution(h_spectrum, sched.t2)
     gen = encoding_generator(params, dim)
-    return u2, gen, unitary_of_hermitian(gen, sched.theta), u1
+    return u2, u1, gen, np.linalg.eigh(gen)
 
 
 def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
@@ -92,8 +99,8 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
     The dense reference: built from exp(-i H t) of :func:`hamiltonian`, never
     from the sector pairs of :func:`~echometry.circuit.propagator`.
     """
-    u2, _, rotation, u1 = _legs(params, dim, sched)
-    return u2 @ joint_embed(rotation, ID2) @ u1
+    u2, u1, _, g_spectrum = _legs(params, dim, sched)
+    return u2 @ joint_embed(_evolution(g_spectrum, sched.theta), ID2) @ u1
 
 
 def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, float]:
@@ -168,23 +175,35 @@ def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - phase * b)))
 
 
-def output_state_derivative(
-    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output state together with its analytic theta-derivative (dense reference).
+def output_state_derivatives(
+    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule, thetas
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Output state together with its analytic theta-derivative at each of ``thetas`` (dense reference).
 
     d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1), exact because the
     encoding generator G commutes with R(theta); differencing of unitaries is
     never used.  U(t1) and U_theta come from the dense joint Hamiltonian, not
-    from the sector pairs of the production path.
+    from the sector pairs of the production path.  One eigh of H and one of G
+    serve every phase; ``sched.theta`` is not read.
     """
-    u2, gen, rotation, u1 = _legs(params, probe.dim, sched)
-    u = u2 @ joint_embed(rotation, ID2) @ u1
-    du = u2 @ joint_embed(-1j * gen @ rotation, ID2) @ u1
+    u2, u1, gen, g_spectrum = _legs(params, probe.dim, sched)
     rho0 = joint_embed(probe.density(), ancilla.rho)
-    rho = u @ rho0 @ u.conj().T
-    half = du @ rho0 @ u.conj().T
-    return rho, half + half.conj().T
+    states = []
+    for theta in thetas:
+        rotation = _evolution(g_spectrum, theta)
+        u = u2 @ joint_embed(rotation, ID2) @ u1
+        du = u2 @ joint_embed(-1j * gen @ rotation, ID2) @ u1
+        rho = u @ rho0 @ u.conj().T
+        half = du @ rho0 @ u.conj().T
+        states.append((rho, half + half.conj().T))
+    return states
+
+
+def output_state_derivative(
+    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output state together with its analytic theta-derivative at ``sched.theta`` (dense reference)."""
+    return output_state_derivatives(probe, ancilla, params, sched, [sched.theta])[0]
 
 
 def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:

@@ -135,7 +135,7 @@ def pin_frame_phases(dim: EnsembleDim, axis, vecs: np.ndarray) -> np.ndarray:
     _, _, phi = tridiagonal_axis(axis)
     m = dim.m_values()
     mag = np.abs(vecs)
-    pivot = np.argmax(mag >= (1.0 - 1e-12) * mag.max(axis=0), axis=0)
+    pivot = (mag >= (1.0 - 1e-12) * mag.max(axis=0)).argmax(axis=0)
     vecs = vecs * np.sign(vecs[pivot, np.arange(vecs.shape[1])])
     if phi != 0.0:
         vecs = vecs * np.exp(-1j * phi * m)[:, None] * np.exp(1j * phi * m[pivot])
@@ -203,7 +203,7 @@ class PhaseGenerator:
 
     def __post_init__(self) -> None:
         axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (3,) or not np.all(np.isfinite(axis)):
+        if axis.shape != (3,) or not np.isfinite(axis).all():
             raise ContractViolation(f"generator axis must be a finite real 3-vector, got {self.axis!r}")
         object.__setattr__(self, "axis", tuple(float(a) for a in axis))
 
@@ -221,7 +221,7 @@ def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    dev = float(np.abs(a - a.conj().T).max())
     if dev >= tol:
         raise ContractViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
 

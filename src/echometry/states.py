@@ -89,10 +89,13 @@ class AncillaState:
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (2, 2):
             raise ContractViolation("ancilla density matrix must be 2x2")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
+        (p, c), (_, q) = rho.tolist()
+        trace = p + q
+        if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
             raise ContractViolation("ancilla density matrix must have unit trace")
         assert_hermitian(rho, name="ancilla density matrix")
-        if np.linalg.eigvalsh(rho).min() < -1e-12:
+        # the smaller eigenvalue of a Hermitian 2x2 matrix, in closed form
+        if 0.5 * trace.real - math.hypot(0.5 * (p - q).real, abs(c)) < -1e-12:
             raise ContractViolation("ancilla density matrix must be positive semidefinite")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -118,7 +121,7 @@ def ancilla_state(theta0: float, phi0: float = 0.0) -> AncillaState:
     if not (np.isfinite(theta0) and np.isfinite(phi0)):
         raise ContractViolation("ancilla angles must be finite")
     ket = _pure_ket(theta0, phi0)
-    return AncillaState(theta0=float(theta0), phi0=float(phi0), x=0.0, rho=np.outer(ket, ket.conj()))
+    return AncillaState(theta0=float(theta0), phi0=float(phi0), x=0.0, rho=ket[:, None] * ket.conj())
 
 
 def dephase_ancilla(state: AncillaState, x: float) -> AncillaState:
@@ -183,12 +186,12 @@ class SpectralProbe:
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape != (self.dim.dim, w.size):
             raise ContractViolation("probe vectors must be columns of shape (dim, n_terms)")
-        if w.size == 0 or np.any(w <= EPS_SPECTRUM):
+        if w.size == 0 or (w <= EPS_SPECTRUM).any():
             raise ContractViolation("probe weights must all exceed the spectral cutoff")
         if abs(w.sum() - 1.0) > 1e-10:
             raise ContractViolation("probe weights must sum to one")
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(w.size))) > 1e-10:
+        if np.abs(gram - np.eye(w.size)).max() > 1e-10:
             raise ContractViolation("probe eigenvectors must be orthonormal")
         if self.coherent_axis is not None:
             axis = tuple(float(c) for c in self.coherent_axis)
@@ -249,7 +252,7 @@ def _binomial_magnitudes(n: int, abs_a, abs_b) -> np.ndarray:
     log_a, log_b = (np.log(x, out=np.full(np.shape(x), -1e300), where=x > 0.0)[..., None] for x in (abs_a, abs_b))
     log_mag = k * log_a + (n - k) * log_b + _half_log_binomials(n)
     mag = np.exp(log_mag - log_mag.max(axis=-1, keepdims=True))
-    return mag / np.linalg.norm(mag, axis=-1, keepdims=True)
+    return mag / np.sqrt((mag * mag).sum(-1, keepdims=True))
 
 
 def coherent_state(dim: EnsembleDim, p) -> np.ndarray:
@@ -263,7 +266,7 @@ def coherent_state(dim: EnsembleDim, p) -> np.ndarray:
     a, b = (np.asarray(c) for c in p)
     n = dim.n_spins
     k = np.arange(dim.dim)
-    phase = (n - k) * np.angle(b)[..., None] - k * np.angle(a)[..., None]
+    phase = (n - k) * np.arctan2(b.imag, b.real)[..., None] - k * np.arctan2(a.imag, a.real)[..., None]
     return _binomial_magnitudes(n, np.abs(a), np.abs(b)) * np.exp(1j * phase)
 
 

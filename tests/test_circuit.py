@@ -252,6 +252,24 @@ def test_su2_rotate_is_bitwise_the_cross_product_form(seed, shapes):
     assert su2_rotate(pair, v).shape == shape
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(-10.0, 10.0),
+    omega_a=st.floats(-10.0, 10.0),
+    g=st.floats(0.0, 10.0),
+    t=st.one_of(st.floats(0.0, 100.0), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=5)),
+)
+def test_inverse_propagator_is_the_propagator_at_minus_t(kind, omega_p, omega_a, g, t):
+    # the exact-conjugate readout reads its second leg u_s(-t1) as u_s(t1)^dagger,
+    # value for value, and leaves out the sector phase of t1 + (-t1) = 0, exactly 1
+    params = ModelParams(omega_p=omega_p, omega_a=omega_a, g=g, kind=kind)
+    t = np.asarray(t)
+    for got, want in zip(su2_inverse(propagator(params, t)), propagator(params, -t)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(sector_phases(params, t + -t), np.ones(t.shape + (2,)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_apply_su2_at_the_degenerate_euler_angles(n):
     # b = 0 (beta = 0, delta = arg 0) is a turn by 2 sigma about z; a = 0
@@ -570,6 +588,19 @@ def test_optimal_settings_xz_depend_on_the_probe_frequency_squared():
     strong = optimal_settings(ModelParams(omega_p=-0.5, omega_a=1.0, g=1.0, kind="xz"))
     assert strong == optimal_settings(ModelParams(omega_p=0.5, omega_a=1.0, g=1.0, kind="xz"))
     assert strong.status == "optimal"
+
+
+def test_xz_optimum_without_evolution_is_a_contract_violation():
+    # g = omega_p = 0 leaves omega_tilde = 0: the probe does not evolve, and
+    # strong coupling 0 >= 0 must not reach acos(0 / 0)
+    params = ModelParams(omega_p=0.0, omega_a=1.0, g=0.0, kind="xz")
+    with pytest.raises(ContractViolation, match="XZ optimum"):
+        optimal_settings(params)
+    with pytest.raises(ContractViolation, match="XZ optimum"):
+        optimal_generator(params, EnsembleDim(2))
+    # either rate alone still has its (sub-)optimum
+    assert optimal_settings(ModelParams(omega_p=0.0, omega_a=1.0, g=2.0, kind="xz")).t1 == np.pi / 4
+    assert optimal_settings(ModelParams(omega_p=2.0, omega_a=1.0, g=0.0, kind="xz")).status == "sub_optimal"
 
 
 def test_optimal_settings_cancel_information_leakage():

@@ -60,6 +60,7 @@ from echometry.reference import (
     hamiltonian,
     joint_embed,
     output_state_derivative,
+    output_state_derivatives,
     qfi_simplified,
     qfi_sld_oracle,
     unitary_of_hermitian,
@@ -99,6 +100,33 @@ def test_output_state_traces_back_at_zero_phase():
     sched = conjugate_schedule(t1=0.7, theta=0.0)
     rho = output_state_derivative(probe, anc, ZZ, sched)[0]
     np.testing.assert_allclose(rho, np.kron(probe.density(), anc.rho), atol=1e-10)
+
+
+def test_output_states_at_several_phases_share_one_solve_of_each_generator(monkeypatch):
+    # one eigh of H and one of G serve every phase, and each phase gets the
+    # bits of its own single-phase call
+    rng = np.random.default_rng(8)
+    for params, mode in ((ZZ, "exact_conjugate"), (UNIT_XZ, "period")):
+        dim = EnsembleDim(5)
+        probe, anc = random_probe(dim, rng), ancilla_state(1.2, 0.5)
+        sched = Schedule(t1=0.9, t2=1.7, theta=0.0, mode=mode)
+        thetas = (0.2, 1.0, -2.5)
+        singles = [output_state_derivative(probe, anc, params, replace(sched, theta=theta)) for theta in thetas]
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        shared = output_state_derivatives(probe, anc, params, sched, thetas)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        assert sorted(sizes) == [dim.dim, 2 * dim.dim]
+        assert len(shared) == len(thetas)
+        for (rho, drho), (rho1, drho1) in zip(shared, singles):
+            np.testing.assert_array_equal(rho, rho1)
+            np.testing.assert_array_equal(drho, drho1)
 
 
 def test_output_state_is_a_density_matrix():
@@ -892,6 +920,41 @@ def test_small_grids_take_one_slice(monkeypatch):
     monkeypatch.setattr(echometry.fisher, "propagator", lambda *args: calls.append(args[1].size) or propagator(*args))
     qfi_grid(probe, [anc], ZZ, np.linspace(0.0, np.pi, 30))
     assert calls == [30]
+
+
+@pytest.mark.parametrize("params", [ZZ, UNIT_XZ], ids=["zz", "xz"])
+@pytest.mark.parametrize("mode", ["exact_conjugate", "period"])
+def test_cfi_grid_solves_one_propagator_per_exact_conjugate_slice(monkeypatch, params, mode):
+    # exact_conjugate reads the second leg as the inverse pairs of the first,
+    # u_s(-t1) = u_s(t1)^dagger with sector phase 1; period mode solves both
+    # legs.  A slice of the coherent readout at N = 250 holds 8 times
+    # (8 * 16 * 251 <= 2**15 < 9 * 16 * 251) and one of the thermal readout at
+    # N = 30 (28 kept columns) 2 times, so 20 times take 3 and 10 slices, and
+    # 5 coherent ones take the one-slice return.
+    rng = np.random.default_rng(11)
+    t1s, t2s = rng.uniform(0.0, 5.0, 20), rng.uniform(0.0, 5.0, 20)
+    legs = 1 if mode == "exact_conjugate" else 2
+    propagator = echometry.fisher.propagator
+    for n, make_probe, count, slice_sizes in (
+        (250, polarized_probe, 20, [8, 8, 4]),
+        (250, polarized_probe, 5, [5]),
+        (30, lambda dim, gen: thermal_probe(dim, gen, 1.0), 20, [2] * 10),
+    ):
+        dim = EnsembleDim(n)
+        gen = optimal_generator(params, dim)
+        probe, anc = make_probe(dim, gen), ancilla_state(1.1, 0.4)
+        calls = []
+        monkeypatch.setattr(
+            echometry.fisher, "propagator", lambda *args: calls.append(args[1].size) or propagator(*args)
+        )
+        grid = cfi_grid(probe, anc, params, t1s[:count], t2s[:count], mode, generator=gen, theta_eval=0.3)
+        assert calls == [size for size in slice_sizes for _ in range(legs)]
+        monkeypatch.setattr(echometry.fisher, "propagator", propagator)
+        cells = [
+            cfi(probe, anc, params, Schedule(t1, t2, 0.0, mode), generator=gen, theta_eval=0.3).value
+            for t1, t2 in zip(t1s[:count], t2s[:count])
+        ]
+        np.testing.assert_array_equal(grid, cells)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1200])

@@ -297,6 +297,17 @@ def test_joint_embed_kronecker_identity():
     np.testing.assert_allclose(lhs, np.kron(a, b), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 4, 21])
+def test_joint_embed_is_bitwise_the_kronecker_product(n):
+    # every entry is the one product a_ij b_kl, as in np.kron, so the dense
+    # reference (and validate's output) keeps its bits
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for b in (np.eye(2), PAULI_Z, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+        np.testing.assert_array_equal(joint_embed(a, b), np.kron(a, b))
+        np.testing.assert_array_equal(joint_embed(a.real, b), np.kron(a.real, b))
+
+
 def test_joint_embed_rejects_non_square():
     with pytest.raises(ContractViolation):
         joint_embed(np.ones((2, 3)), np.eye(2))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import echometry.states
 from echometry.circuit import axis_rotation
 from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
 from echometry.states import (
+    AncillaState,
     SpectralProbe,
     ThermalSpec,
     ancilla_state,
@@ -41,6 +43,19 @@ def test_ancilla_equator_is_all_quarters():
 def test_ancilla_ket_matches_density():
     state = ancilla_state(0.7, 1.3)
     np.testing.assert_allclose(np.outer(state.ket, state.ket.conj()), state.rho, atol=1e-15)
+
+
+def test_ancilla_state_checks_its_smaller_eigenvalue():
+    # unit trace and Hermitian, with eigenvalues (1 -/+ 1.2) / 2 or an
+    # excess of 2e-12 past the -1e-12 floor: not a state
+    for rho in ([[0.5, 0.6], [0.6, 0.5]], [[0.5, 0.6j], [-0.6j, 0.5]], np.diag([1.0 + 2e-12, -2e-12])):
+        with pytest.raises(ContractViolation, match="positive semidefinite"):
+            AncillaState(theta0=0.0, phi0=0.0, x=0.0, rho=rho)
+    # pure states have a zero eigenvalue up to rounding, and pass
+    for theta0, phi0 in itertools.product(np.linspace(0.0, np.pi, 7), (0.0, 1.3, -2.9)):
+        rho = ancilla_state(theta0, phi0).rho
+        assert AncillaState(theta0=theta0, phi0=phi0, x=0.0, rho=rho).rho.tolist() == rho.tolist()
+    AncillaState(theta0=0.0, phi0=0.0, x=0.0, rho=np.diag([1.0 + 5e-13, -5e-13]))
 
 
 def test_dephase_zero_rate_is_identity():
@@ -368,6 +383,56 @@ def test_coherent_state_matches_high_precision_binomials(pair):
             want = amp / norm
             err = abs(mpmath.mpc(value.real, value.imag) - want)
             assert err <= rtol * abs(want) or (abs(want) < 1e-290 and err < 1e-290), k
+
+
+def binomial_magnitudes_norm_form(n, abs_a, abs_b):
+    """Unit binomial magnitudes normalized through np.linalg.norm: the form _binomial_magnitudes writes out."""
+    k = np.arange(n + 1)
+    log_a, log_b = (np.log(x, out=np.full(np.shape(x), -1e300), where=x > 0.0)[..., None] for x in (abs_a, abs_b))
+    log_mag = k * log_a + (n - k) * log_b + echometry.states._half_log_binomials(n)
+    mag = np.exp(log_mag - log_mag.max(axis=-1, keepdims=True))
+    return mag / np.linalg.norm(mag, axis=-1, keepdims=True)
+
+
+def coherent_state_angle_form(dim, p):
+    """D^j(u)|j,+j> with its phases read through np.angle: the form coherent_state writes out."""
+    a, b = (np.asarray(c) for c in p)
+    n, k = dim.n_spins, np.arange(dim.dim)
+    phase = (n - k) * np.angle(b)[..., None] - k * np.angle(a)[..., None]
+    return echometry.states._binomial_magnitudes(n, np.abs(a), np.abs(b)) * np.exp(1j * phase)
+
+
+# pairs on the branch cut of arg and at the poles, signed zeros included
+EDGE_PAIRS = [
+    (1.0 + 0j, 0j),
+    (0j, complex(-1.0, 0.0)),
+    (complex(-0.0, 0.0), complex(-1.0, -0.0)),
+    (complex(-0.6, -0.0), complex(-0.8, 0.0)),
+    (complex(-0.6, 0.0), complex(0.0, -0.8)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(), (3,), (2, 4)]),
+    edge=st.sampled_from([None, *EDGE_PAIRS]),
+)
+def test_coherent_readout_is_bitwise_the_numpy_wrapper_form(n, seed, shape, edge):
+    # the sum-of-squares norm and arctan2 phases give the very bits of
+    # np.linalg.norm and np.angle, so the coherent readout's bytes do not move
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if edge is not None:
+        a, b = (np.full(shape, c) for c in edge)
+    dim = EnsembleDim(n)
+    for abs_a, abs_b in ((np.abs(a), np.abs(b)), (abs(complex(a.ravel()[0])), abs(complex(b.ravel()[0])))):
+        np.testing.assert_array_equal(
+            echometry.states._binomial_magnitudes(n, abs_a, abs_b), binomial_magnitudes_norm_form(n, abs_a, abs_b)
+        )
+    np.testing.assert_array_equal(coherent_state(dim, (a, b)), coherent_state_angle_form(dim, (a, b)))
 
 
 def test_spectral_probe_weights_sum_to_one():
