@@ -26,8 +26,11 @@ component v.J by an element gives another one, (R v).J, and
 :func:`su2_rotate` is the one route to that SO(3) image R v: the effective
 generators of the Fisher kernels and :func:`optimal_generator` are c.J with
 c the encoding axis turned this way.  :func:`apply_spin_axis` applies c.J as
-one diagonal and the two ladder bands.  The dense 2(N+1) joint operators and
-the closed form are the independent reference of :mod:`echometry.reference`.
+one diagonal and the two ladder bands.  The reversal trace of
+:func:`normalized_trace` sums the sector spectra |w_s| m + s omega_a over m
+in closed form, one Dirichlet kernel per sector.  The dense 2(N+1) joint
+operators and the closed form are the independent reference of
+:mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
 """
@@ -74,6 +77,8 @@ __all__ = [
 
 # A candidate recurrence time T is accepted when 1 - F(T) stays below this.
 PERIOD_RESIDUAL_TOL = 1e-9
+
+_PI_TAIL = 1.2246467991473532e-16  # pi - float(pi)
 
 # Rational-ratio detection for the analytic period solve.
 _RATIO_MAX_DENOMINATOR = 10**6
@@ -303,23 +308,29 @@ def apply_spin_axis(dim: EnsembleDim, axis, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _joint_eigenvalues(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
-    """Spectrum of H, ascending: |w_s| m + s omega_a over the ancilla sectors s = +1, -1."""
-    widths = np.array([math.hypot(*w) for w in _sector_axes(params)])
-    return np.sort(np.multiply.outer(widths, dim.m_values()) + params.omega_a * _SECTORS[:, None], axis=None)
-
-
 def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
     """|Tr exp(-i H T)| / 2(N+1); equals 1 iff U(T) is the identity up to phase.
 
-    ``t`` may be a scalar or an array of times (the spectrum is solved once).
+    ``t`` may be a scalar or an array of times.  In sector s the spectrum is
+    |w_s| m + s omega_a, so the sum over m is a Dirichlet kernel:
+    Tr exp(-i H T) = sum_s e^{-i s omega_a T} sin((N+1) x_s) / sin x_s with
+    x_s = |w_s| T / 2, O(1) per time at any N.  With x = k pi + delta,
+    |delta| <= pi/2, the kernel is (-1)^{kN} sin((N+1) delta) / sin delta,
+    exactly N + 1 at delta = 0, so the recurrences lose no digits.  delta is
+    reduced against pi itself (float pi plus its tail), not its rounding,
+    which would shift every recurrence by k (pi - float(pi)).  The sign is
+    read from the parities of k and N, never from the float k N.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
         raise ContractViolation("evolution times must be finite and nonnegative")
-    vals = _joint_eigenvalues(params, dim)
-    traces = np.exp(-1j * np.outer(t_arr, vals)).sum(axis=1)
-    out = np.abs(traces) / (2 * dim.dim)
+    widths = np.array([math.hypot(*w) for w in _sector_axes(params)])
+    x = np.multiply.outer(t_arr, 0.5 * widths)
+    k = np.round(x / np.pi)
+    delta = x - k * np.pi - k * _PI_TAIL
+    kernel = np.divide(np.sin(dim.dim * delta), np.sin(delta), out=np.full_like(delta, dim.dim), where=delta != 0.0)
+    kernel *= 1.0 - 2.0 * (k % 2) * (dim.n_spins % 2)
+    out = np.abs((sector_phases(params, t_arr) * kernel).sum(axis=1)) / (2 * dim.dim)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -383,7 +394,13 @@ def _analytic_period_xz(params: ModelParams, t_max: float):
 
 
 def _scan_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> float | None:
-    """Grid scan plus local refinement; returns the smallest accepted T."""
+    """Grid scan plus local refinement; returns the smallest accepted T.
+
+    Every interior local maximum of F on the grid is refined by Brent's
+    bounded search, in ascending T, and the better of the refined point and
+    the grid point is tested: at large N a recurrence is narrower than the
+    bracket, and the search can settle on a side lobe.
+    """
     omega_max = max(abs(params.omega_p), abs(params.omega_a), params.g, 1e-12)
     if params.kind == "xz":
         omega_max = max(omega_max, params.omega_tilde)
@@ -392,21 +409,17 @@ def _scan_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> float |
     if ts.size == 0:
         return None
     f = normalized_trace(params, dim, ts)
-    # Every interior local maximum is a refinement candidate, in ascending T.
     interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
-    vals = _joint_eigenvalues(params, dim)
     # imported here: only this fallback needs it, and it costs a third of the package import
     from scipy.optimize import minimize_scalar
 
-    def residual(t: float) -> float:
-        return 1.0 - abs(np.exp(-1j * vals * t).sum()) / (2 * dim.dim)
-
     for k in interior:
         lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, ts.size - 1)]
-        best = minimize_scalar(residual, bounds=(lo, hi), method="bounded",
-                               options={"xatol": 1e-13})
-        if best.fun < PERIOD_RESIDUAL_TOL and best.x <= t_max:
-            return float(best.x)
+        best = minimize_scalar(lambda t: 1.0 - normalized_trace(params, dim, t), bounds=(lo, hi),
+                               method="bounded", options={"xatol": 1e-13})
+        res, t = min((best.fun, best.x), (1.0 - f[k], ts[k]))
+        if res < PERIOD_RESIDUAL_TOL and t <= t_max:
+            return float(t)
     return None
 
 

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .circuit import (
+    PERIOD_RESIDUAL_TOL,
     ModelParams,
     conjugate_schedule,
     normalized_trace,
@@ -185,7 +186,7 @@ def _run_trace_scan(cfg: SweepConfig):
     gts = gt_max * np.arange(1, points + 1) / points
     f = normalized_trace(cfg.params, dim, gts / cfg.params.g)
     rows = list(zip(gts, f))
-    summary = {"max_trace": float(f.max()), "unit_trace_gt": tuple(gts[f >= 1.0 - 1e-9])}
+    summary = {"max_trace": float(f.max()), "unit_trace_gt": tuple(gts[f >= 1.0 - PERIOD_RESIDUAL_TOL])}
     return ["gT", "F"], rows, summary
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import echometry
 from echometry.circuit import (
     ModelParams,
     PeriodNotFound,
@@ -356,6 +361,49 @@ def test_normalized_trace_matches_dense_spectrum(n, kind, omega_p, omega_a, g, t
     assert abs(normalized_trace(params, dim, abs(t)) - dense) <= 1e-12 * max(1.0, n * abs(t))
 
 
+def mp_normalized_trace(params, n, t):
+    """|Tr exp(-i H T)| / 2(N+1) in 40 digits, from the float inputs taken as exact.
+
+    The spectrum is |w_s| m + s omega_a, |w_s| = |omega_p + s g| (ZZ) or
+    sqrt(omega_p^2 + g^2) (XZ).  Up to N = 400 it is summed term by term;
+    above, each sector's sum over m is sin((N+1) x) / sin x, x = |w_s| T / 2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t, wp, wa, g = (mpmath.mpf(v) for v in (t, params.omega_p, params.omega_a, params.g))
+        total = mpmath.mpc(0)
+        for s in (1, -1):
+            width = abs(wp + s * g) if params.kind == "zz" else mpmath.sqrt(wp * wp + g * g)
+            if n <= 400:
+                kernel = mpmath.fsum(mpmath.expj(-width * mpmath.mpf(2 * i - n) / 2 * t) for i in range(n + 1))
+            else:
+                kernel = mpmath.sin((n + 1) * width * t / 2) / mpmath.sin(width * t / 2)
+            total += mpmath.expj(-s * wa * t) * kernel
+        return float(abs(total) / (2 * (n + 1)))
+
+
+@pytest.mark.parametrize("kind", ["zz", "xz"])
+@pytest.mark.parametrize("n", [4, 11, 400, 401, 10**6, 10**6 + 1])
+def test_normalized_trace_matches_40_digit_oracle(kind, n):
+    # at a reversal period, 1e-9 and 1e-7 past it, and at random times in the
+    # 64 pi / g window.  The bound carries roundings of at most eps x_s in
+    # x_s = |w_s| T / 2 through the kernel's slope, at most (N+1)^2 / 2 per
+    # unit x, over the 2(N+1) of the normalization
+    params = ZZ if kind == "zz" else ModelParams(omega_p=1.0, omega_a=1.0, g=math.sqrt(3.0), kind="xz")
+    period = 2 * math.pi if kind == "zz" and n % 2 else math.pi
+    w_max = abs(params.omega_p) + params.g if kind == "zz" else params.omega_tilde
+    window = 64 * math.pi / params.g
+    times = [period, period + 1e-9, period + 1e-7, *np.random.default_rng(n).uniform(0.0, window, 4)]
+    for i, t in enumerate(times):
+        bound = np.finfo(float).eps * (n + 1) * max(1.0, w_max * t)
+        if kind == "zz" and i < 3:
+            # x_s = 2T and T exactly for these rates, and k float(pi) is exact, so
+            # near a period only the last few roundings remain once delta is
+            # reduced against pi itself
+            bound = 8 * np.finfo(float).eps
+        assert abs(normalized_trace(params, EnsembleDim(n), t) - mp_normalized_trace(params, n, t)) <= bound
+
+
 def encoding_rotation(kind, theta, dim):
     """D^j of the encoding rotation exp(-i theta g.J)."""
     return wigner_matrix(dim, su2_rotation(encoding_axis(kind), theta))
@@ -467,8 +515,10 @@ def test_reversal_period_xz():
 
 
 def test_reversal_period_scan_agrees_with_analytic():
-    t_scan = _scan_period(ZZ, EnsembleDim(4), 4.0)
-    assert t_scan is not None and abs(t_scan - np.pi) <= 1e-9
+    # at N = 10^5 the recurrence is far narrower than the refinement bracket
+    for n, t_max, period in ((4, 4.0, np.pi), (11, 8.0, 2 * np.pi), (10**5, 4.0, np.pi)):
+        t_scan = _scan_period(ZZ, EnsembleDim(n), t_max)
+        assert t_scan is not None and abs(t_scan - period) <= 1e-9
 
 
 def test_reversal_period_not_found_for_incommensurable_rates():
@@ -477,6 +527,30 @@ def test_reversal_period_not_found_for_incommensurable_rates():
     params = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="xz")
     with pytest.raises(PeriodNotFound):
         reversal_period(params, EnsembleDim(2), 8.0)
+
+
+def test_reversal_period_scan_fallback_at_large_n_in_bounded_memory():
+    # omega_p = sqrt(2) g has no rational ratio, so the whole 64 pi window is
+    # scanned at N = 10^5: about 6000 grid times, then every local maximum
+    # refined.  The peak is read in a fresh process, whose high-water mark no
+    # earlier test has set.
+    script = (
+        "import math, resource\n"
+        "import echometry as em\n"
+        "params = em.ModelParams(math.sqrt(2.0), 1.0, 1.0, kind='zz')\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "try:\n"
+        "    em.reversal_period(params, em.EnsembleDim(10**5), 64 * math.pi)\n"
+        "except em.PeriodNotFound:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(echometry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout, "the scan accepted a period"
+    assert 0 <= int(proc.stdout) <= 64 * 1024  # ru_maxrss is in KiB
 
 
 @pytest.mark.parametrize("kind", ["zz", "xz"])

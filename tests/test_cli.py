@@ -14,11 +14,14 @@ from test_fisher import run_at_blas_threads
 
 
 def test_trace_scan_command(tmp_path, capsys):
-    code = main(["trace-scan", "--n", "4", "--out", str(tmp_path)])
-    assert code == EXIT_OK
-    assert (tmp_path / "trace_scan.csv").exists()
-    assert (tmp_path / "trace_scan_summary.txt").exists()
-    assert "trace_scan" in capsys.readouterr().out
+    for n in ("4", "1000000"):
+        out = tmp_path / n
+        code = main(["trace-scan", "--n", n, "--out", str(out)])
+        assert code == EXIT_OK
+        assert len((out / "trace_scan.csv").read_text().splitlines()) == 1 + 2048
+        summary = dict(line.split("=", 1) for line in (out / "trace_scan_summary.txt").read_text().splitlines())
+        assert abs(float(summary["max_trace"]) - 1.0) <= 1e-9
+        assert "trace_scan" in capsys.readouterr().out
 
 
 def test_qfi_sweep_single_scenario(tmp_path):
