@@ -28,8 +28,10 @@ generators of the Fisher kernels and :func:`optimal_generator` are c.J with
 c the encoding axis turned this way.  :func:`apply_spin_axis` applies c.J as
 one diagonal and the two ladder bands.  The reversal trace of
 :func:`normalized_trace` sums the sector spectra |w_s| m + s omega_a over m
-in closed form, one Dirichlet kernel per sector.  The dense 2(N+1) joint
-operators and the closed form are the independent reference of
+in closed form, one Dirichlet kernel per sector, and :func:`reversal_period`
+searches only the recurrences of the widest sector, where every exact period
+lies, and a window around each that holds every near one.  The dense
+2(N+1) joint operators and the closed form are the independent reference of
 :mod:`echometry.reference`.
 
 Frequencies are quoted in units of the coupling g (g = 1 in all defaults).
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -80,9 +81,12 @@ PERIOD_RESIDUAL_TOL = 1e-9
 
 _PI_TAIL = 1.2246467991473532e-16  # pi - float(pi)
 
-# Rational-ratio detection for the analytic period solve.
-_RATIO_MAX_DENOMINATOR = 10**6
+# A period's integer labels are reported when each lies this close to an integer.
 _RATIO_TOL = 1e-9
+# reversal_period tests the widest sector's recurrences this many at a time, and
+# searches the window around each that fails on 2 * _NEAR_POINTS + 1 points.
+_PERIOD_CHUNK = 1024
+_NEAR_POINTS = 8
 
 
 class PeriodNotFound(RuntimeError):
@@ -144,8 +148,8 @@ def period_schedule(t1: float, theta: float, period: float) -> Schedule:
 
 @dataclass(frozen=True)
 class PeriodSolution:
-    """A reversal period with its residual 1 - F(T) and, when the analytic
-    commensurability solve applied, the matching integers."""
+    """A reversal period with its residual 1 - F(T) and, when T meets the
+    paper's commensurability conditions, their integers."""
 
     period: float
     residual: float
@@ -330,129 +334,95 @@ def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
     delta = x - k * np.pi - k * _PI_TAIL
     kernel = np.divide(np.sin(dim.dim * delta), np.sin(delta), out=np.full_like(delta, dim.dim), where=delta != 0.0)
     kernel *= 1.0 - 2.0 * (k % 2) * (dim.n_spins % 2)
-    out = np.abs((sector_phases(params, t_arr) * kernel).sum(axis=1)) / (2 * dim.dim)
+    out = np.abs((sector_phases(params, t_arr) * kernel).sum(axis=-1)) / (2 * dim.dim)
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def _as_fraction(ratio: float) -> Fraction | None:
-    frac = Fraction(ratio).limit_denominator(_RATIO_MAX_DENOMINATOR)
-    if abs(float(frac) - ratio) <= _RATIO_TOL * max(1.0, abs(ratio)):
-        return frac
-    return None
+def _period_integers(params: ModelParams, dim: EnsembleDim, t: float) -> dict[str, int] | None:
+    """The paper's commensurability integers of a period T, or None unless each is one.
 
-
-def _analytic_period_zz(params: ModelParams, dim: EnsembleDim, t_max: float):
-    """Smallest T from the commensurability conditions, or None if they
-    do not apply (irrational ratios or coupling switched off)."""
-    if params.g <= 0.0:
-        return None
-    rp = _as_fraction(params.omega_p / params.g)
-    ra = _as_fraction(params.omega_a / params.g)
-    if rp is None or ra is None:
-        return None
-    n1_max = int(math.floor(params.g * t_max / math.pi))
-    for n1 in range(1, n1_max + 1):
-        wp_term = rp * n1  # omega_p T / pi
-        wa_term = ra * n1  # omega_a T / pi
-        if wp_term.denominator != 1 or (wp_term.numerator - n1) % 2 != 0:
-            continue
-        if dim.n_spins % 2 == 0:
-            if wa_term.denominator != 1:
-                continue
-            integers = {
-                "n1": n1,
-                "n2": (wp_term.numerator - n1) // 2,
-                "n3": wa_term.numerator,
-            }
-        else:
-            shifted = wa_term - Fraction(n1, 2)  # omega_a T / pi - n1/2
-            if shifted.denominator != 1:
-                continue
-            integers = {
-                "n1": n1,
-                "n2": (wp_term.numerator - n1) // 2,
-                "n4": shifted.numerator,
-            }
-        return n1 * math.pi / params.g, integers
-    return None
-
-
-def _analytic_period_xz(params: ModelParams, t_max: float):
-    omega_tilde = params.omega_tilde
-    if omega_tilde <= 0.0:
-        return None
-    ra = _as_fraction(params.omega_a / omega_tilde)
-    if ra is None:
-        return None
-    n5_max = int(math.floor(omega_tilde * t_max / (2 * math.pi)))
-    for n5 in range(1, n5_max + 1):
-        wa_term = 2 * n5 * ra  # omega_a T / pi
-        if wa_term.denominator != 1:
-            continue
-        return 2 * n5 * math.pi / omega_tilde, {"n5": n5, "n6": wa_term.numerator}
-    return None
-
-
-def _scan_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> float | None:
-    """Grid scan plus local refinement; returns the smallest accepted T.
-
-    Every interior local maximum of F on the grid is refined by Brent's
-    bounded search, in ascending T, and the better of the refined point and
-    the grid point is tested: at large N a recurrence is narrower than the
-    bracket, and the search can settle on a side lobe.
+    ZZ: n1 = g T / pi, n2 = (omega_p T / pi - n1) / 2, and n3 = omega_a T / pi
+    (N even) or n4 = omega_a T / pi - n1 / 2 (N odd).  XZ: n5 = omega~ T / 2 pi,
+    n6 = omega_a T / pi.
     """
-    omega_max = max(abs(params.omega_p), abs(params.omega_a), params.g, 1e-12)
     if params.kind == "xz":
-        omega_max = max(omega_max, params.omega_tilde)
-    step = math.pi / (64.0 * omega_max)
-    ts = np.arange(step, t_max + step / 2, step)
-    if ts.size == 0:
-        return None
-    f = normalized_trace(params, dim, ts)
-    interior = np.flatnonzero((f[1:-1] >= f[:-2]) & (f[1:-1] >= f[2:])) + 1
-    # imported here: only this fallback needs it, and it costs a third of the package import
-    from scipy.optimize import minimize_scalar
+        values = {"n5": params.omega_tilde * t / (2 * math.pi), "n6": params.omega_a * t / math.pi}
+    else:
+        n1, odd = params.g * t / math.pi, dim.n_spins % 2
+        values = {"n1": n1, "n2": (params.omega_p * t / math.pi - n1) / 2,
+                  "n4" if odd else "n3": params.omega_a * t / math.pi - odd * n1 / 2}
+    integers = {name: round(v) for name, v in values.items()}
+    near = all(abs(v - integers[name]) <= _RATIO_TOL * max(1.0, abs(v)) for name, v in values.items())
+    return integers if near else None
 
-    for k in interior:
-        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, ts.size - 1)]
-        best = minimize_scalar(lambda t: 1.0 - normalized_trace(params, dim, t), bounds=(lo, hi),
-                               method="bounded", options={"xatol": 1e-13})
-        res, t = min((best.fun, best.x), (1.0 - f[k], ts[k]))
-        if res < PERIOD_RESIDUAL_TOL and t <= t_max:
-            return float(t)
-    return None
+
+def _near_recurrences(params: ModelParams, dim: EnsembleDim, centers: np.ndarray, half: float, t_max: float):
+    """Best time within +/- half of each center, and its residual 1 - F.
+
+    Each window gets a grid of 2 _NEAR_POINTS + 1 points and one three-point
+    parabolic step from its best point: where the sector phases turn fast,
+    the top of F is far narrower than the grid step.  The caller keeps each
+    window inside (0, t_max]; only its last ulp is clipped here.
+    """
+    step = half / _NEAR_POINTS
+    times = np.minimum(centers[:, None] + step * np.arange(-_NEAR_POINTS, _NEAR_POINTS + 1), t_max)
+    res = 1.0 - normalized_trace(params, dim, times)
+    rows = np.arange(centers.size)
+    best = res.argmin(axis=1)
+    mid = np.clip(best, 1, 2 * _NEAR_POINTS - 1)
+    lo, c, hi = res[rows, mid - 1], res[rows, mid], res[rows, mid + 1]
+    curvature = lo - 2.0 * c + hi
+    shift = np.divide(step * (lo - hi), 2.0 * curvature, out=np.zeros_like(c), where=curvature > 0.0)
+    vertex = np.minimum(times[rows, mid] + np.clip(shift, -step, step), t_max)
+    res_vertex = 1.0 - normalized_trace(params, dim, vertex)
+    better = res_vertex < res[rows, best]
+    return np.where(better, vertex, times[rows, best]), np.where(better, res_vertex, res[rows, best])
 
 
 def reversal_period(params: ModelParams, dim: EnsembleDim, t_max: float) -> PeriodSolution:
     """Smallest T in (0, t_max] with U(T) = identity up to a global phase.
 
-    Uses the analytic commensurability solve when the frequency ratios are
-    rational (continued-fraction detection), falling back to a grid scan with
-    local refinement otherwise.  The accepted T always satisfies
-    1 - F(T) < ``PERIOD_RESIDUAL_TOL``.
+    U(T) is a multiple of I only where every sector recurs,
+    |w_s| T / 2 in pi Z (w_s from :func:`_sector_axes`), and the two sector
+    phases agree, so every exact period is a recurrence T_k = 2 pi k / w of
+    the widest sector, w = max_s |w_s| (with a probe at rest, w = 0, only the
+    ancilla turns, and w = 2 |omega_a|).  The accepted T satisfies
+    1 - F(T) < tol = ``PERIOD_RESIDUAL_TOL``, which also admits near periods
+    of irrational rates.  Since F <= (|D_w| + N + 1) / 2(N+1), the widest
+    kernel D_w = sin((N+1) delta) / sin delta must then lie within
+    2 tol (N+1) of N + 1.  Near delta = 0 it is
+    (N+1) (1 - ((N+1)^2 - 1) delta^2 / 6), so |delta| <= sqrt(12 tol / ((N+1)^2 - 1)),
+    and with delta = w (T - T_k) / 2 every near period lies within h / 2 of a
+    T_k, h = 4 sqrt(12 tol / ((N+1)^2 - 1)) / w (a factor-2 margin).
+
+    The T_k are tested in ascending chunks, one vectorised trace per chunk.
+    A T_k that passes is returned as it is; each T_k before it is searched
+    within +/- h first (:func:`_near_recurrences`).  The paper's integers
+    (:func:`_period_integers`) are reported when the accepted T has them.
     """
-    if t_max <= 0.0:
-        raise ContractViolation("search window must be positive")
-    analytic = (
-        _analytic_period_zz(params, dim, t_max)
-        if params.kind == "zz"
-        else _analytic_period_xz(params, t_max)
-    )
-    if analytic is not None:
-        period, integers = analytic
-        res = 1.0 - normalized_trace(params, dim, period)
-        if res < PERIOD_RESIDUAL_TOL:
-            return PeriodSolution(period=period, residual=res, integers=integers)
-    t_found = _scan_period(params, dim, t_max)
-    if t_found is None:
-        raise PeriodNotFound(
-            f"no reversal period with residual < {PERIOD_RESIDUAL_TOL:g} in (0, {t_max:g}]"
-        )
-    return PeriodSolution(
-        period=t_found,
-        residual=1.0 - normalized_trace(params, dim, t_found),
-        integers=None,
-    )
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ContractViolation(f"search window must be positive and finite, got t_max = {t_max!r}")
+    rate = max(math.hypot(*w) for w in _sector_axes(params)) or 2.0 * abs(params.omega_a)
+    if rate == 0.0:
+        raise PeriodNotFound("H = 0: every time is a period, and none is the smallest")
+    tol = PERIOD_RESIDUAL_TOL
+    half = 4.0 * math.sqrt(12.0 * tol / (dim.dim**2 - 1)) / rate
+    spacing = 2.0 * math.pi / rate
+    k_last = math.floor((t_max + half) / spacing)
+    for first in range(1, k_last + 1, _PERIOD_CHUNK):
+        recurrences = spacing * np.arange(first, min(first + _PERIOD_CHUNK, k_last + 1))
+        times = np.minimum(recurrences, t_max)
+        res = 1.0 - normalized_trace(params, dim, times)
+        stop = np.append(res < tol, True).argmax()  # the first T_k that passes, if any
+        # a window that would reach past t_max is moved left to end there
+        centers = np.minimum(recurrences[:stop], t_max - half)
+        near_times, near_res = _near_recurrences(params, dim, centers, half, t_max)
+        times, res = np.append(near_times, times[stop:stop + 1]), np.append(near_res, res[stop:stop + 1])
+        found = np.flatnonzero(res < tol)
+        if found.size:
+            t = float(times[found[0]])
+            return PeriodSolution(period=t, residual=float(res[found[0]]), integers=_period_integers(params, dim, t))
+    raise PeriodNotFound(f"no reversal period with residual < {tol:g} in (0, {t_max:g}]")
 
 
 def optimal_settings(params: ModelParams) -> OptimalSettings:

@@ -156,7 +156,7 @@ def _write_summary(path: Path, entries: dict) -> None:
 
 @lru_cache(maxsize=None)
 def _period_for(params: ModelParams, n_spins: int) -> float:
-    window = 64.0 * math.pi / max(params.g, 1e-9)
+    window = 64.0 * math.pi / params.g
     return reversal_period(params, EnsembleDim(n_spins), t_max=window).period
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,10 @@ from scipy.linalg import expm
 
 import echometry
 from echometry.circuit import (
+    PERIOD_RESIDUAL_TOL,
     ModelParams,
     PeriodNotFound,
     Schedule,
-    _scan_period,
     apply_spin_axis,
     apply_su2,
     axis_rotation,
@@ -485,6 +486,8 @@ def test_normalized_trace_is_one_at_zero_and_bounded():
     ts = np.linspace(0.0, 12.0, 400)
     f = normalized_trace(ZZ, dim, ts)
     assert np.all(np.isfinite(f)) and np.all(f >= 0.0) and np.all(f <= 1.0 + 1e-12)
+    # any array of times, one value per time
+    np.testing.assert_array_equal(normalized_trace(ZZ, dim, ts.reshape(8, 50)), f.reshape(8, 50))
 
 
 @pytest.mark.parametrize("t", [np.inf, np.nan, np.array([1.0, np.inf]), -1.0])
@@ -514,11 +517,141 @@ def test_reversal_period_xz():
     assert abs(normalized_trace(params, EnsembleDim(3), sol.period) - 1.0) <= 1e-9
 
 
-def test_reversal_period_scan_agrees_with_analytic():
-    # at N = 10^5 the recurrence is far narrower than the refinement bracket
-    for n, t_max, period in ((4, 4.0, np.pi), (11, 8.0, 2 * np.pi), (10**5, 4.0, np.pi)):
-        t_scan = _scan_period(ZZ, EnsembleDim(n), t_max)
-        assert t_scan is not None and abs(t_scan - period) <= 1e-9
+def test_reversal_period_at_a_narrow_recurrence():
+    # at N = 10^5 the top of F at the period is about 1e-9 wide
+    sol = reversal_period(ZZ, EnsembleDim(10**5), 4.0)
+    assert sol.period == np.pi
+    assert sol.integers == {"n1": 1, "n2": 1, "n3": 3}
+
+
+@pytest.mark.parametrize(
+    ("n", "omega_a", "period"), [(4, 30.0 * (1 + 1e-6), np.pi), (11, 300.0 * (1 + 1e-7), 2 * np.pi)]
+)
+def test_reversal_period_finds_a_near_period_beside_the_recurrence(n, omega_a, period):
+    # both sectors recur at `period`, but there the sector phases miss by
+    # 2 omega_a period mod 2 pi and 1 - F fails; a few micro-units away the
+    # faster-turning phase agrees within the tolerance
+    params = ModelParams(3.0, omega_a, 1.0)
+    dim = EnsembleDim(n)
+    assert 1.0 - normalized_trace(params, dim, period) >= PERIOD_RESIDUAL_TOL
+    sol = reversal_period(params, dim, 8.0)
+    assert 0.0 < abs(sol.period - period) <= 1e-5
+    assert sol.residual == 1.0 - normalized_trace(params, dim, sol.period) < PERIOD_RESIDUAL_TOL
+    assert sol.integers is None
+
+
+@pytest.mark.parametrize("kind", ["zz", "xz"])
+@pytest.mark.parametrize("t_max", [np.nan, np.inf, 0.0, -1.0])
+def test_reversal_period_rejects_bad_windows(kind, t_max):
+    params = ModelParams(omega_p=1.0, omega_a=1.0, g=math.sqrt(3.0), kind=kind)
+    with pytest.raises(ContractViolation, match="search window"):
+        reversal_period(params, EnsembleDim(3), t_max)
+
+
+def widths(params):
+    """The sector widths |w_s|: |omega_p + s g| (ZZ) or omega~ (XZ)."""
+    if params.kind == "zz":
+        return abs(params.omega_p + params.g), abs(params.omega_p - params.g)
+    return params.omega_tilde, params.omega_tilde
+
+
+def fraction_period(params, n, t_max):
+    """Smallest period and its integers from the paper's commensurability
+    conditions, solved in exact rational arithmetic, or None.  A period that
+    rounds to t_max counts as inside the window."""
+    def ratio(x):
+        frac = Fraction(x).limit_denominator(10**6)
+        return frac if abs(float(frac) - x) <= 1e-9 * max(1.0, abs(x)) else None
+
+    if params.kind == "xz":
+        ra = ratio(params.omega_a / params.omega_tilde)
+        for n5 in range(1, math.floor(params.omega_tilde * t_max / (2 * math.pi) * (1 + 1e-12)) + 1):
+            if (2 * n5 * ra).denominator == 1:
+                return 2 * n5 * math.pi / params.omega_tilde, {"n5": n5, "n6": int(2 * n5 * ra)}
+        return None
+    rp, ra = ratio(params.omega_p / params.g), ratio(params.omega_a / params.g)
+    for n1 in range(1, math.floor(params.g * t_max / math.pi * (1 + 1e-12)) + 1):
+        wp_term, wa_term = rp * n1, ra * n1  # omega_p T / pi, omega_a T / pi
+        if wp_term.denominator != 1 or (wp_term - n1) % 2 != 0:
+            continue
+        integers = {"n1": n1, "n2": int(wp_term - n1) // 2}
+        if n % 2 == 0 and wa_term.denominator == 1:
+            return n1 * math.pi / params.g, {**integers, "n3": int(wa_term)}
+        if n % 2 == 1 and (wa_term - Fraction(n1, 2)).denominator == 1:
+            return n1 * math.pi / params.g, {**integers, "n4": int(wa_term - Fraction(n1, 2))}
+    return None
+
+
+def dense_first_period(params, dim, t_max, h):
+    """First time in (h, t_max] with 1 - F < tol / 2 on a grid of step <= h / 64, or None.
+
+    Coarse cells are screened with |dF/dT| <= L = |omega_a| + N sum_s |w_s| / 4
+    (each kernel is a trigonometric polynomial of degree N, so Bernstein's
+    inequality bounds its slope by N (N + 1) per unit x_s): F stays below
+    (F_i + F_{i+1} + L c) / 2 on a cell of width c, and only cells where that
+    bound reaches 1 - tol / 2 are searched finely.  The cells around T = 0,
+    where F starts at 1, are left out.
+    """
+    target = 1.0 - PERIOD_RESIDUAL_TOL / 2
+    slope = abs(params.omega_a) + dim.n_spins * sum(widths(params)) / 4
+    coarse = np.linspace(0.0, t_max, math.ceil(t_max * slope / 0.02) + 2)
+    cell = coarse[1] - coarse[0]
+    f = normalized_trace(params, dim, coarse)
+    fine = np.linspace(0.0, cell, math.ceil(64 * cell / h) + 1)
+    for i in np.flatnonzero((f[:-1] + f[1:] + slope * cell) / 2 >= target):
+        ts = coarse[i] + fine
+        ts = ts[(ts > h) & (ts <= t_max)]
+        hits = ts[normalized_trace(params, dim, ts) > target]
+        if hits.size:
+            return hits[0]
+    return None
+
+
+@st.composite
+def period_models(draw):
+    """Models with rational rate ratios, or rates within 1e-12 to 1e-5 of them,
+    omega_a up to 40 times the widest sector's width, and a window of 1 to 8
+    of that sector's recurrences."""
+    kind = draw(st.sampled_from(["zz", "xz"]))
+    g = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    omega_p = g * draw(st.integers(-6, 6)) / draw(st.integers(1, 4))
+    width = max(widths(ModelParams(omega_p, 0.0, g, kind=kind)))
+    omega_a = width * draw(st.integers(-40 * 12, 40 * 12)) / 12
+    offset = draw(st.just(0.0) | st.floats(1e-12, 1e-5))
+    if draw(st.booleans()):
+        omega_p *= 1 + offset
+    else:
+        omega_a *= 1 + offset
+    params = ModelParams(omega_p, omega_a, g, kind=kind)
+    t_max = 2 * math.pi / max(widths(params)) * draw(st.floats(1.0, 8.0))
+    return params, offset == 0.0, t_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=period_models(), n=st.integers(1, 6))
+def test_reversal_period_against_brute_force(model, n):
+    # sound: every accepted T passes; complete: a time the dense grid finds
+    # with half the tolerance is not passed by more than the window h; and at
+    # exactly rational rates, the paper's integers of the first period
+    params, rational, t_max = model
+    dim = EnsembleDim(n)
+    h = 4 * math.sqrt(12 * PERIOD_RESIDUAL_TOL / (dim.dim**2 - 1)) / max(widths(params))
+    try:
+        sol = reversal_period(params, dim, t_max)
+    except PeriodNotFound:
+        sol = None
+    if sol is not None:
+        assert h < sol.period <= t_max
+        assert sol.residual == 1.0 - normalized_trace(params, dim, sol.period) < PERIOD_RESIDUAL_TOL
+    first = dense_first_period(params, dim, t_max, h)
+    if first is not None:
+        assert sol is not None and sol.period <= first + h
+    if rational:
+        exact = fraction_period(params, n, t_max)
+        assert (sol is None) == (exact is None)
+        if exact is not None:
+            assert sol.integers == exact[1]
+            assert abs(sol.period - exact[0]) <= 1e-12 * exact[0]
 
 
 def test_reversal_period_not_found_for_incommensurable_rates():
@@ -530,10 +663,9 @@ def test_reversal_period_not_found_for_incommensurable_rates():
 
 
 def test_reversal_period_scan_fallback_at_large_n_in_bounded_memory():
-    # omega_p = sqrt(2) g has no rational ratio, so the whole 64 pi window is
-    # scanned at N = 10^5: about 6000 grid times, then every local maximum
-    # refined.  The peak is read in a fresh process, whose high-water mark no
-    # earlier test has set.
+    # omega_p = sqrt(2) g has no rational ratio, so every recurrence of the
+    # widest sector in the 64 pi window is searched at N = 10^5.  The peak is
+    # read in a fresh process, whose high-water mark no earlier test has set.
     script = (
         "import math, resource\n"
         "import echometry as em\n"

@@ -148,15 +148,42 @@ def test_package_runs_as_a_module():
     assert "trace-scan" in proc.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only the period scan's fallback refinement needs scipy.optimize, which it
-    # imports itself; no code needs scipy.special (log-factorials come from numpy)
+def run_fresh(script):
+    """Run a Python script in a fresh interpreter on this checkout; returns its stdout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    script = "import sys, echometry; print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False False\n"
+    return proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # no code needs scipy.optimize or scipy.special (log-factorials come from
+    # numpy), neither on import nor in a period search: a near period of
+    # near-rational rates, and a whole window of irrational ones
+    script = (
+        "import math, sys, echometry as em\n"
+        "em.reversal_period(em.ModelParams(3.0, 30.0 * (1 + 1e-6), 1.0), em.EnsembleDim(4), 8.0)\n"
+        "try:\n"
+        "    em.reversal_period(em.ModelParams(math.sqrt(2.0), 1.0, 1.0), em.EnsembleDim(2000), 64 * math.pi)\n"
+        "except em.PeriodNotFound:\n"
+        "    print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
+    )
+    assert run_fresh(script) == "False False\n"
+
+
+def test_period_search_over_a_vast_window_in_bounded_memory():
+    # the 10^12 window holds about 6e11 recurrences of the widest sector; they
+    # are tested a chunk at a time, and the first chunk holds the period
+    script = (
+        "import math, resource, echometry as em\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sol = em.reversal_period(em.ModelParams(3.0, 3.0, 1.0), em.EnsembleDim(4), 1e12)\n"
+        "print(sol.period == math.pi, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    found, growth = run_fresh(script).split()
+    assert found == "True"
+    assert 0 <= int(growth) <= 64 * 1024  # ru_maxrss is in KiB
 
 
 def test_validate_command(capsys):
