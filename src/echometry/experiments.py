@@ -10,6 +10,7 @@ Runs are pure and reseeded, so identical configs produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -176,6 +177,21 @@ def _optimal_probe(params: ModelParams, dim: EnsembleDim) -> SpectralProbe:
     return polarized_probe(dim, optimal_generator(params, dim))
 
 
+def _qfi_sweep(params: ModelParams, mode: str, n_values, ancillas, t1s) -> np.ndarray:
+    """F_Q of the optimal polarized probe, shape (n, ancilla, time), at step times t1s."""
+    sweep = []
+    for n in n_values:
+        dim = EnsembleDim(n)
+        steps = _step_times(params, dim, t1s, mode)
+        sweep.append(qfi_grid(_optimal_probe(params, dim), ancillas, params, steps))
+    return np.stack(sweep)
+
+
+def _grid_rows(axes, values) -> list[tuple]:
+    """Rows (*cell, value) over the product of the axes, in row-major order of ``values``."""
+    return [(*cell, value) for cell, value in zip(itertools.product(*axes), np.ravel(values))]
+
+
 # ---------------------------------------------------------------------------
 # scenario runners
 
@@ -194,42 +210,26 @@ def _run_qfi_theta0(cfg: SweepConfig):
     n_values = cfg.grids["n_values"]
     theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
     ancillas = [ancilla_state(theta0) for theta0 in theta0s]
-    t1 = optimal_settings(cfg.params).t1
-    rows = []
-    for n in n_values:
-        dim = EnsembleDim(n)
-        step = _step_times(cfg.params, dim, [t1], cfg.mode)
-        fq = qfi_grid(_optimal_probe(cfg.params, dim), ancillas, cfg.params, step)[:, 0]
-        rows.extend((n, theta0, value) for theta0, value in zip(theta0s, fq))
+    fq = _qfi_sweep(cfg.params, cfg.mode, n_values, ancillas, [optimal_settings(cfg.params).t1])
+    rows = _grid_rows((n_values, theta0s), fq)
     return ["N", "theta0", "FQ"], rows, {"max_FQ": max(r[2] for r in rows)}
 
 
 def _run_qfi_t1(cfg: SweepConfig):
     n_values = cfg.grids["n_values"]
     gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
-    anc = [ancilla_state(math.pi / 2)]
-    rows = []
-    for n in n_values:
-        dim = EnsembleDim(n)
-        steps = _step_times(cfg.params, dim, gt1s / cfg.params.g, cfg.mode)
-        fq = qfi_grid(_optimal_probe(cfg.params, dim), anc, cfg.params, steps)[0]
-        rows.extend((n, gt1, value) for gt1, value in zip(gt1s, fq))
+    fq = _qfi_sweep(cfg.params, cfg.mode, n_values, [ancilla_state(math.pi / 2)], gt1s / cfg.params.g)
+    rows = _grid_rows((n_values, gt1s), fq)
     return ["N", "gt1", "FQ"], rows, {"max_FQ": max(r[2] for r in rows)}
 
 
 def _run_qfi_heatmap(cfg: SweepConfig):
     n = cfg.grids["n"]
-    dim = EnsembleDim(n)
     theta0s = np.linspace(0.0, math.pi, cfg.grids["theta0_points"])
     gt1s = np.linspace(0.0, cfg.grids["gt1_max"], cfg.grids["gt1_points"])
     ancillas = [ancilla_state(theta0) for theta0 in theta0s]
-    steps = _step_times(cfg.params, dim, gt1s / cfg.params.g, cfg.mode)
-    fq = qfi_grid(_optimal_probe(cfg.params, dim), ancillas, cfg.params, steps)
-    rows = [
-        (theta0, gt1, value / n**2)
-        for theta0, fq_row in zip(theta0s, fq)
-        for gt1, value in zip(gt1s, fq_row)
-    ]
+    fq = _qfi_sweep(cfg.params, cfg.mode, [n], ancillas, gt1s / cfg.params.g)
+    rows = _grid_rows((theta0s, gt1s), fq / n**2)
     best = _argmax_row(rows, 2)
     summary = {
         "max_FQ_over_N2": best[2],
@@ -286,11 +286,7 @@ def _run_cfi_map(cfg: SweepConfig):
     anc = ancilla_state(math.pi / 2)
     t1s, t2s = gt1s[:, None] / cfg.params.g, gt2s / cfg.params.g
     fc = cfi_grid(probe, anc, cfg.params, t1s, t2s, "period", generator=gen, theta_eval=theta_eval)
-    rows = [
-        (gt1, gt2, value / n**2)
-        for gt1, fc_row in zip(gt1s, fc)
-        for gt2, value in zip(gt2s, fc_row)
-    ]
+    rows = _grid_rows((gt1s, gt2s), fc / n**2)
     best = _argmax_row(rows, 2)
     summary = {
         "max_Fc_over_N2": best[2],
@@ -307,13 +303,9 @@ def _run_xz_scaling(cfg: SweepConfig):
     fits = {}
     for ratio in ratios:
         params = ModelParams(omega_p=1.0 / ratio, omega_a=1.0 / ratio, g=1.0, kind="xz")
-        settings = optimal_settings(params)
-        gt1 = settings.t1 * params.g
-        sched = conjugate_schedule(settings.t1, theta=0.0)
-        for n in n_values:
-            dim = EnsembleDim(n)
-            probe = polarized_probe(dim, optimal_generator(params, dim))
-            rows.append((n, ratio, gt1, qfi_general(probe, anc, params, sched).value))
+        t1 = optimal_settings(params).t1
+        fq = _qfi_sweep(params, "exact_conjugate", n_values, [anc], [t1])
+        rows.extend(_grid_rows((n_values, [ratio], [t1 * params.g]), fq))
         fit_pts = [(n, f) for n, r, _, f in rows if r == ratio and n >= 10]
         if len({n for n, _ in fit_pts}) >= 3:
             fits[ratio] = fit_quadratic(fit_pts)
@@ -365,11 +357,8 @@ def _run_deviation_scan(cfg: SweepConfig):
 def _run_dephasing_scan(cfg: SweepConfig):
     n_values, x_values = cfg.grids["n_values"], cfg.grids["x_values"]
     ancillas = [dephase_ancilla(ancilla_state(math.pi / 2), x) for x in x_values]
-    t1 = [optimal_settings(cfg.params).t1]
-    rows = []
-    for n in n_values:
-        fq = qfi_grid(_optimal_probe(cfg.params, EnsembleDim(n)), ancillas, cfg.params, t1)[:, 0]
-        rows.extend((n, x, value) for x, value in zip(x_values, fq))
+    fq = _qfi_sweep(cfg.params, cfg.mode, n_values, ancillas, [optimal_settings(cfg.params).t1])
+    rows = _grid_rows((n_values, x_values), fq)
     worst = max(abs(value - (1.0 - x) ** 2 * n**2) for n, x, value in rows)
     return ["N", "x", "FQ"], rows, {"max_abs_gap_to_law": worst}
 

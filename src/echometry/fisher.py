@@ -53,6 +53,7 @@ import numpy as np
 from .circuit import (
     ModelParams,
     Schedule,
+    _durations,
     apply_spin_axis,
     apply_su2,
     axis_rotation,
@@ -71,6 +72,7 @@ from .spin import (
     PhaseGenerator,
     KET_E,
     KET_G,
+    _check_generator_size,
     spin_frame,
 )
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec, coherent_state
@@ -187,14 +189,6 @@ def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaSt
     return w[keep], psi[..., keep]
 
 
-def _times(t) -> np.ndarray:
-    """Step durations as a float array; each must be finite and nonnegative."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all() or (t < 0.0).any():
-        raise ContractViolation("step durations must be finite and nonnegative")
-    return t
-
-
 def _slices(count: int, entries_per_time: int):
     """Consecutive slices of a time axis, each within the ``_SLICE_ENTRIES`` budget."""
     step = max(1, _SLICE_ENTRIES // entries_per_time)
@@ -244,7 +238,7 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     evaluated on its own.  Each cell obeys the :class:`FisherResult`
     contract.
     """
-    t1s = _times(t1s)
+    t1s = _durations(t1s)
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
     dim = probe.dim
@@ -329,9 +323,7 @@ def _readout_generator(
     if basis == "full_system":
         if generator is None:
             return optimal_generator(params, dim)
-        if generator.dim != dim:
-            raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
-        return generator
+        return _check_generator_size(generator, dim)
     if basis == "ancilla_only":
         return None
     raise ContractViolation(f"unknown measurement basis {basis!r}")
@@ -446,7 +438,7 @@ def measurement_probs(
     builds its labelled ``rows`` only when they are read.
     """
     generator = _readout_generator(basis, generator, params, probe.dim)
-    t1s, t2s = _times([sched.t1]), _times([sched.t2])
+    t1s, t2s = _durations([sched.t1]), _durations([sched.t2])
     probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, generator)[0][0]
     m_values = None if generator is None else math.hypot(*generator.axis) * probe.dim.m_values()
     return ProbabilityTable(probs, m_values)
@@ -488,7 +480,7 @@ def cfi_grid(
         raise ContractViolation(f"unknown reversal mode {mode!r}")
     if not np.isfinite(theta_eval):
         raise ContractViolation("encoded phase must be finite")
-    t1s, t2s = _times(t1s), _times(t2s)
+    t1s, t2s = _durations(t1s), _durations(t2s)
     if t1s.shape != t2s.shape:
         t1s, t2s = np.broadcast_arrays(t1s, t2s)
     generator = _readout_generator(basis, generator, params, probe.dim)

@@ -213,6 +213,13 @@ class PhaseGenerator:
         return sum(a * op for a, op in zip(self.axis, collective_ops(self.dim)))
 
 
+def _check_generator_size(generator: PhaseGenerator, dim: EnsembleDim) -> PhaseGenerator:
+    """``generator``, once checked to act on the probe space of ``dim``."""
+    if generator.dim != dim:
+        raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
+    return generator
+
+
 def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
     """Planar generator J(phi) = cos(phi) J_x + sin(phi) J_y."""
     if not np.isfinite(phi):

@@ -1,9 +1,9 @@
 """Input-state constructors for the probe ensemble and the ancilla qubit.
 
 The probe is always handled in spectral form: a list of weights and mutually
-orthonormal eigenvectors (:class:`SpectralProbe`).  The ancilla is a 2x2
-density matrix carrying its preparation angles and an accumulated dephasing
-rate (:class:`AncillaState`).
+orthonormal eigenvectors (:class:`SpectralProbe`).  The ancilla is defined
+by its preparation angles (theta0, phi0) and an accumulated dephasing rate x
+alone (:class:`AncillaState`); its 2x2 density matrix is derived from them.
 
 Both probe constructors cost O(N) memory and solve no full eigenframe.
 
@@ -13,8 +13,9 @@ Both probe constructors cost O(N) memory and solve no full eigenframe.
   ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, from the
   binomial magnitudes it shares with :func:`coherent_state`.  At a pole it
   is the exact basis vector.  It records its axis
-  (``SpectralProbe.coherent_axis``), so the readout can map it through any
-  circuit with :func:`coherent_state` instead of a J_x frame.
+  (``SpectralProbe.coherent_axis``, which no constructor takes), so the
+  readout can map it through any circuit with :func:`coherent_state`
+  instead of a J_x frame.
 * :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
   the generator (:func:`~echometry.spin.lowest_spin_columns`): inverse
   iteration at their exact eigenvalues m, with no eigenvalue search (exact
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from .spin import (
     PhaseGenerator,
     KET_E,
     KET_G,
+    _check_generator_size,
     assert_hermitian,
     lowest_spin_columns,
     pin_frame_phases,
@@ -73,30 +75,27 @@ EPS_SPECTRUM = 1e-12
 
 @dataclass(frozen=True)
 class AncillaState:
-    """Ancilla qubit state: preparation angles, dephasing rate, density matrix.
+    """Ancilla qubit state, defined by its preparation angles and dephasing rate.
 
     ``theta0`` sets the population imbalance, ``phi0`` the relative phase of
     the |e>/|g> superposition; ``x`` in [0, 1] is the accumulated dephasing
-    rate (0 means pure).
+    rate (0 means pure).  ``rho`` is derived from the three, once: the
+    projector of :attr:`ket` with its coherences scaled by 1 - x.
     """
 
     theta0: float
     phi0: float
     x: float
-    rho: np.ndarray
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ContractViolation("ancilla density matrix must be 2x2")
-        (p, c), (_, q) = rho.tolist()
-        trace = p + q
-        if abs(trace.real - 1.0) > 1e-12 or abs(trace.imag) > 1e-12:
-            raise ContractViolation("ancilla density matrix must have unit trace")
-        assert_hermitian(rho, name="ancilla density matrix")
-        # the smaller eigenvalue of a Hermitian 2x2 matrix, in closed form
-        if 0.5 * trace.real - math.hypot(0.5 * (p - q).real, abs(c)) < -1e-12:
-            raise ContractViolation("ancilla density matrix must be positive semidefinite")
+        if not (math.isfinite(self.theta0) and math.isfinite(self.phi0)):
+            raise ContractViolation("ancilla angles must be finite")
+        _check_rate(self.x)
+        ket = _pure_ket(self.theta0, self.phi0)
+        rho = ket[:, None] * ket.conj()
+        rho[0, 1] *= 1.0 - self.x
+        rho[1, 0] *= 1.0 - self.x
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
@@ -112,16 +111,18 @@ class AncillaState:
         return _pure_ket(self.theta0, self.phi0)
 
 
+def _check_rate(x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise ContractViolation(f"dephasing rate must lie in [0, 1], got {x!r}")
+
+
 def _pure_ket(theta0: float, phi0: float) -> np.ndarray:
     return np.cos(theta0 / 2.0) * KET_E + np.exp(-1j * phi0) * np.sin(theta0 / 2.0) * KET_G
 
 
 def ancilla_state(theta0: float, phi0: float = 0.0) -> AncillaState:
     """Pure ancilla state from the population-imbalance and phase angles."""
-    if not (np.isfinite(theta0) and np.isfinite(phi0)):
-        raise ContractViolation("ancilla angles must be finite")
-    ket = _pure_ket(theta0, phi0)
-    return AncillaState(theta0=float(theta0), phi0=float(phi0), x=0.0, rho=ket[:, None] * ket.conj())
+    return AncillaState(theta0=float(theta0), phi0=float(phi0), x=0.0)
 
 
 def dephase_ancilla(state: AncillaState, x: float) -> AncillaState:
@@ -131,16 +132,8 @@ def dephase_ancilla(state: AncillaState, x: float) -> AncillaState:
     untouched and coherences shrink by (1 - x).  Rates compose, so the
     returned state records 1 - (1 - x_old)(1 - x).
     """
-    if not 0.0 <= x <= 1.0:
-        raise ContractViolation(f"dephasing rate must lie in [0, 1], got {x!r}")
-    # For this Kraus pair the sum is identically an off-diagonal scaling,
-    # (1 - x/2) rho + (x/2) sigma_z rho sigma_z; applying the scaling directly
-    # keeps populations, trace, and hermiticity exact.
-    rho = np.array(state.rho, dtype=complex)
-    rho[0, 1] *= 1.0 - x
-    rho[1, 0] *= 1.0 - x
-    combined = 1.0 - (1.0 - state.x) * (1.0 - x)
-    return AncillaState(theta0=state.theta0, phi0=state.phi0, x=float(combined), rho=rho)
+    _check_rate(x)
+    return AncillaState(theta0=state.theta0, phi0=state.phi0, x=float(1.0 - (1.0 - state.x) * (1.0 - x)))
 
 
 @dataclass(frozen=True)
@@ -169,17 +162,19 @@ class ThermalSpec:
 class SpectralProbe:
     """Probe density matrix in spectral form: weights plus orthonormal columns.
 
-    ``coherent_axis``, when set, declares the probe pure and equal, up to a
-    global phase, to the spin-coherent state polarized along that axis
-    (``D^j(R_n)|j,+j>`` with R_n = :func:`~echometry.circuit.axis_rotation`);
-    only :func:`polarized_probe` sets it.  It lets the readout use the closed
-    form of :func:`coherent_state` for the probe's image under any circuit.
+    ``coherent_axis`` is not a constructor argument: only
+    :func:`polarized_probe` sets it, to the axis its vector was built from.
+    When set, the probe is pure and equal, up to a global phase, to the
+    spin-coherent state polarized along that axis (``D^j(R_n)|j,+j>`` with
+    R_n = :func:`~echometry.circuit.axis_rotation`), which lets the readout
+    use the closed form of :func:`coherent_state` for the probe's image
+    under any circuit.
     """
 
     dim: EnsembleDim
     weights: np.ndarray
     vectors: np.ndarray
-    coherent_axis: tuple[float, float, float] | None = None
+    coherent_axis: tuple[float, float, float] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -193,13 +188,6 @@ class SpectralProbe:
         gram = v.conj().T @ v
         if np.abs(gram - np.eye(w.size)).max() > 1e-10:
             raise ContractViolation("probe eigenvectors must be orthonormal")
-        if self.coherent_axis is not None:
-            axis = tuple(float(c) for c in self.coherent_axis)
-            if w.size != 1:
-                raise ContractViolation("only a pure probe can be a coherent state")
-            if len(axis) != 3 or not all(map(math.isfinite, axis)) or not any(axis):
-                raise ContractViolation("coherent axis must be a finite nonzero real 3-vector")
-            object.__setattr__(self, "coherent_axis", axis)
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -270,19 +258,13 @@ def coherent_state(dim: EnsembleDim, p) -> np.ndarray:
     return _binomial_magnitudes(n, np.abs(a), np.abs(b)) * np.exp(1j * phase)
 
 
-def _generator_axis(dim: EnsembleDim, generator: PhaseGenerator) -> tuple[float, float, float]:
-    if generator.dim != dim:
-        raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
-    return generator.axis
-
-
 def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
     """Pure probe polarized along the generator's axis: its top eigenvector (m = +j for a unit axis).
 
     The spin-coherent state in closed form, without an eigensolve; see the
     module docstring for the amplitudes and the phase convention.
     """
-    axis = _generator_axis(dim, generator)
+    axis = _check_generator_size(generator, dim).axis
     nz, r, _ = tridiagonal_axis(axis)
     norm = math.hypot(nz, r)
     if norm == 0.0:
@@ -296,8 +278,9 @@ def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProb
     amp = _binomial_magnitudes(dim.n_spins, math.sqrt(cos2), math.sqrt(sin2))
     if r < 0.0:
         amp[(dim.n_spins - np.arange(dim.dim)) % 2 == 1] *= -1.0
-    vectors = pin_frame_phases(dim, axis, amp[:, None])
-    return SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=vectors, coherent_axis=axis)
+    probe = SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=pin_frame_phases(dim, axis, amp[:, None]))
+    object.__setattr__(probe, "coherent_axis", axis)
+    return probe
 
 
 def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> SpectralProbe:
@@ -311,7 +294,7 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     those are solved.
     """
     spec = ThermalSpec(dim=dim, beta=float(beta))
-    axis = _generator_axis(dim, generator)
+    axis = _check_generator_size(generator, dim).axis
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
     weights = spec.weights()

@@ -45,6 +45,7 @@ from echometry.spin import (
     spin_frame,
 )
 from echometry.states import (
+    AncillaState,
     SpectralProbe,
     ancilla_state,
     dephase_ancilla,
@@ -444,6 +445,35 @@ def test_dephased_general_path_matches_sld_oracle(n, kind, seed, theta0, phi0, x
     oracle = qfi_sld_oracle(rho, drho).value
     assert abs(value - oracle) <= 1e-8 * max(1.0, oracle)
     assert 0.0 <= value <= n * n * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(0.5, 5.0),
+    omega_a=st.floats(0.5, 5.0),
+    polarized=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    theta0=st.floats(-2 * np.pi, 2 * np.pi),
+    phi0=st.floats(-2 * np.pi, 2 * np.pi),
+    x=st.floats(0.0, 1.0),
+    t1=st.floats(1e-3, np.pi),
+)
+def test_ancilla_numbers_fix_both_information_paths(n, kind, omega_p, omega_a, polarized, seed, theta0, phi0, x, t1):
+    # production reads (theta0, phi0, x), the SLD oracle the derived rho: they
+    # agree within validate's tolerance, and the readout stays under the bound
+    params = ModelParams(omega_p, omega_a, 1.0, kind=kind)
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = polarized_probe(dim, gen) if polarized else random_probe(dim, np.random.default_rng(seed), min(3, dim.dim))
+    anc = AncillaState(theta0, phi0, x)
+    sched = conjugate_schedule(t1, theta=0.2)
+    general = qfi_general(probe, anc, params, sched).value
+    rho, drho = output_state_derivative(probe, anc, params, sched)
+    oracle = qfi_sld_oracle(rho, drho).value
+    assert abs(general - oracle) <= 1e-8 * max(general, oracle, 1e-9)
+    assert cfi(probe, anc, params, sched, generator=gen, theta_eval=0.2).value <= oracle + 1e-8 * max(1.0, oracle)
 
 
 # ---------------------------------------------------------------------------

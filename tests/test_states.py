@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -45,17 +46,48 @@ def test_ancilla_ket_matches_density():
     np.testing.assert_allclose(np.outer(state.ket, state.ket.conj()), state.rho, atol=1e-15)
 
 
-def test_ancilla_state_checks_its_smaller_eigenvalue():
-    # unit trace and Hermitian, with eigenvalues (1 -/+ 1.2) / 2 or an
-    # excess of 2e-12 past the -1e-12 floor: not a state
-    for rho in ([[0.5, 0.6], [0.6, 0.5]], [[0.5, 0.6j], [-0.6j, 0.5]], np.diag([1.0 + 2e-12, -2e-12])):
-        with pytest.raises(ContractViolation, match="positive semidefinite"):
-            AncillaState(theta0=0.0, phi0=0.0, x=0.0, rho=rho)
-    # pure states have a zero eigenvalue up to rounding, and pass
+def test_ancilla_state_is_defined_by_its_angles_and_rate():
+    # rho is derived, never given: no constructor takes a second description
+    with pytest.raises(TypeError):
+        AncillaState(theta0=0.0, phi0=0.0, x=0.0, rho=np.diag([1.0, 0.0]))
+    assert [f.name for f in dataclasses.fields(AncillaState) if f.init] == ["theta0", "phi0", "x"]
+    for bad in (np.nan, np.inf, -np.inf):
+        for kwargs in (dict(theta0=bad, phi0=0.0, x=0.0), dict(theta0=0.0, phi0=bad, x=0.0)):
+            with pytest.raises(ContractViolation, match="angles must be finite"):
+                AncillaState(**kwargs)
+        with pytest.raises(ContractViolation, match="angles must be finite"):
+            ancilla_state(bad)
+    for x in (-1e-300, -0.1, 1.0 + 1e-15, 1.1, np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="dephasing rate"):
+            AncillaState(theta0=0.3, phi0=0.0, x=x)
+    # at x = 0, rho is the ket's projector bit for bit
     for theta0, phi0 in itertools.product(np.linspace(0.0, np.pi, 7), (0.0, 1.3, -2.9)):
-        rho = ancilla_state(theta0, phi0).rho
-        assert AncillaState(theta0=theta0, phi0=phi0, x=0.0, rho=rho).rho.tolist() == rho.tolist()
-    AncillaState(theta0=0.0, phi0=0.0, x=0.0, rho=np.diag([1.0 + 5e-13, -5e-13]))
+        state = ancilla_state(theta0, phi0)
+        assert state.rho.tolist() == (state.ket[:, None] * state.ket.conj()).tolist()
+        assert not state.rho.flags.writeable
+    # equal states compare and hash equal
+    assert ancilla_state(1.0) == ancilla_state(1.0) == AncillaState(1.0, 0.0, 0.0)
+    assert hash(ancilla_state(1.0, 0.5)) == hash(AncillaState(1.0, 0.5, 0.0))
+    assert len({ancilla_state(1.0), ancilla_state(1.0), dephase_ancilla(ancilla_state(1.0), 0.5)}) == 2
+    # replace derives rho again, from the new numbers
+    moved = dataclasses.replace(ancilla_state(np.pi / 2), x=0.5)
+    assert moved.rho.tolist() == AncillaState(np.pi / 2, 0.0, 0.5).rho.tolist()
+    np.testing.assert_allclose(moved.rho, [[0.5, 0.25], [0.25, 0.5]], atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta0=st.floats(-10.0, 10.0), phi0=st.floats(-10.0, 10.0), x=st.floats(0.0, 1.0))
+def test_derived_ancilla_density_is_a_state(theta0, phi0, x):
+    state = AncillaState(theta0, phi0, x)
+    rho = state.rho
+    assert abs(np.trace(rho) - 1.0) <= 1e-15
+    assert np.abs(rho - rho.conj().T).max() <= 1e-15
+    assert np.linalg.eigvalsh(rho).min() >= -1e-15
+    # populations of the ket, coherences scaled by 1 - x
+    ket = ancilla_state(theta0, phi0).ket
+    projector = ket[:, None] * ket.conj()
+    assert np.diag(rho).tolist() == np.diag(projector).tolist()
+    assert rho[0, 1] == projector[0, 1] * (1.0 - x) and rho[1, 0] == projector[1, 0] * (1.0 - x)
 
 
 def test_dephase_zero_rate_is_identity():
@@ -331,17 +363,16 @@ def test_spectral_probe_validates_inputs():
         SpectralProbe(dim=dim, weights=np.array([0.5, 0.5]), vectors=skewed)
 
 
-def test_spectral_probe_validates_its_coherent_axis():
+def test_only_polarized_probe_sets_the_coherent_axis():
     dim = EnsembleDim(2)
     one = np.eye(3, dtype=complex)[:, -1:]
-    assert SpectralProbe(dim, np.array([1.0]), one, coherent_axis=[0, 0, 2]).coherent_axis == (0.0, 0.0, 2.0)
-    for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(ContractViolation):
-            SpectralProbe(dim, np.array([1.0]), one, coherent_axis=axis)
-    # a coherent state is pure: a probe of rank above 1 cannot declare one
-    with pytest.raises(ContractViolation):
-        SpectralProbe(dim, np.array([0.5, 0.5]), np.eye(3, dtype=complex)[:, 1:], coherent_axis=(0.0, 0.0, 1.0))
+    # the axis restates the vector, so no constructor takes it
+    with pytest.raises(TypeError):
+        SpectralProbe(dim, np.array([1.0]), one, coherent_axis=(0.0, 0.0, 1.0))
+    assert [f.name for f in dataclasses.fields(SpectralProbe) if f.init] == ["dim", "weights", "vectors"]
+    assert SpectralProbe(dim, np.array([1.0]), one).coherent_axis is None
     gen = phase_generator(dim, 0.4)
+    assert polarized_probe(dim, gen).coherent_axis == gen.axis
     assert thermal_probe(dim, gen, 1.3).coherent_axis is None
     assert spectral_decompose(polarized_probe(dim, gen).density()).coherent_axis is None
 
