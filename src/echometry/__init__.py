@@ -25,7 +25,6 @@ from .spin import (
 from .states import (
     AncillaState,
     SpectralProbe,
-    ThermalSpec,
     ancilla_state,
     dephase_ancilla,
     polarized_probe,
@@ -47,7 +46,6 @@ from .circuit import (
     reversal_period,
 )
 from .fisher import (
-    DeviationSpec,
     FisherResult,
     ProbabilityTable,
     cfi,
@@ -71,7 +69,6 @@ __all__ = [
     "spin_frame",
     "AncillaState",
     "SpectralProbe",
-    "ThermalSpec",
     "ancilla_state",
     "dephase_ancilla",
     "polarized_probe",
@@ -89,7 +86,6 @@ __all__ = [
     "period_schedule",
     "propagator",
     "reversal_period",
-    "DeviationSpec",
     "FisherResult",
     "ProbabilityTable",
     "cfi",

@@ -75,12 +75,11 @@ from .spin import (
     _check_generator_size,
     spin_frame,
 )
-from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, ThermalSpec, coherent_state
+from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, coherent_state, thermal_weights
 
 __all__ = [
     "EPS_PROB",
     "FisherResult",
-    "DeviationSpec",
     "ProbabilityTable",
     "qfi_general",
     "qfi_grid",
@@ -128,18 +127,6 @@ class FisherResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", float(_checked(self.value)))
-
-
-@dataclass(frozen=True)
-class DeviationSpec:
-    """Additive control errors on the coupling and the probe frequency."""
-
-    delta_g: float = 0.0
-    delta_omega_p: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.delta_g) and np.isfinite(self.delta_omega_p)):
-            raise ContractViolation("deviations must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,13 +259,13 @@ def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResu
     """Thermal-probe information at the optimum: exact sum and large-N form.
 
     Exact: 4 sum_m m^2 p_m over the Boltzmann weights of
-    :meth:`ThermalSpec.weights`.  Large N: N^2 - 4N/(e^beta - 1)
+    :func:`~echometry.states.thermal_weights`.  Large N: N^2 - 4N/(e^beta - 1)
     + 4(e^beta + 1)/(e^beta - 1)^2, which requires beta > 0.
     """
     if beta <= 0.0:
         raise ContractViolation("the large-N thermal form diverges for beta <= 0")
     m = dim.m_values()
-    exact = 4.0 * float(np.sum(m * m * ThermalSpec(dim, beta).weights()))
+    exact = 4.0 * float(np.sum(m * m * thermal_weights(dim, beta)))
     n = dim.n_spins
     eb = math.exp(beta)
     large_n = n * n - 4.0 * n / (eb - 1.0) + 4.0 * (eb + 1.0) / (eb - 1.0) ** 2
@@ -288,21 +275,25 @@ def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResu
     )
 
 
-def qfi_deviation(dim: EnsembleDim, spec: DeviationSpec, t1: float) -> FisherResult:
+def qfi_deviation(dim: EnsembleDim, delta_g: float, delta_omega_p: float, t1: float) -> FisherResult:
     """Quadratic control-error law N^2 - N(N-1)(dwp^2 + dg^2) t1^2.
 
-    Valid to second order for small deviations; a warning is issued once the
-    dimensionless products |delta * t1| leave the trusted range.
+    ``delta_g`` and ``delta_omega_p`` are additive errors on the coupling and
+    the probe frequency, and must be finite.  Valid to second order for small
+    deviations; a warning is issued once the dimensionless products
+    |delta * t1| leave the trusted range.
     """
+    if not (math.isfinite(delta_g) and math.isfinite(delta_omega_p)):
+        raise ContractViolation("deviations must be finite")
     n = dim.n_spins
-    for name, delta in (("delta_g", spec.delta_g), ("delta_omega_p", spec.delta_omega_p)):
+    for name, delta in (("delta_g", delta_g), ("delta_omega_p", delta_omega_p)):
         if abs(delta * t1) > 0.1:
             warnings.warn(
                 f"|{name} * t1| = {abs(delta * t1):.3g} exceeds 0.1; "
                 "the quadratic law is a small-deviation expansion",
                 stacklevel=2,
             )
-    value = n * n - n * (n - 1) * (spec.delta_omega_p**2 + spec.delta_g**2) * t1 * t1
+    value = n * n - n * (n - 1) * (delta_omega_p**2 + delta_g**2) * t1 * t1
     return FisherResult(value=value)
 
 
@@ -318,12 +309,12 @@ def _readout_generator(
     The full-system projectors are |m>_gen (x) |+/-> over the eigenvectors of
     ``generator`` (default: :func:`~echometry.circuit.optimal_generator` of
     ``params``); the ancilla-only projectors I (x) |+/-><+/-| have rank N+1
-    and need no generator.
+    and need no generator, but a given one must still be for the probe's N.
     """
+    if generator is not None:
+        _check_generator_size(generator, dim)
     if basis == "full_system":
-        if generator is None:
-            return optimal_generator(params, dim)
-        return _check_generator_size(generator, dim)
+        return optimal_generator(params, dim) if generator is None else generator
     if basis == "ancilla_only":
         return None
     raise ContractViolation(f"unknown measurement basis {basis!r}")
@@ -429,7 +420,7 @@ def measurement_probs(
     basis: str = "full_system",
     generator: PhaseGenerator | None = None,
 ) -> ProbabilityTable:
-    """Projective-measurement outcome table of the circuit's output state.
+    """Projective-measurement outcome table of the circuit's output state at ``sched.theta``.
 
     ``basis="full_system"`` projects on |j,m>_gen (x) |+/-> over the
     eigenbasis of ``generator`` (default, as in :func:`cfi`: the optimized
@@ -459,10 +450,10 @@ def cfi_grid(
 
     ``t1s`` and ``t2s`` broadcast against each other, and the result has
     their broadcast shape; cell by cell it is :func:`cfi` of the schedule
-    (t1, t2, ``mode``).  In ``exact_conjugate`` mode the second leg is
-    U(t1)^dagger and t2 is not used.  The readout basis is fixed by
-    ``generator`` (default: the optimized generator for ``params``) and does
-    not follow the schedule.
+    (t1, t2, ``mode``), evaluated at the encoded phase ``theta_eval``.  In
+    ``exact_conjugate`` mode the second leg is U(t1)^dagger and t2 is not
+    used.  The readout basis is fixed by ``generator`` (default: the
+    optimized generator for ``params``) and does not follow the schedule.
 
     Each outcome contributes dp^2 / p, or at a readout node its limit
     L = 4 sum_k w_k |d a_k|^2 from the output amplitudes' derivatives d a_k.
@@ -503,11 +494,14 @@ def cfi(
 ) -> FisherResult:
     """Classical Fisher information of the projective readout at theta_eval.
 
-    The readout basis is fixed by ``generator`` (default: the optimized
-    generator for ``params``) and does not follow the schedule, so arbitrary
-    (t1, t2) pairs can be scanned against the same measurement.  The
-    derivative of each outcome probability is exact, from the output
-    amplitudes; one cell of :func:`cfi_grid`.
+    The encoded phase is ``theta_eval`` alone and ``sched.theta`` is not
+    read (unlike :func:`measurement_probs`): a schedule built with
+    theta = 0.7 is still evaluated at the default 0.2.  The readout basis is
+    fixed by ``generator`` (default: the optimized generator for ``params``)
+    and does not follow the schedule, so arbitrary (t1, t2) pairs can be
+    scanned against the same measurement.  The derivative of each outcome
+    probability is exact, from the output amplitudes; one cell of
+    :func:`cfi_grid`.
     """
     value = cfi_grid(probe, ancilla, params, sched.t1, sched.t2, sched.mode, generator, theta_eval, basis)
     return FisherResult(value=value)

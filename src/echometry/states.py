@@ -58,12 +58,12 @@ __all__ = [
     "EPS_SPECTRUM",
     "AncillaState",
     "SpectralProbe",
-    "ThermalSpec",
     "ancilla_state",
     "coherent_state",
     "dephase_ancilla",
     "polarized_probe",
     "thermal_probe",
+    "thermal_weights",
     "spectral_decompose",
 ]
 
@@ -136,26 +136,17 @@ def dephase_ancilla(state: AncillaState, x: float) -> AncillaState:
     return AncillaState(theta0=state.theta0, phi0=state.phi0, x=float(1.0 - (1.0 - state.x) * (1.0 - x)))
 
 
-@dataclass(frozen=True)
-class ThermalSpec:
-    """Inverse temperature of a thermal probe and its Boltzmann weights.
+def thermal_weights(dim: EnsembleDim, beta: float) -> np.ndarray:
+    """Boltzmann weights exp(-m beta)/Z over the generator eigenvalues m = -j..+j, ascending.
 
-    Energies are the spin-generator eigenvalues m = -j..+j, so the partition
-    function is Z = sum_m exp(-m beta).
+    Z = sum_m exp(-m beta); the inverse temperature ``beta`` must be finite
+    and nonnegative.
     """
-
-    dim: EnsembleDim
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ContractViolation("inverse temperature must be finite and nonnegative")
-
-    def weights(self) -> np.ndarray:
-        """Boltzmann weights exp(-m beta)/Z over m ascending (sum exactly 1)."""
-        logw = -self.beta * self.dim.m_values()
-        w = np.exp(logw - logw.max())
-        return w / w.sum()
+    if not math.isfinite(beta) or beta < 0.0:
+        raise ContractViolation("inverse temperature must be finite and nonnegative")
+    logw = -float(beta) * dim.m_values()
+    w = np.exp(logw - logw.max())
+    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -293,11 +284,10 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     they fall with m, so the kept terms are the lowest eigenvectors, and only
     those are solved.
     """
-    spec = ThermalSpec(dim=dim, beta=float(beta))
+    weights = thermal_weights(dim, beta)
     axis = _check_generator_size(generator, dim).axis
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
-    weights = spec.weights()
     kept = int(np.count_nonzero(weights > EPS_SPECTRUM))
     weights = weights[:kept] / weights[:kept].sum()
     return SpectralProbe(dim=dim, weights=weights, vectors=lowest_spin_columns(dim, axis, kept))

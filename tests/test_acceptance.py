@@ -19,7 +19,6 @@ from echometry.circuit import (
 )
 from echometry.experiments import fit_quadratic, run_validation
 from echometry.fisher import (
-    DeviationSpec,
     cfi,
     qfi_deviation,
     qfi_general,
@@ -133,12 +132,10 @@ def test_c05_deviation_law():
         probe = polarized_probe(dim, optimal_generator(ZZ, dim))
         for v in (0.005, 0.01, 0.02):
             for wg, wp in ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))):
-                spec = DeviationSpec(delta_g=v * wg / t1, delta_omega_p=v * wp / t1)
-                perturbed = ModelParams(
-                    ZZ.omega_p + spec.delta_omega_p, ZZ.omega_a, ZZ.g + spec.delta_g
-                )
+                dg, dwp = v * wg / t1, v * wp / t1
+                perturbed = ModelParams(ZZ.omega_p + dwp, ZZ.omega_a, ZZ.g + dg)
                 numeric = qfi_general(probe, anc, perturbed, conjugate_schedule(t1, 0.2)).value
-                formula = qfi_deviation(dim, spec, t1).value
+                formula = qfi_deviation(dim, dg, dwp, t1).value
                 margin = abs(numeric - formula) - (1e-6 + 10.0 * v**3)
                 worst_margin = max(worst_margin, margin)
     report("C5 deviation-law", worst_margin <= 0.0, f"worst margin {worst_margin:.2e}")

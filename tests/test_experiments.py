@@ -17,13 +17,14 @@ from echometry.circuit import (
     period_schedule,
     reversal_period,
 )
-from echometry.fisher import cfi, qfi_general
+from echometry.fisher import cfi, qfi_general, qfi_thermal
 from echometry.spin import EnsembleDim
-from echometry.states import ancilla_state, polarized_probe
+from echometry.states import ancilla_state, polarized_probe, thermal_probe
 from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
+STRONG_XZ = ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")
 
 
 def make_config(scenario, tmp_path, grids=None, params=ZZ, mode="exact_conjugate"):
@@ -152,6 +153,12 @@ def test_qfi_scaling_point_a_sticks_to_bound(tmp_path):
     assert b_values[8] / b_values[2] > (8 / 2) ** 1.5
 
 
+def test_qfi_scaling_point_a_is_the_xz_optimum(tmp_path):
+    # point A sits at optimal_settings, whose XZ step time (2.22 here) is not pi / (2 g)
+    summary = run_scenario(make_config("qfi_scaling", tmp_path, {"n_values": [2, 7, 20]}, params=STRONG_XZ))
+    assert summary["max_A_deviation"] <= 1e-10
+
+
 def test_cfi_map_peaks_at_optimal_times(tmp_path):
     cfg = make_config("cfi_map", tmp_path, {"n": 5, "gt1_points": 9, "gt2_points": 9})
     summary = run_scenario(cfg)
@@ -217,23 +224,38 @@ def test_period_mode_scenario_matches_conjugate(tmp_path):
     assert conj["rows"] == per["rows"]
 
 
-def per_cell_rows(scenario, grids, mode):
+def per_cell_rows(scenario, grids, mode, params):
     """A scenario's CSV rows from one qfi_general / cfi call per cell, in grid order."""
 
     def probe_and_gen(n):
         dim = EnsembleDim(n)
-        gen = optimal_generator(ZZ, dim)
+        gen = optimal_generator(params, dim)
         return dim, polarized_probe(dim, gen), gen
 
-    def fq(n, theta0, t1):
-        dim, probe, _ = probe_and_gen(n)
+    def fq(n, theta0, t1, probe=None):
+        dim, polarized, _ = probe_and_gen(n)
         if mode == "exact_conjugate":
             sched = conjugate_schedule(t1, 0.0)
         else:
-            period = reversal_period(ZZ, dim, t_max=64 * math.pi).period
+            period = reversal_period(params, dim, t_max=64 * math.pi / params.g).period
             sched = period_schedule(t1 % period, 0.0, period)
-        return qfi_general(probe, ancilla_state(theta0), ZZ, sched).value
+        return qfi_general(polarized if probe is None else probe, ancilla_state(theta0), params, sched).value
 
+    if scenario == "qfi_scaling":
+        opt = optimal_settings(params)
+        rows = []
+        for n in grids["n_values"]:
+            dim, _, gen = probe_and_gen(n)
+            thermal = thermal_probe(dim, gen, grids["beta"])
+            rows += [
+                (n, "A", fq(n, opt.theta0, opt.t1)),
+                (n, "B", fq(n, opt.theta0, 1.5 * opt.t1)),
+                (n, "C", fq(n, opt.theta0 / 4, opt.t1)),
+                (n, "D", fq(n, opt.theta0, opt.t1, thermal)),
+            ]
+            exact, large_n = qfi_thermal(dim, grids["beta"])
+            rows += [(n, "D_exact", exact.value), (n, "D_largeN", large_n.value)]
+        return rows
     theta0s = np.linspace(0.0, math.pi, grids.get("theta0_points", 1))
     gt1s = np.linspace(0.0, grids.get("gt1_max", math.pi), grids.get("gt1_points", 1))
     if scenario == "qfi_theta0":
@@ -248,27 +270,40 @@ def per_cell_rows(scenario, grids, mode):
     gt1s = np.linspace(0.0, grids["gt_max"], grids["gt1_points"])
     gt2s = np.linspace(0.0, grids["gt_max"], grids["gt2_points"])
     return [
-        (gt1, gt2, cfi(probe, ancilla_state(math.pi / 2), ZZ, Schedule(gt1, gt2, 0.0, "period"), gen).value / n**2)
+        (gt1, gt2, cfi(probe, ancilla_state(math.pi / 2), params, Schedule(gt1, gt2, 0.0, "period"), gen).value / n**2)
         for gt1 in gt1s
         for gt2 in gt2s
     ]
 
 
+_GRID_RUNNER_CASES = [
+    ("qfi_theta0", {"n_values": [2, 5], "theta0_points": 3}, "exact_conjugate", ZZ),
+    ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "exact_conjugate", ZZ),
+    ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "period", ZZ),
+    ("qfi_heatmap", {"n": 3, "theta0_points": 3, "gt1_points": 5}, "exact_conjugate", ZZ),
+    ("cfi_map", {"n": 3, "gt1_points": 3, "gt2_points": 5, "gt_max": 6.0}, "exact_conjugate", ZZ),
+    ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "exact_conjugate", ZZ),
+    ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "period", ZZ),
+    ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "exact_conjugate", STRONG_XZ),
+]
+
+
 @pytest.mark.parametrize(
-    "scenario, grids, mode",
-    [
-        ("qfi_theta0", {"n_values": [2, 5], "theta0_points": 3}, "exact_conjugate"),
-        ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "exact_conjugate"),
-        ("qfi_t1", {"n_values": [3, 4], "gt1_points": 5, "gt1_max": 7.0}, "period"),
-        ("qfi_heatmap", {"n": 3, "theta0_points": 3, "gt1_points": 5}, "exact_conjugate"),
-        ("cfi_map", {"n": 3, "gt1_points": 3, "gt2_points": 5, "gt_max": 6.0}, "exact_conjugate"),
+    "scenario, grids, mode, params",
+    _GRID_RUNNER_CASES,
+    ids=[
+        f"{scenario}-grids{i}-{mode}" + ("" if params == ZZ else "-strong_xz")
+        for i, (scenario, _, mode, params) in enumerate(_GRID_RUNNER_CASES)
     ],
 )
-def test_grid_runners_match_a_per_cell_loop_in_grid_order(tmp_path, scenario, grids, mode):
+def test_grid_runners_match_a_per_cell_loop_in_grid_order(tmp_path, scenario, grids, mode, params):
     # non-square grids: a transposed or reordered axis changes the rows
-    run_scenario(make_config(scenario, tmp_path, grids, mode=mode))
+    run_scenario(make_config(scenario, tmp_path, grids, params=params, mode=mode))
     _, rows = read_rows(tmp_path / f"{scenario}.csv")
-    expected = [[f"{v:.12g}" if isinstance(v, float) else str(v) for v in row] for row in per_cell_rows(scenario, grids, mode)]
+    expected = [
+        [f"{v:.12g}" if isinstance(v, float) else str(v) for v in row]
+        for row in per_cell_rows(scenario, grids, mode, params)
+    ]
     assert rows == expected
 
 
@@ -290,6 +325,9 @@ def test_unknown_scenario_rejected(tmp_path):
         ({"n_values": [3], "theta0_points": 0}, "theta0_points"),
         ({"n_values": [3, 0]}, "n_values"),
         ({"n_values": []}, "n_values"),
+        ({"n_values": [3], "theta0_points": 2.5}, "theta0_points"),
+        ({"n_values": (4.7,)}, "n_values"),
+        ({"n_values": [3], "theta0_points": float("inf")}, "theta0_points"),
     ],
 )
 def test_bad_grid_rejected(tmp_path, grids, key):

@@ -25,7 +25,6 @@ from echometry.circuit import (
 )
 from echometry.fisher import (
     EPS_PROB,
-    DeviationSpec,
     ProbabilityTable,
     cfi,
     cfi_grid,
@@ -334,10 +333,10 @@ def test_thermal_probe_reaches_the_thermal_law_at_scale(params, n):
 def test_deviation_formula_values():
     t1 = optimal_settings(ZZ).t1
     dim = EnsembleDim(4)
-    assert qfi_deviation(dim, DeviationSpec(0.0, 0.0), t1).value == 16.0
-    value = qfi_deviation(dim, DeviationSpec(delta_g=0.01 / t1), t1).value
+    assert qfi_deviation(dim, 0.0, 0.0, t1).value == 16.0
+    value = qfi_deviation(dim, 0.01 / t1, 0.0, t1).value
     assert abs(value - 15.9988) <= 1e-12
-    both = qfi_deviation(dim, DeviationSpec(0.01 / t1, 0.01 / t1), t1).value
+    both = qfi_deviation(dim, 0.01 / t1, 0.01 / t1, t1).value
     assert abs(both - 15.9976) <= 1e-12
 
 
@@ -348,11 +347,11 @@ def test_deviation_formula_matches_perturbed_circuit():
         dim = EnsembleDim(n)
         probe = polarized_probe(dim, optimal_generator(ZZ, dim))
         for dg_t1, dwp_t1 in ((0.01, 0.0), (0.0, 0.01), (0.01, 0.01)):
-            spec = DeviationSpec(dg_t1 / t1, dwp_t1 / t1)
-            perturbed = ModelParams(ZZ.omega_p + spec.delta_omega_p, ZZ.omega_a, ZZ.g + spec.delta_g)
+            dg, dwp = dg_t1 / t1, dwp_t1 / t1
+            perturbed = ModelParams(ZZ.omega_p + dwp, ZZ.omega_a, ZZ.g + dg)
             numeric = qfi_general(probe, ancilla_state(np.pi / 2), perturbed, conjugate_schedule(t1, 0.2)).value
             bound = 1e-6 + 10.0 * np.hypot(dg_t1, dwp_t1) ** 3
-            assert abs(numeric - qfi_deviation(dim, spec, t1).value) <= bound
+            assert abs(numeric - qfi_deviation(dim, dg, dwp, t1).value) <= bound
 
 
 def test_deviation_formula_small_probe_tight_bound():
@@ -360,15 +359,22 @@ def test_deviation_formula_small_probe_tight_bound():
     t1 = optimal_settings(ZZ).t1
     dim = EnsembleDim(4)
     probe = polarized_probe(dim, optimal_generator(ZZ, dim))
-    spec = DeviationSpec(delta_g=0.01 / t1)
-    perturbed = ModelParams(ZZ.omega_p, ZZ.omega_a, ZZ.g + spec.delta_g)
+    dg = 0.01 / t1
+    perturbed = ModelParams(ZZ.omega_p, ZZ.omega_a, ZZ.g + dg)
     numeric = qfi_general(probe, ancilla_state(np.pi / 2), perturbed, conjugate_schedule(t1, 0.2)).value
-    assert abs(numeric - qfi_deviation(dim, spec, t1).value) <= 1e-6
+    assert abs(numeric - qfi_deviation(dim, dg, 0.0, t1).value) <= 1e-6
 
 
 def test_deviation_warns_outside_trust_region():
     with pytest.warns(UserWarning):
-        qfi_deviation(EnsembleDim(4), DeviationSpec(delta_g=0.5), t1=1.0)
+        qfi_deviation(EnsembleDim(4), 0.5, 0.0, t1=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deviation_rejects_non_finite_deltas(bad):
+    for deltas in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ContractViolation, match="deviations must be finite"):
+            qfi_deviation(EnsembleDim(4), *deltas, t1=1.0)
 
 
 def dephased_qfi(probe, x, params=ZZ):
@@ -903,6 +909,32 @@ def test_readout_rejects_bad_phase_and_foreign_generator():
         cfi(probe, anc, ZZ, sched, generator=foreign)
     with pytest.raises(ContractViolation, match="generator is for N = 4"):
         measurement_probs(probe, anc, ZZ, sched, generator=foreign)
+
+
+def test_cfi_reads_theta_eval_and_not_the_schedule_phase():
+    dim, gen, probe, anc, _ = optimal_setup(4)
+    t1 = 0.3
+    at_default = cfi(probe, anc, ZZ, conjugate_schedule(t1, theta=0.2), generator=gen).value
+    assert cfi(probe, anc, ZZ, conjugate_schedule(t1, theta=0.7), generator=gen).value == at_default
+    assert cfi(probe, anc, ZZ, conjugate_schedule(t1, theta=0.2), generator=gen, theta_eval=0.7).value != at_default
+    # measurement_probs, by contrast, reads sched.theta
+    probs = [measurement_probs(probe, anc, ZZ, conjugate_schedule(t1, theta)).probabilities for theta in (0.2, 0.7)]
+    assert not np.array_equal(*probs)
+
+
+def test_ancilla_only_readout_rejects_a_foreign_generator():
+    # the ancilla-only readout does not use the generator, but one for another N is still an error
+    dim, gen, probe, anc, sched = optimal_setup(6)
+    foreign = phase_generator(EnsembleDim(9), 1.234)
+    with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
+        cfi(probe, anc, ZZ, sched, generator=foreign, basis="ancilla_only")
+    with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
+        cfi_grid(probe, anc, ZZ, [0.1, 0.2], [0.3, 0.4], "period", generator=foreign, basis="ancilla_only")
+    with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
+        measurement_probs(probe, anc, ZZ, sched, basis="ancilla_only", generator=foreign)
+    # a generator of the probe's size stays accepted, and unused
+    kept = cfi(probe, anc, ZZ, sched, generator=phase_generator(dim, 1.234), basis="ancilla_only").value
+    assert kept == cfi(probe, anc, ZZ, sched, basis="ancilla_only").value
 
 
 def test_qfi_grid_checks_every_cell(monkeypatch):

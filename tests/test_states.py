@@ -14,13 +14,13 @@ from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase
 from echometry.states import (
     AncillaState,
     SpectralProbe,
-    ThermalSpec,
     ancilla_state,
     coherent_state,
     dephase_ancilla,
     polarized_probe,
     spectral_decompose,
     thermal_probe,
+    thermal_weights,
 )
 
 
@@ -301,9 +301,18 @@ def test_thermal_probe_rejects_negative_beta():
         thermal_probe(dim, jz, -0.5)
 
 
-def test_thermal_spec_partition_function():
-    with pytest.raises(ContractViolation):
-        ThermalSpec(EnsembleDim(2), -1.0)
+def test_thermal_weights_partition_function():
+    dim = EnsembleDim(4)
+    beta = 0.7
+    boltzmann = np.exp(-beta * dim.m_values())
+    np.testing.assert_allclose(thermal_weights(dim, beta), boltzmann / boltzmann.sum(), rtol=1e-14)
+    assert thermal_weights(dim, beta).sum() == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_array_equal(thermal_weights(dim, 0.0), np.full(dim.dim, 1.0 / dim.dim))
+    # a large beta keeps the ground state m = -j and underflows the rest, with no overflow
+    assert thermal_weights(dim, 1e4)[0] == 1.0
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ContractViolation, match="inverse temperature"):
+            thermal_weights(dim, bad)
 
 
 def test_thermal_probe_rejects_non_spin_generator():
