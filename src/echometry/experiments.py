@@ -448,6 +448,8 @@ _DOMAINS = {
     "ratios": (lambda v: v > 0.0, "positive"),
     "beta": (lambda v: v > 0.0, "positive"),
     "x_values": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    # every deviation pattern has unit norm, so N^2 - N(N-1) m^2 >= N > 0 for all N
+    "deltas": (lambda v: abs(v) <= 1.0, "in [-1, 1]"),
 }
 
 
@@ -481,7 +483,8 @@ def _resolve_grids(scenario: str, grids: dict) -> dict:
     Each value takes its default's type: an int at least 1 (a number must be
     whole), a finite float, or a nonempty tuple of either (from text,
     comma-separated; a scalar is a one-element tuple).  ``ratios`` and
-    ``beta`` must be positive and ``x_values`` in [0, 1].  Raises
+    ``beta`` must be positive, ``x_values`` in [0, 1] and ``deltas`` in
+    [-1, 1].  Raises
     :class:`ContractViolation` for an unknown scenario, a key the scenario
     does not read, or a bad value.
     """

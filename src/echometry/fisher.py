@@ -11,18 +11,17 @@ information reduces to the two-term spectral sum
 
     F_Q = 4 sum_i p_i <H_eff^2>_i - sum_ij 8 p_i p_j / (p_i + p_j) |<i|H_eff|j>|^2
 
-over the joint eigenpairs of the input state rho_P (x) rho_A, pure or
-dephased ancilla alike.  The sum and the classical readout work on
-sector-major joint columns of shape (2, N+1, k) (ancilla sector |e>, |g>;
-probe index; input column), so every operator acts on the
-(N+1)-dimensional probe.  In ancilla sector s, H_eff is the spin component
-c_s.J, with c_s the encoding axis rotated by the sector's SU(2) evolution;
-the sum turns the encoding axis by the inverse pairs of :func:`propagator`
-at every step time (:func:`~echometry.circuit.su2_rotate`, the one SO(3)
-route of both kernels) and applies c_s.J as its tridiagonal band.  The
-classical readout turns the whole circuit of a sector, readout rotation
-included, into one SU(2) element and applies it to the input columns of
-every step time at once, by one of two routes chosen by the probe alone:
+over the joint eigenpairs (p_k q_i, alpha_i (x) v_k) of rho_P (x) rho_A,
+pure or dephased ancilla alike.  No joint column is formed: both kernels
+read the probe's columns V = (v_k), shape (N+1, k), and the ancilla's
+``eigenpairs`` (q_i, alpha_i) apart, one ancilla sector (|e>, |g>) at a
+time.  In sector s, H_eff is c_s.J, with c_s the encoding axis turned by
+the inverse pairs of :func:`propagator` (:func:`~echometry.circuit.su2_rotate`,
+the one SO(3) route of both kernels), applied to V as its tridiagonal band
+once for all ancillas.  The classical readout turns the whole circuit of a
+sector, readout rotation included, into one SU(2) element and applies it to
+the probe columns of every step time at once, by one of two routes chosen
+by the probe alone:
 
 * a coherent probe (``SpectralProbe.coherent_axis``, set by
   :func:`~echometry.states.polarized_probe`) maps to another coherent
@@ -102,18 +101,14 @@ EPS_PROB = 1e-12
 # as much again.
 _SLICE_ENTRIES = 2**15
 
-# The weight of a pure ancilla, and the one-dimensional probe of the coherent readout.
-_ONE = np.ones(1)
-_ONE.setflags(write=False)
-
-
 def _checked(values) -> np.ndarray:
     """Fisher values under the :class:`FisherResult` contract, cell by cell.
 
-    A NaN or a value below -1e-9 raises; small negatives (rounding) clamp to 0.
+    A value that is not finite or lies below -1e-9 raises; small negatives
+    (rounding) clamp to 0.
     """
     values = np.asarray(values, dtype=float)
-    bad = np.isnan(values) | (values < -1e-9)
+    bad = ~np.isfinite(values) | (values < -1e-9)
     if bad.any():
         raise ContractViolation(f"Fisher information came out as {float(values[bad][0])!r}")
     return np.maximum(values, 0.0)
@@ -147,8 +142,8 @@ class ProbabilityTable:
         object.__setattr__(self, "probabilities", probs)
         if probs.shape != (2 if self.m_values is None else 2 * len(self.m_values),):
             raise ContractViolation("one probability per (m, branch) outcome")
-        if np.any(probs < -1e-12) or np.any(probs > 1.0 + 1e-12):
-            raise ContractViolation("probabilities must lie in [0, 1]")
+        if not np.all((probs >= -1e-12) & (probs <= 1.0 + 1e-12)):  # a NaN fails both
+            raise ContractViolation("probabilities must be finite and lie in [0, 1]")
         if abs(probs.sum() - 1.0) > 1e-10:
             raise ContractViolation("outcome probabilities must sum to one")
 
@@ -160,20 +155,13 @@ class ProbabilityTable:
         return tuple((m, branch, p) for m, pair in zip(labels, pairs) for branch, p in zip("+-", pair))
 
 
-def _input_spectrum(weights: np.ndarray, vectors: np.ndarray, ancilla: AncillaState) -> tuple[np.ndarray, np.ndarray]:
-    """Joint input eigenpairs: weights p_i q_a and columns v_i (x) a_a.
+def _joint_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Joint weights p_k q_i, probe-major on the last axis, for ancilla weights q (..., 2).
 
-    ``weights`` and ``vectors`` are the probe's spectrum p_i, v_i.  The
-    columns are sector-major, shape (2, D, k) for D-dimensional v_i.  A pure
-    ancilla contributes its ket with weight 1, a dephased one the eigenpairs
-    of its density matrix; joint weights at or below the spectral cutoff are
-    dropped.
+    A weight at or below the spectral cutoff is 0: its pair adds exactly 0 to either Fisher sum.
     """
-    q, a = (_ONE, ancilla.ket[:, None]) if ancilla.is_pure else np.linalg.eigh(ancilla.rho)
-    w = (weights[:, None] * q).ravel()
-    psi = (a[:, None, None, :] * vectors[None, :, :, None]).reshape(2, vectors.shape[0], w.size)
-    keep = w > EPS_SPECTRUM
-    return w[keep], psi[..., keep]
+    w = (p[:, None] * q[..., None, :]).reshape(*q.shape[:-1], p.size * q.shape[-1])
+    return np.where(w > EPS_SPECTRUM, w, 0.0)
 
 
 def _slices(count: int, entries_per_time: int):
@@ -182,62 +170,56 @@ def _slices(count: int, entries_per_time: int):
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def _two_term_sum(weights: np.ndarray, columns: np.ndarray, h_columns: np.ndarray) -> np.ndarray:
-    """The two-term spectral sum over input eigenpairs (w_k, psi_k), given H psi_k.
+def _two_term_sum(weights: np.ndarray, norms: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """The two-term spectral sum over input eigenpairs (w_k, psi_k) of a Hermitian H.
 
     F_Q = 4 sum_k w_k ||H psi_k||^2 - sum_kl 8 w_k w_l / (w_k + w_l) |<psi_k|H|psi_l>|^2
-    for a Hermitian generator H (Liu et al., J. Phys. A 53, 023001, 2020).
-    The columns have shape (..., D, k); the sum is taken per leading index.
-    A difference within 1e-12 of term 1 is rounding noise of the two sums
-    (it grows like ||H||^2 eps) and is returned as exactly 0.
+    (Liu et al., J. Phys. A 53, 023001, 2020), per leading index, from the norms
+    ||H psi_k||^2 (..., k) and overlaps <psi_k|H|psi_l> (..., k, k); a pair of zero
+    weights adds nothing.  A difference within 1e-12 of term 1 is rounding
+    noise (it grows like ||H||^2 eps) and is returned as exactly 0.
     """
-    term1 = 4.0 * (weights * np.einsum("...ik,...ik->...k", h_columns.conj(), h_columns).real).sum(-1)
-    overlaps = np.swapaxes(columns.conj(), -1, -2) @ h_columns
-    coef = 8.0 * (weights[:, None] * weights) / (weights[:, None] + weights[None, :])
+    term1 = 4.0 * (weights * norms).sum(-1)
+    products = weights[..., :, None] * weights[..., None, :]
+    pair_sums = weights[..., :, None] + weights[..., None, :]
+    coef = np.divide(8.0 * products, pair_sums, out=np.zeros(products.shape), where=pair_sums > 0.0)
     value = term1 - (coef * np.abs(overlaps) ** 2).sum(axis=(-2, -1))
     return np.where(np.abs(value) <= 1e-12 * term1, 0.0, value)
-
-
-def _qfi_columns(weights: np.ndarray, psi: np.ndarray, dim: EnsembleDim, axes: np.ndarray) -> np.ndarray:
-    """Two-term sums of H_eff = c_s.J for stacked input columns.
-
-    ``psi`` has shape (A, 2, N+1, k), A input spectra sharing the weights,
-    and ``axes`` the (T, 2, 3) generator axes c_s at T step times; the
-    result has shape (A, T).  In sector s the column
-    a_s v_k maps to a_s (c_s.J) v_k, one banded product.
-    """
-    n_anc, n_cols = psi.shape[0], weights.size
-    columns = psi.reshape(n_anc, 1, -1, n_cols)
-    out = np.empty((n_anc, axes.shape[0]))
-    for sl in _slices(axes.shape[0], 2 * dim.dim * n_anc * n_cols):
-        h_psi = apply_spin_axis(dim, axes[sl], psi[:, None])
-        out[:, sl] = _two_term_sum(weights, columns, h_psi.reshape(n_anc, -1, 2 * dim.dim, n_cols))
-    return out
 
 
 def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.ndarray:
     """Quantum Fisher information of one probe over ancillas x first-step times.
 
     Returns shape (len(ancillas), len(t1s)); cell (a, t) is
-    ``qfi_general`` for ancilla a at step time t1s[t].  Pure ancillas share
-    the probe's weights, so their input columns are stacked into one
-    broadcast; a dephased ancilla has its own input spectrum and is
-    evaluated on its own.  Each cell obeys the :class:`FisherResult`
-    contract.
+    ``qfi_general`` for ancilla a at step time t1s[t], and obeys the
+    :class:`FisherResult` contract.  One banded product h_s = (c_s.J) V per
+    time serves every ancilla: with n_sk = ||h_sk||^2 and o_skl = <v_k|h_sl>,
+    joint pair (k, i) has ||H psi_ki||^2 = sum_s |alpha_si|^2 n_sk and
+    <psi_ki|H|psi_lj> = sum_s conj(alpha_si) alpha_sj o_skl.
     """
     t1s = _durations(t1s)
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
-    dim = probe.dim
+    dim, vectors = probe.dim, probe.vectors
     # U_s^dagger (g.J) U_s = c_s.J: the encoding axis g turned by u_s(t1)^dagger
     axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
-    out = np.empty((len(ancillas), t1s.size))
-    pure = [a for a, anc in enumerate(ancillas) if anc.is_pure]
-    groups = ([pure] if pure else []) + [[a] for a, anc in enumerate(ancillas) if not anc.is_pure]
-    for rows in groups:
-        spectra = [_input_spectrum(probe.weights, probe.vectors, ancillas[a]) for a in rows]
-        psi = np.stack([columns for _, columns in spectra])
-        out[rows] = _qfi_columns(spectra[0][0], psi, dim, axes)
+    q = np.array([anc.eigenpairs[0] for anc in ancillas]).reshape(-1, 2)
+    alpha = np.array([anc.eigenpairs[1] for anc in ancillas]).reshape(-1, 2, 2)
+    weights = _joint_weights(probe.weights, q)[:, None]  # (A, 1, 2k)
+    # |alpha_si|^2 on axes (a, t, s, k, i), conj(alpha_si) alpha_sj on (a, t, s, k, i, l, j)
+    moduli = (np.abs(alpha) ** 2)[:, None, :, None, :]
+    products = (alpha.conj()[..., :, None] * alpha[..., None, :])[:, None, :, None, :, None, :]
+    k, n_anc = probe.n_terms, len(ancillas)
+    out = np.empty((n_anc, t1s.size))
+    # a slice holds the banded products and the joint overlaps: 2 (N+1) k + A (2k)^2 entries per time
+    for sl in _slices(t1s.size, 2 * dim.dim * k + n_anc * (2 * k) ** 2):
+        h = apply_spin_axis(dim, axes[sl], vectors)  # (T, 2, N+1, k)
+        n = np.einsum("...ik,...ik->...k", h.conj(), h).real
+        o = vectors.conj().T @ h
+        shape = (n_anc, h.shape[0], 2 * k)
+        norms = (moduli * n[..., None]).sum(2).reshape(shape)
+        overlaps = (products * o[:, :, :, None, :, None]).sum(2).reshape(*shape, 2 * k)
+        out[:, sl] = _two_term_sum(weights, norms, overlaps)
     return _checked(out)
 
 
@@ -246,9 +228,8 @@ def qfi_general(
 ) -> FisherResult:
     """Quantum Fisher information of the output family, for any ancilla.
 
-    Evaluates the two-term spectral sum of H_eff = U(t1)^dagger G U(t1) over
-    the joint input spectrum (see :func:`_input_spectrum`), so a pure and a
-    dephased ancilla take the same path; one cell of :func:`qfi_grid`.  The
+    The two-term spectral sum of H_eff = U(t1)^dagger G U(t1), one cell of
+    :func:`qfi_grid`: a pure and a dephased ancilla take the same path, and the
     result is exactly independent of theta and of the second circuit leg.
     """
     value = qfi_grid(probe, [ancilla], params, [sched.t1])[0, 0]
@@ -260,15 +241,16 @@ def qfi_thermal(dim: EnsembleDim, beta: float) -> tuple[FisherResult, FisherResu
 
     Exact: 4 sum_m m^2 p_m over the Boltzmann weights of
     :func:`~echometry.states.thermal_weights`.  Large N: N^2 - 4N/(e^beta - 1)
-    + 4(e^beta + 1)/(e^beta - 1)^2, which requires beta > 0.
+    + 4(e^beta + 1)/(e^beta - 1)^2 for beta > 0, in e^-beta and ``expm1`` so
+    that no beta overflows; at tiny beta it is infinite, and rejected.
     """
     if beta <= 0.0:
         raise ContractViolation("the large-N thermal form diverges for beta <= 0")
     m = dim.m_values()
     exact = 4.0 * float(np.sum(m * m * thermal_weights(dim, beta)))
     n = dim.n_spins
-    eb = math.exp(beta)
-    large_n = n * n - 4.0 * n / (eb - 1.0) + 4.0 * (eb + 1.0) / (eb - 1.0) ** 2
+    e, d = math.exp(-beta), -math.expm1(-beta)
+    large_n = n * n - 4.0 * n * e / d + 4.0 * ((1.0 + e) * e / d) / d
     return (
         FisherResult(value=exact),
         FisherResult(value=large_n),
@@ -320,16 +302,18 @@ def _readout_generator(
     raise ContractViolation(f"unknown measurement basis {basis!r}")
 
 
-def _readout_amplitudes(states: np.ndarray, full_system: bool) -> np.ndarray:
-    """Amplitudes of each readout outcome for the sector-major state columns x_k.
+def _readout_amplitudes(branches: np.ndarray, states: np.ndarray, full_system: bool) -> np.ndarray:
+    """Amplitudes of each readout outcome for the joint columns (k, i), from the probe columns x_smk.
 
-    States have shape (..., 2, N+1, k), already turned into the readout frame;
-    amplitudes (..., rank, outcomes, k).  A full-system projector has rank 1,
-    and its outcomes run over (m, branch) in label order; an ancilla-only
-    projector has rank N+1 (one amplitude per probe basis state) and two
-    outcomes.
+    States (..., 2, N+1, k) are already turned into the readout frame;
+    ``branches`` (s, b, i) holds <b|s> alpha_si, and amplitudes
+    sum_s <b|s> alpha_si x_smk have shape (..., rank, outcomes, (k, i)).  A
+    full-system projector has rank 1, and its outcomes run over (m, branch)
+    in label order; an ancilla-only projector has rank N+1 (one amplitude
+    per probe basis state) and two outcomes.
     """
-    amp = np.einsum("sb,...sik->...ibk", _PLUS_MINUS_BRAS, states)
+    amp = np.einsum("sbi,...smk->...mbki", branches, states)
+    amp = amp.reshape(*amp.shape[:-2], -1)  # joint columns (k, i), probe-major
     return amp.reshape(*amp.shape[:-3], 1, -1, amp.shape[-1]) if full_system else amp
 
 
@@ -356,14 +340,14 @@ def _readout_probs(
     pairs of the one :func:`propagator` call per slice (value for value
     u_s(-t1)), and the phase of t1 + (-t1) = 0 is exactly 1, so none is
     applied; ``period`` mode solves both legs and applies the phase.
-    Each input eigenpair (w_k, psi_k) maps to phi_k = phase D^j(W_s) psi_k
-    and d phi_k = -i (c.J) phi_k, with c the encoding axis turned by
-    R u_s(t2).  Then p = sum_k w_k |<c|phi_k>|^2,
-    dp = sum_k 2 w_k Re(<phi_k|c><c|d phi_k>) and the node limit of dp^2 / p
-    is 4 sum_k w_k |<c|d phi_k>|^2.  R changes each full-system amplitude by
+    Probe column v_k maps to x_sk = phase D^j(W_s) v_k, so joint pair (k, i)
+    maps to phi = sum_s alpha_si |s> x_sk, and d phi = -i (c.J) phi, with c
+    the encoding axis turned by R u_s(t2).  Then p = sum w |<c|phi>|^2,
+    dp = sum 2 w Re(<phi|c><c|d phi>) and the node limit of dp^2 / p is
+    4 sum w |<c|d phi>|^2.  R changes each full-system amplitude by
     a phase that both sectors share, which leaves all three unchanged.
     A coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to a
-    global phase, so phi is :func:`~echometry.states.coherent_state` of
+    global phase, so x is :func:`~echometry.states.coherent_state` of
     W_s R_n, O(N) per cell; any other probe goes through one real J_x frame
     per call (:func:`apply_su2`).  No (N+1)-dimensional propagator or
     density matrix is formed.
@@ -374,9 +358,12 @@ def _readout_probs(
     readout = None if generator is None else su2_inverse(axis_rotation(generator.axis))
     full = readout is not None
     conjugate = mode == "exact_conjugate"
+    q, alpha = ancilla.eigenpairs
+    live = q > 0.0  # a zero-weight pair adds exactly 0, so its amplitudes are not formed
+    w = _joint_weights(probe.weights, q[live])
+    branches = _PLUS_MINUS_BRAS[:, :, None] * alpha[:, None, live]
     if probe.coherent_axis is None:
-        w, psi = _input_spectrum(probe.weights, probe.vectors, ancilla)
-        columns = psi.transpose(1, 0, 2)[:, None]  # (N+1, 1, 2, k): probe axis first
+        columns = probe.vectors[:, None, None, :]  # (N+1, 1, 1, k): probe axis first
         _, x_frame = spin_frame(dim, (1.0, 0.0, 0.0))
 
         def evolve(element):
@@ -384,12 +371,10 @@ def _readout_probs(
             return np.moveaxis(out, 0, -2)
 
     else:
-        # the ancilla factors a_k alone, as the input spectrum of a one-dimensional probe
-        w, anc = _input_spectrum(probe.weights, _ONE[:, None], ancilla)  # anc: (2, 1, k)
         polarize = axis_rotation(probe.coherent_axis)
 
         def evolve(element):
-            return coherent_state(dim, su2_compose(element, polarize))[..., None] * anc
+            return coherent_state(dim, su2_compose(element, polarize))[..., None]
 
     results = []
     # a slice holds its output columns and about seven temporaries of their size
@@ -401,8 +386,8 @@ def _readout_probs(
         out = evolve(su2_compose(u2, su2_compose(encode, u1)))  # (P, 2, N+1, k)
         if not conjugate:
             out *= sector_phases(params, t1s[sl] + t2s[sl])[..., None, None]
-        amp = _readout_amplitudes(out, full)
-        damp = _readout_amplitudes(-1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
+        amp = _readout_amplitudes(branches, out, full)
+        damp = _readout_amplitudes(branches, -1j * apply_spin_axis(dim, su2_rotate(u2, g_axis), out), full)
         p = np.einsum("...ick,k->...c", np.abs(amp) ** 2, w)
         dp = 2.0 * np.einsum("...ick,k->...c", (amp.conj() * damp).real, w)
         node = 4.0 * np.einsum("...ick,k->...c", np.abs(damp) ** 2, w)

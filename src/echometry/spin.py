@@ -17,8 +17,8 @@ Conventions used throughout the package:
 * probe basis ordered by the J_z eigenvalue m = -j, ..., +j (ascending),
 * ancilla basis (|e>, |g>) with the excited state first, so that
   sigma_z |e> = +|e>,
-* production holds joint states sector-major, (ancilla sector, m); the
-  dense reference puts the probe factor first, basis order (m, {e, g}).
+* production holds probe columns per ancilla sector, (sector, m), never a
+  joint column; the dense reference puts the probe first, order (m, {e, g}).
 
 Operators are plain ``numpy.ndarray`` values; hermiticity is checked on
 demand with :func:`assert_hermitian` at the tolerance below.

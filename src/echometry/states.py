@@ -45,8 +45,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    KET_E,
-    KET_G,
     _check_generator_size,
     assert_hermitian,
     lowest_spin_columns,
@@ -79,14 +77,23 @@ class AncillaState:
 
     ``theta0`` sets the population imbalance, ``phi0`` the relative phase of
     the |e>/|g> superposition; ``x`` in [0, 1] is the accumulated dephasing
-    rate (0 means pure).  ``rho`` is derived from the three, once: the
-    projector of :attr:`ket` with its coherences scaled by 1 - x.
+    rate (0 means pure).  Derived from the three, once and read-only:
+    ``rho``, the projector of :attr:`ket` with coherences scaled by 1 - x,
+    and ``eigenpairs``, its weights q (ascending) and unit columns alpha[s, i]
+    in closed form.  Dephasing shrinks the transverse Bloch component by
+    1 - x, so the Bloch vector has length r = sqrt(cos^2 theta0 + (1 - x)^2
+    sin^2 theta0) and turns by atan2(x sin theta0 cos theta0, 1 - x sin^2
+    theta0) to the nearer pole: the top column is the ket at that angle, the
+    other its orthogonal partner with weight q_0 = (1 - r)/2
+    = x (2 - x) sin^2 theta0 / (2 (1 + r)), 0 at or below the spectral
+    cutoff.  A pure ancilla has weights exactly (0, 1).
     """
 
     theta0: float
     phi0: float
     x: float
     rho: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenpairs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta0) and math.isfinite(self.phi0)):
@@ -96,17 +103,20 @@ class AncillaState:
         rho = ket[:, None] * ket.conj()
         rho[0, 1] *= 1.0 - self.x
         rho[1, 0] *= 1.0 - self.x
-        rho.setflags(write=False)
+        sin, cos, x = math.sin(self.theta0), math.cos(self.theta0), self.x
+        low = x * (2.0 - x) * sin * sin / (2.0 * (1.0 + math.hypot(cos, (1.0 - x) * sin)))
+        weights = np.array([low if low > EPS_SPECTRUM else 0.0, 1.0 - low])
+        e, g = _pure_ket(self.theta0 - math.atan2(x * sin * cos, 1.0 - x * sin * sin), self.phi0).tolist()
+        columns = np.array([[-g.conjugate(), e], [e.conjugate(), g]])
+        for array in (rho, weights, columns):
+            array.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.x == 0.0
+        object.__setattr__(self, "eigenpairs", (weights, columns))
 
     @property
     def ket(self) -> np.ndarray:
         """State vector cos(theta0/2)|e> + e^{-i phi0} sin(theta0/2)|g>; pure states only."""
-        if not self.is_pure:
+        if self.x != 0.0:
             raise ContractViolation("dephased ancilla has no state vector")
         return _pure_ket(self.theta0, self.phi0)
 
@@ -117,7 +127,7 @@ def _check_rate(x: float) -> None:
 
 
 def _pure_ket(theta0: float, phi0: float) -> np.ndarray:
-    return np.cos(theta0 / 2.0) * KET_E + np.exp(-1j * phi0) * np.sin(theta0 / 2.0) * KET_G
+    return np.array([np.cos(theta0 / 2.0), np.exp(-1j * phi0) * np.sin(theta0 / 2.0)])
 
 
 def ancilla_state(theta0: float, phi0: float = 0.0) -> AncillaState:
@@ -172,13 +182,14 @@ class SpectralProbe:
         v = np.array(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape != (self.dim.dim, w.size):
             raise ContractViolation("probe vectors must be columns of shape (dim, n_terms)")
-        if w.size == 0 or (w <= EPS_SPECTRUM).any():
-            raise ContractViolation("probe weights must all exceed the spectral cutoff")
-        if abs(w.sum() - 1.0) > 1e-10:
-            raise ContractViolation("probe weights must sum to one")
+        # each check passes only on a true comparison, which a NaN never gives
+        if w.size == 0 or not (w > EPS_SPECTRUM).all():
+            raise ContractViolation("probe weights must all be finite and exceed the spectral cutoff")
+        if not abs(w.sum() - 1.0) <= 1e-10:
+            raise ContractViolation("probe weights must be finite and sum to one")
         gram = v.conj().T @ v
-        if np.abs(gram - np.eye(w.size)).max() > 1e-10:
-            raise ContractViolation("probe eigenvectors must be orthonormal")
+        if not np.abs(gram - np.eye(w.size)).max() <= 1e-10:
+            raise ContractViolation("probe eigenvectors must be finite and orthonormal")
         w.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "weights", w)

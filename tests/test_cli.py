@@ -88,6 +88,18 @@ def test_bad_flag_exits_with_config_code(capsys):
     capsys.readouterr()
 
 
+def test_thermal_scaling_at_extreme_beta(tmp_path, capsys):
+    # e^beta overflows at beta = 1000 and e^beta - 1 rounds to 0 at beta = 1e-300:
+    # the first runs, and the second's infinite large-N form is a numerical
+    # contract violation, not a traceback
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text("beta = 1000\nn_values = 2, 3\n")
+    assert main(["qfi-sweep", "--scenario", "scaling", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    cfg.write_text("beta = 1e-300\nn_values = 2, 3\n")
+    assert main(["qfi-sweep", "--scenario", "scaling", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "Fisher information came out as inf" in capsys.readouterr().err
+
+
 def test_missing_period_is_numerical_error(tmp_path, capsys):
     # the default XZ rates are incommensurable, so period mode cannot find a
     # reversal time and must exit with the numerical-contract code
@@ -265,6 +277,8 @@ def test_explicit_default_mode_changes_nothing(tmp_path):
         (["deviation", "--interaction", "xz"], ""),
         # the XZ scaling builds XZ models only
         (["xz-scaling", "--interaction", "zz"], ""),
+        # the deviation law N^2 - N(N-1) m^2 of a unit pattern stays positive only for |m| <= 1
+        (["deviation"], "deltas = 1.5"),
     ],
 )
 def test_invalid_value_is_config_error(tmp_path, capsys, argv, config):

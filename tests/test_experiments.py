@@ -319,21 +319,36 @@ def test_unknown_scenario_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "grids, key",
+    "scenario, grids, key",
     [
-        ({"n_values": [3], "theta0_point": 5}, "theta0_point"),
-        ({"n_values": [3], "theta0_points": 0}, "theta0_points"),
-        ({"n_values": [3, 0]}, "n_values"),
-        ({"n_values": []}, "n_values"),
-        ({"n_values": [3], "theta0_points": 2.5}, "theta0_points"),
-        ({"n_values": (4.7,)}, "n_values"),
-        ({"n_values": [3], "theta0_points": float("inf")}, "theta0_points"),
+        ("qfi_theta0", {"n_values": [3], "theta0_point": 5}, "theta0_point"),
+        ("qfi_theta0", {"n_values": [3], "theta0_points": 0}, "theta0_points"),
+        ("qfi_theta0", {"n_values": [3, 0]}, "n_values"),
+        ("qfi_theta0", {"n_values": []}, "n_values"),
+        ("qfi_theta0", {"n_values": [3], "theta0_points": 2.5}, "theta0_points"),
+        ("qfi_theta0", {"n_values": (4.7,)}, "n_values"),
+        ("qfi_theta0", {"n_values": [3], "theta0_points": float("inf")}, "theta0_points"),
+        # the deviation law N^2 - N(N-1) m^2 of a unit pattern stays positive only for |m| <= 1
+        ("deviation_scan", {"n_values": [4], "deltas": [0.01, 1.5]}, "'deltas' values must be in"),
+        ("deviation_scan", {"n_values": [4], "deltas": [-1.0000001]}, "'deltas' values must be in"),
+    ],
+    # the ids of the (grids, key) cases, kept as they were before the scenario column
+    ids=[
+        "grids0-theta0_point", "grids1-theta0_points", "grids2-n_values", "grids3-n_values",
+        "grids4-theta0_points", "grids5-n_values", "grids6-theta0_points", "grids7-deltas", "grids8-deltas",
     ],
 )
-def test_bad_grid_rejected(tmp_path, grids, key):
+def test_bad_grid_rejected(tmp_path, scenario, grids, key):
     with pytest.raises(ContractViolation, match=key):
-        run_scenario(make_config("qfi_theta0", tmp_path, grids))
-    assert not (tmp_path / "qfi_theta0.csv").exists()
+        run_scenario(make_config(scenario, tmp_path, grids))
+    assert not (tmp_path / f"{scenario}.csv").exists()
+
+
+def test_deltas_at_the_domain_edge_run(tmp_path):
+    # the law is positive there, though far outside its small-deviation range
+    with pytest.warns(UserWarning, match="small-deviation expansion"):
+        summary = run_scenario(make_config("deviation_scan", tmp_path, {"n_values": [4], "deltas": [-1.0, 1.0]}))
+    assert summary["rows"] == 2 * 3
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from echometry.circuit import (
 )
 from echometry.fisher import (
     EPS_PROB,
+    FisherResult,
     ProbabilityTable,
     cfi,
     cfi_grid,
@@ -305,6 +306,17 @@ def test_thermal_rejects_nonpositive_beta():
         qfi_thermal(EnsembleDim(4), 0.0)
 
 
+def test_thermal_large_n_form_at_extreme_beta():
+    # e^beta overflows at beta = 1000; written in e^-beta the correction
+    # terms vanish and the form is the ground-state N^2
+    for n in (2, 7, 100):
+        assert qfi_thermal(EnsembleDim(n), 1000.0)[1].value == n * n
+    # at beta = 1e-300, e^beta - 1 rounds to 0: the form diverges, and the
+    # infinite value is rejected as a contract violation, not a ZeroDivisionError
+    with pytest.raises(ContractViolation, match="Fisher information came out as inf"):
+        qfi_thermal(EnsembleDim(4), 1e-300)
+
+
 def test_thermal_matches_general_path():
     n, beta = 20, 1.0
     dim = EnsembleDim(n)
@@ -478,7 +490,9 @@ def test_ancilla_numbers_fix_both_information_paths(n, kind, omega_p, omega_a, p
     general = qfi_general(probe, anc, params, sched).value
     rho, drho = output_state_derivative(probe, anc, params, sched)
     oracle = qfi_sld_oracle(rho, drho).value
-    assert abs(general - oracle) <= 1e-8 * max(general, oracle, 1e-9)
+    # _two_term_sum returns anything within 1e-12 term1 <= 1e-12 N^2 of zero
+    # as exactly 0, so the absolute floor is that snap
+    assert abs(general - oracle) <= 1e-8 * max(general, oracle) + 1e-12 * n * n
     assert cfi(probe, anc, params, sched, generator=gen, theta_eval=0.2).value <= oracle + 1e-8 * max(1.0, oracle)
 
 
@@ -538,6 +552,9 @@ def test_probability_table_validates():
         ProbabilityTable(np.array([1.2, -0.2]))
     with pytest.raises(ContractViolation):
         ProbabilityTable(np.array([0.5, 0.5]), np.array([-1.0, 1.0]))
+    for bad in ([np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ContractViolation, match="finite"):
+            ProbabilityTable(np.array(bad))
     table = ProbabilityTable(np.array([0.25, 0.0, 0.5, 0.25]), np.array([-0.5, 0.5]))
     assert table.rows == ((-0.5, "+", 0.25), (-0.5, "-", 0.0), (0.5, "+", 0.5), (0.5, "-", 0.25))
     assert ProbabilityTable(np.array([0.75, 0.25])).rows == ((None, "+", 0.75), (None, "-", 0.25))
@@ -937,38 +954,76 @@ def test_ancilla_only_readout_rejects_a_foreign_generator():
     assert kept == cfi(probe, anc, ZZ, sched, basis="ancilla_only").value
 
 
+def test_fisher_result_rejects_non_finite_values():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ContractViolation, match="Fisher information came out as"):
+            FisherResult(value=bad)
+    assert FisherResult(value=-1e-12).value == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    kind=st.sampled_from(["zz", "xz"]),
+    thermal=st.booleans(),
+    beta=st.floats(0.1, 3.0),
+    ancillas=st.lists(
+        st.tuples(
+            st.floats(-2 * np.pi, 2 * np.pi), st.floats(-2 * np.pi, 2 * np.pi), st.sampled_from([0.0, 1e-13, 0.3, 1.0])
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    t1s=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=5),
+)
+def test_qfi_grid_is_per_cell_qfi_general_bit_for_bit(n, kind, thermal, beta, ancillas, t1s):
+    # pure and dephased ancillas in one list share one walk over the times;
+    # each cell is still exactly the one-cell call
+    params = UNIT_XZ if kind == "xz" else ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="zz")
+    dim = EnsembleDim(n)
+    gen = optimal_generator(params, dim)
+    probe = thermal_probe(dim, gen, beta) if thermal else polarized_probe(dim, gen)
+    states = [AncillaState(*numbers) for numbers in ancillas]
+    grid = qfi_grid(probe, states, params, t1s)
+    assert qfi_grid(probe, [], params, t1s).shape == (0, len(t1s))
+    for anc, row in zip(states, grid):
+        for t1, value in zip(t1s, row):
+            assert value == qfi_general(probe, anc, params, conjugate_schedule(t1, 0.0)).value
+
+
 def test_qfi_grid_checks_every_cell(monkeypatch):
     dim, _, probe, anc, _ = optimal_setup(3)
     cells = np.array([[1.0, -1e-12, 2.0]])
-    monkeypatch.setattr(echometry.fisher, "_qfi_columns", lambda *args: cells.copy())
+    monkeypatch.setattr(echometry.fisher, "_two_term_sum", lambda *args: cells.copy())
     np.testing.assert_array_equal(qfi_grid(probe, [anc], ZZ, [0.1, 0.2, 0.3]), [[1.0, 0.0, 2.0]])
-    for bad in (-1e-6, np.nan):
+    for bad in (-1e-6, np.nan, np.inf):
         cells[0, 1] = bad
         with pytest.raises(ContractViolation, match="Fisher information came out as"):
             qfi_grid(probe, [anc], ZZ, [0.1, 0.2, 0.3])
 
 
 def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
-    # the QFI budget counts the stacked H psi columns, 2 (N+1) A k entries per
-    # time: at N = 300 the two pure ancillas of a rank-1 probe (A = 2, k = 1)
-    # and the dephased one (A = 1, k = 2) both take 1204 per time, so a slice
-    # holds 27 times (27 * 1204 <= 2**15 < 28 * 1204)
+    # the QFI budget counts the banded products h_s = (c_s.J) V of the probe's
+    # own columns, 2 (N+1) k entries per time, and the A (2k)^2 joint
+    # overlaps: at N = 300 a rank-1 probe (k = 1) with A = 3 ancillas takes
+    # 602 + 12 = 614 per time, so a slice holds 53 times
+    # (53 * 614 <= 2**15 < 54 * 614) and 81 times take two slices
     n = 300
     dim, gen, probe, anc, _ = optimal_setup(n)
     assert echometry.fisher._SLICE_ENTRIES == 2**15
     ancillas = [anc, dephase_ancilla(anc, 0.4), ancilla_state(0.7)]
     t1s = np.linspace(0.0, np.pi, 81)
-    slices = []  # (ancillas, times) of each banded product
+    slices = []  # (probe columns, times) of each banded product
     apply_spin_axis = echometry.fisher.apply_spin_axis
 
     def recording(dim, axis, x):
-        slices.append((x.shape[0], np.shape(axis)[0]))
+        slices.append((x.shape, np.shape(axis)[0]))
         return apply_spin_axis(dim, axis, x)
 
     monkeypatch.setattr(echometry.fisher, "apply_spin_axis", recording)
     grid = qfi_grid(probe, ancillas, ZZ, t1s)
-    # the two pure ancillas share one walk over the times, the dephased one takes another
-    assert slices == [(2, 27)] * 3 + [(1, 27)] * 3
+    # one walk over the times serves the pure and the dephased ancillas alike
+    assert slices == [((n + 1, 1), 53), ((n + 1, 1), 28)]
     monkeypatch.setattr(echometry.fisher, "apply_spin_axis", apply_spin_axis)
     for anc_row, row in zip(ancillas, grid):
         for t1, value in zip(t1s[::10], row[::10]):

@@ -90,6 +90,35 @@ def test_derived_ancilla_density_is_a_state(theta0, phi0, x):
     assert rho[0, 1] == projector[0, 1] * (1.0 - x) and rho[1, 0] == projector[1, 0] * (1.0 - x)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    theta0=st.floats(-10.0, 10.0),
+    phi0=st.floats(-10.0, 10.0),
+    x=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-13, 1e-9, 1.0])),
+)
+def test_ancilla_eigenpairs_reconstruct_rho(theta0, phi0, x):
+    state = AncillaState(theta0, phi0, x)
+    q, alpha = state.eigenpairs
+    assert q.shape == (2,) and alpha.shape == (2, 2)
+    assert not (q.flags.writeable or alpha.flags.writeable)
+    assert q[0] == 0.0 or q[0] > echometry.states.EPS_SPECTRUM
+    assert 0.0 <= q[0] <= q[1]
+    assert np.abs(alpha.conj().T @ alpha - np.eye(2)).max() <= 1e-15
+    # a weight under the cutoff is dropped, so rho is rebuilt within it
+    dropped = 1.0 - q.sum()
+    assert np.abs((alpha * q) @ alpha.conj().T - state.rho).max() <= 1e-15 + dropped
+    if x == 0.0:
+        assert q.tolist() == [0.0, 1.0]
+        assert alpha[:, 1].tolist() == state.ket.tolist()
+
+
+def test_ancilla_eigenpairs_at_full_dephasing():
+    q, alpha = dephase_ancilla(ancilla_state(np.pi / 2, 0.4), 1.0).eigenpairs
+    np.testing.assert_allclose(q, [0.5, 0.5], rtol=0, atol=1e-16)
+    q, _ = dephase_ancilla(ancilla_state(0.0), 1.0).eigenpairs
+    assert q.tolist() == [0.0, 1.0]  # a pole carries no coherence to lose
+
+
 def test_dephase_zero_rate_is_identity():
     state = ancilla_state(0.9, 0.4)
     np.testing.assert_array_equal(dephase_ancilla(state, 0.0).rho, state.rho)
@@ -370,6 +399,10 @@ def test_spectral_probe_validates_inputs():
     skewed[:, 1] = (good[:, 0] + good[:, 1]) / np.sqrt(2)
     with pytest.raises(ContractViolation):
         SpectralProbe(dim=dim, weights=np.array([0.5, 0.5]), vectors=skewed)
+    # a NaN column or weight makes every tolerance comparison false, so it is rejected up front
+    for weights, vectors in (([1.0], np.full((3, 1), np.nan)), ([np.nan], good[:, :1]), ([np.inf, 0.5], good)):
+        with pytest.raises(ContractViolation, match="finite"):
+            SpectralProbe(dim, np.array(weights), vectors)
 
 
 def test_only_polarized_probe_sets_the_coherent_axis():
