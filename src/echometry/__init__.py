@@ -25,6 +25,7 @@ from .spin import (
 from .states import (
     AncillaState,
     SpectralProbe,
+    SpinLevels,
     ancilla_state,
     dephase_ancilla,
     polarized_probe,
@@ -69,6 +70,7 @@ __all__ = [
     "spin_frame",
     "AncillaState",
     "SpectralProbe",
+    "SpinLevels",
     "ancilla_state",
     "dephase_ancilla",
     "polarized_probe",

@@ -13,22 +13,34 @@ information reduces to the two-term spectral sum
 
 over the joint eigenpairs (p_k q_i, alpha_i (x) v_k) of rho_P (x) rho_A,
 pure or dephased ancilla alike.  No joint column is formed: both kernels
-read the probe's columns V = (v_k), shape (N+1, k), and the ancilla's
-``eigenpairs`` (q_i, alpha_i) apart, one ancilla sector (|e>, |g>) at a
-time.  In sector s, H_eff is c_s.J, with c_s the encoding axis turned by
-the inverse pairs of :func:`propagator` (:func:`~echometry.circuit.su2_rotate`,
-the one SO(3) route of both kernels), applied to V as its tridiagonal band
-once for all ancillas.  The classical readout turns the whole circuit of a
-sector, readout rotation included, into one SU(2) element and applies it to
-the probe columns of every step time at once, by one of two routes chosen
-by the probe alone:
+read the probe and the ancilla's ``eigenpairs`` (q_i, alpha_i) apart, one
+ancilla sector (|e>, |g>) at a time.  In sector s, H_eff is c_s.J, with c_s
+the encoding axis turned by the inverse pairs of :func:`propagator`
+(:func:`~echometry.circuit.su2_rotate`, the one SO(3) route of both
+kernels).  The quantum sum needs only the norms ||(c_s.J) v_k||^2 and the
+overlaps <v_k|c_s.J|v_l> of the probe's eigenvectors, once for all
+ancillas, from one of two suppliers chosen by the probe alone:
 
-* a coherent probe (``SpectralProbe.coherent_axis``, set by
-  :func:`~echometry.states.polarized_probe`) maps to another coherent
-  state, the closed form :func:`~echometry.states.coherent_state`, in O(N)
-  per cell with no eigensolve;
-* every other probe (thermal, rank above 1, or any vector without that
-  declaration) goes through one real J_x frame per call
+* a probe with declared levels (``SpectralProbe.levels``, set by
+  :func:`~echometry.states.polarized_probe` and
+  :func:`~echometry.states.thermal_probe`) gives them in closed form from
+  the matrix elements of c_s.J in its own frame, with no column: O(1) per
+  cell when polarized, O(k^2) for k thermal levels;
+* a probe built from its columns V, shape (N+1, k), gives them from the
+  banded product (c_s.J) V, O(N k) per cell.
+
+The classical readout turns the whole circuit of a sector, readout rotation
+included, into one SU(2) element and applies it to the probe columns of
+every step time at once, by one of two routes, also chosen by the probe
+alone:
+
+* a coherent probe (``SpectralProbe.coherent_axis``, derived from a
+  declared top level, as :func:`~echometry.states.polarized_probe` makes)
+  maps to another coherent state, the closed form
+  :func:`~echometry.states.coherent_state`, in O(N) per cell with no
+  eigensolve and no probe column;
+* every other probe (thermal, rank above 1, or one built from its columns)
+  goes through one real J_x frame per call
   (:func:`~echometry.circuit.apply_su2`), O(N^2).
 
 No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
@@ -166,7 +178,7 @@ def _joint_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _slices(count: int, entries_per_time: int):
     """Consecutive slices of a time axis, each within the ``_SLICE_ENTRIES`` budget."""
-    step = max(1, _SLICE_ENTRIES // entries_per_time)
+    step = max(1, _SLICE_ENTRIES // max(1, entries_per_time))
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
@@ -187,36 +199,76 @@ def _two_term_sum(weights: np.ndarray, norms: np.ndarray, overlaps: np.ndarray) 
     return np.where(np.abs(value) <= 1e-12 * term1, 0.0, value)
 
 
+def _banded_moments(probe: SpectralProbe, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Norms n_sk = ||h_sk||^2 and overlaps o_skl = <v_k|h_sl> of the banded products h_s = (c_s.J) V.
+
+    ``axes`` (..., 2, 3) holds the c_s; the results have shapes (..., 2, k)
+    and (..., 2, k, k).  O(N k) per axis, from the probe's own columns.
+    """
+    vectors = probe.vectors
+    h = apply_spin_axis(probe.dim, axes, vectors)  # (..., 2, N+1, k)
+    return np.einsum("...ik,...ik->...k", h.conj(), h).real, vectors.conj().T @ h
+
+
+def _level_moments(probe: SpectralProbe, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norms and overlaps of :func:`_banded_moments` for a declared probe, in closed form.
+
+    In the probe's frame |n; m> = D^j(R_n)|m> (up to a phase per column,
+    which cancels in both), c_s.J is c'_s.J with c'_s = R_n^-1 c_s, and
+    (Arecchi et al., PRA 6, 2211, 1972)
+
+        <m|c'.J|m> = c'_z m,   <m+1|c'.J|m> = (c'_x - i c'_y)/2 sqrt((j - m)(j + m + 1)),
+        <m|(c'.J)^2|m> = c'_z^2 m^2 + (c'_x^2 + c'_y^2)(j(j + 1) - m^2)/2,
+
+    so the overlaps are tridiagonal in the probe's levels.  No column is
+    formed: O(1) per axis for a polarized probe, O(k^2) for k thermal levels.
+    """
+    dim, m = probe.dim, probe.levels.m_values(probe.dim, probe.n_terms)
+    c = su2_rotate(su2_inverse(axis_rotation(probe.levels.axis)), axes)[..., None]  # (..., 2, 3, 1)
+    cx, cy, cz = c[..., 0, :], c[..., 1, :], c[..., 2, :]
+    j = dim.j
+    norms = (cz * m) ** 2 + 0.5 * (cx * cx + cy * cy) * ((j - m) * (j + m) + j)
+    overlaps = np.zeros(norms.shape + m.shape, dtype=complex)
+    k = np.arange(m.size)
+    overlaps[..., k, k] = cz * m
+    raised = 0.5 * (cx - 1j * cy) * np.sqrt((j - m[:-1]) * (j + m[:-1] + 1.0))
+    overlaps[..., k[1:], k[:-1]] = raised
+    overlaps[..., k[:-1], k[1:]] = raised.conj()
+    return norms, overlaps
+
+
 def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.ndarray:
     """Quantum Fisher information of one probe over ancillas x first-step times.
 
     Returns shape (len(ancillas), len(t1s)); cell (a, t) is
     ``qfi_general`` for ancilla a at step time t1s[t], and obeys the
-    :class:`FisherResult` contract.  One banded product h_s = (c_s.J) V per
-    time serves every ancilla: with n_sk = ||h_sk||^2 and o_skl = <v_k|h_sl>,
-    joint pair (k, i) has ||H psi_ki||^2 = sum_s |alpha_si|^2 n_sk and
+    :class:`FisherResult` contract.  ``ancillas`` is any iterable, read
+    once.  Per time and sector the probe gives the norms n_sk = ||(c_s.J) v_k||^2
+    and overlaps o_skl = <v_k|(c_s.J)|v_l>, once for every ancilla: in
+    closed form for a probe with declared levels (:func:`_level_moments`),
+    from its banded products otherwise (:func:`_banded_moments`).  Joint
+    pair (k, i) then has ||H psi_ki||^2 = sum_s |alpha_si|^2 n_sk and
     <psi_ki|H|psi_lj> = sum_s conj(alpha_si) alpha_sj o_skl.
     """
     t1s = _durations(t1s)
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
-    dim, vectors = probe.dim, probe.vectors
+    pairs = [anc.eigenpairs for anc in ancillas]
     # U_s^dagger (g.J) U_s = c_s.J: the encoding axis g turned by u_s(t1)^dagger
     axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
-    q = np.array([anc.eigenpairs[0] for anc in ancillas]).reshape(-1, 2)
-    alpha = np.array([anc.eigenpairs[1] for anc in ancillas]).reshape(-1, 2, 2)
+    q = np.array([weights for weights, _ in pairs]).reshape(-1, 2)
+    alpha = np.array([columns for _, columns in pairs]).reshape(-1, 2, 2)
     weights = _joint_weights(probe.weights, q)[:, None]  # (A, 1, 2k)
     # |alpha_si|^2 on axes (a, t, s, k, i), conj(alpha_si) alpha_sj on (a, t, s, k, i, l, j)
     moduli = (np.abs(alpha) ** 2)[:, None, :, None, :]
     products = (alpha.conj()[..., :, None] * alpha[..., None, :])[:, None, :, None, :, None, :]
-    k, n_anc = probe.n_terms, len(ancillas)
+    k, n_anc = probe.n_terms, len(pairs)
+    moments, columns = (_banded_moments, probe.dim.dim) if probe.levels is None else (_level_moments, 0)
     out = np.empty((n_anc, t1s.size))
-    # a slice holds the banded products and the joint overlaps: 2 (N+1) k + A (2k)^2 entries per time
-    for sl in _slices(t1s.size, 2 * dim.dim * k + n_anc * (2 * k) ** 2):
-        h = apply_spin_axis(dim, axes[sl], vectors)  # (T, 2, N+1, k)
-        n = np.einsum("...ik,...ik->...k", h.conj(), h).real
-        o = vectors.conj().T @ h
-        shape = (n_anc, h.shape[0], 2 * k)
+    # a slice holds the joint overlaps and any banded products: A (2k)^2 + 2 (N+1) k entries per time
+    for sl in _slices(t1s.size, n_anc * (2 * k) ** 2 + 2 * columns * k):
+        n, o = moments(probe, axes[sl])
+        shape = (n_anc, n.shape[0], 2 * k)
         norms = (moduli * n[..., None]).sum(2).reshape(shape)
         overlaps = (products * o[:, :, :, None, :, None]).sum(2).reshape(*shape, 2 * k)
         out[:, sl] = _two_term_sum(weights, norms, overlaps)

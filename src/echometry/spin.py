@@ -8,9 +8,10 @@ component n.J, held as its axis (:class:`PhaseGenerator`) and solved by
 few eigenvectors are needed.  Its spectrum is known exactly, |n| m.  The
 full frame is one ``eigh_tridiagonal``; a partial set comes from inverse
 iteration at the known eigenvalues (LAPACK ``stein``), with no eigenvalue
-search, or, at a pole of the axis, is the exact J_z basis vectors.  The
-2(N+1)-dimensional probe-plus-ancilla operators of the dense reference path
-live in :mod:`echometry.reference`.
+search, or, at a pole of the axis, is the exact J_z basis vectors.  Both
+solvers come from scipy, which is imported on the first solve, not with
+the package.  The 2(N+1)-dimensional probe-plus-ancilla operators of the
+dense reference path live in :mod:`echometry.reference`.
 
 Conventions used throughout the package:
 
@@ -30,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
 
 __all__ = [
     "ContractViolation",
@@ -155,8 +154,12 @@ def lowest_spin_columns(dim: EnsembleDim, axis, count: int) -> np.ndarray:
     vectors instead (m ascending for n_z >= 0, descending for n_z < 0):
     dropping r J_x is a backward error of at most eps ||n.J||, while inverse
     iteration on so nearly split a matrix loses orthogonality.  Phases
-    follow :func:`pin_frame_phases`.
+    follow :func:`pin_frame_phases`.  scipy is imported here, on the first
+    solve, so that importing the package does not load it.
     """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstein
+
     nz, r, _ = tridiagonal_axis(axis)
     n = dim.dim
     m = dim.m_values()

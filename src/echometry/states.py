@@ -1,30 +1,39 @@
 """Input-state constructors for the probe ensemble and the ancilla qubit.
 
-The probe is always handled in spectral form: a list of weights and mutually
-orthonormal eigenvectors (:class:`SpectralProbe`).  The ancilla is defined
-by its preparation angles (theta0, phi0) and an accumulated dephasing rate x
-alone (:class:`AncillaState`); its 2x2 density matrix is derived from them.
+The probe is always handled in spectral form: weights and mutually
+orthonormal eigenvectors (:class:`SpectralProbe`).  A probe is either built
+by hand from its columns, or declared by its frame (:class:`SpinLevels`):
+the axis n of a spin component n.J and the levels m its weights sit on.
+A declared probe's vectors are derived, built on their first read, so a
+consumer that needs only the frame solves no column: the quantum Fisher sum
+reads closed-form moments of the levels, and the readout maps a polarized
+probe as a coherent state.  The ancilla is defined by its preparation angles
+(theta0, phi0) and an accumulated dephasing rate x alone
+(:class:`AncillaState`); its 2x2 density matrix is derived from them.
 
-Both probe constructors cost O(N) memory and solve no full eigenframe.
+Both probe constructors declare their levels, in O(1) time and memory, and
+their vectors cost O(N) memory with no full eigenframe:
 
-* :func:`polarized_probe` is the spin-coherent state along the generator's
-  axis n = |n| (sin t cos p, sin t sin p, cos t) (Arecchi et al., PRA 6,
-  2211, 1972), in closed form:
+* :func:`polarized_probe` is the top level, m = +j: the spin-coherent state
+  along the generator's axis n = |n| (sin t cos p, sin t sin p, cos t)
+  (Arecchi et al., PRA 6, 2211, 1972), in closed form:
   ``sqrt(C(N, j+m)) cos(t/2)^(j+m) sin(t/2)^(j-m) e^{-i p m}``, from the
   binomial magnitudes it shares with :func:`coherent_state`.  At a pole it
-  is the exact basis vector.  It records its axis
-  (``SpectralProbe.coherent_axis``, which no constructor takes), so the
-  readout can map it through any circuit with :func:`coherent_state`
-  instead of a J_x frame.
-* :func:`thermal_probe` solves only the eigenvectors it keeps, the lowest of
-  the generator (:func:`~echometry.spin.lowest_spin_columns`): inverse
-  iteration at their exact eigenvalues m, with no eigenvalue search (exact
-  basis vectors at a pole), or the full frame when every weight is kept.
+  is the exact basis vector.  Its ``coherent_axis`` (derived from the
+  declaration, never a constructor argument) lets the readout map it
+  through any circuit with :func:`coherent_state` instead of a J_x frame.
+* :func:`thermal_probe` is the lowest levels, those whose Boltzmann weight
+  it keeps; their vectors come from
+  :func:`~echometry.spin.lowest_spin_columns`: inverse iteration at their
+  exact eigenvalues m, with no eigenvalue search (exact basis vectors at a
+  pole), or the full frame when every weight is kept.
 
 Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 (:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude
 entry is real and positive, ties within 1e-12 relative going to the first,
 so a probe equals the matching frame column without phase alignment.
+Probes compare and hash by identity: their arrays have no single truth
+value.
 
 :func:`coherent_state` is D^j(u)|j,+j> for SU(2) elements u held as
 Cayley-Klein pairs (a, b) (see :mod:`echometry.circuit`): amplitudes
@@ -56,6 +65,7 @@ __all__ = [
     "EPS_SPECTRUM",
     "AncillaState",
     "SpectralProbe",
+    "SpinLevels",
     "ancilla_state",
     "coherent_state",
     "dephase_ancilla",
@@ -69,6 +79,10 @@ __all__ = [
 # renormalized; keeps the p_i + p_j denominators of the Fisher sums away
 # from zero.
 EPS_SPECTRUM = 1e-12
+
+# Inverse temperatures at or above this give the ground state alone (see
+# :func:`thermal_weights`).
+_BETA_GROUND = 1e3
 
 
 @dataclass(frozen=True)
@@ -150,50 +164,97 @@ def thermal_weights(dim: EnsembleDim, beta: float) -> np.ndarray:
     """Boltzmann weights exp(-m beta)/Z over the generator eigenvalues m = -j..+j, ascending.
 
     Z = sum_m exp(-m beta); the inverse temperature ``beta`` must be finite
-    and nonnegative.
+    and nonnegative.  Adjacent levels differ by a factor e^-beta, which
+    underflows to 0 from beta = 746, so every beta at or above
+    ``_BETA_GROUND`` gives exactly the ground state (1, 0, ..., 0); beta is
+    clamped there, since beta m itself overflows once beta j exceeds the float
+    range.
     """
     if not math.isfinite(beta) or beta < 0.0:
         raise ContractViolation("inverse temperature must be finite and nonnegative")
-    logw = -float(beta) * dim.m_values()
+    logw = -min(float(beta), _BETA_GROUND) * dim.m_values()
     w = np.exp(logw - logw.max())
     return w / w.sum()
 
 
 @dataclass(frozen=True)
+class SpinLevels:
+    """A probe's declared frame: its weights sit on eigenvectors |n; m> of the spin component n.J.
+
+    |n; m> has eigenvalue |n| m and is D^j(R_n)|j, m> up to a phase, with R_n
+    = :func:`~echometry.circuit.axis_rotation` of ``axis``.  With ``top`` the
+    one weight sits on m = +j (a polarized probe); otherwise the weights sit
+    on the lowest levels m = -j, -j + 1, ... in order (a thermal probe).
+    """
+
+    axis: tuple[float, float, float]
+    top: bool
+
+    def __post_init__(self) -> None:
+        axis = np.asarray(self.axis, dtype=float)
+        if axis.shape != (3,) or not np.isfinite(axis).all() or not axis.any():
+            raise ContractViolation(f"probe levels need a finite nonzero axis, got {self.axis!r}")
+        object.__setattr__(self, "axis", tuple(float(a) for a in axis))
+
+    def m_values(self, dim: EnsembleDim, count: int) -> np.ndarray:
+        """The m of the ``count`` levels the weights sit on, in weight order."""
+        return np.array([dim.j]) if self.top else np.arange(count) - dim.j
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SpectralProbe:
     """Probe density matrix in spectral form: weights plus orthonormal columns.
 
-    ``coherent_axis`` is not a constructor argument: only
-    :func:`polarized_probe` sets it, to the axis its vector was built from.
-    When set, the probe is pure and equal, up to a global phase, to the
-    spin-coherent state polarized along that axis (``D^j(R_n)|j,+j>`` with
-    R_n = :func:`~echometry.circuit.axis_rotation`), which lets the readout
-    use the closed form of :func:`coherent_state` for the probe's image
-    under any circuit.
+    Built by hand, ``SpectralProbe(dim, weights, vectors)``, or declared by
+    its frame, ``SpectralProbe(dim, weights, levels=SpinLevels(axis, top))``,
+    as :func:`polarized_probe` and :func:`thermal_probe` do.  ``vectors``
+    serves both: a declared probe builds its columns on the first read
+    (:func:`_level_columns`) and validates them then, so a consumer that
+    needs only its frame (the quantum Fisher sum's closed-form moments, the
+    coherent readout) solves no column.
+
+    ``coherent_axis`` is derived from the declaration: the axis of a single
+    level at m = +j, else None.  When set, the probe is pure and equal, up
+    to a global phase, to the spin-coherent state polarized along that axis
+    (``D^j(R_n)|j,+j>``), which lets the readout use the closed form of
+    :func:`coherent_state` for the probe's image under any circuit.
+
+    Probes compare and hash by identity (``eq=False``): their arrays have no
+    single truth value.
     """
 
     dim: EnsembleDim
     weights: np.ndarray
-    vectors: np.ndarray
-    coherent_axis: tuple[float, float, float] | None = field(default=None, init=False)
+    levels: SpinLevels | None
 
-    def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=float)
-        v = np.array(self.vectors, dtype=complex)
-        if v.ndim != 2 or v.shape != (self.dim.dim, w.size):
-            raise ContractViolation("probe vectors must be columns of shape (dim, n_terms)")
+    def __init__(
+        self, dim: EnsembleDim, weights, vectors: np.ndarray | None = None, *, levels: SpinLevels | None = None
+    ) -> None:
+        w = np.array(weights, dtype=float)
+        if (vectors is None) == (levels is None):
+            raise ContractViolation("a probe takes either its vectors or its declared levels")
         # each check passes only on a true comparison, which a NaN never gives
-        if w.size == 0 or not (w > EPS_SPECTRUM).all():
+        if w.ndim != 1 or w.size == 0 or not (w > EPS_SPECTRUM).all():
             raise ContractViolation("probe weights must all be finite and exceed the spectral cutoff")
         if not abs(w.sum() - 1.0) <= 1e-10:
             raise ContractViolation("probe weights must be finite and sum to one")
-        gram = v.conj().T @ v
-        if not np.abs(gram - np.eye(w.size)).max() <= 1e-10:
-            raise ContractViolation("probe eigenvectors must be finite and orthonormal")
+        if levels is not None and w.size > (1 if levels.top else dim.dim):
+            raise ContractViolation("more probe weights than declared levels")
         w.setflags(write=False)
-        v.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "levels", levels)
+        if vectors is not None:
+            self.__dict__["vectors"] = _checked_columns(dim, w.size, vectors)
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """The orthonormal columns, (dim, n_terms); a declared probe's are built on the first read."""
+        return _checked_columns(self.dim, self.n_terms, _level_columns(self.dim, self.levels, self.n_terms))
+
+    @property
+    def coherent_axis(self) -> tuple[float, float, float] | None:
+        return self.levels.axis if self.levels is not None and self.levels.top else None
 
     @property
     def n_terms(self) -> int:
@@ -202,6 +263,18 @@ class SpectralProbe:
     def density(self) -> np.ndarray:
         """Reconstruct the density matrix sum_i p_i |psi_i><psi_i|."""
         return (self.vectors * self.weights) @ self.vectors.conj().T
+
+
+def _checked_columns(dim: EnsembleDim, count: int, vectors) -> np.ndarray:
+    """``vectors`` as a read-only complex array, once checked to be ``count`` orthonormal columns."""
+    v = np.array(vectors, dtype=complex)
+    if v.ndim != 2 or v.shape != (dim.dim, count):
+        raise ContractViolation("probe vectors must be columns of shape (dim, n_terms)")
+    gram = v.conj().T @ v
+    if not np.abs(gram - np.eye(count)).max() <= 1e-10:
+        raise ContractViolation("probe eigenvectors must be finite and orthonormal")
+    v.setflags(write=False)
+    return v
 
 
 # log k! for k below this comes from math.lgamma; at and above it, from
@@ -260,17 +333,18 @@ def coherent_state(dim: EnsembleDim, p) -> np.ndarray:
     return _binomial_magnitudes(n, np.abs(a), np.abs(b)) * np.exp(1j * phase)
 
 
-def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
-    """Pure probe polarized along the generator's axis: its top eigenvector (m = +j for a unit axis).
+def _level_columns(dim: EnsembleDim, levels: SpinLevels, count: int) -> np.ndarray:
+    """The eigenvectors |n; m> of n.J that ``levels`` declares, in frame phases.
 
-    The spin-coherent state in closed form, without an eigensolve; see the
-    module docstring for the amplitudes and the phase convention.
+    The top level is the spin-coherent state in closed form, without an
+    eigensolve; the lowest ``count`` come from
+    :func:`~echometry.spin.lowest_spin_columns`.  See the module docstring
+    for the amplitudes and the phase convention.
     """
-    axis = _check_generator_size(generator, dim).axis
-    nz, r, _ = tridiagonal_axis(axis)
+    if not levels.top:
+        return lowest_spin_columns(dim, levels.axis, count)
+    nz, r, _ = tridiagonal_axis(levels.axis)
     norm = math.hypot(nz, r)
-    if norm == 0.0:
-        raise ContractViolation("polarized probe needs a generator with a nonzero axis")
     # cos^2 and sin^2 of half the polar angle, the small one without cancellation,
     # so that a pole gives an exact zero
     big = (norm + abs(nz)) / (2.0 * norm)
@@ -280,9 +354,17 @@ def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProb
     amp = _binomial_magnitudes(dim.n_spins, math.sqrt(cos2), math.sqrt(sin2))
     if r < 0.0:
         amp[(dim.n_spins - np.arange(dim.dim)) % 2 == 1] *= -1.0
-    probe = SpectralProbe(dim=dim, weights=np.array([1.0]), vectors=pin_frame_phases(dim, axis, amp[:, None]))
-    object.__setattr__(probe, "coherent_axis", axis)
-    return probe
+    return pin_frame_phases(dim, levels.axis, amp[:, None])
+
+
+def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProbe:
+    """Pure probe polarized along the generator's axis: its top eigenvector (m = +j for a unit axis).
+
+    Declared as the top level of the generator's frame; its vector, when
+    read, is the spin-coherent state in closed form, without an eigensolve.
+    """
+    axis = _check_generator_size(generator, dim).axis
+    return SpectralProbe(dim, np.array([1.0]), levels=SpinLevels(axis, top=True))
 
 
 def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> SpectralProbe:
@@ -292,8 +374,8 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     be a unit vector (spectrum {-j, ..., +j}); weights use the exact m values,
     with the maximum exponent subtracted, so large beta stays well conditioned.
     Weights below the spectral cutoff are dropped and the rest renormalized;
-    they fall with m, so the kept terms are the lowest eigenvectors, and only
-    those are solved.
+    they fall with m, so the kept terms sit on the lowest levels, which is
+    what the probe declares.  Only a read of its vectors solves them.
     """
     weights = thermal_weights(dim, beta)
     axis = _check_generator_size(generator, dim).axis
@@ -301,7 +383,7 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
     kept = int(np.count_nonzero(weights > EPS_SPECTRUM))
     weights = weights[:kept] / weights[:kept].sum()
-    return SpectralProbe(dim=dim, weights=weights, vectors=lowest_spin_columns(dim, axis, kept))
+    return SpectralProbe(dim, weights, levels=SpinLevels(axis, top=False))
 
 
 def spectral_decompose(rho: np.ndarray) -> SpectralProbe:

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -100,6 +101,23 @@ def test_thermal_scaling_at_extreme_beta(tmp_path, capsys):
     assert "Fisher information came out as inf" in capsys.readouterr().err
 
 
+def test_thermal_scaling_past_the_float_range_of_beta_m(tmp_path, capsys):
+    # beta = 1e308 lies in the beta > 0 domain, and beta j overflows: the
+    # thermal point is the ground state, F_Q = N^2 at the optimum
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text("beta = 1e308\nn_values = 2, 4, 20\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["qfi-sweep", "--scenario", "scaling", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == EXIT_OK, capsys.readouterr().err
+    with open(tmp_path / "qfi_scaling.csv") as f:
+        rows = [row for row in csv.DictReader(f) if row["point_label"] in ("D", "D_exact", "D_largeN")]
+    assert len(rows) == 9
+    for row in rows:
+        n = int(row["N"])
+        assert abs(float(row["FQ"]) - n * n) <= 1e-12 * n * n
+
+
 def test_missing_period_is_numerical_error(tmp_path, capsys):
     # the default XZ rates are incommensurable, so period mode cannot find a
     # reversal time and must exit with the numerical-contract code
@@ -169,19 +187,34 @@ def run_fresh(script):
     return proc.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # no code needs scipy.optimize or scipy.special (log-factorials come from
-    # numpy), neither on import nor in a period search: a near period of
-    # near-rational rates, and a whole window of irrational ones
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy is loaded only where probe columns are solved, so not on import,
+    # not in a period search (a near period of near-rational rates, and a
+    # whole window of irrational ones), and not by any default CLI scenario
+    # but validate, whose hand-built probes take the J_x frame
     script = (
-        "import math, sys, echometry as em\n"
+        "import contextlib, io, math, sys, echometry as em\n"
+        "from echometry.cli import main\n"
+        "from echometry.experiments import SCENARIOS\n"
+        "loaded = ['scipy' in sys.modules]\n"
         "em.reversal_period(em.ModelParams(3.0, 30.0 * (1 + 1e-6), 1.0), em.EnsembleDim(4), 8.0)\n"
         "try:\n"
         "    em.reversal_period(em.ModelParams(math.sqrt(2.0), 1.0, 1.0), em.EnsembleDim(2000), 64 * math.pi)\n"
         "except em.PeriodNotFound:\n"
-        "    print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        f"out = {str(tmp_path)!r}\n"
+        "runs = [[command] for command in dict.fromkeys(spec.command for spec in SCENARIOS.values())]\n"
+        "runs.append(['qfi-sweep', '--scenario', 't1', '--mode', 'period'])\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([*argv, '--out', out]) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(len(runs), loaded)\n"
     )
-    assert run_fresh(script) == "False False\n"
+    runs, loaded = run_fresh(script).split(" ", 1)
+    assert int(runs) >= 6
+    assert loaded.strip() == repr([False] * (int(runs) + 2))
+    assert {path.name for path in tmp_path.iterdir()} >= {f"{name}.csv" for name in SCENARIOS}
 
 
 def test_period_search_over_a_vast_window_in_bounded_memory():

@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import expm
 
 import echometry.circuit
 import echometry.fisher
 import echometry.reference
-import echometry.spin
+import echometry.states
 from echometry.circuit import (
     ModelParams,
     Schedule,
     apply_spin_axis,
     conjugate_schedule,
+    encoding_axis,
     optimal_generator,
     optimal_settings,
 )
@@ -45,6 +47,7 @@ from echometry.spin import (
     spin_frame,
 )
 from echometry.states import (
+    EPS_SPECTRUM,
     AncillaState,
     SpectralProbe,
     ancilla_state,
@@ -315,6 +318,13 @@ def test_thermal_large_n_form_at_extreme_beta():
     # infinite value is rejected as a contract violation, not a ZeroDivisionError
     with pytest.raises(ContractViolation, match="Fisher information came out as inf"):
         qfi_thermal(EnsembleDim(4), 1e-300)
+
+
+def test_thermal_sums_past_the_float_range_of_beta_m():
+    # beta j above the float range is still the ground state: N^2 from both forms
+    for n in (2, 7, 100):
+        exact, large_n = qfi_thermal(EnsembleDim(n), 1e308)
+        assert exact.value == large_n.value == n * n
 
 
 def test_thermal_matches_general_path():
@@ -1003,31 +1013,45 @@ def test_qfi_grid_checks_every_cell(monkeypatch):
 
 
 def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
-    # the QFI budget counts the banded products h_s = (c_s.J) V of the probe's
-    # own columns, 2 (N+1) k entries per time, and the A (2k)^2 joint
+    # the QFI budget counts the banded products h_s = (c_s.J) V of a probe
+    # given by its columns, 2 (N+1) k entries per time, and the A (2k)^2 joint
     # overlaps: at N = 300 a rank-1 probe (k = 1) with A = 3 ancillas takes
     # 602 + 12 = 614 per time, so a slice holds 53 times
-    # (53 * 614 <= 2**15 < 54 * 614) and 81 times take two slices
+    # (53 * 614 <= 2**15 < 54 * 614) and 81 times take two slices; the same
+    # probe declared by its levels forms no column, so its 12 entries per time
+    # fit all 81 times in one slice
     n = 300
     dim, gen, probe, anc, _ = optimal_setup(n)
     assert echometry.fisher._SLICE_ENTRIES == 2**15
     ancillas = [anc, dephase_ancilla(anc, 0.4), ancilla_state(0.7)]
     t1s = np.linspace(0.0, np.pi, 81)
-    slices = []  # (probe columns, times) of each banded product
-    apply_spin_axis = echometry.fisher.apply_spin_axis
+    slices = []  # (probe columns, times) of each banded product, or (None, times) of closed-form moments
+    apply_spin_axis, level_moments = echometry.fisher.apply_spin_axis, echometry.fisher._level_moments
 
     def recording(dim, axis, x):
         slices.append((x.shape, np.shape(axis)[0]))
         return apply_spin_axis(dim, axis, x)
 
+    def recording_moments(probe, axes):
+        slices.append((None, np.shape(axes)[0]))
+        return level_moments(probe, axes)
+
     monkeypatch.setattr(echometry.fisher, "apply_spin_axis", recording)
-    grid = qfi_grid(probe, ancillas, ZZ, t1s)
+    monkeypatch.setattr(echometry.fisher, "_level_moments", recording_moments)
+    by_hand = SpectralProbe(dim, probe.weights, probe.vectors)
+    grid = qfi_grid(by_hand, ancillas, ZZ, t1s)
     # one walk over the times serves the pure and the dephased ancillas alike
     assert slices == [((n + 1, 1), 53), ((n + 1, 1), 28)]
+    slices.clear()
+    declared = qfi_grid(probe, ancillas, ZZ, t1s)
+    assert slices == [(None, 81)]
+    np.testing.assert_allclose(declared, grid, rtol=0.0, atol=1e-12 * n * n)
     monkeypatch.setattr(echometry.fisher, "apply_spin_axis", apply_spin_axis)
-    for anc_row, row in zip(ancillas, grid):
-        for t1, value in zip(t1s[::10], row[::10]):
-            assert value == qfi_general(probe, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
+    monkeypatch.setattr(echometry.fisher, "_level_moments", level_moments)
+    for chosen, values in ((by_hand, grid), (probe, declared)):
+        for anc_row, row in zip(ancillas, values):
+            for t1, value in zip(t1s[::10], row[::10]):
+                assert value == qfi_general(chosen, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
 
 
 def test_small_grids_take_one_slice(monkeypatch):
@@ -1201,14 +1225,16 @@ def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch)
         SpectralProbe(dim, np.array([0.5, 0.3, 0.2]), vectors),
     ]
     assert [probe.n_terms for probe in others] == [dim.dim, 3]
+    for probe in others:
+        probe.vectors  # the thermal probe's columns are built on this first read
     solved = []
-    eigh_tridiagonal = echometry.spin.eigh_tridiagonal
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
     def counted(*args, **kwargs):
         solved.append(len(args[0]))
         return eigh_tridiagonal(*args, **kwargs)
 
-    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     for params in (ZZ, STRONG_XZ, ModelParams(3.0, 1.5, 1.0, kind="xz")):
         gen = optimal_generator(params, dim)
         cases = [(polarized_probe(dim, gen), [])] + [(probe, [dim.dim]) for probe in others]
@@ -1277,6 +1303,187 @@ def test_coherent_readout_matches_the_frame_route(
         for probe in (coherent, framed)
     )
     np.testing.assert_allclose(probs, reference, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# declared probes: closed-form moments against their own columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    kind=st.sampled_from(["zz", "xz"]),
+    omega_p=st.floats(0.2, 5.0),
+    omega_a=st.floats(0.2, 5.0),
+    axis=st.one_of(st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)]), _AXIS),
+    scale=st.floats(0.1, 1.0),
+    beta=st.one_of(st.none(), st.floats(0.1, 5.0)),
+    ancillas=st.lists(
+        st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, 0.3, 1.0])),
+        min_size=1,
+        max_size=2,
+    ),
+    t1s=st.lists(st.floats(0.0, 2 * np.pi), min_size=1, max_size=3),
+)
+def test_declared_levels_match_their_own_columns(n, kind, omega_p, omega_a, axis, scale, beta, ancillas, t1s):
+    # the closed-form moments of a declared probe (polarized, or thermal when
+    # beta is drawn) against the banded products of the same probe rebuilt by
+    # hand from its vectors; both poles, pure and dephased ancillas.  The
+    # bound is the two-term sum's snap scale: term 1 is at most N^2 for a
+    # unit encoding axis
+    params = ModelParams(omega_p, omega_a, 1.0, kind=kind)
+    dim = EnsembleDim(n)
+    unit = np.asarray(axis) / np.linalg.norm(axis)
+    if beta is None:
+        probe = polarized_probe(dim, PhaseGenerator(dim, scale * unit))
+    else:
+        probe = thermal_probe(dim, PhaseGenerator(dim, unit), beta)
+    by_hand = SpectralProbe(dim, probe.weights, probe.vectors)
+    states = [dephase_ancilla(ancilla_state(theta0, phi0), x) for theta0, phi0, x in ancillas]
+    declared, banded = (qfi_grid(chosen, states, params, t1s) for chosen in (probe, by_hand))
+    np.testing.assert_allclose(declared, banded, rtol=0.0, atol=1e-12 * n * n)
+
+
+def thermal_qfi_50_digits(params, t1, axis, n, n_terms, beta, theta0, phi0, x):
+    """F_Q of a thermal probe on its lowest ``n_terms`` levels, at 50 digits from the same float inputs.
+
+    Independent of the production kernels: the sector axes c_s by Rodrigues'
+    formula, the probe frame from an explicit orthonormal triad around the
+    axis, the ancilla from mpmath's Hermitian eigensolver, each norm
+    ||(c'.J)|m>||^2 summed over the three images of |m>; joint weights at or
+    below the spectral cutoff are dropped, as in production.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(50):
+        j = mp.mpf(n) / 2
+
+        def cross(u, v):
+            return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+        def dot(u, v):
+            return mp.fsum(a * b for a, b in zip(u, v))
+
+        def unit(v):
+            length = mp.sqrt(dot(v, v))
+            return [a / length for a in v]
+
+        encoding = [mp.mpf(c) for c in encoding_axis(params.kind)]
+        frame_z = unit([mp.mpf(c) for c in axis])
+        frame_x = unit(cross([mp.mpf(0), mp.mpf(0), mp.mpf(1)] if abs(frame_z[2]) < 0.9 else [mp.mpf(1), 0, 0], frame_z))
+        frame_y = cross(frame_z, frame_x)
+        primed = []
+        for s in (1, -1):
+            wp, g = mp.mpf(params.omega_p), mp.mpf(params.g)
+            w = [0, 0, wp + s * g] if params.kind == "zz" else [s * g, 0, wp]
+            width = mp.sqrt(dot(w, w))
+            # U_s^dagger (g.J) U_s with U_s = exp(-i t1 w_s.J): g turned by -|w_s| t1 about w_s
+            angle, k = -width * mp.mpf(t1), unit(w)
+            kxv = cross(k, encoding)
+            c = [e * mp.cos(angle) + a * mp.sin(angle) + b * dot(k, encoding) * (1 - mp.cos(angle))
+                 for e, a, b in zip(encoding, kxv, k)]
+            primed.append([dot(f, c) for f in (frame_x, frame_y, frame_z)])
+        m = [mp.mpf(k) - j for k in range(n_terms)]
+        boltzmann = [mp.exp(-mp.mpf(beta) * mk) for mk in m]
+        p = [b / mp.fsum(boltzmann) for b in boltzmann]
+        half, coherence = mp.mpf(theta0) / 2, 1 - mp.mpf(x)
+        ket = [mp.cos(half), mp.expj(-mp.mpf(phi0)) * mp.sin(half)]
+        rho = mp.matrix([[ket[a] * mp.conj(ket[b]) * (1 if a == b else coherence) for b in range(2)] for a in range(2)])
+        q, alpha = mp.eighe(rho)
+
+        def element(c, mk, ml):  # <mk|c.J|ml>
+            if mk == ml:
+                return c[2] * ml
+            low = min(mk, ml)
+            ladder = mp.sqrt(j * (j + 1) - low * (low + 1))
+            return (c[0] - 1j * c[1]) / 2 * ladder if mk > ml else (c[0] + 1j * c[1]) / 2 * ladder
+
+        def norm(c, mk):
+            return mp.fsum(abs(element(c, ml, mk)) ** 2 for ml in (mk - 1, mk, mk + 1) if -j <= ml <= j)
+
+        pairs = [(k, i) for k in range(n_terms) for i in range(2)]
+        weight = {(k, i): p[k] * q[i] if p[k] * q[i] > mp.mpf(EPS_SPECTRUM) else 0 for k, i in pairs}
+        term1 = 4 * mp.fsum(
+            weight[k, i] * mp.fsum(abs(alpha[s, i]) ** 2 * norm(primed[s], m[k]) for s in range(2)) for k, i in pairs
+        )
+        term2 = mp.mpf(0)
+        for k, i in pairs:
+            for l, jj in pairs:
+                total = weight[k, i] + weight[l, jj]
+                if abs(k - l) <= 1 and total > 0:
+                    overlap = mp.fsum(
+                        mp.conj(alpha[s, i]) * alpha[s, jj] * element(primed[s], m[k], m[l]) for s in range(2)
+                    )
+                    term2 += 8 * weight[k, i] * weight[l, jj] / total * abs(overlap) ** 2
+        return float(term1 - term2)
+
+
+@pytest.mark.parametrize(
+    "n, params, axis, beta, theta0, phi0, t1",
+    [
+        (110, ModelParams(1.768503841941842, 0.8525058852832823, 1.0, kind="xz"),
+         (-0.17265954179076348, 0.3483733872152454, 0.9213168107164766), 0.3, 1.6343843451745452, 2.409729700376506,
+         3.0593217934126593),
+        (79, ModelParams(0.7048980002794301, 2.146699417648035, 1.0, kind="xz"),
+         (0.4759179874629031, 0.06330905925483664, 0.8772080894665346), 0.3, 0.014789941752561707, 3.730724636456056,
+         5.498715734432171),
+        (48, ModelParams(2.9502553672264704, 4.673512992679599, 1.0, kind="zz"),
+         (-0.59204734471493, -0.7138482676769686, -0.3740328760290889), 0.3, 3.1150476858680856, 1.3321938145922592,
+         4.6379406293360805),
+        (191, ModelParams(0.43299289211108327, 2.1163847335389905, 1.0, kind="zz"),
+         (-0.6360592574225753, -0.7446312065402132, 0.20236844441144583), 1.0, 2.9594569946243072, 0.749747370776659,
+         5.664147432075226),
+        (200, ModelParams(1.0, 1.0, 1.0, kind="xz"), (1.0, 0.0, 0.0), 3.0, 1.2, 0.4, 0.7),
+    ],
+)
+def test_declared_thermal_qfi_against_50_digits(n, params, axis, beta, theta0, phi0, t1):
+    # thermal probes with a dephased ancilla, where F_Q of a few is what is left
+    # of terms of order N^2: the closed-form moments stay within about 1e-12
+    dim = EnsembleDim(n)
+    probe = thermal_probe(dim, PhaseGenerator(dim, axis), beta)
+    anc = dephase_ancilla(ancilla_state(theta0, phi0), 0.3)
+    value = qfi_grid(probe, [anc], params, [t1])[0, 0]
+    oracle = thermal_qfi_50_digits(params, t1, axis, n, probe.n_terms, beta, theta0, phi0, 0.3)
+    assert abs(value - oracle) <= 2e-12 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("params", [ZZ, STRONG_XZ], ids=["zz", "strong-xz"])
+def test_declared_probes_at_a_million_spins(params):
+    # F_Q = N^2 for the polarized probe and qfi_thermal's exact sum for the
+    # thermal one, from closed-form moments with no probe column
+    dim = EnsembleDim(10**6)
+    settings = optimal_settings(params)
+    gen = optimal_generator(params, dim)
+    anc, sched = ancilla_state(settings.theta0), conjugate_schedule(settings.t1, 0.2)
+    polarized = qfi_general(polarized_probe(dim, gen), anc, params, sched).value
+    assert abs(polarized / dim.n_spins**2 - 1.0) <= 1e-13
+    thermal = qfi_general(thermal_probe(dim, gen, 1.0), anc, params, sched).value
+    exact, _ = qfi_thermal(dim, 1.0)
+    assert abs(thermal / exact.value - 1.0) <= 1e-13
+
+
+def test_declared_thermal_qfi_solves_no_column(monkeypatch):
+    # the thermal probe's F_Q reads its declared levels, never its vectors
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a declared probe's F_Q solved probe columns")
+
+    monkeypatch.setattr(echometry.states, "lowest_spin_columns", forbidden)
+    dim = EnsembleDim(10**5)
+    settings = optimal_settings(ZZ)
+    probe = thermal_probe(dim, optimal_generator(ZZ, dim), 1.0)
+    for anc in (ancilla_state(settings.theta0), dephase_ancilla(ancilla_state(1.1, 0.7), 0.3)):
+        assert qfi_general(probe, anc, ZZ, conjugate_schedule(settings.t1, 0.2)).value > 0.0
+    assert "vectors" not in vars(probe)
+
+
+def test_qfi_grid_reads_its_ancillas_once():
+    # any iterable of ancillas, a generator included, is read in one pass
+    dim, _, probe, anc, _ = optimal_setup(6)
+    ancillas = [anc, dephase_ancilla(anc, 0.4), ancilla_state(0.7)]
+    for chosen in (probe, SpectralProbe(dim, probe.weights, probe.vectors)):
+        expected = qfi_grid(chosen, ancillas, ZZ, [0.3, 0.9])
+        assert expected.shape == (3, 2)
+        np.testing.assert_array_equal(qfi_grid(chosen, (a for a in ancillas), ZZ, [0.3, 0.9]), expected)
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])

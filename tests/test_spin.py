@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 
-import echometry.spin
 from echometry.circuit import apply_spin_axis
 from echometry.spin import (
     ContractViolation,
@@ -164,14 +164,22 @@ def test_spin_frame_diagonalizes_large_probe(axis):
 
 def check_lowest_columns(n, axis, count):
     """lowest_spin_columns against n.J applied as its tridiagonal bands:
-    eigen-residual at the exact eigenvalues |n| m, and orthonormality."""
+    eigen-residual at the exact eigenvalues |n| m, and orthonormality.
+
+    Inverse iteration's errors grow with the dimension: over random axes and
+    counts the residual reached (3 + 0.27 (N+1)) eps ||n.J|| and the
+    orthonormality error (4 + 0.33 (N+1)) eps, from N = 1 to 3000.  Both
+    bounds are therefore 4 eps (N+1), in units of |n| max(1, j) for the
+    residual: twice the largest seen at N = 1, twelve times or more at large N.
+    """
     dim = EnsembleDim(n)
     norm = math.hypot(*axis)
     vecs = lowest_spin_columns(dim, axis, count)
     assert vecs.shape == (dim.dim, count)
+    bound = 4.0 * np.finfo(float).eps * dim.dim
     residual = apply_spin_axis(dim, axis, vecs.astype(complex)) - vecs * (norm * dim.m_values()[:count])
-    assert np.linalg.norm(residual, 2) <= 1e-13 * norm * max(1.0, dim.j)
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= 1e-13
+    assert np.linalg.norm(residual, 2) <= bound * norm * max(1.0, dim.j)
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= bound
     return dim, vecs
 
 
@@ -225,8 +233,8 @@ def test_lowest_spin_columns_do_not_depend_on_the_axis_scale(axis, scale):
 
 def test_lowest_spin_columns_report_failed_inverse_iteration(monkeypatch):
     # LAPACK stein's info > 0 counts vectors that did not converge
-    dstein = echometry.spin.dstein
-    monkeypatch.setattr(echometry.spin, "dstein", lambda *args: (dstein(*args)[0], 2))
+    dstein = scipy.linalg.lapack.dstein
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", lambda *args: (dstein(*args)[0], 2))
     with pytest.raises(ContractViolation, match="info = 2"):
         lowest_spin_columns(EnsembleDim(20), (1.0, 0.0, 0.0), 5)
 

@@ -1,11 +1,16 @@
 import dataclasses
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import scipy.linalg
+import scipy.linalg.lapack
 
 import echometry.spin
 import echometry.states
@@ -14,6 +19,7 @@ from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase
 from echometry.states import (
     AncillaState,
     SpectralProbe,
+    SpinLevels,
     ancilla_state,
     coherent_state,
     dephase_ancilla,
@@ -233,13 +239,15 @@ def test_polarized_probe_is_the_coherent_state_of_its_axis(n, axis, scale):
 
 
 def test_probe_constructors_solve_no_full_frame(monkeypatch):
-    # the polarized probe is a closed form; the thermal probe solves only its
-    # kept columns, by inverse iteration at their known eigenvalues
+    # both constructors only declare their levels: no column is solved until
+    # ``vectors`` is read; then the polarized probe is a closed form, and the
+    # thermal probe solves only its kept columns, once, by inverse iteration at
+    # their known eigenvalues
     def forbidden(*args, **kwargs):
         raise AssertionError("a probe constructor solved the full frame")
 
     solved = []
-    dstein = echometry.spin.dstein
+    dstein = scipy.linalg.lapack.dstein
 
     def counted(*args, **kwargs):
         vecs, info = dstein(*args, **kwargs)
@@ -247,14 +255,19 @@ def test_probe_constructors_solve_no_full_frame(monkeypatch):
         return vecs, info
 
     monkeypatch.setattr(echometry.spin, "spin_frame", forbidden)
-    monkeypatch.setattr(echometry.spin, "eigh_tridiagonal", forbidden)
-    monkeypatch.setattr(echometry.spin, "dstein", counted)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", counted)
     dim = EnsembleDim(2000)
     gen = PhaseGenerator(dim, (0.6, -0.48, 0.64))
-    assert polarized_probe(dim, gen).n_terms == 1
-    assert solved == []
+    polarized = polarized_probe(dim, gen)
     probe = thermal_probe(dim, gen, 1.0)
-    assert solved == [probe.n_terms] and probe.n_terms < 40
+    assert polarized.n_terms == 1 and probe.n_terms < 40
+    assert solved == []
+    assert polarized.vectors.shape == (dim.dim, 1)
+    assert solved == []
+    for _ in range(2):
+        assert probe.vectors.shape == (dim.dim, probe.n_terms)
+    assert solved == [probe.n_terms]
 
 
 def test_polarized_probe_reports_degenerate_generator():
@@ -408,15 +421,47 @@ def test_spectral_probe_validates_inputs():
 def test_only_polarized_probe_sets_the_coherent_axis():
     dim = EnsembleDim(2)
     one = np.eye(3, dtype=complex)[:, -1:]
-    # the axis restates the vector, so no constructor takes it
+    # the axis is derived from the declared levels (one level at m = +j), so no constructor takes it
     with pytest.raises(TypeError):
         SpectralProbe(dim, np.array([1.0]), one, coherent_axis=(0.0, 0.0, 1.0))
-    assert [f.name for f in dataclasses.fields(SpectralProbe) if f.init] == ["dim", "weights", "vectors"]
+    assert [f.name for f in dataclasses.fields(SpectralProbe)] == ["dim", "weights", "levels"]
     assert SpectralProbe(dim, np.array([1.0]), one).coherent_axis is None
     gen = phase_generator(dim, 0.4)
     assert polarized_probe(dim, gen).coherent_axis == gen.axis
+    assert polarized_probe(dim, gen).levels == SpinLevels(gen.axis, top=True)
     assert thermal_probe(dim, gen, 1.3).coherent_axis is None
+    assert thermal_probe(dim, gen, 1.3).levels == SpinLevels(gen.axis, top=False)
     assert spectral_decompose(polarized_probe(dim, gen).density()).coherent_axis is None
+
+
+def test_spectral_probe_takes_vectors_or_levels():
+    dim = EnsembleDim(2)
+    one = np.eye(3, dtype=complex)[:, -1:]
+    top = SpinLevels((0.0, 0.0, 1.0), top=True)
+    for vectors, levels in ((None, None), (one, top)):
+        with pytest.raises(ContractViolation, match="either its vectors or its declared levels"):
+            SpectralProbe(dim, np.array([1.0]), vectors, levels=levels)
+    # a top level holds one weight, and there are only N + 1 lowest levels
+    with pytest.raises(ContractViolation, match="declared levels"):
+        SpectralProbe(dim, np.array([0.5, 0.5]), levels=top)
+    with pytest.raises(ContractViolation, match="declared levels"):
+        SpectralProbe(dim, np.full(4, 0.25), levels=SpinLevels((1.0, 0.0, 0.0), top=False))
+    for axis in ((0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ContractViolation, match="nonzero axis"):
+            SpinLevels(axis, top=True)
+    # a declared top level is the J_z basis vector |j, +j> at the z pole
+    np.testing.assert_array_equal(SpectralProbe(dim, np.array([1.0]), levels=top).vectors, one)
+
+
+def test_spectral_probes_compare_and_hash_by_identity():
+    # arrays have no single truth value, so probes compare as objects, as ProbabilityTable does
+    dim = EnsembleDim(3)
+    gen = phase_generator(dim, 0.4)
+    for build in (lambda: polarized_probe(dim, gen), lambda: thermal_probe(dim, gen, 0.5), lambda: ghz_probe(dim, gen)):
+        probe, twin = build(), build()
+        assert probe == probe and probe != twin
+        assert hash(probe) == hash(probe)
+        assert len({probe, twin}) == 2
 
 
 def test_log_binomials_join_lgamma_and_stirling():
@@ -506,6 +551,22 @@ def test_coherent_readout_is_bitwise_the_numpy_wrapper_form(n, seed, shape, edge
             echometry.states._binomial_magnitudes(n, abs_a, abs_b), binomial_magnitudes_norm_form(n, abs_a, abs_b)
         )
     np.testing.assert_array_equal(coherent_state(dim, (a, b)), coherent_state_angle_form(dim, (a, b)))
+
+
+def test_thermal_weights_past_the_float_range_of_beta_m():
+    # beta m overflows once beta j exceeds the float range; every beta from
+    # about 746 up is the ground state alone, so those give it exactly, and
+    # without a warning
+    for n in (1, 4, 20, 10**5):
+        dim = EnsembleDim(n)
+        ground = np.zeros(dim.dim)
+        ground[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (800.0, 1e3, 1e306, 1e308, sys.float_info.max):
+                np.testing.assert_array_equal(thermal_weights(dim, beta), ground)
+            probe = thermal_probe(dim, PhaseGenerator(dim, (0.0, 1.0, 0.0)), 1e308)
+        np.testing.assert_array_equal(probe.weights, [1.0])
 
 
 def test_spectral_probe_weights_sum_to_one():
