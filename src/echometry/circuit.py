@@ -73,6 +73,7 @@ __all__ = [
     "normalized_trace",
     "reversal_period",
     "optimal_settings",
+    "optimal_axis",
     "optimal_generator",
 ]
 
@@ -461,8 +462,8 @@ def optimal_settings(params: ModelParams) -> OptimalSettings:
     return OptimalSettings(theta0=theta0, t1=math.pi / wt, status="sub_optimal")
 
 
-def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
-    """Phase generator c.J whose mean square sets the information at the optimum.
+def optimal_axis(params: ModelParams) -> tuple[float, float, float]:
+    """Axis c of the optimal phase generator c.J; it does not depend on N.
 
     c is the sigma_z-odd part (c_g - c_e) / 2 of the sector axes c_s of
     u_s(t1)^dagger (g.J) u_s(t1) at the (sub-)optimal t1, turned by
@@ -472,4 +473,9 @@ def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
     # su2_rotation, not propagator: the benchmark counts one propagator call per qfi_general
     pairs = su2_rotation(_sector_axes(params), optimal_settings(params).t1)
     c_e, c_g = su2_rotate(su2_inverse(pairs), encoding_axis(params.kind))
-    return PhaseGenerator(dim, 0.5 * (c_g - c_e))
+    return tuple(float(c) for c in 0.5 * (c_g - c_e))
+
+
+def optimal_generator(params: ModelParams, dim: EnsembleDim) -> PhaseGenerator:
+    """Phase generator c.J whose mean square sets the information at the optimum (axis :func:`optimal_axis`)."""
+    return PhaseGenerator(dim, optimal_axis(params))

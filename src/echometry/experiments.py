@@ -22,8 +22,10 @@ import numpy as np
 from .circuit import (
     PERIOD_RESIDUAL_TOL,
     ModelParams,
+    Schedule,
     conjugate_schedule,
     normalized_trace,
+    optimal_axis,
     optimal_generator,
     optimal_settings,
     reversal_period,
@@ -36,9 +38,9 @@ from .fisher import (
     qfi_grid,
     qfi_thermal,
 )
-from .reference import output_state_derivatives, qfi_sld_oracle
-from .spin import ContractViolation, EnsembleDim
-from .states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
+from .reference import output_states_stacked, qfi_sld_oracle_stacked
+from .spin import ContractViolation, EnsembleDim, PhaseGenerator
+from .states import AncillaState, SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 
 __all__ = [
     "SweepConfig",
@@ -175,23 +177,25 @@ def _step_times(params: ModelParams, dim: EnsembleDim, t1s, mode: str) -> np.nda
     return t1s % _period_for(params, dim.n_spins)
 
 
-def _optimal_probe(params: ModelParams, dim: EnsembleDim) -> SpectralProbe:
-    return polarized_probe(dim, optimal_generator(params, dim))
-
-
 def _qfi_sweep(params: ModelParams, mode: str, n_values, ancillas, t1s) -> np.ndarray:
     """F_Q of the optimal polarized probe, shape (n, ancilla, time), at step times t1s."""
+    axis = optimal_axis(params)
     sweep = []
     for n in n_values:
         dim = EnsembleDim(n)
         steps = _step_times(params, dim, t1s, mode)
-        sweep.append(qfi_grid(_optimal_probe(params, dim), ancillas, params, steps))
+        sweep.append(qfi_grid(polarized_probe(dim, PhaseGenerator(dim, axis)), ancillas, params, steps))
     return np.stack(sweep)
 
 
 def _grid_rows(axes, values) -> list[tuple]:
-    """Rows (*cell, value) over the product of the axes, in row-major order of ``values``."""
-    return [(*cell, value) for cell, value in zip(itertools.product(*axes), np.ravel(values))]
+    """Rows (*cell, value) over the product of the axes, in row-major order of ``values``.
+
+    Cells are Python numbers, which format faster than numpy scalars and
+    write the same text.
+    """
+    axes = [np.asarray(axis).tolist() for axis in axes]
+    return [(*cell, value) for cell, value in zip(itertools.product(*axes), np.ravel(values).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def _run_trace_scan(cfg: SweepConfig):
     dim = EnsembleDim(n)
     gts = gt_max * np.arange(1, points + 1) / points
     f = normalized_trace(cfg.params, dim, gts / cfg.params.g)
-    rows = list(zip(gts, f))
+    rows = list(zip(gts.tolist(), f.tolist()))
     summary = {"max_trace": float(f.max()), "unit_trace_gt": tuple(gts[f >= 1.0 - PERIOD_RESIDUAL_TOL])}
     return ["gT", "F"], rows, summary
 
@@ -252,10 +256,11 @@ def _run_qfi_scaling(cfg: SweepConfig):
     n_values, beta = cfg.grids["n_values"], cfg.grids["beta"]
     settings = optimal_settings(cfg.params)
     ancillas = [ancilla_state(settings.theta0), ancilla_state(settings.theta0 / 4)]
+    axis = optimal_axis(cfg.params)
     rows = []
     for n in n_values:
         dim = EnsembleDim(n)
-        gen = optimal_generator(cfg.params, dim)
+        gen = PhaseGenerator(dim, axis)
         steps = _step_times(cfg.params, dim, [settings.t1, 1.5 * settings.t1], cfg.mode)
         (a, b), (c, _) = qfi_grid(polarized_probe(dim, gen), ancillas, cfg.params, steps)
         d = qfi_grid(thermal_probe(dim, gen, beta), ancillas[:1], cfg.params, steps[:1])[0, 0]
@@ -319,11 +324,12 @@ def _run_deviation_scan(cfg: SweepConfig):
     n_values, deltas = cfg.grids["n_values"], cfg.grids["deltas"]
     anc = ancilla_state(math.pi / 2)
     settings = optimal_settings(cfg.params)
+    axis = optimal_axis(cfg.params)
     rows = []
     worst = 0.0
     for n in n_values:
         dim = EnsembleDim(n)
-        probe = _optimal_probe(cfg.params, dim)
+        probe = polarized_probe(dim, PhaseGenerator(dim, axis))
         for magnitude in deltas:
             for weight_g, weight_wp in _DEVIATION_PATTERNS:
                 dg_t1 = magnitude * weight_g
@@ -527,13 +533,72 @@ def run_scenario(cfg: SweepConfig) -> dict:
     return summary
 
 
+# Validation instances are drawn and checked a block at a time, so memory does
+# not grow with the instance count; the default run is one block.
+_VALIDATION_BLOCK = 256
+# Matrix entries per array of one dense reference stack, instances x (2(N+1))^2.
+# A stack holds about a dozen such arrays at once; at this bound they take under
+# 1 MB, so a probe size with many instances at large N is split over several
+# stacks and validate's peak memory stays near that of one instance at a time.
+_STACK_ENTRIES = 4096
+# Phases at which the SLD oracle is evaluated; the readout is checked at the first.
+_ORACLE_THETAS = (0.2, 1.0)
+
+
+def _draw_instance(rng: np.random.Generator) -> tuple[SpectralProbe, AncillaState, ModelParams, Schedule]:
+    """One random validation instance: probe (rank <= 3), ancilla, model and reversal schedule."""
+    n = int(rng.integers(2, 21))
+    dim = EnsembleDim(n)
+    kind = "zz" if rng.random() < 0.5 else "xz"
+    params = ModelParams(
+        omega_p=float(rng.uniform(0.5, 5.0)),
+        omega_a=float(rng.uniform(0.5, 5.0)),
+        g=1.0,
+        kind=kind,
+    )
+    rank = int(rng.integers(1, 4))
+    raw = rng.normal(size=(dim.dim, rank)) + 1j * rng.normal(size=(dim.dim, rank))
+    vectors, _ = np.linalg.qr(raw)
+    weights = rng.random(rank) + 0.2
+    weights /= weights.sum()
+    probe = SpectralProbe(dim=dim, weights=weights, vectors=vectors)
+    anc = ancilla_state(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2 * math.pi)))
+    t1 = float(rng.uniform(1e-3, math.pi)) / params.g
+    return probe, anc, params, conjugate_schedule(t1, theta=0.0)
+
+
+def _oracle_values(cases: list) -> list[tuple[float, ...]]:
+    """The SLD oracle of each case at :data:`_ORACLE_THETAS`, in case order.
+
+    Cases of one probe size share dense reference stacks of at most
+    :data:`_STACK_ENTRIES` entries per array.
+    """
+    groups: dict[EnsembleDim, list[int]] = {}
+    for index, (probe, *_) in enumerate(cases):
+        groups.setdefault(probe.dim, []).append(index)
+    values: list = [None] * len(cases)
+    for dim, group in groups.items():
+        size = max(1, _STACK_ENTRIES // (2 * dim.dim) ** 2)
+        for start in range(0, len(group), size):
+            members = group[start : start + size]
+            states = output_states_stacked([cases[i] for i in members], _ORACLE_THETAS)
+            per_theta = [qfi_sld_oracle_stacked(rho, drho) for rho, drho in states]
+            for index, oracles in zip(members, zip(*per_theta)):
+                values[index] = oracles
+    return values
+
+
 def run_validation(instances: int = 200, seed: int = 7) -> dict:
     """Randomized cross-validation of the two independent information paths.
 
     Draws random probes (rank <= 3), ancilla angles, interactions, and step
     times; checks that the two-term evaluation agrees with the SLD oracle at
     two phase points and that the readout information at the first of them
-    never exceeds the oracle's value there.
+    never exceeds the oracle's value there.  Instances are drawn in blocks,
+    in the order of a one-at-a-time loop; the dense reference of a block
+    runs as stacks of instances that share a probe size (one eigh chain and
+    one oracle per stack, a whole size per stack up to a memory bound),
+    while ``qfi_general`` and ``cfi`` run once per instance.
     """
     if instances < 1:
         raise ContractViolation(f"validation needs at least one instance, got {instances!r}")
@@ -541,37 +606,19 @@ def run_validation(instances: int = 200, seed: int = 7) -> dict:
     max_rel = 0.0
     crb_violations = 0
     bound_violations = 0
-    for _ in range(instances):
-        n = int(rng.integers(2, 21))
-        dim = EnsembleDim(n)
-        kind = "zz" if rng.random() < 0.5 else "xz"
-        params = ModelParams(
-            omega_p=float(rng.uniform(0.5, 5.0)),
-            omega_a=float(rng.uniform(0.5, 5.0)),
-            g=1.0,
-            kind=kind,
-        )
-        rank = int(rng.integers(1, 4))
-        raw = rng.normal(size=(dim.dim, rank)) + 1j * rng.normal(size=(dim.dim, rank))
-        vectors, _ = np.linalg.qr(raw)
-        weights = rng.random(rank) + 0.2
-        weights /= weights.sum()
-        probe = SpectralProbe(dim=dim, weights=weights, vectors=vectors)
-        anc = ancilla_state(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2 * math.pi)))
-        t1 = float(rng.uniform(1e-3, math.pi)) / params.g
-        sched = conjugate_schedule(t1, theta=0.0)
-
-        general = qfi_general(probe, anc, params, sched).value
-        derivatives = output_state_derivatives(probe, anc, params, sched, (0.2, 1.0))
-        oracles = [qfi_sld_oracle(rho, drho).value for rho, drho in derivatives]
-        for oracle in oracles:
-            rel = abs(general - oracle) / max(abs(general), abs(oracle), 1e-9)
-            max_rel = max(max_rel, rel)
-        classical = cfi(probe, anc, params, sched, theta_eval=0.2).value
-        if classical > oracles[0] + 1e-8:
-            crb_violations += 1
-        if max(general, classical) > n * n + 1e-6:
-            bound_violations += 1
+    for start in range(0, instances, _VALIDATION_BLOCK):
+        block = [_draw_instance(rng) for _ in range(min(_VALIDATION_BLOCK, instances - start))]
+        for (probe, anc, params, sched), oracles in zip(block, _oracle_values(block)):
+            n = probe.dim.n_spins
+            general = qfi_general(probe, anc, params, sched).value
+            for oracle in oracles:
+                rel = abs(general - oracle) / max(abs(general), abs(oracle), 1e-9)
+                max_rel = max(max_rel, rel)
+            classical = cfi(probe, anc, params, sched, theta_eval=_ORACLE_THETAS[0]).value
+            if classical > oracles[0] + 1e-8:
+                crb_violations += 1
+            if max(general, classical) > n * n + 1e-6:
+                bound_violations += 1
     return {
         "instances": instances,
         "seed": seed,

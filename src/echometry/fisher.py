@@ -35,12 +35,14 @@ every step time at once, by one of two routes, also chosen by the probe
 alone:
 
 * a coherent probe (``SpectralProbe.coherent_axis``, derived from a
-  declared top level, as :func:`~echometry.states.polarized_probe` makes)
-  maps to another coherent state, the closed form
+  declared single top or bottom level, as
+  :func:`~echometry.states.polarized_probe` makes, and
+  :func:`~echometry.states.thermal_probe` when it keeps one level) maps to
+  another coherent state, the closed form
   :func:`~echometry.states.coherent_state`, in O(N) per cell with no
   eigensolve and no probe column;
-* every other probe (thermal, rank above 1, or one built from its columns)
-  goes through one real J_x frame per call
+* every other probe (thermal with more than one level, rank above 1, or
+  one built from its columns) goes through one real J_x frame per call
   (:func:`~echometry.circuit.apply_su2`), O(N^2).
 
 No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`

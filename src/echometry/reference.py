@@ -8,6 +8,13 @@ XZ :func:`bch_coefficients` are the oracle of the optimal generator.  It
 imports model definitions only, never a sector kernel, so ``validate`` and
 the tests can check the production kernels against it.  Tensor products put
 the probe factor first, basis order (m, {e, g}).
+
+The output state and the oracle are computed for a stack of instances that
+share one probe size, as arrays with a leading instance axis
+(:func:`output_states_stacked`, :func:`qfi_sld_oracle_stacked`); the
+single-instance functions are their stacks of one.  numpy's stacked
+``eigh`` and ``matmul`` run the same LAPACK and BLAS call on each slice, so
+an instance's values do not depend on the stack it is evaluated in.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from .states import EPS_SPECTRUM, AncillaState, SpectralProbe
 __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "joint_embed", "unitary_of_hermitian", "hamiltonian",
     "encoding_generator", "circuit_unitary", "bch_coefficients", "closed_form_generator", "closed_form_unitary",
-    "global_phase_distance", "output_state_derivative", "output_state_derivatives", "qfi_simplified",
-    "qfi_sld_oracle",
+    "global_phase_distance", "output_state_derivative", "output_state_derivatives", "output_states_stacked",
+    "qfi_simplified", "qfi_sld_oracle", "qfi_sld_oracle_stacked",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,10 +43,19 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
 
-def _evolution(eigenpairs: tuple[np.ndarray, np.ndarray], t: float) -> np.ndarray:
-    """exp(-i H t) from the eigenpairs (values, column vectors) of a Hermitian H."""
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a stack (last two axes)."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _evolution(eigenpairs: tuple[np.ndarray, np.ndarray], t) -> np.ndarray:
+    """exp(-i H t) from the eigenpairs (values, column vectors) of a Hermitian H.
+
+    Eigenpairs stacked on leading axes give a stack of unitaries; ``t`` is a
+    scalar or one time per stack element.
+    """
     vals, vecs = eigenpairs
-    return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * vals * np.expand_dims(t, -1))[..., None, :]) @ _adjoint(vecs)
 
 
 def unitary_of_hermitian(h: np.ndarray, t: float) -> np.ndarray:
@@ -53,25 +69,31 @@ def joint_embed(probe_op: np.ndarray, ancilla_op: np.ndarray) -> np.ndarray:
     """Kronecker product with the probe factor first, basis order (m, {e, g}).
 
     Entry ((i, k), (j, l)) is the one product a_ij b_kl, taken by broadcasting.
+    Matrices stacked on leading axes give a stack of products; the leading
+    axes of the two factors broadcast.
     """
     a = np.asarray(probe_op, dtype=complex)
     b = np.asarray(ancilla_op, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ContractViolation("joint_embed needs two square matrices")
-    size = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(size, size)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise ContractViolation("joint_embed needs two square matrices or stacks of them")
+    size = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], size, size)
+
+
+def _hamiltonians(params: list[ModelParams], dim: EnsembleDim) -> np.ndarray:
+    """The joint Hamiltonian of each model, stacked: shape (len(params), 2(N+1), 2(N+1))."""
+    jx, _, jz = collective_ops(dim)
+    eye = np.eye(dim.dim, dtype=complex)
+    wp, wa, g = (np.array([getattr(p, name) for p in params])[:, None, None] for name in ("omega_p", "omega_a", "g"))
+    zz = np.array([p.kind == "zz" for p in params])[:, None, None]
+    coupling = np.where(zz, joint_embed(jz, PAULI_Z), joint_embed(jx, PAULI_Z))
+    return wp * joint_embed(jz, ID2) + wa * joint_embed(eye, PAULI_Z) + g * coupling
 
 
 def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     """Joint Hamiltonian on the 2(N+1)-dimensional probe-ancilla space."""
-    jx, _, jz = collective_ops(dim)
-    eye = np.eye(dim.dim, dtype=complex)
-    coupling_op = jz if params.kind == "zz" else jx
-    return (
-        params.omega_p * joint_embed(jz, ID2)
-        + params.omega_a * joint_embed(eye, PAULI_Z)
-        + params.g * joint_embed(coupling_op, PAULI_Z)
-    )
+    return _hamiltonians([params], dim)[0]
 
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
@@ -80,17 +102,30 @@ def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     return jx if params.kind == "zz" else jz
 
 
-def _legs(params: ModelParams, dim: EnsembleDim, sched: Schedule):
-    """U(t2-leg), U(t1), G and the eigenpairs of G for the dense circuit, from one eigh of H and one of G.
+def _legs(params: list[ModelParams], dim: EnsembleDim, scheds: list[Schedule]):
+    """U(t2-leg), U(t1), G and the eigenpairs of G of each dense circuit, stacked on a leading axis.
 
-    U(t2-leg) is U(t1)^dagger in ``exact_conjugate`` mode; G is (N+1)-dimensional,
-    and R(theta) = exp(-i theta G) follows from its eigenpairs at any theta.
+    One stacked eigh of the Hamiltonians and one eigh per encoding generator
+    serve the stack.  U(t2-leg) is U(t1)^dagger in ``exact_conjugate`` mode,
+    which the stack shares; G is (N+1)-dimensional, and R(theta) =
+    exp(-i theta G) follows from its eigenpairs at any theta.
     """
-    h_spectrum = np.linalg.eigh(hamiltonian(params, dim))
-    u1 = _evolution(h_spectrum, sched.t1)
-    u2 = u1.conj().T if sched.mode == "exact_conjugate" else _evolution(h_spectrum, sched.t2)
-    gen = encoding_generator(params, dim)
-    return u2, u1, gen, np.linalg.eigh(gen)
+    modes = {sched.mode for sched in scheds}
+    if len(modes) != 1:
+        raise ContractViolation(f"a stack of circuits shares one reversal mode, got {sorted(modes)}")
+    h_spectrum = np.linalg.eigh(_hamiltonians(params, dim))
+    u1 = _evolution(h_spectrum, np.array([sched.t1 for sched in scheds]))
+    if modes == {"exact_conjugate"}:
+        u2 = _adjoint(u1)
+    else:
+        u2 = _evolution(h_spectrum, np.array([sched.t2 for sched in scheds]))
+    spectra = {}
+    for p in params:
+        if p.kind not in spectra:
+            gen = encoding_generator(p, dim)
+            spectra[p.kind] = (gen, *np.linalg.eigh(gen))
+    gen, vals, vecs = (np.stack(parts) for parts in zip(*(spectra[p.kind] for p in params)))
+    return u2, u1, gen, (vals, vecs)
 
 
 def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
@@ -99,8 +134,8 @@ def circuit_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> n
     The dense reference: built from exp(-i H t) of :func:`hamiltonian`, never
     from the sector pairs of :func:`~echometry.circuit.propagator`.
     """
-    u2, u1, _, g_spectrum = _legs(params, dim, sched)
-    return u2 @ joint_embed(_evolution(g_spectrum, sched.theta), ID2) @ u1
+    u2, u1, _, g_spectrum = _legs([params], dim, [sched])
+    return (u2 @ joint_embed(_evolution(g_spectrum, sched.theta), ID2) @ u1)[0]
 
 
 def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, float]:
@@ -175,28 +210,47 @@ def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - phase * b)))
 
 
-def output_state_derivatives(
-    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule, thetas
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Output state together with its analytic theta-derivative at each of ``thetas`` (dense reference).
+def output_states_stacked(cases, thetas) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Output states and their analytic theta-derivatives of a stack of circuits (dense reference).
 
+    ``cases`` is a nonempty sequence of (probe, ancilla, params, sched) that
+    share one probe size and one reversal mode; ``sched.theta`` is not read.
+    For each of ``thetas``, in order, the result holds (rho, drho), each of
+    shape (len(cases), 2(N+1), 2(N+1)) in case order.
     d U_theta / d theta = U(t2-leg) (-i G) R(theta) U(t1), exact because the
     encoding generator G commutes with R(theta); differencing of unitaries is
     never used.  U(t1) and U_theta come from the dense joint Hamiltonian, not
-    from the sector pairs of the production path.  One eigh of H and one of G
-    serve every phase; ``sched.theta`` is not read.
+    from the sector pairs of the production path.  One stacked eigh of the
+    Hamiltonians and one eigh per encoding generator serve every phase.
     """
-    u2, u1, gen, g_spectrum = _legs(params, probe.dim, sched)
-    rho0 = joint_embed(probe.density(), ancilla.rho)
+    cases = list(cases)
+    dims = {probe.dim for probe, *_ in cases}
+    if len(dims) != 1:
+        raise ContractViolation(f"a stack of circuits shares one probe size, got {len(dims)} sizes")
+    probes, ancillas, params, scheds = zip(*cases)
+    u2, u1, gen, g_spectrum = _legs(list(params), dims.pop(), list(scheds))
+    rho0 = joint_embed(np.stack([probe.density() for probe in probes]), np.stack([anc.rho for anc in ancillas]))
     states = []
     for theta in thetas:
         rotation = _evolution(g_spectrum, theta)
         u = u2 @ joint_embed(rotation, ID2) @ u1
         du = u2 @ joint_embed(-1j * gen @ rotation, ID2) @ u1
-        rho = u @ rho0 @ u.conj().T
-        half = du @ rho0 @ u.conj().T
-        states.append((rho, half + half.conj().T))
+        u_dagger = _adjoint(u)
+        rho = u @ rho0 @ u_dagger
+        half = du @ rho0 @ u_dagger
+        states.append((rho, half + _adjoint(half)))
     return states
+
+
+def output_state_derivatives(
+    probe: SpectralProbe, ancilla: AncillaState, params: ModelParams, sched: Schedule, thetas
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Output state together with its analytic theta-derivative at each of ``thetas`` (dense reference).
+
+    The stack of one of :func:`output_states_stacked`: one eigh of H and one
+    of G serve every phase; ``sched.theta`` is not read.
+    """
+    return [(rho[0], drho[0]) for rho, drho in output_states_stacked([(probe, ancilla, params, sched)], thetas)]
 
 
 def output_state_derivative(
@@ -213,26 +267,44 @@ def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherRes
     return FisherResult(value=value)
 
 
-def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResult:
-    """Fisher information from the symmetric-logarithmic-derivative expansion.
+def qfi_sld_oracle_stacked(rho_theta: np.ndarray, drho_theta: np.ndarray) -> list[float]:
+    """Fisher information from the symmetric-logarithmic-derivative expansion, per stack element.
 
-    F_Q = 2 sum_{k,l} |<k| drho |l>|^2 / (lambda_k + lambda_l) over eigenpairs
-    of rho with lambda_k + lambda_l above the spectral cutoff.  Independent of
-    the two-term path: it only sees the output state and its derivative.
+    ``rho_theta`` and ``drho_theta`` stack states and their derivatives on
+    a leading axis.  For each, F_Q = 2 sum_{k,l} |<k| drho |l>|^2 /
+    (lambda_k + lambda_l) over eigenpairs of rho with lambda_k + lambda_l
+    above the spectral cutoff.  Every element must be Hermitian with unit
+    trace and positive semidefinite, and its derivative Hermitian and
+    traceless.  Independent of the two-term path: it only sees the output
+    states and their derivatives.
     """
     rho = np.asarray(rho_theta, dtype=complex)
     drho = np.asarray(drho_theta, dtype=complex)
+    if rho.ndim != 3 or rho.shape[-1] != rho.shape[-2] or drho.shape != rho.shape:
+        raise ContractViolation("the oracle needs stacks of square states and derivatives of one shape")
     assert_hermitian(rho, name="output state")
     assert_hermitian(drho, tol=1e-10, name="output-state derivative")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
+    if (np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
         raise ContractViolation("output state must have unit trace")
-    if abs(np.trace(drho)) > 1e-9:
+    if (np.abs(np.trace(drho, axis1=-2, axis2=-1)) > 1e-9).any():
         raise ContractViolation("output-state derivative must be traceless")
     vals, vecs = np.linalg.eigh(rho)
     if vals.min() < -1e-10:
         raise ContractViolation("output state is not positive semidefinite")
-    md = vecs.conj().T @ drho @ vecs
-    denom = vals[:, None] + vals[None, :]
+    md2 = np.abs(_adjoint(vecs) @ drho @ vecs) ** 2
+    denom = vals[..., :, None] + vals[..., None, :]
     mask = denom > EPS_SPECTRUM
-    value = 2.0 * float(np.sum((np.abs(md) ** 2)[mask] / denom[mask]))
-    return FisherResult(value=value)
+    return [2.0 * float(np.sum(w[keep] / d[keep])) for w, d, keep in zip(md2, denom, mask)]
+
+
+def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResult:
+    """Fisher information from the symmetric-logarithmic-derivative expansion.
+
+    The stack of one of :func:`qfi_sld_oracle_stacked`: F_Q = 2 sum_{k,l}
+    |<k| drho |l>|^2 / (lambda_k + lambda_l) over eigenpairs of rho with
+    lambda_k + lambda_l above the spectral cutoff.  Independent of the
+    two-term path: it only sees the output state and its derivative.
+    """
+    rho = np.asarray(rho_theta, dtype=complex)
+    drho = np.asarray(drho_theta, dtype=complex)
+    return FisherResult(value=qfi_sld_oracle_stacked(rho[None], drho[None])[0])

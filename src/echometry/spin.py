@@ -231,7 +231,8 @@ def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:
-    dev = float(np.abs(a - a.conj().T).max())
+    """Raise unless ``a``, or every matrix of a stack of them (last two axes), is Hermitian within ``tol``."""
+    dev = float(np.abs(a - a.conj().swapaxes(-1, -2)).max())
     if dev >= tol:
         raise ContractViolation(f"{name} is not Hermitian (max deviation {dev:.3e})")
 

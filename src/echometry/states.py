@@ -26,7 +26,9 @@ their vectors cost O(N) memory with no full eigenframe:
   it keeps; their vectors come from
   :func:`~echometry.spin.lowest_spin_columns`: inverse iteration at their
   exact eigenvalues m, with no eigenvalue search (exact basis vectors at a
-  pole), or the full frame when every weight is kept.
+  pole), or the full frame when every weight is kept.  Cold enough to keep
+  one level, it is |n; -j>, the coherent state along -n, and its
+  ``coherent_axis`` is -n.
 
 Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 (:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude
@@ -213,11 +215,13 @@ class SpectralProbe:
     needs only its frame (the quantum Fisher sum's closed-form moments, the
     coherent readout) solves no column.
 
-    ``coherent_axis`` is derived from the declaration: the axis of a single
-    level at m = +j, else None.  When set, the probe is pure and equal, up
-    to a global phase, to the spin-coherent state polarized along that axis
-    (``D^j(R_n)|j,+j>``), which lets the readout use the closed form of
-    :func:`coherent_state` for the probe's image under any circuit.
+    ``coherent_axis`` is derived from the declaration: the axis n of a
+    single level at m = +j, its negation -n for a single level at m = -j
+    (|n; -j> is the top level of -n.J, as a thermal probe cold enough to
+    keep one level declares), else None.  When set, the probe is pure and
+    equal, up to a global phase, to the spin-coherent state polarized along
+    that axis (``D^j(R_n)|j,+j>``), which lets the readout use the closed
+    form of :func:`coherent_state` for the probe's image under any circuit.
 
     Probes compare and hash by identity (``eq=False``): their arrays have no
     single truth value.
@@ -254,7 +258,11 @@ class SpectralProbe:
 
     @property
     def coherent_axis(self) -> tuple[float, float, float] | None:
-        return self.levels.axis if self.levels is not None and self.levels.top else None
+        if self.levels is None:
+            return None
+        if self.levels.top:
+            return self.levels.axis
+        return tuple(-a for a in self.levels.axis) if self.n_terms == 1 else None
 
     @property
     def n_terms(self) -> int:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import echometry
+import echometry.experiments
 from echometry.circuit import (
     ModelParams,
     Schedule,
@@ -19,7 +20,8 @@ from echometry.circuit import (
 )
 from echometry.fisher import cfi, qfi_general, qfi_thermal
 from echometry.spin import EnsembleDim
-from echometry.states import ancilla_state, polarized_probe, thermal_probe
+from echometry.reference import output_state_derivatives, qfi_sld_oracle
+from echometry.states import SpectralProbe, ancilla_state, polarized_probe, thermal_probe
 from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
 
@@ -361,3 +363,62 @@ def test_run_validation_passes():
     assert report["max_rel_diff"] <= 1e-8
     assert report["crb_violations"] == 0
     assert report["bound_violations"] == 0
+
+
+def validation_one_by_one(instances, seed):
+    """run_validation's report from one dense reference call per instance, drawn and checked in turn."""
+    rng = np.random.default_rng(seed)
+    max_rel = 0.0
+    crb_violations = 0
+    bound_violations = 0
+    for _ in range(instances):
+        n = int(rng.integers(2, 21))
+        dim = EnsembleDim(n)
+        kind = "zz" if rng.random() < 0.5 else "xz"
+        params = ModelParams(
+            omega_p=float(rng.uniform(0.5, 5.0)),
+            omega_a=float(rng.uniform(0.5, 5.0)),
+            g=1.0,
+            kind=kind,
+        )
+        rank = int(rng.integers(1, 4))
+        raw = rng.normal(size=(dim.dim, rank)) + 1j * rng.normal(size=(dim.dim, rank))
+        vectors, _ = np.linalg.qr(raw)
+        weights = rng.random(rank) + 0.2
+        weights /= weights.sum()
+        probe = SpectralProbe(dim=dim, weights=weights, vectors=vectors)
+        anc = ancilla_state(float(rng.uniform(0.0, math.pi)), float(rng.uniform(0.0, 2 * math.pi)))
+        t1 = float(rng.uniform(1e-3, math.pi)) / params.g
+        sched = conjugate_schedule(t1, theta=0.0)
+
+        general = qfi_general(probe, anc, params, sched).value
+        derivatives = output_state_derivatives(probe, anc, params, sched, (0.2, 1.0))
+        oracles = [qfi_sld_oracle(rho, drho).value for rho, drho in derivatives]
+        for oracle in oracles:
+            rel = abs(general - oracle) / max(abs(general), abs(oracle), 1e-9)
+            max_rel = max(max_rel, rel)
+        classical = cfi(probe, anc, params, sched, theta_eval=0.2).value
+        if classical > oracles[0] + 1e-8:
+            crb_violations += 1
+        if max(general, classical) > n * n + 1e-6:
+            bound_violations += 1
+    return {
+        "instances": instances,
+        "seed": seed,
+        "max_rel_diff": max_rel,
+        "crb_violations": crb_violations,
+        "bound_violations": bound_violations,
+        "passed": max_rel <= 1e-8 and crb_violations == 0 and bound_violations == 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, instances, block, entries", [(7, 40, 256, 4096), (977, 30, 7, 1), (1, 40, 256, 10**6)]
+)
+def test_run_validation_reports_what_one_instance_at_a_time_reports(monkeypatch, seed, instances, block, entries):
+    # the stacked reference, in one block or several, in stacks of one, of a
+    # bounded size or of a whole probe size, gives the exact report of one
+    # dense reference call per instance in draw order
+    monkeypatch.setattr(echometry.experiments, "_VALIDATION_BLOCK", block)
+    monkeypatch.setattr(echometry.experiments, "_STACK_ENTRIES", entries)
+    assert run_validation(instances=instances, seed=seed) == validation_one_by_one(instances, seed)

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 import echometry.circuit
 import echometry.fisher
 import echometry.reference
+import echometry.spin
 import echometry.states
 from echometry.circuit import (
     ModelParams,
@@ -65,8 +66,10 @@ from echometry.reference import (
     joint_embed,
     output_state_derivative,
     output_state_derivatives,
+    output_states_stacked,
     qfi_simplified,
     qfi_sld_oracle,
+    qfi_sld_oracle_stacked,
     unitary_of_hermitian,
 )
 from test_states import ghz_probe
@@ -120,7 +123,7 @@ def test_output_states_at_several_phases_share_one_solve_of_each_generator(monke
         eigh = np.linalg.eigh
 
         def counted(a, *args, **kwargs):
-            sizes.append(a.shape[0])
+            sizes.append(a.shape[-1])
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -131,6 +134,73 @@ def test_output_states_at_several_phases_share_one_solve_of_each_generator(monke
         for (rho, drho), (rho1, drho1) in zip(shared, singles):
             np.testing.assert_array_equal(rho, rho1)
             np.testing.assert_array_equal(drho, drho1)
+
+
+def test_stacked_reference_equals_its_stacks_of_one():
+    # an instance's output state, derivative and oracle value have the bits of
+    # its own stack of one, whatever else shares its stack: ZZ and XZ mixed,
+    # ranks 1-3, pure and dephased ancillas, N from 1 to 20, both modes
+    rng = np.random.default_rng(29)
+    thetas = (0.2, 1.0)
+    for group in range(12):
+        dim = EnsembleDim(int(rng.integers(1, 21)))
+        mode = "period" if group % 4 == 3 else "exact_conjugate"
+        cases = []
+        for _ in range(int(rng.integers(1, 7))):
+            params = ModelParams(
+                omega_p=float(rng.uniform(0.5, 5.0)),
+                omega_a=float(rng.uniform(0.5, 5.0)),
+                g=float(rng.uniform(0.3, 2.0)),
+                kind="zz" if rng.random() < 0.5 else "xz",
+            )
+            anc = ancilla_state(float(rng.uniform(0.0, np.pi)), float(rng.uniform(0.0, 2 * np.pi)))
+            if rng.random() < 0.4:
+                anc = dephase_ancilla(anc, float(rng.uniform(0.0, 1.0)))
+            sched = Schedule(t1=float(rng.uniform(1e-3, 3.0)), t2=float(rng.uniform(1e-3, 3.0)), theta=0.0, mode=mode)
+            cases.append((random_probe(dim, rng, max_rank=min(3, dim.dim)), anc, params, sched))
+        stacked = output_states_stacked(cases, thetas)
+        oracles = [qfi_sld_oracle_stacked(rho, drho) for rho, drho in stacked]
+        assert [rho.shape for rho, _ in stacked] == [(len(cases), 2 * dim.dim, 2 * dim.dim)] * len(thetas)
+        for index, case in enumerate(cases):
+            singles = output_state_derivatives(*case, thetas)
+            for (rho, drho), (rho1, drho1), values in zip(stacked, singles, oracles):
+                np.testing.assert_array_equal(rho[index], rho1)
+                np.testing.assert_array_equal(drho[index], drho1)
+                assert values[index] == qfi_sld_oracle(rho1, drho1).value
+
+
+def test_stacked_oracle_checks_every_element():
+    # each contract of the oracle holds for every element of a stack, not
+    # only the first
+    _, _, probe, anc, sched = optimal_setup(3)
+    rho, drho = output_states_stacked([(probe, anc, ZZ, sched)] * 3, (0.2,))[0]
+    assert qfi_sld_oracle_stacked(rho, drho) == [qfi_sld_oracle(rho[0], drho[0]).value] * 3
+    skew = np.zeros_like(drho[0])
+    skew[0, 1] = 1e-6
+    bad_states = {
+        "output-state derivative is not Hermitian": (rho, drho + np.array([0.0, 0.0, 1.0])[:, None, None] * skew),
+        "output state is not Hermitian": (rho + np.array([0.0, 1.0, 0.0])[:, None, None] * skew, drho),
+        "unit trace": (rho * np.array([1.0, 1.0, 1.1])[:, None, None], drho),
+        "traceless": (rho, drho + np.array([0.0, 1e-6, 0.0])[:, None, None] * np.eye(rho.shape[-1])),
+        "positive semidefinite": (
+            rho + np.array([0.0, 0.0, 1e-6])[:, None, None] * np.diag([-1.0, 1.0] + [0.0] * (rho.shape[-1] - 2)),
+            drho,
+        ),
+        "stacks of square states": (rho[0], drho[0]),
+    }
+    for message, (bad_rho, bad_drho) in bad_states.items():
+        with pytest.raises(ContractViolation, match=message):
+            qfi_sld_oracle_stacked(bad_rho, bad_drho)
+
+
+def test_a_stack_of_circuits_shares_one_size_and_one_mode():
+    _, _, probe, anc, sched = optimal_setup(3)
+    _, _, other, _, _ = optimal_setup(4)
+    with pytest.raises(ContractViolation, match="probe size"):
+        output_states_stacked([(probe, anc, ZZ, sched), (other, anc, ZZ, sched)], (0.2,))
+    period = Schedule(t1=sched.t1, t2=1.0, theta=0.0, mode="period")
+    with pytest.raises(ContractViolation, match="reversal mode"):
+        output_states_stacked([(probe, anc, ZZ, sched), (probe, anc, ZZ, period)], (0.2,))
 
 
 def test_output_state_is_a_density_matrix():
@@ -1255,6 +1325,41 @@ def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch)
             solved.clear()
             cfi(probe, anc, params, conjugate_schedule(0.8, 0.3))
             assert solved == frames
+
+
+def test_a_thermal_probe_with_one_level_reads_out_as_the_coherent_state_along_minus_n(monkeypatch):
+    # cold enough to keep one level, a thermal probe is |n; -j>, the coherent
+    # state along -n: its readout takes the closed form, solves no column and
+    # loads no scipy, and matches the polarized probe along -n
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the readout solved probe columns")
+
+    monkeypatch.setattr(echometry.spin, "lowest_spin_columns", forbidden)
+    monkeypatch.setattr(echometry.states, "lowest_spin_columns", forbidden)
+    settings = optimal_settings(ZZ)
+    anc, sched = ancilla_state(settings.theta0), conjugate_schedule(settings.t1, 0.0)
+    for n in (3, 2000):
+        dim = EnsembleDim(n)
+        gen = optimal_generator(ZZ, dim)
+        cold = thermal_probe(dim, gen, 1e3)
+        assert cold.n_terms == 1 and cold.coherent_axis == tuple(-a for a in gen.axis)
+        along_minus_n = polarized_probe(dim, PhaseGenerator(dim, cold.coherent_axis))
+        value, expected = (cfi(probe, anc, ZZ, sched).value for probe in (cold, along_minus_n))
+        assert abs(value - expected) <= 1e-12 * expected
+    assert thermal_probe(dim, gen, 1.0).coherent_axis is None
+    script = (
+        "import sys, echometry as em\n"
+        "params = em.ModelParams(3.0, 3.0, 1.0, 'zz')\n"
+        "dim = em.EnsembleDim(2000)\n"
+        "settings = em.optimal_settings(params)\n"
+        "probe = em.thermal_probe(dim, em.optimal_generator(params, dim), 1e3)\n"
+        "em.cfi(probe, em.ancilla_state(settings.theta0), params, em.conjugate_schedule(settings.t1, 0.0))\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 _AXIS = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)).filter(

@@ -60,7 +60,7 @@ def test_dense_path_is_defined_and_called_only_in_the_reference():
     # np.kron and every reference name appear nowhere else, bar the oracle
     # calls of run_validation
     dense = set(echometry.reference.__all__) | {"kron"}
-    allowed = {"experiments.py": {"output_state_derivatives", "qfi_sld_oracle"}}
+    allowed = {"experiments.py": {"output_states_stacked", "qfi_sld_oracle_stacked"}}
     for path in SOURCES:
         if path.name == "reference.py":
             continue
