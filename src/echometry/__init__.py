@@ -18,7 +18,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    collective_ops,
     phase_generator,
     spin_frame,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ContractViolation",
     "EnsembleDim",
     "PhaseGenerator",
-    "collective_ops",
     "phase_generator",
     "spin_frame",
     "AncillaState",

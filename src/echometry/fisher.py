@@ -66,10 +66,10 @@ import numpy as np
 from .circuit import (
     ModelParams,
     Schedule,
-    _durations,
     apply_spin_axis,
     apply_su2,
     axis_rotation,
+    checked_durations,
     encoding_axis,
     optimal_generator,
     propagator,
@@ -85,7 +85,7 @@ from .spin import (
     PhaseGenerator,
     KET_E,
     KET_G,
-    _check_generator_size,
+    check_generator_size,
     spin_frame,
 )
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, coherent_state, thermal_weights
@@ -252,7 +252,7 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     pair (k, i) then has ||H psi_ki||^2 = sum_s |alpha_si|^2 n_sk and
     <psi_ki|H|psi_lj> = sum_s conj(alpha_si) alpha_sj o_skl.
     """
-    t1s = _durations(t1s)
+    t1s = checked_durations(t1s)
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
     pairs = [anc.eigenpairs for anc in ancillas]
@@ -348,7 +348,7 @@ def _readout_generator(
     and need no generator, but a given one must still be for the probe's N.
     """
     if generator is not None:
-        _check_generator_size(generator, dim)
+        check_generator_size(generator, dim)
     if basis == "full_system":
         return optimal_generator(params, dim) if generator is None else generator
     if basis == "ancilla_only":
@@ -468,7 +468,7 @@ def measurement_probs(
     builds its labelled ``rows`` only when they are read.
     """
     generator = _readout_generator(basis, generator, params, probe.dim)
-    t1s, t2s = _durations([sched.t1]), _durations([sched.t2])
+    t1s, t2s = checked_durations([sched.t1]), checked_durations([sched.t2])
     probs = _readout_probs(probe, ancilla, params, t1s, t2s, sched.mode, sched.theta, generator)[0][0]
     m_values = None if generator is None else math.hypot(*generator.axis) * probe.dim.m_values()
     return ProbabilityTable(probs, m_values)
@@ -510,7 +510,7 @@ def cfi_grid(
         raise ContractViolation(f"unknown reversal mode {mode!r}")
     if not np.isfinite(theta_eval):
         raise ContractViolation("encoded phase must be finite")
-    t1s, t2s = _durations(t1s), _durations(t2s)
+    t1s, t2s = checked_durations(t1s), checked_durations(t2s)
     if t1s.shape != t2s.shape:
         t1s, t2s = np.broadcast_arrays(t1s, t2s)
     generator = _readout_generator(basis, generator, params, probe.dim)

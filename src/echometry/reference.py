@@ -1,13 +1,16 @@
-"""The dense 2(N+1)-dimensional reference path and the independent SLD oracle.
+"""Every dense operator, (N+1)- and 2(N+1)-dimensional, and the independent SLD oracle.
 
-The joint Hamiltonian, the circuit unitary from its eigendecomposition, the
-closed-form (BCH) generator and unitary, the output state with its analytic
-theta-derivative, and the Fisher information from the symmetric logarithmic
-derivative of that state (Braunstein & Caves, PRL 72, 3439, 1994).  The
-XZ :func:`bch_coefficients` are the oracle of the optimal generator.  It
-imports model definitions only, never a sector kernel, so ``validate`` and
-the tests can check the production kernels against it.  Tensor products put
-the probe factor first, basis order (m, {e, g}).
+The spin component n.J as a matrix (:func:`spin_matrix`, the one builder of
+every spin operator here), a probe's density matrix, the joint Hamiltonian,
+the circuit unitary from its eigendecomposition, the closed-form (BCH)
+generator and unitary, the output state with its analytic theta-derivative,
+and the Fisher information from the symmetric logarithmic derivative of that
+state (Braunstein & Caves, PRL 72, 3439, 1994).  The XZ
+:func:`bch_coefficients` are the oracle of the optimal generator.  It
+imports model definitions only, never a kernel (the period check of the
+closed form takes its own dense trace), so ``validate`` and the tests can
+check the production kernels against it.  Tensor products put the probe
+factor first, basis order (m, {e, g}).
 
 The output state and the oracle are computed for a stack of instances that
 share one probe size, as arrays with a leading instance axis
@@ -23,24 +26,45 @@ import math
 
 import numpy as np
 
-from .circuit import PERIOD_RESIDUAL_TOL, ModelParams, Schedule, normalized_trace
+from .circuit import PERIOD_RESIDUAL_TOL, ModelParams, Schedule
 from .fisher import FisherResult
-from .spin import (
-    ContractViolation, EnsembleDim, PhaseGenerator, assert_hermitian, collective_ops, phase_generator
-)
+from .spin import ContractViolation, EnsembleDim, PhaseGenerator, assert_hermitian
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe
 
 __all__ = [
-    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "joint_embed", "unitary_of_hermitian", "hamiltonian",
-    "encoding_generator", "circuit_unitary", "bch_coefficients", "closed_form_generator", "closed_form_unitary",
-    "global_phase_distance", "output_state_derivative", "output_state_derivatives", "output_states_stacked",
-    "qfi_simplified", "qfi_sld_oracle", "qfi_sld_oracle_stacked",
+    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "spin_matrix", "collective_ops", "probe_density", "joint_embed",
+    "unitary_of_hermitian", "hamiltonian", "encoding_generator", "circuit_unitary", "bch_coefficients",
+    "closed_form_generator", "closed_form_unitary", "global_phase_distance", "output_state_derivative",
+    "output_state_derivatives", "output_states_stacked", "qfi_simplified", "qfi_sld_oracle", "qfi_sld_oracle_stacked",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+
+
+def spin_matrix(dim: EnsembleDim, axis) -> np.ndarray:
+    """The dense spin component n.J in the ascending-m basis.
+
+    n_z m on the diagonal; below it (n_x - i n_y)/2 times the ladder
+    amplitudes sqrt(j(j+1) - m(m+1)) of J_+ |j,m>, above it their conjugates.
+    """
+    nx, ny, nz = (float(a) for a in axis)
+    m = dim.m_values()
+    ladder = np.sqrt(dim.j * (dim.j + 1) - m[:-1] * (m[:-1] + 1))
+    lower = np.diag(0.5 * complex(nx, -ny) * ladder, -1)
+    return np.diag(nz * m + 0j) + lower + lower.conj().T
+
+
+def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collective spin matrices (J_x, J_y, J_z) on the symmetric subspace, from :func:`spin_matrix`."""
+    return tuple(spin_matrix(dim, axis) for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+
+
+def probe_density(probe: SpectralProbe) -> np.ndarray:
+    """The probe's dense density matrix sum_i p_i |psi_i><psi_i| from its columns."""
+    return (probe.vectors * probe.weights) @ probe.vectors.conj().T
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -98,8 +122,7 @@ def hamiltonian(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
 
 def encoding_generator(params: ModelParams, dim: EnsembleDim) -> np.ndarray:
     """The generator of the encoding rotation: J_x for ZZ, J_z for XZ (dense reference)."""
-    jx, _, jz = collective_ops(dim)
-    return jx if params.kind == "zz" else jz
+    return spin_matrix(dim, (1.0, 0.0, 0.0) if params.kind == "zz" else (0.0, 0.0, 1.0))
 
 
 def _legs(params: list[ModelParams], dim: EnsembleDim, scheds: list[Schedule]):
@@ -157,35 +180,31 @@ def bch_coefficients(params: ModelParams, t1: float) -> tuple[float, float, floa
 
 
 def closed_form_generator(params: ModelParams, dim: EnsembleDim, t1: float) -> np.ndarray:
-    """Hermitian M with U_theta = exp(-i theta M) once the reversal holds.
+    """Hermitian M = e.J (x) I + o.J (x) sigma_z with U_theta = exp(-i theta M) once the reversal holds.
 
-    ZZ: M = cos(g t1) J(-phi) - sin(g t1) J(pi/2 - phi) sigma_z with
-    phi = omega_p t1.  XZ: M = -(c_z J_z + c_x J_x sigma_z + c_y J_y sigma_z).
+    ZZ: M = cos(g t1) J(-phi) - sin(g t1) J(pi/2 - phi) sigma_z with phi = omega_p t1
+    and J(a) = cos(a) J_x + sin(a) J_y.  XZ: M = -(c_z J_z + c_x J_x sigma_z + c_y J_y sigma_z).
     """
-    jx, jy, jz = collective_ops(dim)
     if params.kind == "zz":
-        phi = params.omega_p * t1
-        j_minus_phi = phase_generator(dim, -phi).matrix
-        j_perp = phase_generator(dim, math.pi / 2 - phi).matrix
-        return math.cos(params.g * t1) * joint_embed(j_minus_phi, ID2) - math.sin(
-            params.g * t1
-        ) * joint_embed(j_perp, PAULI_Z)
-    cx, cy, cz = bch_coefficients(params, t1)
-    return -(
-        cz * joint_embed(jz, ID2)
-        + cx * joint_embed(jx, PAULI_Z)
-        + cy * joint_embed(jy, PAULI_Z)
-    )
+        phi, gt = params.omega_p * t1, params.g * t1
+        even = math.cos(gt) * np.array([math.cos(phi), -math.sin(phi), 0.0])
+        odd = -math.sin(gt) * np.array([math.sin(phi), math.cos(phi), 0.0])
+    else:
+        cx, cy, cz = bch_coefficients(params, t1)
+        even, odd = (0.0, 0.0, -cz), (-cx, -cy, 0.0)
+    return joint_embed(spin_matrix(dim, even), ID2) + joint_embed(spin_matrix(dim, odd), PAULI_Z)
 
 
 def closed_form_unitary(params: ModelParams, dim: EnsembleDim, sched: Schedule) -> np.ndarray:
     """The circuit unitary from its closed-form generator.
 
     Valid whenever the reversal condition holds, i.e. in exact-conjugate mode
-    or in period mode with t1 + t2 a verified reversal period.
+    or in period mode with t1 + t2 = T a verified reversal period: checked
+    here as |Tr exp(-i H T)| / 2(N+1) from the eigenvalues of the dense H.
     """
     if sched.mode == "period":
-        res = 1.0 - normalized_trace(params, dim, sched.t1 + sched.t2)
+        vals = np.linalg.eigvalsh(hamiltonian(params, dim))
+        res = 1.0 - abs(np.exp(-1j * vals * (sched.t1 + sched.t2)).sum()) / vals.size
         if res >= PERIOD_RESIDUAL_TOL:
             raise ContractViolation(
                 f"closed form needs a verified reversal period; residual {res:.3e}"
@@ -229,7 +248,7 @@ def output_states_stacked(cases, thetas) -> list[tuple[np.ndarray, np.ndarray]]:
         raise ContractViolation(f"a stack of circuits shares one probe size, got {len(dims)} sizes")
     probes, ancillas, params, scheds = zip(*cases)
     u2, u1, gen, g_spectrum = _legs(list(params), dims.pop(), list(scheds))
-    rho0 = joint_embed(np.stack([probe.density() for probe in probes]), np.stack([anc.rho for anc in ancillas]))
+    rho0 = joint_embed(np.stack([probe_density(probe) for probe in probes]), np.stack([anc.rho for anc in ancillas]))
     states = []
     for theta in thetas:
         rotation = _evolution(g_spectrum, theta)
@@ -262,7 +281,7 @@ def output_state_derivative(
 
 def qfi_simplified(probe: SpectralProbe, generator: PhaseGenerator) -> FisherResult:
     """Mean square of the optimized phase generator: 4 sum_i p_i <G^2>_i."""
-    gv = generator.matrix @ probe.vectors
+    gv = spin_matrix(probe.dim, generator.axis) @ probe.vectors
     value = 4.0 * float(np.sum(probe.weights * np.einsum("ik,ik->k", gv.conj(), gv).real))
     return FisherResult(value=value)
 
@@ -298,13 +317,7 @@ def qfi_sld_oracle_stacked(rho_theta: np.ndarray, drho_theta: np.ndarray) -> lis
 
 
 def qfi_sld_oracle(rho_theta: np.ndarray, drho_theta: np.ndarray) -> FisherResult:
-    """Fisher information from the symmetric-logarithmic-derivative expansion.
-
-    The stack of one of :func:`qfi_sld_oracle_stacked`: F_Q = 2 sum_{k,l}
-    |<k| drho |l>|^2 / (lambda_k + lambda_l) over eigenpairs of rho with
-    lambda_k + lambda_l above the spectral cutoff.  Independent of the
-    two-term path: it only sees the output state and its derivative.
-    """
+    """The stack of one of :func:`qfi_sld_oracle_stacked`: F_Q from the SLD of one output state."""
     rho = np.asarray(rho_theta, dtype=complex)
     drho = np.asarray(drho_theta, dtype=complex)
     return FisherResult(value=qfi_sld_oracle_stacked(rho[None], drho[None])[0])

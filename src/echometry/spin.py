@@ -1,4 +1,4 @@
-"""Collective spin operators and spin frames on the symmetric subspace.
+"""Spin components, their frames and their bands on the symmetric subspace.
 
 An ensemble of N spin-1/2 particles that is only ever driven through
 collective operators stays inside the (N+1)-dimensional symmetric subspace
@@ -10,8 +10,8 @@ full frame is one ``eigh_tridiagonal``; a partial set comes from inverse
 iteration at the known eigenvalues (LAPACK ``stein``), with no eigenvalue
 search, or, at a pole of the axis, is the exact J_z basis vectors.  Both
 solvers come from scipy, which is imported on the first solve, not with
-the package.  The 2(N+1)-dimensional probe-plus-ancilla operators of the
-dense reference path live in :mod:`echometry.reference`.
+the package.  n.J is applied as its diagonal and the band of :func:`spin_ladder`;
+every dense operator is the reference path's, in :mod:`echometry.reference`.
 
 Conventions used throughout the package:
 
@@ -39,9 +39,9 @@ __all__ = [
     "HERMITIAN_TOL",
     "KET_E",
     "KET_G",
-    "collective_ops",
     "spin_ladder",
     "phase_generator",
+    "check_generator_size",
     "spin_frame",
     "tridiagonal_axis",
     "pin_frame_phases",
@@ -93,22 +93,6 @@ def spin_ladder(dim: EnsembleDim) -> np.ndarray:
     """
     m = dim.m_values()[:-1]
     return np.sqrt(dim.j * (dim.j + 1) - m * (m + 1))
-
-
-def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collective spin matrices (J_x, J_y, J_z) on the symmetric subspace.
-
-    Built from the ladder action J_+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>
-    in the ascending-m basis; all three are Hermitian and satisfy the su(2)
-    algebra and the Casimir identity to near machine precision.
-    """
-    jz = np.diag(dim.m_values().astype(complex))
-    amp = spin_ladder(dim)
-    jp = np.zeros((dim.dim, dim.dim), dtype=complex)
-    jp[np.arange(1, dim.dim), np.arange(dim.dim - 1)] = amp
-    jx = (jp + jp.conj().T) / 2.0
-    jy = (jp - jp.conj().T) / 2.0j
-    return jx, jy, jz
 
 
 def tridiagonal_axis(axis) -> tuple[float, float, float]:
@@ -210,13 +194,8 @@ class PhaseGenerator:
             raise ContractViolation(f"generator axis must be a finite real 3-vector, got {self.axis!r}")
         object.__setattr__(self, "axis", tuple(float(a) for a in axis))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (N+1)-dimensional operator n.J."""
-        return sum(a * op for a, op in zip(self.axis, collective_ops(self.dim)))
 
-
-def _check_generator_size(generator: PhaseGenerator, dim: EnsembleDim) -> PhaseGenerator:
+def check_generator_size(generator: PhaseGenerator, dim: EnsembleDim) -> PhaseGenerator:
     """``generator``, once checked to act on the probe space of ``dim``."""
     if generator.dim != dim:
         raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")

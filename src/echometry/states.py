@@ -35,7 +35,8 @@ Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 entry is real and positive, ties within 1e-12 relative going to the first,
 so a probe equals the matching frame column without phase alignment.
 Probes compare and hash by identity: their arrays have no single truth
-value.
+value.  Only the dense reference builds a probe's density matrix
+(:func:`~echometry.reference.probe_density`).
 
 :func:`coherent_state` is D^j(u)|j,+j> for SU(2) elements u held as
 Cayley-Klein pairs (a, b) (see :mod:`echometry.circuit`): amplitudes
@@ -56,8 +57,8 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    _check_generator_size,
     assert_hermitian,
+    check_generator_size,
     lowest_spin_columns,
     pin_frame_phases,
     tridiagonal_axis,
@@ -268,10 +269,6 @@ class SpectralProbe:
     def n_terms(self) -> int:
         return self.weights.size
 
-    def density(self) -> np.ndarray:
-        """Reconstruct the density matrix sum_i p_i |psi_i><psi_i|."""
-        return (self.vectors * self.weights) @ self.vectors.conj().T
-
 
 def _checked_columns(dim: EnsembleDim, count: int, vectors) -> np.ndarray:
     """``vectors`` as a read-only complex array, once checked to be ``count`` orthonormal columns."""
@@ -353,10 +350,11 @@ def _level_columns(dim: EnsembleDim, levels: SpinLevels, count: int) -> np.ndarr
         return lowest_spin_columns(dim, levels.axis, count)
     nz, r, _ = tridiagonal_axis(levels.axis)
     norm = math.hypot(nz, r)
+    nz, r = nz / norm, r / norm  # the unit axis, so that no scale of it over- or underflows below
     # cos^2 and sin^2 of half the polar angle, the small one without cancellation,
     # so that a pole gives an exact zero
-    big = (norm + abs(nz)) / (2.0 * norm)
-    small = r * r / (2.0 * norm * (norm + abs(nz)))
+    big = (1.0 + abs(nz)) / 2.0
+    small = r * r / (2.0 * (1.0 + abs(nz)))
     cos2, sin2 = (big, small) if nz >= 0.0 else (small, big)
     # exp(-i t J_y)|j,+j> of the real tridiagonal frame: the binomial magnitudes, with the sign of r
     amp = _binomial_magnitudes(dim.n_spins, math.sqrt(cos2), math.sqrt(sin2))
@@ -371,7 +369,7 @@ def polarized_probe(dim: EnsembleDim, generator: PhaseGenerator) -> SpectralProb
     Declared as the top level of the generator's frame; its vector, when
     read, is the spin-coherent state in closed form, without an eigensolve.
     """
-    axis = _check_generator_size(generator, dim).axis
+    axis = check_generator_size(generator, dim).axis
     return SpectralProbe(dim, np.array([1.0]), levels=SpinLevels(axis, top=True))
 
 
@@ -386,7 +384,7 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     what the probe declares.  Only a read of its vectors solves them.
     """
     weights = thermal_weights(dim, beta)
-    axis = _check_generator_size(generator, dim).axis
+    axis = check_generator_size(generator, dim).axis
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
     kept = int(np.count_nonzero(weights > EPS_SPECTRUM))

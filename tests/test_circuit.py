@@ -37,7 +37,6 @@ from echometry.circuit import (
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
-    collective_ops,
     spin_frame,
 )
 from echometry.reference import (
@@ -47,10 +46,12 @@ from echometry.reference import (
     circuit_unitary,
     closed_form_generator,
     closed_form_unitary,
+    collective_ops,
     encoding_generator,
     global_phase_distance,
     hamiltonian,
     joint_embed,
+    spin_matrix,
     unitary_of_hermitian,
 )
 
@@ -710,7 +711,7 @@ def assert_generator_is_odd_part_of_closed_form(params, dim):
     blocks = closed_form_generator(params, dim, optimal_settings(params).t1).reshape(dim.dim, 2, dim.dim, 2)
     odd = 0.5 * (blocks[:, 0, :, 0] - blocks[:, 1, :, 1])
     assert gen.axis[2] == 0.0
-    np.testing.assert_allclose(odd, -gen.matrix, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(odd, -spin_matrix(dim, gen.axis), rtol=0.0, atol=1e-13)
 
 
 def test_closed_form_at_optimum_is_generator_rotation():
@@ -723,7 +724,8 @@ def test_closed_form_at_optimum_is_generator_rotation():
     for params in (ZZ, strong):
         # at the optimum no sigma_z-even part is left: U_theta is generated by -G sigma_z
         closed = closed_form_unitary(params, dim, conjugate_schedule(optimal_settings(params).t1, theta))
-        expected = unitary_of_hermitian(-joint_embed(optimal_generator(params, dim).matrix, PAULI_Z), theta)
+        gen = spin_matrix(dim, optimal_generator(params, dim).axis)
+        expected = unitary_of_hermitian(-joint_embed(gen, PAULI_Z), theta)
         assert global_phase_distance(closed, expected) <= 1e-10
 
 

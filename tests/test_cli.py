@@ -129,6 +129,25 @@ def test_missing_period_is_numerical_error(tmp_path, capsys):
     assert "contract" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace-scan", "--wa", "1e308"],
+    ["trace-scan", "--wp", "1e308"],
+    ["cfi-map", "--wp", "1e308"],
+    ["dephasing", "--wp", "1e308"],
+])
+def test_phase_past_the_float_range_is_numerical_error(tmp_path, capsys, argv):
+    # a finite rate times a time can overflow to inf, and its phase to NaN: the
+    # angle is checked as it is formed, with no numpy warning before the report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical contract violation: ")
+    assert "is not finite" in err[0]
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_trace_scan_without_coupling_is_config_error(tmp_path, capsys):
     # the scan's times are gT / g: g = 0 is rejected before any division
     with warnings.catch_warnings():

@@ -67,6 +67,7 @@ from echometry.reference import (
     output_state_derivative,
     output_state_derivatives,
     output_states_stacked,
+    probe_density,
     qfi_simplified,
     qfi_sld_oracle,
     qfi_sld_oracle_stacked,
@@ -106,7 +107,7 @@ def test_output_state_traces_back_at_zero_phase():
     dim, _, probe, anc, _ = optimal_setup(3)
     sched = conjugate_schedule(t1=0.7, theta=0.0)
     rho = output_state_derivative(probe, anc, ZZ, sched)[0]
-    np.testing.assert_allclose(rho, np.kron(probe.density(), anc.rho), atol=1e-10)
+    np.testing.assert_allclose(rho, np.kron(probe_density(probe), anc.rho), atol=1e-10)
 
 
 def test_output_states_at_several_phases_share_one_solve_of_each_generator(monkeypatch):

@@ -13,18 +13,13 @@ SRC = Path(echometry.__file__).resolve().parent
 SOURCES = sorted(SRC.glob("*.py"))
 MODULES = [path.stem for path in SOURCES if path.stem not in ("__init__", "__main__")]
 
-# The production kernels the reference must stay independent of.
-SECTOR_KERNELS = {
-    "propagator",
-    "apply_su2",
-    "su2_rotate",
-    "apply_spin_axis",
-    "spin_frame",
-    "lowest_spin_columns",
-    "qfi_grid",
-    "cfi_grid",
-    "qfi_general",
-    "cfi",
+# Everything the reference may import from production: model definitions and
+# contracts, never a kernel, so that it stays an independent oracle.
+REFERENCE_IMPORTS = {
+    ".circuit": {"ModelParams", "Schedule", "PERIOD_RESIDUAL_TOL"},
+    ".fisher": {"FisherResult"},
+    ".spin": {"ContractViolation", "EnsembleDim", "PhaseGenerator", "assert_hermitian"},
+    ".states": {"EPS_SPECTRUM", "AncillaState", "SpectralProbe"},
 }
 
 
@@ -51,9 +46,22 @@ def test_only_experiments_imports_the_reference():
 
 def test_reference_imports_no_sector_kernel():
     pairs = list(imports(SRC / "reference.py"))
-    assert pairs, "the reference imports its model definitions"
-    assert not {name for _, name in pairs} & SECTOR_KERNELS
-    assert {name for module, name in pairs if module in (".fisher", "echometry.fisher")} == {"FisherResult"}
+    production = {}
+    for module, name in pairs:
+        if module.startswith("."):
+            production.setdefault(module, set()).add(name)
+    assert production == REFERENCE_IMPORTS
+    assert {module for module, _ in pairs if not module.startswith(".")} == {"__future__", "math", "numpy"}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    private = [
+        (path.name, module, name)
+        for path in SOURCES
+        for module, name in imports(path)
+        if module.startswith(".") and name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_dense_path_is_defined_and_called_only_in_the_reference():
@@ -73,6 +81,14 @@ def test_dense_path_is_defined_and_called_only_in_the_reference():
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
         assert names & dense <= allowed.get(path.name, set()), path.name
+
+
+def test_production_types_hold_no_dense_operator():
+    # n.J and a probe's density matrix are the reference's spin_matrix and probe_density
+    assert not hasattr(echometry.PhaseGenerator, "matrix")
+    assert not hasattr(echometry.SpectralProbe, "density")
+    assert "collective_ops" not in echometry.__all__ and not hasattr(echometry.spin, "collective_ops")
+    assert {"collective_ops", "spin_matrix", "probe_density"} <= set(echometry.reference.__all__)
 
 
 @pytest.mark.parametrize("name", MODULES)

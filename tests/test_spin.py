@@ -12,7 +12,6 @@ from echometry.spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    collective_ops,
     assert_hermitian,
     lowest_spin_columns,
     phase_generator,
@@ -23,7 +22,9 @@ from echometry.spin import (
 )
 from echometry.reference import (
     PAULI_Z,
+    collective_ops,
     joint_embed,
+    spin_matrix,
     unitary_of_hermitian,
 )
 
@@ -77,9 +78,9 @@ def test_phase_generator_axes():
     dim = EnsembleDim(3)
     assert phase_generator(dim, 0.0).axis == (1.0, 0.0, 0.0)
     jx, jy, _ = collective_ops(dim)
-    np.testing.assert_allclose(phase_generator(dim, 0.0).matrix, jx, atol=1e-15)
-    np.testing.assert_allclose(phase_generator(dim, np.pi / 2).matrix, jy, atol=1e-12)
-    np.testing.assert_allclose(phase_generator(dim, np.pi).matrix, -jx, atol=1e-12)
+    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, 0.0).axis), jx, atol=1e-15)
+    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, np.pi / 2).axis), jy, atol=1e-12)
+    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, np.pi).axis), -jx, atol=1e-12)
 
 
 def test_phase_generator_rejects_nonfinite_angle():
@@ -125,7 +126,7 @@ def check_spin_frame(n, axis):
     dim = EnsembleDim(n)
     norm = math.hypot(*axis)
     vals, vecs = spin_frame(dim, axis)
-    gen = PhaseGenerator(dim, axis).matrix
+    gen = spin_matrix(dim, axis)
     residual = np.linalg.norm(gen @ vecs - vecs * vals, 2)
     assert residual <= 1e-13 * norm * max(1, n)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim.dim))) <= 1e-12

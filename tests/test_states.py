@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scipy.linalg
@@ -15,6 +15,7 @@ import scipy.linalg.lapack
 import echometry.spin
 import echometry.states
 from echometry.circuit import axis_rotation
+from echometry.reference import probe_density, spin_matrix
 from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
 from echometry.states import (
     AncillaState,
@@ -183,7 +184,7 @@ def test_polarized_probe_is_extremal_eigenvector():
     gen = phase_generator(dim, 0.83)
     probe = polarized_probe(dim, gen)
     psi = probe.vectors[:, 0]
-    assert np.linalg.norm(gen.matrix @ psi - dim.j * psi) <= 1e-10
+    assert np.linalg.norm(spin_matrix(dim, gen.axis) @ psi - dim.j * psi) <= 1e-10
 
 
 _COMPONENT = st.floats(-1.0, 1.0)
@@ -236,6 +237,29 @@ def test_polarized_probe_is_the_coherent_state_of_its_axis(n, axis, scale):
     overlap = np.vdot(column, psi)
     assert abs(abs(overlap) - 1.0) <= 1e-12
     np.testing.assert_allclose(psi, overlap * column, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    axis=st.one_of(
+        st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]),
+        st.tuples(_COMPONENT, st.just(0.0), _COMPONENT),
+        st.tuples(_COMPONENT, _COMPONENT, _COMPONENT),
+    ).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    k=st.integers(-1000, 1000),
+)
+def test_polarized_probe_column_does_not_depend_on_the_axis_scale(n, axis, k):
+    # the closed form works on the unit axis, so no scale 2^k of the axis
+    # over- or underflows its half-angle terms (1e-200 divided by zero, 1e200
+    # gave the J_z top state)
+    dim = EnsembleDim(n)
+    unit = np.asarray(axis) / np.linalg.norm(axis)
+    # a component scaled into the subnormal range loses bits, which changes the axis itself
+    assume(all(c == 0.0 or abs(c) * 2.0**k >= np.finfo(float).tiny for c in unit))
+    column = polarized_probe(dim, PhaseGenerator(dim, unit)).vectors
+    scaled = polarized_probe(dim, PhaseGenerator(dim, 2.0**k * unit)).vectors
+    np.testing.assert_allclose(scaled, column, rtol=0.0, atol=4 * np.finfo(float).eps)
 
 
 def test_probe_constructors_solve_no_full_frame(monkeypatch):
@@ -301,7 +325,7 @@ def test_ghz_probe_balanced_expectation():
     dim = EnsembleDim(5)
     gen = phase_generator(dim, 1.9)
     psi = ghz_probe(dim, gen).vectors[:, 0]
-    assert abs(psi.conj() @ gen.matrix @ psi) <= 1e-12
+    assert abs(psi.conj() @ spin_matrix(dim, gen.axis) @ psi) <= 1e-12
 
 
 def test_thermal_probe_infinite_temperature_is_uniform():
@@ -384,7 +408,7 @@ def test_spectral_decompose_round_trip():
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     probe = spectral_decompose(rho)
-    np.testing.assert_allclose(probe.density(), rho, atol=1e-10)
+    np.testing.assert_allclose(probe_density(probe), rho, atol=1e-10)
 
 
 def test_spectral_decompose_rejects_bad_trace():
@@ -431,7 +455,7 @@ def test_only_polarized_probe_sets_the_coherent_axis():
     assert polarized_probe(dim, gen).levels == SpinLevels(gen.axis, top=True)
     assert thermal_probe(dim, gen, 1.3).coherent_axis is None
     assert thermal_probe(dim, gen, 1.3).levels == SpinLevels(gen.axis, top=False)
-    assert spectral_decompose(polarized_probe(dim, gen).density()).coherent_axis is None
+    assert spectral_decompose(probe_density(polarized_probe(dim, gen))).coherent_axis is None
 
 
 def test_spectral_probe_takes_vectors_or_levels():
