@@ -28,7 +28,6 @@ from .states import (
     ancilla_state,
     dephase_ancilla,
     polarized_probe,
-    spectral_decompose,
     thermal_probe,
 )
 from .circuit import (
@@ -54,6 +53,7 @@ from .fisher import (
     qfi_deviation,
     qfi_general,
     qfi_grid,
+    qfi_sizes,
     qfi_thermal,
 )
 from .experiments import FitResult, SweepConfig, fit_quadratic, run_scenario, run_validation
@@ -72,7 +72,6 @@ __all__ = [
     "ancilla_state",
     "dephase_ancilla",
     "polarized_probe",
-    "spectral_decompose",
     "thermal_probe",
     "ModelParams",
     "OptimalSettings",
@@ -94,6 +93,7 @@ __all__ = [
     "qfi_deviation",
     "qfi_general",
     "qfi_grid",
+    "qfi_sizes",
     "qfi_thermal",
     "FitResult",
     "SweepConfig",

@@ -6,6 +6,9 @@ defaults are the parameter ranges behind the reference curves (trace scans,
 information versus ancilla angle / step time / probe size, the readout map,
 XZ scaling, control deviations, and dephasing) and are fully overridable.
 Runs are pure and reseeded, so identical configs produce byte-identical files.
+The F_Q sweeps over probe size make one kernel call per model
+(:func:`~echometry.fisher.qfi_sizes`, N on its size axis) and loop over no
+N; only the thermal point of the scaling figure runs per size.
 """
 
 from __future__ import annotations
@@ -36,11 +39,20 @@ from .fisher import (
     qfi_deviation,
     qfi_general,
     qfi_grid,
+    qfi_sizes,
     qfi_thermal,
 )
 from .reference import output_states_stacked, qfi_sld_oracle_stacked
 from .spin import ContractViolation, EnsembleDim, PhaseGenerator
-from .states import AncillaState, SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
+from .states import (
+    AncillaState,
+    SpectralProbe,
+    SpinLevels,
+    ancilla_state,
+    dephase_ancilla,
+    polarized_probe,
+    thermal_probe,
+)
 
 __all__ = [
     "SweepConfig",
@@ -165,27 +177,23 @@ def _period_for(params: ModelParams, n_spins: int) -> float:
     return reversal_period(params, EnsembleDim(n_spins), t_max=window).period
 
 
-def _step_times(params: ModelParams, dim: EnsembleDim, t1s, mode: str) -> np.ndarray:
-    """First-step durations of the reversal schedules at step times t1s.
+def _step_times(params: ModelParams, n_values, t1s, mode: str) -> np.ndarray:
+    """First-step durations of the reversal schedules at step times t1s, (T,) or (n, T).
 
     F_Q reads only the first step, so a period-mode schedule (second leg
-    T - t1 for a found period T) enters as t1 mod T.
+    T_N - t1 for the period T_N found at each N) enters as t1 mod T_N, one
+    row per size.
     """
     t1s = np.asarray(t1s, dtype=float)
     if mode == "exact_conjugate":
         return t1s
-    return t1s % _period_for(params, dim.n_spins)
+    return t1s % np.array([[_period_for(params, n)] for n in n_values])
 
 
 def _qfi_sweep(params: ModelParams, mode: str, n_values, ancillas, t1s) -> np.ndarray:
-    """F_Q of the optimal polarized probe, shape (n, ancilla, time), at step times t1s."""
-    axis = optimal_axis(params)
-    sweep = []
-    for n in n_values:
-        dim = EnsembleDim(n)
-        steps = _step_times(params, dim, t1s, mode)
-        sweep.append(qfi_grid(polarized_probe(dim, PhaseGenerator(dim, axis)), ancillas, params, steps))
-    return np.stack(sweep)
+    """F_Q of the optimal polarized probe, shape (n, ancilla, time), at step times t1s: one kernel call."""
+    polarized = SpinLevels(optimal_axis(params), top=True)
+    return qfi_sizes(polarized, n_values, ancillas, params, _step_times(params, n_values, t1s, mode))
 
 
 def _grid_rows(axes, values) -> list[tuple]:
@@ -257,13 +265,13 @@ def _run_qfi_scaling(cfg: SweepConfig):
     settings = optimal_settings(cfg.params)
     ancillas = [ancilla_state(settings.theta0), ancilla_state(settings.theta0 / 4)]
     axis = optimal_axis(cfg.params)
+    steps = _step_times(cfg.params, n_values, [settings.t1, 1.5 * settings.t1], cfg.mode)
+    points = qfi_sizes(SpinLevels(axis, top=True), n_values, ancillas, cfg.params, steps)
     rows = []
-    for n in n_values:
+    # the thermal probe keeps a count of levels that changes with N, so D runs per size
+    for n, ((a, b), (c, _)), step in zip(n_values, points.tolist(), np.broadcast_to(steps, (len(n_values), 2))):
         dim = EnsembleDim(n)
-        gen = PhaseGenerator(dim, axis)
-        steps = _step_times(cfg.params, dim, [settings.t1, 1.5 * settings.t1], cfg.mode)
-        (a, b), (c, _) = qfi_grid(polarized_probe(dim, gen), ancillas, cfg.params, steps)
-        d = qfi_grid(thermal_probe(dim, gen, beta), ancillas[:1], cfg.params, steps[:1])[0, 0]
+        d = qfi_grid(thermal_probe(dim, PhaseGenerator(dim, axis), beta), ancillas[:1], cfg.params, step[:1])[0, 0]
         exact, large_n = qfi_thermal(dim, beta)
         rows += [(n, label, f) for label, f in zip(_SCALING_LABELS, (a, b, c, d, exact.value, large_n.value))]
     summary = {
@@ -324,23 +332,21 @@ def _run_deviation_scan(cfg: SweepConfig):
     n_values, deltas = cfg.grids["n_values"], cfg.grids["deltas"]
     anc = ancilla_state(math.pi / 2)
     settings = optimal_settings(cfg.params)
-    axis = optimal_axis(cfg.params)
+    polarized = SpinLevels(optimal_axis(cfg.params), top=True)
+    # (dg t1, dwp t1) per (magnitude, pattern), and its F_Q at every N from one kernel call
+    cells = [(magnitude * wg, magnitude * wwp) for magnitude in deltas for wg, wwp in _DEVIATION_PATTERNS]
+    numerics = np.empty((len(n_values), len(cells)))
+    for i, (dg_t1, dwp_t1) in enumerate(cells):
+        dg, dwp = dg_t1 / settings.t1, dwp_t1 / settings.t1
+        perturbed = replace(cfg.params, omega_p=cfg.params.omega_p + dwp, g=cfg.params.g + dg)
+        numerics[:, i] = qfi_sizes(polarized, n_values, [anc], perturbed, [settings.t1])[:, 0, 0]
     rows = []
-    worst = 0.0
-    for n in n_values:
+    for n, column in zip(n_values, numerics.tolist()):
         dim = EnsembleDim(n)
-        probe = polarized_probe(dim, PhaseGenerator(dim, axis))
-        for magnitude in deltas:
-            for weight_g, weight_wp in _DEVIATION_PATTERNS:
-                dg_t1 = magnitude * weight_g
-                dwp_t1 = magnitude * weight_wp
-                dg = dg_t1 / settings.t1
-                dwp = dwp_t1 / settings.t1
-                formula = qfi_deviation(dim, dg, dwp, settings.t1).value
-                perturbed = replace(cfg.params, omega_p=cfg.params.omega_p + dwp, g=cfg.params.g + dg)
-                numeric = qfi_general(probe, anc, perturbed, conjugate_schedule(settings.t1, 0.0)).value
-                worst = max(worst, abs(numeric - formula))
-                rows.append((n, dg_t1, dwp_t1, formula, numeric))
+        for (dg_t1, dwp_t1), numeric in zip(cells, column):
+            formula = qfi_deviation(dim, dg_t1 / settings.t1, dwp_t1 / settings.t1, settings.t1).value
+            rows.append((n, dg_t1, dwp_t1, formula, numeric))
+    worst = max(abs(numeric - formula) for *_, formula, numeric in rows)
     summary = {"patterns": len(_DEVIATION_PATTERNS), "max_abs_gap": worst}
     return ["N", "dg_t1", "dwp_t1", "FQ_formula", "FQ_numeric"], rows, summary
 

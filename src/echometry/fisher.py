@@ -25,7 +25,9 @@ ancillas, from one of two suppliers chosen by the probe alone:
   :func:`~echometry.states.polarized_probe` and
   :func:`~echometry.states.thermal_probe`) gives them in closed form from
   the matrix elements of c_s.J in its own frame, with no column: O(1) per
-  cell when polarized, O(k^2) for k thermal levels;
+  cell when polarized, O(k^2) for k thermal levels.  N enters these only
+  through j, so :func:`qfi_sizes` sweeps N as a kernel axis in one call,
+  and :func:`qfi_grid` of a declared probe is that code at one size;
 * a probe built from its columns V, shape (N+1, k), gives them from the
   banded product (c_s.J) V, O(N k) per cell.
 
@@ -42,13 +44,14 @@ alone:
   :func:`~echometry.states.coherent_state`, in O(N) per cell with no
   eigensolve and no probe column;
 * every other probe (thermal with more than one level, rank above 1, or
-  one built from its columns) goes through one real J_x frame per call
-  (:func:`~echometry.circuit.apply_su2`), O(N^2).
+  one built from its columns) goes through the real J_x frame of its N
+  (:func:`~echometry.circuit.apply_su2`), O(N^2), solved once per N and
+  kept within a byte bound (:func:`_x_frame`).
 
 No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
-step times in one broadcast; :func:`qfi_general` and :func:`cfi` are their
-one-cell calls.
+step times in one broadcast, :func:`qfi_sizes` a declared pure probe over
+sizes as well; :func:`qfi_general` and :func:`cfi` are the one-cell calls.
 The independent cross-check, the symmetric-logarithmic-derivative oracle
 on the dense 2(N+1)-dimensional output state, lives in
 :mod:`echometry.reference` and reuses neither the two-term path nor the
@@ -57,7 +60,9 @@ sector pairs.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -88,7 +93,7 @@ from .spin import (
     check_generator_size,
     spin_frame,
 )
-from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, coherent_state, thermal_weights
+from .states import EPS_SPECTRUM, AncillaState, SpectralProbe, SpinLevels, coherent_state, thermal_weights
 
 __all__ = [
     "EPS_PROB",
@@ -96,6 +101,7 @@ __all__ = [
     "ProbabilityTable",
     "qfi_general",
     "qfi_grid",
+    "qfi_sizes",
     "qfi_thermal",
     "qfi_deviation",
     "measurement_probs",
@@ -178,10 +184,21 @@ def _joint_weights(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(w > EPS_SPECTRUM, w, 0.0)
 
 
-def _slices(count: int, entries_per_time: int):
-    """Consecutive slices of a time axis, each within the ``_SLICE_ENTRIES`` budget."""
-    step = max(1, _SLICE_ENTRIES // max(1, entries_per_time))
+def _slices(count: int, entries_per_cell: int):
+    """Consecutive slices of a cell axis, each within the ``_SLICE_ENTRIES`` budget."""
+    step = max(1, _SLICE_ENTRIES // max(1, entries_per_cell))
     return (slice(lo, lo + step) for lo in range(0, count, step))
+
+
+def _blocks(sizes: int, times: int, entries_per_cell: int):
+    """Blocks (sizes, times) of a (size, time) cell grid, each within the ``_SLICE_ENTRIES`` budget.
+
+    Whole rows of times, as many sizes at once as fit; where one row does
+    not fit, one size at a time in slices of its times.
+    """
+    if times and entries_per_cell * times <= _SLICE_ENTRIES:
+        return ((sl, slice(None)) for sl in _slices(sizes, entries_per_cell * times))
+    return ((slice(s, s + 1), sl) for s in range(sizes) for sl in _slices(times, entries_per_cell))
 
 
 def _two_term_sum(weights: np.ndarray, norms: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
@@ -212,31 +229,69 @@ def _banded_moments(probe: SpectralProbe, axes: np.ndarray) -> tuple[np.ndarray,
     return np.einsum("...ik,...ik->...k", h.conj(), h).real, vectors.conj().T @ h
 
 
-def _level_moments(probe: SpectralProbe, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _level_moments(levels: SpinLevels, count: int, j: np.ndarray, axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The norms and overlaps of :func:`_banded_moments` for a declared probe, in closed form.
 
-    In the probe's frame |n; m> = D^j(R_n)|m> (up to a phase per column,
-    which cancels in both), c_s.J is c'_s.J with c'_s = R_n^-1 c_s, and
-    (Arecchi et al., PRA 6, 2211, 1972)
+    The probe's spins ``j`` and the c_s in ``axes`` (..., 2, 3) broadcast to
+    the cells' shape.  In the probe's frame |n; m> = D^j(R_n)|m> (up to a
+    phase per column, which cancels in both), c_s.J is c'_s.J with
+    c'_s = R_n^-1 c_s, and (Arecchi et al., PRA 6, 2211, 1972)
 
         <m|c'.J|m> = c'_z m,   <m+1|c'.J|m> = (c'_x - i c'_y)/2 sqrt((j - m)(j + m + 1)),
         <m|(c'.J)^2|m> = c'_z^2 m^2 + (c'_x^2 + c'_y^2)(j(j + 1) - m^2)/2,
 
-    so the overlaps are tridiagonal in the probe's levels.  No column is
-    formed: O(1) per axis for a polarized probe, O(k^2) for k thermal levels.
+    so the overlaps are tridiagonal in the probe's ``count`` levels, and N
+    enters only through j.  No column is formed: O(1) per cell for a
+    polarized probe, O(k^2) for k thermal levels.
     """
-    dim, m = probe.dim, probe.levels.m_values(probe.dim, probe.n_terms)
-    c = su2_rotate(su2_inverse(axis_rotation(probe.levels.axis)), axes)[..., None]  # (..., 2, 3, 1)
+    j = j[..., None]
+    m = (j if levels.top else np.arange(count) - j)[..., None, :]  # the levels in weight order, (..., 1, 1, k)
+    j = j[..., None]
+    c = su2_rotate(su2_inverse(axis_rotation(levels.axis)), axes)[..., None]  # (..., 2, 3, 1)
     cx, cy, cz = c[..., 0, :], c[..., 1, :], c[..., 2, :]
-    j = dim.j
     norms = (cz * m) ** 2 + 0.5 * (cx * cx + cy * cy) * ((j - m) * (j + m) + j)
-    overlaps = np.zeros(norms.shape + m.shape, dtype=complex)
-    k = np.arange(m.size)
-    overlaps[..., k, k] = cz * m
-    raised = 0.5 * (cx - 1j * cy) * np.sqrt((j - m[:-1]) * (j + m[:-1] + 1.0))
-    overlaps[..., k[1:], k[:-1]] = raised
-    overlaps[..., k[:-1], k[1:]] = raised.conj()
+    overlaps = np.zeros(norms.shape + (count,), dtype=complex)
+    bands = overlaps.reshape(*norms.shape[:-1], count * count)  # the diagonal and the bands as strided views
+    bands[..., :: count + 1] = cz * m
+    if count > 1:  # <m+1|c'.J|m> below the diagonal, its conjugate above
+        raised = 0.5 * (cx - 1j * cy) * np.sqrt((j - m[..., :-1]) * (j + m[..., :-1] + 1.0))
+        bands[..., count :: count + 1] = raised
+        bands[..., 1 :: count + 1] = raised.conj()
     return norms, overlaps
+
+
+def _qfi_cells(weights: np.ndarray, ancillas, params: ModelParams, js: np.ndarray, t1s, entries: int, moments):
+    """F_Q of probes with eigenvalues ``weights`` (k,) and spins ``js`` (S,) at step times (T,) or (S, T): (S, A, T).
+
+    One :func:`propagator` call gives the axes c_s of U_s^dagger (g.J) U_s
+    = c_s.J of every cell (size, time); per block of cells, ``moments(j,
+    axes)`` gives their n_sk (..., 2, k) and o_skl (..., 2, k, k), forming
+    ``entries`` entries per cell.  Joint pair (k, i) then has ||H psi_ki||^2
+    = sum_s |alpha_si|^2 n_sk and <psi_ki|H|psi_lj> = sum_s conj(alpha_si)
+    alpha_sj o_skl, for every ancilla at once.
+    """
+    sizes, times = js.size, t1s.shape[-1]
+    axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
+    pairs = [anc.eigenpairs for anc in ancillas]
+    q = np.array([w for w, _ in pairs]).reshape(-1, 2)
+    alpha = np.array([columns for _, columns in pairs]).reshape(-1, 2, 2)
+    joint = _joint_weights(weights, q)[:, None]  # (A, 1, 2k)
+    # |alpha_si|^2 on axes (a, c, s, k, i), conj(alpha_si) alpha_sj on (a, c, s, k, i, l, j)
+    moduli = (np.abs(alpha) ** 2)[:, None, :, None, :]
+    products = (alpha.conj()[..., :, None] * alpha[..., None, :])[:, None, :, None, :, None, :]
+    k, n_anc = weights.size, len(pairs)
+    out = np.empty((n_anc, sizes, times))
+    # a block holds the joint overlaps, A (2k)^2 entries per cell, and what the moments form
+    for size, time in _blocks(sizes, times, n_anc * (2 * k) ** 2 + entries):
+        # the step times of each size's row, or the one row that all sizes share
+        n, o = moments(js[size, None], axes[size, time] if t1s.ndim == 2 else axes[time])
+        n, o = n.reshape(-1, 2, k), o.reshape(-1, 2, k, k)
+        shape = (n_anc, n.shape[0], 2 * k)
+        norms = (moduli * n[..., None]).sum(2).reshape(shape)
+        overlaps = (products * o[:, :, :, None, :, None]).sum(2).reshape(*shape, 2 * k)
+        block = out[:, size, time]
+        block[...] = _two_term_sum(joint, norms, overlaps).reshape(block.shape)
+    return _checked(out).swapaxes(0, 1)
 
 
 def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.ndarray:
@@ -247,34 +302,35 @@ def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.nda
     :class:`FisherResult` contract.  ``ancillas`` is any iterable, read
     once.  Per time and sector the probe gives the norms n_sk = ||(c_s.J) v_k||^2
     and overlaps o_skl = <v_k|(c_s.J)|v_l>, once for every ancilla: in
-    closed form for a probe with declared levels (:func:`_level_moments`),
-    from its banded products otherwise (:func:`_banded_moments`).  Joint
-    pair (k, i) then has ||H psi_ki||^2 = sum_s |alpha_si|^2 n_sk and
-    <psi_ki|H|psi_lj> = sum_s conj(alpha_si) alpha_sj o_skl.
+    closed form for a probe with declared levels (:func:`_level_moments`,
+    the kernel of :func:`qfi_sizes` at one size), from its banded products
+    otherwise (:func:`_banded_moments`).
     """
     t1s = checked_durations(t1s)
     if t1s.ndim != 1:
         raise ContractViolation("step times must be a 1-D array")
-    pairs = [anc.eigenpairs for anc in ancillas]
-    # U_s^dagger (g.J) U_s = c_s.J: the encoding axis g turned by u_s(t1)^dagger
-    axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
-    q = np.array([weights for weights, _ in pairs]).reshape(-1, 2)
-    alpha = np.array([columns for _, columns in pairs]).reshape(-1, 2, 2)
-    weights = _joint_weights(probe.weights, q)[:, None]  # (A, 1, 2k)
-    # |alpha_si|^2 on axes (a, t, s, k, i), conj(alpha_si) alpha_sj on (a, t, s, k, i, l, j)
-    moduli = (np.abs(alpha) ** 2)[:, None, :, None, :]
-    products = (alpha.conj()[..., :, None] * alpha[..., None, :])[:, None, :, None, :, None, :]
-    k, n_anc = probe.n_terms, len(pairs)
-    moments, columns = (_banded_moments, probe.dim.dim) if probe.levels is None else (_level_moments, 0)
-    out = np.empty((n_anc, t1s.size))
-    # a slice holds the joint overlaps and any banded products: A (2k)^2 + 2 (N+1) k entries per time
-    for sl in _slices(t1s.size, n_anc * (2 * k) ** 2 + 2 * columns * k):
-        n, o = moments(probe, axes[sl])
-        shape = (n_anc, n.shape[0], 2 * k)
-        norms = (moduli * n[..., None]).sum(2).reshape(shape)
-        overlaps = (products * o[:, :, :, None, :, None]).sum(2).reshape(*shape, 2 * k)
-        out[:, sl] = _two_term_sum(weights, norms, overlaps)
-    return _checked(out)
+    if probe.levels is None:  # a banded product holds 2 (N+1) k entries per cell
+        moments, entries = (lambda j, axes: _banded_moments(probe, axes)), 2 * probe.dim.dim * probe.n_terms
+    else:
+        moments, entries = functools.partial(_level_moments, probe.levels, probe.n_terms), 0
+    return _qfi_cells(probe.weights, ancillas, params, np.array([probe.dim.j]), t1s, entries, moments)[0]
+
+
+def qfi_sizes(levels: SpinLevels, n_values, ancillas, params: ModelParams, t1s) -> np.ndarray:
+    """Quantum Fisher information of one declared pure probe at every size N of ``n_values``.
+
+    The probe of size N is ``SpectralProbe(EnsembleDim(N), [1.0],
+    levels=levels)``, |n; +j> (polarized) for ``levels.top``, else |n; -j>.
+    Step times are (T,), or (len(n_values), T) for one row per size; sizes
+    may repeat, in any order.  Cell (n, a, t) of the (len(n_values), A, T)
+    result is :func:`qfi_grid` of that probe, bit for bit: N enters the
+    moments only through j, so a sweep over N is one kernel call.
+    """
+    js = np.array([EnsembleDim(n).j for n in n_values], dtype=float)
+    t1s = checked_durations(t1s)
+    if t1s.ndim not in (1, 2) or (t1s.ndim == 2 and t1s.shape[0] != js.size):
+        raise ContractViolation("step times must be (T,) or one row per size, (len(n_values), T)")
+    return _qfi_cells(np.array([1.0]), ancillas, params, js, t1s, 0, functools.partial(_level_moments, levels, 1))
 
 
 def qfi_general(
@@ -331,6 +387,34 @@ def qfi_deviation(dim: EnsembleDim, delta_g: float, delta_omega_p: float, t1: fl
             )
     value = n * n - n * (n - 1) * (delta_omega_p**2 + delta_g**2) * t1 * t1
     return FisherResult(value=value)
+
+
+# J_x frames kept between readouts, per N, while their bytes, 8 (N+1)^2 each,
+# sum to at most _FRAME_BYTES: 4 MiB holds every frame up to N = 723, or many
+# small ones (`validate` reads out 200 probes of 19 sizes at N <= 20, 26 kB in
+# all); a larger frame is solved on every call.
+_FRAME_BYTES = 2**22
+_frames: dict[int, np.ndarray] = {}
+_frames_lock = threading.Lock()
+
+
+def _x_frame(dim: EnsembleDim) -> np.ndarray:
+    """The real J_x frame ``spin_frame(dim, (1, 0, 0))[1]``, read-only, solved once per N within the bound.
+
+    ``_frames`` keeps the frames in order of use, the least recently used
+    dropped first; the frame depends only on N, so a run that reads out
+    many probes of a few sizes solves each size once.
+    """
+    with _frames_lock:
+        frame = _frames.pop(dim.n_spins, None)
+        if frame is None:
+            frame = spin_frame(dim, (1.0, 0.0, 0.0))[1]
+            frame.setflags(write=False)
+        if frame.nbytes <= _FRAME_BYTES:
+            _frames[dim.n_spins] = frame
+            while sum(kept.nbytes for kept in _frames.values()) > _FRAME_BYTES:
+                del _frames[next(iter(_frames))]
+    return frame
 
 
 # The conjugates of the ancilla readout kets |+> and |->, as columns.
@@ -402,8 +486,9 @@ def _readout_probs(
     a phase that both sectors share, which leaves all three unchanged.
     A coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to a
     global phase, so x is :func:`~echometry.states.coherent_state` of
-    W_s R_n, O(N) per cell; any other probe goes through one real J_x frame
-    per call (:func:`apply_su2`).  No (N+1)-dimensional propagator or
+    W_s R_n, O(N) per cell; any other probe goes through the real J_x frame
+    of its N (:func:`apply_su2`), solved once per N within the bound of
+    :func:`_x_frame`.  No (N+1)-dimensional propagator or
     density matrix is formed.
     """
     dim = probe.dim
@@ -418,7 +503,7 @@ def _readout_probs(
     branches = _PLUS_MINUS_BRAS[:, :, None] * alpha[:, None, live]
     if probe.coherent_axis is None:
         columns = probe.vectors[:, None, None, :]  # (N+1, 1, 1, k): probe axis first
-        _, x_frame = spin_frame(dim, (1.0, 0.0, 0.0))
+        x_frame = _x_frame(dim)
 
         def evolve(element):
             out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)

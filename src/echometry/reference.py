@@ -1,7 +1,8 @@
 """Every dense operator, (N+1)- and 2(N+1)-dimensional, and the independent SLD oracle.
 
 The spin component n.J as a matrix (:func:`spin_matrix`, the one builder of
-every spin operator here), a probe's density matrix, the joint Hamiltonian,
+every spin operator here), a probe's density matrix and its spectral form
+from a dense ``eigh`` (:func:`spectral_decompose`), the joint Hamiltonian,
 the circuit unitary from its eigendecomposition, the closed-form (BCH)
 generator and unitary, the output state with its analytic theta-derivative,
 and the Fisher information from the symmetric logarithmic derivative of that
@@ -32,8 +33,8 @@ from .spin import ContractViolation, EnsembleDim, PhaseGenerator, assert_hermiti
 from .states import EPS_SPECTRUM, AncillaState, SpectralProbe
 
 __all__ = [
-    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "spin_matrix", "collective_ops", "probe_density", "joint_embed",
-    "unitary_of_hermitian", "hamiltonian", "encoding_generator", "circuit_unitary", "bch_coefficients",
+    "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "spin_matrix", "collective_ops", "probe_density", "spectral_decompose",
+    "joint_embed", "unitary_of_hermitian", "hamiltonian", "encoding_generator", "circuit_unitary", "bch_coefficients",
     "closed_form_generator", "closed_form_unitary", "global_phase_distance", "output_state_derivative",
     "output_state_derivatives", "output_states_stacked", "qfi_simplified", "qfi_sld_oracle", "qfi_sld_oracle_stacked",
 ]
@@ -65,6 +66,30 @@ def collective_ops(dim: EnsembleDim) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def probe_density(probe: SpectralProbe) -> np.ndarray:
     """The probe's dense density matrix sum_i p_i |psi_i><psi_i| from its columns."""
     return (probe.vectors * probe.weights) @ probe.vectors.conj().T
+
+
+def spectral_decompose(rho: np.ndarray) -> SpectralProbe:
+    """Spectral form of a probe density matrix.
+
+    Validates hermiticity, positivity and unit trace, drops eigenvalues at or
+    below the spectral cutoff, and renormalizes the retained weights.
+    """
+    a = np.asarray(rho, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractViolation("density matrix must be square")
+    dim = EnsembleDim(a.shape[0] - 1)
+    assert_hermitian(a, name="probe density matrix")
+    tr = np.trace(a)
+    if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
+        raise ContractViolation(f"probe density matrix trace {tr:.12g} is not 1")
+    vals, vecs = np.linalg.eigh(a)
+    if vals.min() < -1e-12:
+        raise ContractViolation("probe density matrix is not positive semidefinite")
+    keep = vals > EPS_SPECTRUM
+    if not np.any(keep):
+        raise ContractViolation("probe density matrix has no weight above the cutoff")
+    weights = vals[keep] / vals[keep].sum()
+    return SpectralProbe(dim=dim, weights=weights, vectors=vecs[:, keep])
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:

@@ -57,7 +57,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    assert_hermitian,
     check_generator_size,
     lowest_spin_columns,
     pin_frame_phases,
@@ -75,7 +74,6 @@ __all__ = [
     "polarized_probe",
     "thermal_probe",
     "thermal_weights",
-    "spectral_decompose",
 ]
 
 # Probe eigenvalues at or below this weight are dropped and the rest
@@ -173,11 +171,16 @@ def thermal_weights(dim: EnsembleDim, beta: float) -> np.ndarray:
     clamped there, since beta m itself overflows once beta j exceeds the float
     range.
     """
-    if not math.isfinite(beta) or beta < 0.0:
-        raise ContractViolation("inverse temperature must be finite and nonnegative")
-    logw = -min(float(beta), _BETA_GROUND) * dim.m_values()
+    logw = -_checked_beta(beta) * dim.m_values()
     w = np.exp(logw - logw.max())
     return w / w.sum()
+
+
+def _checked_beta(beta: float) -> float:
+    """``beta``, checked finite and nonnegative, clamped at ``_BETA_GROUND``."""
+    if not math.isfinite(beta) or beta < 0.0:
+        raise ContractViolation("inverse temperature must be finite and nonnegative")
+    return min(float(beta), _BETA_GROUND)
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,6 @@ class SpinLevels:
         if axis.shape != (3,) or not np.isfinite(axis).all() or not axis.any():
             raise ContractViolation(f"probe levels need a finite nonzero axis, got {self.axis!r}")
         object.__setattr__(self, "axis", tuple(float(a) for a in axis))
-
-    def m_values(self, dim: EnsembleDim, count: int) -> np.ndarray:
-        """The m of the ``count`` levels the weights sit on, in weight order."""
-        return np.array([dim.j]) if self.top else np.arange(count) - dim.j
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -379,38 +378,25 @@ def thermal_probe(dim: EnsembleDim, generator: PhaseGenerator, beta: float) -> S
     ``beta >= 0`` puts the ground state at m = -j.  The generator's axis must
     be a unit vector (spectrum {-j, ..., +j}); weights use the exact m values,
     with the maximum exponent subtracted, so large beta stays well conditioned.
-    Weights below the spectral cutoff are dropped and the rest renormalized;
-    they fall with m, so the kept terms sit on the lowest levels, which is
-    what the probe declares.  Only a read of its vectors solves them.
+    Weights at or below the spectral cutoff are dropped and the rest
+    renormalized; they fall with m, so the kept terms sit on the lowest
+    levels, which is what the probe declares.  Level k = j + m has weight
+    e^{-beta k} / Z with Z = expm1(-beta (N+1)) / expm1(-beta) in closed
+    form, so only the kept levels (and one more) are exponentiated, O(1) in
+    N for beta > 0.  Only a read of its vectors solves them.
     """
-    weights = thermal_weights(dim, beta)
+    beta = _checked_beta(beta)
     axis = check_generator_size(generator, dim).axis
     if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
         raise ContractViolation("thermal probe needs a generator with a unit axis (spectrum -j..+j)")
-    kept = int(np.count_nonzero(weights > EPS_SPECTRUM))
-    weights = weights[:kept] / weights[:kept].sum()
-    return SpectralProbe(dim, weights, levels=SpinLevels(axis, top=False))
-
-
-def spectral_decompose(rho: np.ndarray) -> SpectralProbe:
-    """Spectral form of a probe density matrix.
-
-    Validates hermiticity, positivity and unit trace, drops eigenvalues at or
-    below the spectral cutoff, and renormalizes the retained weights.
-    """
-    a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation("density matrix must be square")
-    dim = EnsembleDim(a.shape[0] - 1)
-    assert_hermitian(a, name="probe density matrix")
-    tr = np.trace(a)
-    if abs(tr.real - 1.0) > 1e-10 or abs(tr.imag) > 1e-10:
-        raise ContractViolation(f"probe density matrix trace {tr:.12g} is not 1")
-    vals, vecs = np.linalg.eigh(a)
-    if vals.min() < -1e-12:
-        raise ContractViolation("probe density matrix is not positive semidefinite")
-    keep = vals > EPS_SPECTRUM
-    if not np.any(keep):
-        raise ContractViolation("probe density matrix has no weight above the cutoff")
-    weights = vals[keep] / vals[keep].sum()
-    return SpectralProbe(dim=dim, weights=weights, vectors=vecs[:, keep])
+    if beta == 0.0:
+        z, count = float(dim.dim), dim.dim
+    else:
+        z = math.expm1(-beta * dim.dim) / math.expm1(-beta)
+        # e^{-beta k} > EPS_SPECTRUM Z needs k < bound; one level past it absorbs rounding
+        bound = -math.log(EPS_SPECTRUM * z) / beta
+        count = dim.dim if bound >= dim.dim - 2 else max(0, math.floor(bound) + 2)
+    logw = -beta * (np.arange(count) - dim.j)
+    w = np.exp(logw - beta * dim.j) / z
+    kept = int(np.count_nonzero(w > EPS_SPECTRUM))
+    return SpectralProbe(dim, w[:kept] / w[:kept].sum(), levels=SpinLevels(axis, top=False))

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import echometry
 import echometry.experiments
+import echometry.fisher
 from echometry.circuit import (
     ModelParams,
     Schedule,
@@ -18,10 +20,10 @@ from echometry.circuit import (
     period_schedule,
     reversal_period,
 )
-from echometry.fisher import cfi, qfi_general, qfi_thermal
+from echometry.fisher import cfi, qfi_deviation, qfi_general, qfi_thermal
 from echometry.spin import EnsembleDim
 from echometry.reference import output_state_derivatives, qfi_sld_oracle
-from echometry.states import SpectralProbe, ancilla_state, polarized_probe, thermal_probe
+from echometry.states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
 
@@ -243,6 +245,37 @@ def per_cell_rows(scenario, grids, mode, params):
             sched = period_schedule(t1 % period, 0.0, period)
         return qfi_general(polarized if probe is None else probe, ancilla_state(theta0), params, sched).value
 
+    if scenario == "deviation_scan":
+        opt = optimal_settings(params)
+        rows = []
+        for n in grids["n_values"]:
+            dim, probe, _ = probe_and_gen(n)
+            for magnitude in grids["deltas"]:
+                for weight_g, weight_wp in echometry.experiments._DEVIATION_PATTERNS:
+                    dg, dwp = magnitude * weight_g / opt.t1, magnitude * weight_wp / opt.t1
+                    perturbed = replace(params, omega_p=params.omega_p + dwp, g=params.g + dg)
+                    numeric = qfi_general(probe, ancilla_state(math.pi / 2), perturbed, conjugate_schedule(opt.t1, 0.0))
+                    formula = qfi_deviation(dim, dg, dwp, opt.t1)
+                    rows.append((n, magnitude * weight_g, magnitude * weight_wp, formula.value, numeric.value))
+        return rows
+    if scenario == "dephasing_scan":
+        sched = conjugate_schedule(optimal_settings(params).t1, 0.0)
+        return [
+            (n, x, qfi_general(probe_and_gen(n)[1], dephase_ancilla(ancilla_state(math.pi / 2), x), params, sched).value)
+            for n in grids["n_values"]
+            for x in grids["x_values"]
+        ]
+    if scenario == "xz_scaling":
+        rows = []
+        for ratio in grids["ratios"]:
+            model = ModelParams(omega_p=1.0 / ratio, omega_a=1.0 / ratio, g=1.0, kind="xz")
+            t1 = optimal_settings(model).t1
+            for n in grids["n_values"]:
+                dim = EnsembleDim(n)
+                probe = polarized_probe(dim, optimal_generator(model, dim))
+                fq = qfi_general(probe, ancilla_state(math.pi / 2), model, conjugate_schedule(t1, 0.0))
+                rows.append((n, ratio, t1 * model.g, fq.value))
+        return rows
     if scenario == "qfi_scaling":
         opt = optimal_settings(params)
         rows = []
@@ -287,6 +320,10 @@ _GRID_RUNNER_CASES = [
     ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "exact_conjugate", ZZ),
     ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "period", ZZ),
     ("qfi_scaling", {"n_values": [2, 5, 3], "beta": 0.7}, "exact_conjugate", STRONG_XZ),
+    # unsorted and repeated sizes on the kernel's size axis
+    ("deviation_scan", {"n_values": [5, 2, 5], "deltas": [0.01, -0.02]}, "exact_conjugate", ZZ),
+    ("dephasing_scan", {"n_values": [3, 2, 3], "x_values": [0.0, 0.5, 1.0]}, "exact_conjugate", STRONG_XZ),
+    ("xz_scaling", {"n_values": [30, 2, 7, 2], "ratios": [1.0, 0.1]}, "exact_conjugate", STRONG_XZ),
 ]
 
 
@@ -307,6 +344,36 @@ def test_grid_runners_match_a_per_cell_loop_in_grid_order(tmp_path, scenario, gr
         for row in per_cell_rows(scenario, grids, mode, params)
     ]
     assert rows == expected
+
+
+# (scenario, mode, params, sizes per call of the F_Q kernel) at
+# the default grids: a sweep over N is one call per model, with N = 2..20
+# (2..100 for XZ; 4 and 20 for dephasing and deviation) on its size axis;
+# the scaling figure's thermal point D keeps one call per size, as its kept
+# levels change with N
+_KERNEL_CALL_CASES = [
+    ("qfi_theta0", "exact_conjugate", ZZ, [19]),
+    ("qfi_t1", "exact_conjugate", ZZ, [19]),
+    ("qfi_t1", "period", ZZ, [19]),
+    ("dephasing_scan", "exact_conjugate", ZZ, [2]),
+    ("xz_scaling", "exact_conjugate", STRONG_XZ, [99] * 3),
+    ("deviation_scan", "exact_conjugate", ZZ, [2] * 9),
+    ("qfi_scaling", "period", ZZ, [19] + [1] * 19),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, mode, params, calls", _KERNEL_CALL_CASES, ids=[f"{case[0]}-{case[1]}" for case in _KERNEL_CALL_CASES]
+)
+def test_size_sweeps_make_one_kernel_call_per_model(monkeypatch, tmp_path, scenario, mode, params, calls):
+    # each call of the kernel makes one propagator call for all of its sizes
+    kernel, propagator = echometry.fisher._qfi_cells, echometry.fisher.propagator
+    sizes, propagated = [], []
+    monkeypatch.setattr(echometry.fisher, "_qfi_cells", lambda *args: sizes.append(args[3].size) or kernel(*args))
+    monkeypatch.setattr(echometry.fisher, "propagator", lambda *args: propagated.append(1) or propagator(*args))
+    run_scenario(make_config(scenario, tmp_path, params=params, mode=mode))
+    assert sizes == calls
+    assert len(propagated) == len(calls)
 
 
 def test_summary_file_is_flat_key_value(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from echometry.fisher import (
     qfi_deviation,
     qfi_general,
     qfi_grid,
+    qfi_sizes,
     qfi_thermal,
 )
 from echometry.spin import (
@@ -51,6 +53,7 @@ from echometry.states import (
     EPS_SPECTRUM,
     AncillaState,
     SpectralProbe,
+    SpinLevels,
     ancilla_state,
     dephase_ancilla,
     polarized_probe,
@@ -1103,9 +1106,9 @@ def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
         slices.append((x.shape, np.shape(axis)[0]))
         return apply_spin_axis(dim, axis, x)
 
-    def recording_moments(probe, axes):
+    def recording_moments(levels, count, j, axes):
         slices.append((None, np.shape(axes)[0]))
-        return level_moments(probe, axes)
+        return level_moments(levels, count, j, axes)
 
     monkeypatch.setattr(echometry.fisher, "apply_spin_axis", recording)
     monkeypatch.setattr(echometry.fisher, "_level_moments", recording_moments)
@@ -1123,6 +1126,104 @@ def test_grid_kernels_walk_time_slices_within_the_entry_budget(monkeypatch):
         for anc_row, row in zip(ancillas, values):
             for t1, value in zip(t1s[::10], row[::10]):
                 assert value == qfi_general(chosen, anc_row, ZZ, conjugate_schedule(t1, 0.0)).value
+
+
+# the three regimes of the optimal axis: ZZ, XZ at strong coupling (unit axis) and at weak coupling (|n| < 1)
+SIZE_MODELS = (ZZ, STRONG_XZ, ModelParams(omega_p=3.0, omega_a=1.5, g=1.0, kind="xz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(range(len(SIZE_MODELS))),
+    top=st.booleans(),
+    sizes=st.lists(st.sampled_from([1, 2, 3, 7, 20, 101, 1000, 10**4]) | st.integers(1, 60), min_size=1, max_size=5),
+    times=st.integers(0, 4),
+    per_size=st.booleans(),
+    theta0=st.floats(0.0, np.pi),
+    rates=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
+    data=st.data(),
+)
+def test_qfi_sizes_is_the_per_size_qfi_grid_bit_for_bit(model, top, sizes, times, per_size, theta0, rates, data):
+    # N as a kernel axis changes no cell's arithmetic: each size's rows are
+    # qfi_grid of that size's probe, for unsorted and repeated sizes, step
+    # times shared (T,) or one row per size (N, T), pure and dephased ancillas
+    params = SIZE_MODELS[model]
+    sizes = sizes + sizes[:1]
+    axis = optimal_generator(params, EnsembleDim(1)).axis
+    levels = SpinLevels(axis, top=top)
+    pure = ancilla_state(theta0, 0.3)
+    ancillas = [pure] + [dephase_ancilla(pure, x) for x in rates]
+    times_st = st.lists(st.floats(0.0, 10.0), min_size=times, max_size=times)
+    steps = np.array(data.draw(st.lists(times_st, min_size=len(sizes), max_size=len(sizes)) if per_size else times_st))
+    got = qfi_sizes(levels, sizes, ancillas, params, steps)
+    assert got.shape == (len(sizes), len(ancillas), times)
+    for n, row, t1s in zip(sizes, got, np.broadcast_to(steps, (len(sizes), times))):
+        dim = EnsembleDim(n)
+        probe = polarized_probe(dim, PhaseGenerator(dim, axis)) if top else SpectralProbe(dim, [1.0], levels=levels)
+        np.testing.assert_array_equal(row, qfi_grid(probe, ancillas, params, t1s))
+
+
+def test_qfi_sizes_rejects_bad_sizes_and_step_times():
+    levels = SpinLevels(optimal_generator(ZZ, EnsembleDim(1)).axis, top=True)
+    anc = [ancilla_state(np.pi / 2)]
+    for sizes in ([0], [2.5], [3, -1]):
+        with pytest.raises(ContractViolation, match="positive integer"):
+            qfi_sizes(levels, sizes, anc, ZZ, [0.1])
+    for steps in (np.zeros((3, 2)), np.zeros((2, 2, 2)), 0.1, [[0.1, -0.1], [0.2, 0.3]]):
+        with pytest.raises(ContractViolation, match="step"):
+            qfi_sizes(levels, [2, 4], anc, ZZ, steps)
+    assert qfi_sizes(levels, [], anc, ZZ, [0.1, 0.2]).shape == (0, 1, 2)
+
+
+def test_size_sweeps_walk_cells_within_the_entry_budget(monkeypatch):
+    # the size axis counts in the slice budget: 10^3 sizes x 7 step times
+    # are 7000 (size, time) cells of A (2k)^2 = 9 * 4 = 36 joint entries, so
+    # a slice holds 910 cells (910 * 36 <= 2**15 < 911 * 36) and the sweep
+    # takes 8 slices, in (T,) and in (N, T) step times alike
+    sizes = np.arange(1, 1001)
+    pure = [ancilla_state(theta0) for theta0 in np.linspace(0.2, 3.0, 5)]
+    ancillas = pure + [dephase_ancilla(pure[2], x) for x in (0.1, 0.3, 0.5, 1.0)]
+    levels = SpinLevels(optimal_generator(ZZ, EnsembleDim(1)).axis, top=True)
+    t1s = np.linspace(0.1, 2.0, 7)
+    cells = []
+    level_moments = echometry.fisher._level_moments
+
+    def recording(levels, count, j, axes):
+        cells.append(math.prod(np.broadcast_shapes(np.shape(j), np.shape(axes)[:-2])))
+        return level_moments(levels, count, j, axes)
+
+    monkeypatch.setattr(echometry.fisher, "_level_moments", recording)
+    for steps in (t1s, np.add.outer(1e-3 * sizes, t1s)):
+        cells.clear()
+        got = qfi_sizes(levels, sizes, ancillas, ZZ, steps)
+        assert cells == [910] * 7 + [630]
+        assert max(cells) * len(ancillas) * 4 <= echometry.fisher._SLICE_ENTRIES
+        for i in (0, 499, 999):
+            dim = EnsembleDim(sizes[i])
+            probe = polarized_probe(dim, PhaseGenerator(dim, levels.axis))
+            np.testing.assert_array_equal(got[i], qfi_grid(probe, ancillas, ZZ, np.broadcast_to(steps, (1000, 7))[i]))
+
+
+def test_frame_cache_keeps_read_only_frames_within_its_byte_bound(monkeypatch):
+    # frames are kept per N while their bytes, 8 (N+1)^2 each, sum to at most
+    # the bound, least recently used out first; a frame above the bound is
+    # solved on every call and not kept
+    assert echometry.fisher._FRAME_BYTES == 2**22
+    monkeypatch.setattr(echometry.fisher, "_FRAME_BYTES", 3 * 8 * 21**2)  # three frames of N = 20
+    monkeypatch.setattr(echometry.fisher, "_frames", {})
+    solved = []
+    frame_of = echometry.fisher.spin_frame
+    monkeypatch.setattr(echometry.fisher, "spin_frame", lambda dim, axis: solved.append(dim.dim) or frame_of(dim, axis))
+    for n in (20, 20, 5, 20, 30, 7, 20, 100, 100):
+        dim = EnsembleDim(n)
+        frame = echometry.fisher._x_frame(dim)
+        assert not frame.flags.writeable
+        assert sum(kept.nbytes for kept in echometry.fisher._frames.values()) <= echometry.fisher._FRAME_BYTES
+        np.testing.assert_array_equal(frame, frame_of(dim, (1.0, 0.0, 0.0))[1])
+        with pytest.raises(ValueError, match="read-only"):
+            frame[0, 0] = 1.0
+    assert solved == [21, 6, 31, 8, 21, 101, 101]
+    assert list(echometry.fisher._frames) == [7, 20]
 
 
 def test_small_grids_take_one_slice(monkeypatch):
@@ -1282,11 +1383,12 @@ def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
-def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch):
+def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch, clear_frames):
     # a polarized probe takes the closed coherent form and solves no frame; a
     # thermal or any other probe solves exactly one real tridiagonal frame
-    # (J_x) per call, whatever the kind, mode, basis, ancilla, grid size or
-    # number of calls
+    # (J_x) per call with the frame cache empty, whatever the kind, mode,
+    # basis, ancilla, grid size or number of calls, and none once its N is
+    # cached
     dim = EnsembleDim(7)
     pure = ancilla_state(1.1, 0.7)
     rng = np.random.default_rng(3)
@@ -1312,17 +1414,21 @@ def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch)
         for (probe, frames), anc in itertools.product(cases, (pure, dephase_ancilla(pure, 0.4))):
             for sched in (Schedule(t1=0.8, t2=1.1, theta=0.3, mode="period"), conjugate_schedule(0.8, 0.3)):
                 for basis in ("full_system", "ancilla_only"):
-                    for _ in range(2):
+                    clear_frames()
+                    for expected in (frames, []):  # the second call finds its N's frame cached
                         solved.clear()
                         cfi(probe, anc, params, sched, generator=gen, basis=basis)
-                        assert solved == frames
+                        assert solved == expected
+                    clear_frames()
                     solved.clear()
                     measurement_probs(probe, anc, params, sched, basis=basis, generator=gen)
                     assert solved == frames
+                    clear_frames()
                     solved.clear()
                     cfi_grid(probe, anc, params, np.linspace(0.0, 3.0, 40)[:, None], np.linspace(0.0, 2.0, 30),
                              sched.mode, gen, basis=basis)
                     assert solved == frames
+            clear_frames()
             solved.clear()
             cfi(probe, anc, params, conjugate_schedule(0.8, 0.3))
             assert solved == frames

@@ -15,7 +15,7 @@ import scipy.linalg.lapack
 import echometry.spin
 import echometry.states
 from echometry.circuit import axis_rotation
-from echometry.reference import probe_density, spin_matrix
+from echometry.reference import probe_density, spectral_decompose, spin_matrix
 from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
 from echometry.states import (
     AncillaState,
@@ -25,7 +25,6 @@ from echometry.states import (
     coherent_state,
     dephase_ancilla,
     polarized_probe,
-    spectral_decompose,
     thermal_probe,
     thermal_weights,
 )
@@ -379,6 +378,33 @@ def test_thermal_weights_partition_function():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ContractViolation, match="inverse temperature"):
             thermal_weights(dim, bad)
+
+
+def test_thermal_probe_exponentiates_only_the_levels_it_keeps(monkeypatch):
+    # the kept count comes from the closed form of Z, and only those levels
+    # (and one more) take an exp: the weights are thermal_weights' kept ones,
+    # renormalized, as many and within 4 eps, and at N = 10^6 no exp runs
+    # over all N + 1 levels
+    exponentiated = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: exponentiated.append(np.size(x)) or exp(x, *args, **kwargs))
+    for n in (1, 2, 5, 20, 64, 1000, 10**4):
+        dim = EnsembleDim(n)
+        gen = PhaseGenerator(dim, (0.6, 0.0, 0.8))
+        for beta in (0.0, 1e-300, 1e-3, 0.1, 1.0, 1.3, 5.0, 27.0, 30.0, 700.0, 1e3, 1e300):
+            weights = thermal_weights(dim, beta)
+            kept = int(np.count_nonzero(weights > 1e-12))
+            exponentiated.clear()
+            probe = thermal_probe(dim, gen, beta)
+            assert probe.n_terms == kept
+            assert len(exponentiated) == 1 and kept <= exponentiated[0] <= min(dim.dim, kept + 2)
+            renormalized = weights[:kept] / weights[:kept].sum()
+            np.testing.assert_allclose(probe.weights, renormalized, rtol=4 * np.finfo(float).eps, atol=0.0)
+    dim = EnsembleDim(10**6)
+    for beta in (1e-3, 1.0, 1e3):
+        exponentiated.clear()
+        probe = thermal_probe(dim, PhaseGenerator(dim, (0.0, 0.0, 1.0)), beta)
+        assert exponentiated[0] <= probe.n_terms + 1 < 3 * 10**4
 
 
 def test_thermal_probe_rejects_non_spin_generator():
