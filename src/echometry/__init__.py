@@ -18,7 +18,6 @@ from .spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    phase_generator,
     spin_frame,
 )
 from .states import (
@@ -64,7 +63,6 @@ __all__ = [
     "ContractViolation",
     "EnsembleDim",
     "PhaseGenerator",
-    "phase_generator",
     "spin_frame",
     "AncillaState",
     "SpectralProbe",

@@ -51,7 +51,8 @@ alone:
 No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
 step times in one broadcast, :func:`qfi_sizes` a declared pure probe over
-sizes as well; :func:`qfi_general` and :func:`cfi` are the one-cell calls.
+sizes as well, each walking its cells as one flat axis in slices of bounded
+size; :func:`qfi_general` and :func:`cfi` are the one-cell calls.
 The independent cross-check, the symmetric-logarithmic-derivative oracle
 on the dense 2(N+1)-dimensional output state, lives in
 :mod:`echometry.reference` and reuses neither the two-term path nor the
@@ -116,9 +117,9 @@ EPS_PROB = 1e-12
 
 # Complex entries that one slice of a grid kernel's stacked arrays (the CFI's
 # output columns, the QFI's H psi columns) may hold,
-# 0.5 MB: the kernels walk their time axis in slices of at most this size,
-# and at least one time each.  The temporaries of a slice take a few times
-# as much again.
+# 0.5 MB: the kernels walk one flat cell axis in slices of at most this
+# size, and at least one cell each.  The temporaries of a slice take a few
+# times as much again.
 _SLICE_ENTRIES = 2**15
 
 def _checked(values) -> np.ndarray:
@@ -190,17 +191,6 @@ def _slices(count: int, entries_per_cell: int):
     return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
-def _blocks(sizes: int, times: int, entries_per_cell: int):
-    """Blocks (sizes, times) of a (size, time) cell grid, each within the ``_SLICE_ENTRIES`` budget.
-
-    Whole rows of times, as many sizes at once as fit; where one row does
-    not fit, one size at a time in slices of its times.
-    """
-    if times and entries_per_cell * times <= _SLICE_ENTRIES:
-        return ((sl, slice(None)) for sl in _slices(sizes, entries_per_cell * times))
-    return ((slice(s, s + 1), sl) for s in range(sizes) for sl in _slices(times, entries_per_cell))
-
-
 def _two_term_sum(weights: np.ndarray, norms: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """The two-term spectral sum over input eigenpairs (w_k, psi_k) of a Hermitian H.
 
@@ -264,14 +254,17 @@ def _qfi_cells(weights: np.ndarray, ancillas, params: ModelParams, js: np.ndarra
     """F_Q of probes with eigenvalues ``weights`` (k,) and spins ``js`` (S,) at step times (T,) or (S, T): (S, A, T).
 
     One :func:`propagator` call gives the axes c_s of U_s^dagger (g.J) U_s
-    = c_s.J of every cell (size, time); per block of cells, ``moments(j,
-    axes)`` gives their n_sk (..., 2, k) and o_skl (..., 2, k, k), forming
+    = c_s.J of every cell (size, time).  The kernel walks the S T cells as
+    one flat axis, size-major; per slice of cells, ``moments(j, axes)``
+    gives their n_sk (cells, 2, k) and o_skl (cells, 2, k, k), forming
     ``entries`` entries per cell.  Joint pair (k, i) then has ||H psi_ki||^2
     = sum_s |alpha_si|^2 n_sk and <psi_ki|H|psi_lj> = sum_s conj(alpha_si)
     alpha_sj o_skl, for every ancilla at once.
     """
     sizes, times = js.size, t1s.shape[-1]
-    axes = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
+    axes = np.empty((sizes, times, 2, 3))  # per size its own row of step times, or the one row all share
+    axes[...] = su2_rotate(su2_inverse(propagator(params, t1s)), encoding_axis(params.kind))
+    axes, js = axes.reshape(-1, 2, 3), np.repeat(js, times)
     pairs = [anc.eigenpairs for anc in ancillas]
     q = np.array([w for w, _ in pairs]).reshape(-1, 2)
     alpha = np.array([columns for _, columns in pairs]).reshape(-1, 2, 2)
@@ -280,18 +273,15 @@ def _qfi_cells(weights: np.ndarray, ancillas, params: ModelParams, js: np.ndarra
     moduli = (np.abs(alpha) ** 2)[:, None, :, None, :]
     products = (alpha.conj()[..., :, None] * alpha[..., None, :])[:, None, :, None, :, None, :]
     k, n_anc = weights.size, len(pairs)
-    out = np.empty((n_anc, sizes, times))
-    # a block holds the joint overlaps, A (2k)^2 entries per cell, and what the moments form
-    for size, time in _blocks(sizes, times, n_anc * (2 * k) ** 2 + entries):
-        # the step times of each size's row, or the one row that all sizes share
-        n, o = moments(js[size, None], axes[size, time] if t1s.ndim == 2 else axes[time])
-        n, o = n.reshape(-1, 2, k), o.reshape(-1, 2, k, k)
+    out = np.empty((n_anc, js.size))
+    # a slice holds the joint overlaps, A (2k)^2 entries per cell, and what the moments form
+    for sl in _slices(js.size, n_anc * (2 * k) ** 2 + entries):
+        n, o = moments(js[sl], axes[sl])
         shape = (n_anc, n.shape[0], 2 * k)
         norms = (moduli * n[..., None]).sum(2).reshape(shape)
         overlaps = (products * o[:, :, :, None, :, None]).sum(2).reshape(*shape, 2 * k)
-        block = out[:, size, time]
-        block[...] = _two_term_sum(joint, norms, overlaps).reshape(block.shape)
-    return _checked(out).swapaxes(0, 1)
+        out[:, sl] = _two_term_sum(joint, norms, overlaps)
+    return _checked(out).reshape(n_anc, sizes, times).swapaxes(0, 1)
 
 
 def qfi_grid(probe: SpectralProbe, ancillas, params: ModelParams, t1s) -> np.ndarray:
@@ -572,8 +562,8 @@ def cfi_grid(
 ) -> np.ndarray:
     """Classical Fisher information of the projective readout over (t1, t2) pairs.
 
-    ``t1s`` and ``t2s`` broadcast against each other, and the result has
-    their broadcast shape; cell by cell it is :func:`cfi` of the schedule
+    ``t1s`` and ``t2s`` must broadcast against each other, and the result
+    has their broadcast shape; cell by cell it is :func:`cfi` of the schedule
     (t1, t2, ``mode``), evaluated at the encoded phase ``theta_eval``.  In
     ``exact_conjugate`` mode the second leg is U(t1)^dagger and t2 is not
     used.  The readout basis is fixed by ``generator`` (default: the
@@ -597,7 +587,10 @@ def cfi_grid(
         raise ContractViolation("encoded phase must be finite")
     t1s, t2s = checked_durations(t1s), checked_durations(t2s)
     if t1s.shape != t2s.shape:
-        t1s, t2s = np.broadcast_arrays(t1s, t2s)
+        try:
+            t1s, t2s = np.broadcast_arrays(t1s, t2s)
+        except ValueError:
+            raise ContractViolation(f"step times t1 {t1s.shape} and t2 {t2s.shape} do not broadcast") from None
     generator = _readout_generator(basis, generator, params, probe.dim)
     if t1s.size == 0:
         return np.zeros(t1s.shape)

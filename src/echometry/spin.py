@@ -40,7 +40,6 @@ __all__ = [
     "KET_E",
     "KET_G",
     "spin_ladder",
-    "phase_generator",
     "check_generator_size",
     "spin_frame",
     "tridiagonal_axis",
@@ -200,13 +199,6 @@ def check_generator_size(generator: PhaseGenerator, dim: EnsembleDim) -> PhaseGe
     if generator.dim != dim:
         raise ContractViolation(f"generator is for N = {generator.dim.n_spins}, probe for N = {dim.n_spins}")
     return generator
-
-
-def phase_generator(dim: EnsembleDim, phi: float) -> PhaseGenerator:
-    """Planar generator J(phi) = cos(phi) J_x + sin(phi) J_y."""
-    if not np.isfinite(phi):
-        raise ContractViolation("phase angle must be finite")
-    return PhaseGenerator(dim, (np.cos(phi), np.sin(phi), 0.0))
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "operator") -> None:

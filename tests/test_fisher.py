@@ -46,7 +46,6 @@ from echometry.spin import (
     ContractViolation,
     EnsembleDim,
     PhaseGenerator,
-    phase_generator,
     spin_frame,
 )
 from echometry.states import (
@@ -256,7 +255,8 @@ def test_qfi_ghz_probe_without_coupling():
     n = 4
     dim = EnsembleDim(n)
     t1 = 0.47
-    probe = ghz_probe(dim, phase_generator(dim, -params.omega_p * t1))
+    phi = -params.omega_p * t1
+    probe = ghz_probe(dim, PhaseGenerator(dim, (np.cos(phi), np.sin(phi), 0.0)))
     value = qfi_general(probe, ancilla_state(np.pi / 2), params, conjugate_schedule(t1, 0.2)).value
     assert abs(value - n * n) <= 1e-8 * n * n
 
@@ -996,6 +996,8 @@ def test_grid_kernels_reject_bad_times(bad):
         qfi_grid(probe, [anc], ZZ, [0.1, bad])
     with pytest.raises(ContractViolation, match="step durations"):
         cfi_grid(probe, anc, ZZ, [0.1, 0.2], [0.3, bad], "period", generator=gen)
+    with pytest.raises(ContractViolation, match="step times t1 \\(2,\\) and t2 \\(3,\\) do not broadcast"):
+        cfi_grid(probe, anc, ZZ, np.ones(2), np.ones(3), "period", generator=gen)
     with pytest.raises(ContractViolation, match="reversal mode"):
         cfi_grid(probe, anc, ZZ, 0.1, 0.2, "forward", generator=gen)
 
@@ -1026,7 +1028,8 @@ def test_cfi_reads_theta_eval_and_not_the_schedule_phase():
 def test_ancilla_only_readout_rejects_a_foreign_generator():
     # the ancilla-only readout does not use the generator, but one for another N is still an error
     dim, gen, probe, anc, sched = optimal_setup(6)
-    foreign = phase_generator(EnsembleDim(9), 1.234)
+    axis = (np.cos(1.234), np.sin(1.234), 0.0)
+    foreign = PhaseGenerator(EnsembleDim(9), axis)
     with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
         cfi(probe, anc, ZZ, sched, generator=foreign, basis="ancilla_only")
     with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
@@ -1034,7 +1037,7 @@ def test_ancilla_only_readout_rejects_a_foreign_generator():
     with pytest.raises(ContractViolation, match="generator is for N = 9, probe for N = 6"):
         measurement_probs(probe, anc, ZZ, sched, basis="ancilla_only", generator=foreign)
     # a generator of the probe's size stays accepted, and unused
-    kept = cfi(probe, anc, ZZ, sched, generator=phase_generator(dim, 1.234), basis="ancilla_only").value
+    kept = cfi(probe, anc, ZZ, sched, generator=PhaseGenerator(dim, axis), basis="ancilla_only").value
     assert kept == cfi(probe, anc, ZZ, sched, basis="ancilla_only").value
 
 
@@ -1176,15 +1179,16 @@ def test_qfi_sizes_rejects_bad_sizes_and_step_times():
 
 
 def test_size_sweeps_walk_cells_within_the_entry_budget(monkeypatch):
-    # the size axis counts in the slice budget: 10^3 sizes x 7 step times
-    # are 7000 (size, time) cells of A (2k)^2 = 9 * 4 = 36 joint entries, so
-    # a slice holds 910 cells (910 * 36 <= 2**15 < 911 * 36) and the sweep
-    # takes 8 slices, in (T,) and in (N, T) step times alike
+    # the size axis counts in the slice budget: the kernel walks the (size,
+    # time) cells as one flat axis, size-major, at A (2k)^2 = 9 * 4 = 36 joint
+    # entries per cell, so a slice holds 910 cells (910 * 36 <= 2**15 < 911 *
+    # 36).  10^3 sizes x 7 step times take 8 slices, and x 6 step times 7,
+    # where size 152's six cells (906-911) straddle a slice edge; in (T,) and
+    # in (N, T) step times alike
     sizes = np.arange(1, 1001)
     pure = [ancilla_state(theta0) for theta0 in np.linspace(0.2, 3.0, 5)]
     ancillas = pure + [dephase_ancilla(pure[2], x) for x in (0.1, 0.3, 0.5, 1.0)]
     levels = SpinLevels(optimal_generator(ZZ, EnsembleDim(1)).axis, top=True)
-    t1s = np.linspace(0.1, 2.0, 7)
     cells = []
     level_moments = echometry.fisher._level_moments
 
@@ -1193,15 +1197,18 @@ def test_size_sweeps_walk_cells_within_the_entry_budget(monkeypatch):
         return level_moments(levels, count, j, axes)
 
     monkeypatch.setattr(echometry.fisher, "_level_moments", recording)
-    for steps in (t1s, np.add.outer(1e-3 * sizes, t1s)):
-        cells.clear()
-        got = qfi_sizes(levels, sizes, ancillas, ZZ, steps)
-        assert cells == [910] * 7 + [630]
-        assert max(cells) * len(ancillas) * 4 <= echometry.fisher._SLICE_ENTRIES
-        for i in (0, 499, 999):
-            dim = EnsembleDim(sizes[i])
-            probe = polarized_probe(dim, PhaseGenerator(dim, levels.axis))
-            np.testing.assert_array_equal(got[i], qfi_grid(probe, ancillas, ZZ, np.broadcast_to(steps, (1000, 7))[i]))
+    for times, walk in ((7, [910] * 7 + [630]), (6, [910] * 6 + [540])):
+        t1s = np.linspace(0.1, 2.0, times)
+        for steps in (t1s, np.add.outer(1e-3 * sizes, t1s)):
+            cells.clear()
+            got = qfi_sizes(levels, sizes, ancillas, ZZ, steps)
+            assert cells == walk
+            assert max(cells) * len(ancillas) * 4 <= echometry.fisher._SLICE_ENTRIES
+            for i in (0, 151, 499, 999):
+                dim = EnsembleDim(sizes[i])
+                probe = polarized_probe(dim, PhaseGenerator(dim, levels.axis))
+                row = np.broadcast_to(steps, (1000, times))[i]
+                np.testing.assert_array_equal(got[i], qfi_grid(probe, ancillas, ZZ, row))
 
 
 def test_frame_cache_keeps_read_only_frames_within_its_byte_bound(monkeypatch):
@@ -1394,7 +1401,7 @@ def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch,
     rng = np.random.default_rng(3)
     vectors, _ = np.linalg.qr(rng.normal(size=(dim.dim, 3)) + 1j * rng.normal(size=(dim.dim, 3)))
     others = [
-        thermal_probe(dim, phase_generator(dim, 0.4), 1.0),
+        thermal_probe(dim, PhaseGenerator(dim, (np.cos(0.4), np.sin(0.4), 0.0)), 1.0),
         SpectralProbe(dim, np.array([0.5, 0.3, 0.2]), vectors),
     ]
     assert [probe.n_terms for probe in others] == [dim.dim, 3]

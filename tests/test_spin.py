@@ -14,7 +14,6 @@ from echometry.spin import (
     PhaseGenerator,
     assert_hermitian,
     lowest_spin_columns,
-    phase_generator,
     pin_frame_phases,
     spin_frame,
     spin_ladder,
@@ -76,16 +75,10 @@ def test_casimir_identity(n):
 
 def test_phase_generator_axes():
     dim = EnsembleDim(3)
-    assert phase_generator(dim, 0.0).axis == (1.0, 0.0, 0.0)
     jx, jy, _ = collective_ops(dim)
-    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, 0.0).axis), jx, atol=1e-15)
-    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, np.pi / 2).axis), jy, atol=1e-12)
-    np.testing.assert_allclose(spin_matrix(dim, phase_generator(dim, np.pi).axis), -jx, atol=1e-12)
-
-
-def test_phase_generator_rejects_nonfinite_angle():
-    with pytest.raises(ContractViolation):
-        phase_generator(EnsembleDim(2), np.inf)
+    np.testing.assert_allclose(spin_matrix(dim, PhaseGenerator(dim, (1.0, 0.0, 0.0)).axis), jx, atol=1e-15)
+    np.testing.assert_allclose(spin_matrix(dim, PhaseGenerator(dim, (0.0, 1.0, 0.0)).axis), jy, atol=1e-15)
+    np.testing.assert_allclose(spin_matrix(dim, PhaseGenerator(dim, (-1.0, 0.0, 0.0)).axis), -jx, atol=1e-15)
 
 
 def test_spin_frame_jz_is_standard_basis():
@@ -97,7 +90,7 @@ def test_spin_frame_jz_is_standard_basis():
 def test_spin_frame_planar_generator_has_spin_spectrum():
     # any planar generator is unitarily equivalent to J_x, so the spectrum
     # must be the integer ladder -j..+j
-    vals, _ = spin_frame(EnsembleDim(4), phase_generator(EnsembleDim(4), np.pi / 3).axis)
+    vals, _ = spin_frame(EnsembleDim(4), (np.cos(np.pi / 3), np.sin(np.pi / 3), 0.0))
     np.testing.assert_allclose(vals, [-2, -1, 0, 1, 2], atol=1e-10)
 
 

@@ -16,7 +16,7 @@ import echometry.spin
 import echometry.states
 from echometry.circuit import axis_rotation
 from echometry.reference import probe_density, spectral_decompose, spin_matrix
-from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, phase_generator, spin_frame
+from echometry.spin import ContractViolation, EnsembleDim, PhaseGenerator, spin_frame
 from echometry.states import (
     AncillaState,
     SpectralProbe,
@@ -180,7 +180,7 @@ def test_polarized_probe_along_jz():
 
 def test_polarized_probe_is_extremal_eigenvector():
     dim = EnsembleDim(6)
-    gen = phase_generator(dim, 0.83)
+    gen = PhaseGenerator(dim, (np.cos(0.83), np.sin(0.83), 0.0))
     probe = polarized_probe(dim, gen)
     psi = probe.vectors[:, 0]
     assert np.linalg.norm(spin_matrix(dim, gen.axis) @ psi - dim.j * psi) <= 1e-10
@@ -301,7 +301,7 @@ def test_polarized_probe_reports_degenerate_generator():
 
 def test_probe_constructors_reject_a_generator_of_another_size():
     dim = EnsembleDim(3)
-    gen = phase_generator(EnsembleDim(4), 0.3)
+    gen = PhaseGenerator(EnsembleDim(4), (np.cos(0.3), np.sin(0.3), 0.0))
     for build in (polarized_probe, lambda d, g: thermal_probe(d, g, 1.0)):
         with pytest.raises(ContractViolation):
             build(dim, gen)
@@ -322,7 +322,7 @@ def test_ghz_probe_jz():
 
 def test_ghz_probe_balanced_expectation():
     dim = EnsembleDim(5)
-    gen = phase_generator(dim, 1.9)
+    gen = PhaseGenerator(dim, (np.cos(1.9), np.sin(1.9), 0.0))
     psi = ghz_probe(dim, gen).vectors[:, 0]
     assert abs(psi.conj() @ spin_matrix(dim, gen.axis) @ psi) <= 1e-12
 
@@ -476,7 +476,7 @@ def test_only_polarized_probe_sets_the_coherent_axis():
         SpectralProbe(dim, np.array([1.0]), one, coherent_axis=(0.0, 0.0, 1.0))
     assert [f.name for f in dataclasses.fields(SpectralProbe)] == ["dim", "weights", "levels"]
     assert SpectralProbe(dim, np.array([1.0]), one).coherent_axis is None
-    gen = phase_generator(dim, 0.4)
+    gen = PhaseGenerator(dim, (np.cos(0.4), np.sin(0.4), 0.0))
     assert polarized_probe(dim, gen).coherent_axis == gen.axis
     assert polarized_probe(dim, gen).levels == SpinLevels(gen.axis, top=True)
     assert thermal_probe(dim, gen, 1.3).coherent_axis is None
@@ -506,7 +506,7 @@ def test_spectral_probe_takes_vectors_or_levels():
 def test_spectral_probes_compare_and_hash_by_identity():
     # arrays have no single truth value, so probes compare as objects, as ProbabilityTable does
     dim = EnsembleDim(3)
-    gen = phase_generator(dim, 0.4)
+    gen = PhaseGenerator(dim, (np.cos(0.4), np.sin(0.4), 0.0))
     for build in (lambda: polarized_probe(dim, gen), lambda: thermal_probe(dim, gen, 0.5), lambda: ghz_probe(dim, gen)):
         probe, twin = build(), build()
         assert probe == probe and probe != twin
@@ -621,7 +621,7 @@ def test_thermal_weights_past_the_float_range_of_beta_m():
 
 def test_spectral_probe_weights_sum_to_one():
     dim = EnsembleDim(4)
-    gen = phase_generator(dim, 0.4)
+    gen = PhaseGenerator(dim, (np.cos(0.4), np.sin(0.4), 0.0))
     for probe in (polarized_probe(dim, gen), ghz_probe(dim, gen), thermal_probe(dim, gen, 1.3)):
         assert abs(probe.weights.sum() - 1.0) <= 1e-10
         gram = probe.vectors.conj().T @ probe.vectors
