@@ -123,7 +123,8 @@ def fit_quadratic(points) -> FitResult:
     pts = [(float(n), float(f)) for n, f in points]
     ns = np.array([p[0] for p in pts])
     fs = np.array([p[1] for p in pts])
-    if np.unique(ns).size < 3:
+    # a set, not np.unique, which loads numpy.ma (about 15 ms) on its first call
+    if len({n for n, _ in pts}) < 3:
         raise ContractViolation("quadratic fit needs at least three distinct sizes")
     x1, x2 = ns * ns, ns
     r11 = math.sqrt(np.sum(x1 * x1))

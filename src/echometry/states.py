@@ -25,10 +25,11 @@ their vectors cost O(N) memory with no full eigenframe:
 * :func:`thermal_probe` is the lowest levels, those whose Boltzmann weight
   it keeps; their vectors come from
   :func:`~echometry.spin.lowest_spin_columns`: inverse iteration at their
-  exact eigenvalues m, with no eigenvalue search (exact basis vectors at a
-  pole), or the full frame when every weight is kept.  Cold enough to keep
-  one level, it is |n; -j>, the coherent state along -n, and its
-  ``coherent_axis`` is -n.
+  exact eigenvalues m, with no eigenvalue search, or, when every weight is
+  kept, the full frame from the three-term recurrence at those eigenvalues,
+  which needs no scipy (exact basis vectors at a pole, either way).  Cold
+  enough to keep one level, it is |n; -j>, the coherent state along -n,
+  and its ``coherent_axis`` is -n.
 
 Both follow the phase convention of :func:`~echometry.spin.spin_frame`
 (:func:`~echometry.spin.pin_frame_phases`): each vector's largest-magnitude

@@ -206,11 +206,12 @@ def run_fresh(script):
     return proc.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy is loaded only where probe columns are solved, so not on import,
-    # not in a period search (a near period of near-rational rates, and a
-    # whole window of irrational ones), and not by any default CLI scenario
-    # but validate, whose hand-built probes take the J_x frame
+def test_import_and_every_cli_run_leave_scipy_unloaded(tmp_path):
+    # scipy serves only inverse iteration for a few probe columns, which no
+    # CLI run needs: it is not loaded on import, in a period search (a near
+    # period of near-rational rates, and a whole window of irrational ones),
+    # by any default CLI scenario, or by validate, whose hand-built probes
+    # read out through the recurrence J_x frame
     script = (
         "import contextlib, io, math, sys, echometry as em\n"
         "from echometry.cli import main\n"
@@ -222,11 +223,12 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
         "except em.PeriodNotFound:\n"
         "    loaded.append('scipy' in sys.modules)\n"
         f"out = {str(tmp_path)!r}\n"
-        "runs = [[command] for command in dict.fromkeys(spec.command for spec in SCENARIOS.values())]\n"
-        "runs.append(['qfi-sweep', '--scenario', 't1', '--mode', 'period'])\n"
+        "runs = [[command, '--out', out] for command in dict.fromkeys(spec.command for spec in SCENARIOS.values())]\n"
+        "runs.append(['qfi-sweep', '--scenario', 't1', '--mode', 'period', '--out', out])\n"
+        "runs.append(['validate', '--seed', '7'])\n"
         "for argv in runs:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main([*argv, '--out', out]) == 0, argv\n"
+        "        assert main(argv) == 0, argv\n"
         "    loaded.append('scipy' in sys.modules)\n"
         "print(len(runs), loaded)\n"
     )

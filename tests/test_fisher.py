@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.linalg
 from scipy.linalg import expm
 
 import echometry.circuit
@@ -1392,10 +1391,10 @@ def test_qfi_reads_only_the_spin_half_propagator(monkeypatch):
 
 def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch, clear_frames):
     # a polarized probe takes the closed coherent form and solves no frame; a
-    # thermal or any other probe solves exactly one real tridiagonal frame
-    # (J_x) per call with the frame cache empty, whatever the kind, mode,
-    # basis, ancilla, grid size or number of calls, and none once its N is
-    # cached
+    # thermal or any other probe solves exactly one full frame (J_x, by the
+    # spin recurrence) per call with the frame cache empty, whatever the kind,
+    # mode, basis, ancilla, grid size or number of calls, and none once its N
+    # is cached
     dim = EnsembleDim(7)
     pure = ancilla_state(1.1, 0.7)
     rng = np.random.default_rng(3)
@@ -1408,13 +1407,13 @@ def test_cfi_solves_one_frame_per_call_unless_the_probe_is_coherent(monkeypatch,
     for probe in others:
         probe.vectors  # the thermal probe's columns are built on this first read
     solved = []
-    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+    recurrence_frame = echometry.spin._recurrence_frame
 
-    def counted(*args, **kwargs):
-        solved.append(len(args[0]))
-        return eigh_tridiagonal(*args, **kwargs)
+    def counted(frame_dim, nz, r):
+        solved.append(frame_dim.dim)
+        return recurrence_frame(frame_dim, nz, r)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(echometry.spin, "_recurrence_frame", counted)
     for params in (ZZ, STRONG_XZ, ModelParams(3.0, 1.5, 1.0, kind="xz")):
         gen = optimal_generator(params, dim)
         cases = [(polarized_probe(dim, gen), [])] + [(probe, [dim.dim]) for probe in others]

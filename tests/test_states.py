@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import scipy.linalg
 import scipy.linalg.lapack
 
 import echometry.spin
@@ -278,7 +277,7 @@ def test_probe_constructors_solve_no_full_frame(monkeypatch):
         return vecs, info
 
     monkeypatch.setattr(echometry.spin, "spin_frame", forbidden)
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+    monkeypatch.setattr(echometry.spin, "_recurrence_frame", forbidden)
     monkeypatch.setattr(scipy.linalg.lapack, "dstein", counted)
     dim = EnsembleDim(2000)
     gen = PhaseGenerator(dim, (0.6, -0.48, 0.64))
