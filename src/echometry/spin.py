@@ -201,8 +201,9 @@ def lowest_spin_columns(dim: EnsembleDim, axis, count: int) -> np.ndarray:
     solve does not depend on the axis' scale.  The full frame comes from
     the three-term recurrence at those eigenvalues (:func:`_recurrence_frame`,
     numpy only, no BLAS).  Fewer columns come from LAPACK's inverse iteration
-    (``stein``) at the exact eigenvalues, with no eigenvalue search.  At a pole, |r| <= eps |n_z| (the zero axis included), the columns are
-    the exact J_z basis vectors instead, full frame or not (m ascending for
+    (``stein``) at the exact eigenvalues, with no eigenvalue search.  At a
+    pole, |r| <= eps |n_z| (the zero axis included), the columns are the
+    exact J_z basis vectors instead, full frame or not (m ascending for
     n_z >= 0, descending for n_z < 0): dropping r J_x is a backward error of
     at most eps ||n.J||, while solving so nearly split a matrix loses
     orthogonality.  Phases follow :func:`pin_frame_phases`.  scipy is
