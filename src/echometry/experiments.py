@@ -574,25 +574,23 @@ def _draw_instance(rng: np.random.Generator) -> tuple[SpectralProbe, AncillaStat
     return probe, anc, params, conjugate_schedule(t1, theta=0.0)
 
 
-def _oracle_values(cases: list) -> list[tuple[float, ...]]:
-    """The SLD oracle of each case at :data:`_ORACLE_THETAS`, in case order.
+def _oracle_values(cases: list) -> list[tuple[tuple, tuple[float, ...]]]:
+    """Each case paired with its SLD oracle at :data:`_ORACLE_THETAS`, a probe size at a time.
 
-    Cases of one probe size share dense reference stacks of at most
-    :data:`_STACK_ENTRIES` entries per array.
+    Cases of one size, in case order, share dense reference stacks of at
+    most :data:`_STACK_ENTRIES` entries per array, all evaluated here.
     """
-    groups: dict[EnsembleDim, list[int]] = {}
-    for index, (probe, *_) in enumerate(cases):
-        groups.setdefault(probe.dim, []).append(index)
-    values: list = [None] * len(cases)
+    groups: dict[EnsembleDim, list] = {}
+    for case in cases:
+        groups.setdefault(case[0].dim, []).append(case)
+    paired = []
     for dim, group in groups.items():
         size = max(1, _STACK_ENTRIES // (2 * dim.dim) ** 2)
         for start in range(0, len(group), size):
-            members = group[start : start + size]
-            states = output_states_stacked([cases[i] for i in members], _ORACLE_THETAS)
-            per_theta = [qfi_sld_oracle_stacked(rho, drho) for rho, drho in states]
-            for index, oracles in zip(members, zip(*per_theta)):
-                values[index] = oracles
-    return values
+            stack = group[start : start + size]
+            states = output_states_stacked(stack, _ORACLE_THETAS)
+            paired += zip(stack, zip(*[qfi_sld_oracle_stacked(rho, drho) for rho, drho in states]))
+    return paired
 
 
 def run_validation(instances: int = 200, seed: int = 7) -> dict:
@@ -604,18 +602,23 @@ def run_validation(instances: int = 200, seed: int = 7) -> dict:
     never exceeds the oracle's value there.  Instances are drawn in blocks,
     in the order of a one-at-a-time loop; the dense reference of a block
     runs as stacks of instances that share a probe size (one eigh chain and
-    one oracle per stack, a whole size per stack up to a memory bound),
-    while ``qfi_general`` and ``cfi`` run once per instance.
+    one oracle per stack, a whole size per stack up to a memory bound);
+    ``qfi_general`` and ``cfi`` then run once per instance in that order,
+    so the readout solves one J_x frame per size and block.  The report, a
+    maximum and two counts, does not depend on the order.  ``instances``
+    and ``seed`` are whole numbers, at least 1 and 0.
     """
-    if instances < 1:
-        raise ContractViolation(f"validation needs at least one instance, got {instances!r}")
+    if not isinstance(instances, (int, np.integer)) or instances < 1:
+        raise ContractViolation(f"validation needs a whole number of instances, at least one, got {instances!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolation(f"validation needs a whole seed of at least 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     crb_violations = 0
     bound_violations = 0
     for start in range(0, instances, _VALIDATION_BLOCK):
         block = [_draw_instance(rng) for _ in range(min(_VALIDATION_BLOCK, instances - start))]
-        for (probe, anc, params, sched), oracles in zip(block, _oracle_values(block)):
+        for (probe, anc, params, sched), oracles in _oracle_values(block):
             n = probe.dim.n_spins
             general = qfi_general(probe, anc, params, sched).value
             for oracle in oracles:

@@ -45,8 +45,8 @@ alone:
   eigensolve and no probe column;
 * every other probe (thermal with more than one level, rank above 1, or
   one built from its columns) goes through the real J_x frame of its N
-  (:func:`~echometry.circuit.apply_su2`), O(N^2), solved once per N and
-  kept within a byte bound (:func:`_x_frame`).
+  (:func:`~echometry.circuit.apply_su2`), O(N^2); the frame of the last N
+  read out is kept within a byte bound (:func:`_x_frame`).
 
 No (N+1)-dimensional propagator is built.  The grid kernels :func:`qfi_grid`
 and :func:`cfi_grid` evaluate one probe over whole axes of ancillas and
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -361,12 +360,14 @@ def qfi_deviation(dim: EnsembleDim, delta_g: float, delta_omega_p: float, t1: fl
     """Quadratic control-error law N^2 - N(N-1)(dwp^2 + dg^2) t1^2.
 
     ``delta_g`` and ``delta_omega_p`` are additive errors on the coupling and
-    the probe frequency, and must be finite.  Valid to second order for small
-    deviations; a warning is issued once the dimensionless products
-    |delta * t1| leave the trusted range.
+    the probe frequency, and must be finite; the step time ``t1`` must be
+    finite and nonnegative.  Valid to second order for small deviations; a
+    warning is issued once the dimensionless products |delta * t1| leave the
+    trusted range.
     """
     if not (math.isfinite(delta_g) and math.isfinite(delta_omega_p)):
         raise ContractViolation("deviations must be finite")
+    t1 = float(checked_durations(t1))
     n = dim.n_spins
     for name, delta in (("delta_g", delta_g), ("delta_omega_p", delta_omega_p)):
         if abs(delta * t1) > 0.1:
@@ -379,31 +380,21 @@ def qfi_deviation(dim: EnsembleDim, delta_g: float, delta_omega_p: float, t1: fl
     return FisherResult(value=value)
 
 
-# J_x frames kept between readouts, per N, while their bytes, 8 (N+1)^2 each,
-# sum to at most _FRAME_BYTES: 4 MiB holds every frame up to N = 723, or many
-# small ones (`validate` reads out 200 probes of 19 sizes at N <= 20, 26 kB in
-# all); a larger frame is solved on every call.
+# The J_x frame of the last N read out, 8 (N+1)^2 bytes, is kept while it takes at
+# most _FRAME_BYTES: 4 MiB holds every frame up to N = 723; a larger one is
+# solved on every call.  One frame serves a run that reads out a size at a time,
+# as `validate` does (200 probes of 19 sizes at N <= 20, one frame per size).
 _FRAME_BYTES = 2**22
-_frames: dict[int, np.ndarray] = {}
-_frames_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=1)
 def _x_frame(dim: EnsembleDim) -> np.ndarray:
-    """The real J_x frame ``spin_frame(dim, (1, 0, 0))[1]``, read-only, solved once per N within the bound.
+    """The real J_x frame ``spin_frame(dim, (1, 0, 0))[1]``, read-only, kept for the last N.
 
-    ``_frames`` keeps the frames in order of use, the least recently used
-    dropped first; the frame depends only on N, so a run that reads out
-    many probes of a few sizes solves each size once.
+    A frame over the bound is solved through ``_x_frame.__wrapped__``, which keeps nothing.
     """
-    with _frames_lock:
-        frame = _frames.pop(dim.n_spins, None)
-        if frame is None:
-            frame = spin_frame(dim, (1.0, 0.0, 0.0))[1]
-            frame.setflags(write=False)
-        if frame.nbytes <= _FRAME_BYTES:
-            _frames[dim.n_spins] = frame
-            while sum(kept.nbytes for kept in _frames.values()) > _FRAME_BYTES:
-                del _frames[next(iter(_frames))]
+    frame = spin_frame(dim, (1.0, 0.0, 0.0))[1]
+    frame.setflags(write=False)
     return frame
 
 
@@ -477,9 +468,9 @@ def _readout_probs(
     A coherent probe (``probe.coherent_axis`` set) is D^j(R_n)|j,+j> up to a
     global phase, so x is :func:`~echometry.states.coherent_state` of
     W_s R_n, O(N) per cell; any other probe goes through the real J_x frame
-    of its N (:func:`apply_su2`), solved once per N within the bound of
-    :func:`_x_frame`.  No (N+1)-dimensional propagator or
-    density matrix is formed.
+    of its N (:func:`apply_su2`), which :func:`_x_frame` keeps for the next
+    readout of that N.  No (N+1)-dimensional propagator or density matrix
+    is formed.
     """
     dim = probe.dim
     g_axis = encoding_axis(params.kind)
@@ -493,7 +484,7 @@ def _readout_probs(
     branches = _PLUS_MINUS_BRAS[:, :, None] * alpha[:, None, live]
     if probe.coherent_axis is None:
         columns = probe.vectors[:, None, None, :]  # (N+1, 1, 1, k): probe axis first
-        x_frame = _x_frame(dim)
+        x_frame = (_x_frame if 8 * dim.dim**2 <= _FRAME_BYTES else _x_frame.__wrapped__)(dim)
 
         def evolve(element):
             out = apply_su2(dim, x_frame, tuple(c[..., None] for c in element), columns)  # (N+1, P, 2, k)

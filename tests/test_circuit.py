@@ -1,9 +1,5 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-import echometry
 from echometry.circuit import (
     PERIOD_RESIDUAL_TOL,
     ModelParams,
@@ -54,6 +49,7 @@ from echometry.reference import (
     spin_matrix,
     unitary_of_hermitian,
 )
+from conftest import run_python
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 
@@ -677,11 +673,7 @@ def test_reversal_period_scan_fallback_at_large_n_in_bounded_memory():
         "except em.PeriodNotFound:\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
-    src = str(Path(echometry.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python(["-c", script], check=True, timeout=120)
     assert proc.stdout, "the scan accepted a period"
     assert 0 <= int(proc.stdout) <= 64 * 1024  # ru_maxrss is in KiB
 

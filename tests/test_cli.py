@@ -1,9 +1,5 @@
 import csv
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +7,7 @@ import pytest
 from echometry.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from echometry.experiments import SCENARIOS, run_validation
 from echometry.spin import ContractViolation
+from conftest import run_python
 from test_fisher import run_at_blas_threads
 
 
@@ -188,20 +185,14 @@ def test_negative_probe_frequency_below_minus_g_is_weak_xz(tmp_path, capsys):
 
 
 def test_package_runs_as_a_module():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "echometry", "--help"], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_python(["-m", "echometry", "--help"], timeout=60)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "trace-scan" in proc.stdout
 
 
 def run_fresh(script):
     """Run a Python script in a fresh interpreter on this checkout; returns its stdout."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python(["-c", script], timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -272,6 +263,16 @@ def test_validate_rejects_empty_runs_and_negative_seeds(capsys, argv):
 def test_run_validation_needs_an_instance():
     with pytest.raises(ContractViolation):
         run_validation(instances=0)
+
+
+def test_run_validation_checks_its_own_inputs():
+    # a fractional count or a negative, fractional or missing seed is a
+    # contract violation, not an error from range or numpy; numpy integers
+    # are whole numbers
+    for kwargs in (dict(instances=1.5), dict(instances="3"), dict(seed=-1), dict(seed=2.5), dict(seed=None)):
+        with pytest.raises(ContractViolation, match="validation needs"):
+            run_validation(**kwargs)
+    assert run_validation(np.int64(2), np.int64(4))["passed"]
 
 
 def test_dephasing_command_defaults(tmp_path):

@@ -1,16 +1,12 @@
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import echometry
 import echometry.experiments
 import echometry.fisher
+import echometry.spin
 from echometry.circuit import (
     ModelParams,
     Schedule,
@@ -26,6 +22,7 @@ from echometry.reference import output_state_derivatives, qfi_sld_oracle
 from echometry.states import SpectralProbe, ancilla_state, dephase_ancilla, polarized_probe, thermal_probe
 from echometry.experiments import SweepConfig, _argmax_row, fit_quadratic, run_scenario, run_validation
 from echometry.spin import ContractViolation
+from conftest import run_python
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
 STRONG_XZ = ModelParams(omega_p=1.0, omega_a=1.0, g=1.0, kind="xz")
@@ -77,15 +74,12 @@ def test_argmax_row_ignores_rounding_noise():
 def test_xz_scaling_summary_independent_of_blas_threads(tmp_path):
     cfg = tmp_path / "xz.cfg"
     cfg.write_text("n_values = 10, 20, 30, 40, 50, 60, 70, 80, 90, 100\n")
-    src = str(Path(echometry.__file__).resolve().parents[1])
     outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        out = tmp_path / threads
-        subprocess.run(
-            [sys.executable, "-m", "echometry.cli", "xz-scaling", "--config", str(cfg), "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_python(
+            ["-m", "echometry.cli", "xz-scaling", "--config", str(cfg), "--out", str(out)],
+            threads, check=True, timeout=300,
         )
         outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
     assert outputs[0] == outputs[1]
@@ -430,6 +424,22 @@ def test_run_validation_passes():
     assert report["max_rel_diff"] <= 1e-8
     assert report["crb_violations"] == 0
     assert report["bound_violations"] == 0
+
+
+def test_validation_solves_one_frame_per_probe_size(monkeypatch, clear_frames):
+    # validate reads its probes out a size at a time, so the readout's one
+    # kept J_x frame serves every probe of a size: the 200 probes of seed 7
+    # come in 19 sizes and solve 19 frames, one per size
+    solved = []
+    recurrence_frame = echometry.spin._recurrence_frame
+
+    def counted(dim, nz, r):
+        solved.append(dim.n_spins)
+        return recurrence_frame(dim, nz, r)
+
+    monkeypatch.setattr(echometry.spin, "_recurrence_frame", counted)
+    assert run_validation(200, 7)["passed"]
+    assert sorted(solved) == list(range(2, 21))
 
 
 def validation_one_by_one(instances, seed):

@@ -1,10 +1,7 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
+import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +71,7 @@ from echometry.reference import (
     qfi_sld_oracle_stacked,
     unitary_of_hermitian,
 )
+from conftest import run_python
 from test_states import ghz_probe
 
 ZZ = ModelParams(omega_p=3.0, omega_a=3.0, g=1.0, kind="zz")
@@ -463,6 +461,18 @@ def test_deviation_formula_small_probe_tight_bound():
 def test_deviation_warns_outside_trust_region():
     with pytest.warns(UserWarning):
         qfi_deviation(EnsembleDim(4), 0.5, 0.0, t1=1.0)
+
+
+@pytest.mark.parametrize("t1", [np.inf, -np.inf, np.nan, -1.0, -1e-300])
+def test_deviation_rejects_a_step_time_before_it_warns(t1):
+    # t1 is a step duration like any other, finite and nonnegative: checked
+    # before |delta * t1| is, so a bad one raises no warning and no late
+    # "Fisher information came out as" error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="step durations must be finite and nonnegative"):
+            qfi_deviation(EnsembleDim(4), 0.01, 0.01, t1)
+    assert qfi_deviation(EnsembleDim(4), 0.01, 0.01, 0.0).value == 16.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1210,26 +1220,27 @@ def test_size_sweeps_walk_cells_within_the_entry_budget(monkeypatch):
                 np.testing.assert_array_equal(got[i], qfi_grid(probe, ancillas, ZZ, row))
 
 
-def test_frame_cache_keeps_read_only_frames_within_its_byte_bound(monkeypatch):
-    # frames are kept per N while their bytes, 8 (N+1)^2 each, sum to at most
-    # the bound, least recently used out first; a frame above the bound is
-    # solved on every call and not kept
+def test_frame_cache_keeps_the_last_read_only_frame_within_its_byte_bound(monkeypatch, clear_frames):
+    # the readout keeps one J_x frame, that of the last N it read out, when its
+    # 8 (N+1)^2 bytes are within the bound; a frame above the bound is solved
+    # on every readout and not kept
     assert echometry.fisher._FRAME_BYTES == 2**22
-    monkeypatch.setattr(echometry.fisher, "_FRAME_BYTES", 3 * 8 * 21**2)  # three frames of N = 20
-    monkeypatch.setattr(echometry.fisher, "_frames", {})
+    monkeypatch.setattr(echometry.fisher, "_FRAME_BYTES", 8 * 21**2)  # one frame of N = 20
     solved = []
     frame_of = echometry.fisher.spin_frame
     monkeypatch.setattr(echometry.fisher, "spin_frame", lambda dim, axis: solved.append(dim.dim) or frame_of(dim, axis))
-    for n in (20, 20, 5, 20, 30, 7, 20, 100, 100):
+    anc, sched = ancilla_state(1.1, 0.7), conjugate_schedule(0.8, 0.3)
+    for n in (20, 20, 5, 20, 30, 30, 7, 7, 20):
         dim = EnsembleDim(n)
-        frame = echometry.fisher._x_frame(dim)
+        cfi(SpectralProbe(dim, np.array([0.6, 0.4]), np.eye(dim.dim, 2)), anc, ZZ, sched)
+    assert solved == [21, 6, 21, 31, 31, 8, 21]
+    assert echometry.fisher._x_frame.cache_info().currsize == 1
+    for n, frame in ((20, echometry.fisher._x_frame(EnsembleDim(20))), (30, echometry.fisher._x_frame.__wrapped__(EnsembleDim(30)))):
         assert not frame.flags.writeable
-        assert sum(kept.nbytes for kept in echometry.fisher._frames.values()) <= echometry.fisher._FRAME_BYTES
-        np.testing.assert_array_equal(frame, frame_of(dim, (1.0, 0.0, 0.0))[1])
+        np.testing.assert_array_equal(frame, frame_of(EnsembleDim(n), (1.0, 0.0, 0.0))[1])
         with pytest.raises(ValueError, match="read-only"):
             frame[0, 0] = 1.0
-    assert solved == [21, 6, 31, 8, 21, 101, 101]
-    assert list(echometry.fisher._frames) == [7, 20]
+    assert solved == [21, 6, 21, 31, 31, 8, 21, 31]  # the kept frame of N = 20 took no solve
 
 
 def test_small_grids_take_one_slice(monkeypatch):
@@ -1469,9 +1480,7 @@ def test_a_thermal_probe_with_one_level_reads_out_as_the_coherent_state_along_mi
         "em.cfi(probe, em.ancilla_state(settings.theta0), params, em.conjugate_schedule(settings.t1, 0.0))\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=120)
+    proc = run_python(["-c", script], check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
 
 
@@ -1760,16 +1769,7 @@ def test_cfi_of_an_eigenstate_of_the_encoding_is_zero(params, axis, n):
 
 def run_at_blas_threads(script):
     """The stdout of a Python script run at 1 and at 2 OpenBLAS threads."""
-    src = str(Path(echometry.fisher.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300
-        )
-        outputs.append(proc.stdout)
-    return outputs
+    return [run_python(["-c", script], threads, check=True, timeout=300).stdout for threads in (1, 2)]
 
 
 def test_rank_one_cfi_independent_of_blas_threads():
