@@ -1235,12 +1235,14 @@ def test_frame_cache_keeps_the_last_read_only_frame_within_its_byte_bound(monkey
         cfi(SpectralProbe(dim, np.array([0.6, 0.4]), np.eye(dim.dim, 2)), anc, ZZ, sched)
     assert solved == [21, 6, 21, 31, 31, 8, 21]
     assert echometry.fisher._x_frame.cache_info().currsize == 1
-    for n, frame in ((20, echometry.fisher._x_frame(EnsembleDim(20))), (30, echometry.fisher._x_frame.__wrapped__(EnsembleDim(30)))):
+    kept = echometry.fisher._x_frame(EnsembleDim(20))  # the last readout's frame: no solve
+    unkept = echometry.fisher._x_frame.__wrapped__(EnsembleDim(30))
+    assert solved == [21, 6, 21, 31, 31, 8, 21, 31]
+    for n, frame in ((20, kept), (30, unkept)):
         assert not frame.flags.writeable
         np.testing.assert_array_equal(frame, frame_of(EnsembleDim(n), (1.0, 0.0, 0.0))[1])
         with pytest.raises(ValueError, match="read-only"):
             frame[0, 0] = 1.0
-    assert solved == [21, 6, 21, 31, 31, 8, 21, 31]  # the kept frame of N = 20 took no solve
 
 
 def test_small_grids_take_one_slice(monkeypatch):
